@@ -421,21 +421,6 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_bench(cfg) -> int:
-    cfg = dict(cfg, timing=True)
-    truth, cloud = _build_truth(cfg)
-    factor_ctx = (
-        _factor_context(truth, cloud, cfg["d"]) if cfg["factor"] != "precision" else None
-    )
-    rows = [
-        _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing=True)
-        for n in sorted(cfg["n"])
-        for seed in sorted(cfg["seeds"])
-    ]
-    _emit(_rows_csv(rows), cfg["out"])
-    return 0 if all(row.error == "" for row in rows) else 1
-
-
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--model", choices=("laplacian", "green", "matern"))
@@ -464,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "write ground truth and sample files"),
         ("estimate", "run the estimator over the configured grid and emit CSV"),
         ("scaling-study", "grid over p and N with median errors and fitted slopes"),
-        ("bench", "timed estimator runs"),
+        ("bench", "estimate with --timing always on"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
@@ -492,7 +477,7 @@ def main(argv=None) -> int:
         if args.command == "scaling-study":
             return cmd_scaling_study(cfg, p_list=getattr(args, "p_list", None))
         if args.command == "bench":
-            return cmd_bench(cfg)
+            return cmd_estimate(dict(cfg, timing=True))
     except _ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -23,7 +23,11 @@ class NotPositiveDefinite(Exception):
 
 
 class NumericalFailure(Exception):
-    """An iterative kernel exceeded its iteration cap."""
+    """A LAPACK kernel reported failure on an input that passed its gates.
+
+    Raised only by :func:`gpprec.linalg.spd_inverse` when ``dpotri``
+    returns a nonzero ``info`` after a successful Cholesky factorization.
+    """
 
 
 class LocalSingular(Exception):

@@ -5,10 +5,12 @@ symmetric matrices always return *exactly* symmetric arrays (both triangles
 bitwise equal), and symmetric inputs are required to be exactly symmetric;
 use :func:`symmetrize` first when a matrix was assembled entrywise.
 
-Positive definiteness is decided in one place, by the Cholesky pivot rule:
-a pivot is rejected when it is at most ``SPD_PIVOT_RTOL`` times the largest
-diagonal entry of the input.  Inverses, square roots, and condition numbers
-are all routed through this gate.
+Positive definiteness is decided by the Cholesky pivot rule: a pivot is
+rejected when it is at most ``SPD_PIVOT_RTOL`` times the largest diagonal
+entry of the input.  Inverses and square roots are routed through this
+gate; :func:`condition_number` applies the same tolerance to the ratio of
+its extreme eigenvalues.  Spectral quantities come from a full symmetric
+eigenvalue decomposition at every size.
 
 Every function here is a pure function of immutable inputs and never
 mutates its arguments, so concurrent read-only use is safe.
@@ -17,13 +19,12 @@ mutates its arguments, so concurrent read-only use is safe.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, sqrtm
+from scipy.linalg import lapack, sqrtm
 
 from .errors import InvalidInput, NotPositiveDefinite, NumericalFailure
 
 __all__ = [
     "SPD_PIVOT_RTOL",
-    "DENSE_EIG_LIMIT",
     "symmetrize",
     "sample_covariance",
     "cholesky_lower",
@@ -37,16 +38,6 @@ __all__ = [
 # Scale-invariant pivot floor: a Cholesky pivot at most this fraction of the
 # largest diagonal entry counts as a positive-definiteness failure.
 SPD_PIVOT_RTOL = 1e-12
-
-# Above this dimension, spectral quantities switch from full symmetric
-# eigendecomposition to shifted power iteration.
-DENSE_EIG_LIMIT = 512
-
-# Accuracy target for iterative spectral estimates is 1e-9 relative; the
-# successive-change stopping rule runs two orders tighter because the
-# Rayleigh error lags the observed change.
-_POWER_RTOL = 1e-11
-_POWER_CAP_PER_DIM = 50
 
 
 def _as_square(a, name="matrix") -> np.ndarray:
@@ -155,96 +146,30 @@ def spd_inverse(a) -> np.ndarray:
     return lower + np.tril(inv, -1).T
 
 
-def _power_pass(a: np.ndarray, shift: float, cap: int, key: int) -> float:
-    """Rayleigh value of the dominant eigenvector of ``a - shift*I``.
-
-    Returns the Rayleigh quotient of ``a`` at that vector.  Raises
-    ``NumericalFailure`` when the iteration cap is exhausted, which happens
-    on spectra whose extreme eigenvalues are nearly tied in magnitude.
-    """
-    n = a.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=key))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rayleigh = None
-    for _ in range(cap):
-        w = a @ v - shift * v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return shift
-        v = w / norm
-        current = float(v @ (a @ v))
-        if rayleigh is not None and abs(current - rayleigh) <= _POWER_RTOL * max(
-            abs(current), 1e-300
-        ):
-            return current
-        rayleigh = current
-    raise NumericalFailure(f"power iteration did not converge within {cap} iterations")
-
-
-def _power_extreme(a: np.ndarray, n: int) -> float:
-    """Largest absolute eigenvalue by two-pass shifted power iteration.
-
-    The first pass runs on ``a`` itself and finds the extreme of largest
-    magnitude; the second runs shifted by that estimate, which maps the
-    found end to zero and makes the opposite extreme dominant.
-    """
-    if not np.any(a):
-        return 0.0
-    # The floor keeps the cap meaningful when this route is exercised at
-    # small dimensions; production use starts above DENSE_EIG_LIMIT.
-    cap = max(_POWER_CAP_PER_DIM * n, 5000)
-    first = _power_pass(a, 0.0, cap, key=0x5EED)
-    second = _power_pass(a, first, cap, key=0x5EED + 1)
-    return max(abs(first), abs(second))
-
-
 def spectral_norm(a) -> float:
     """Spectral norm (largest absolute eigenvalue) of a symmetric matrix.
 
-    Uses a full symmetric eigendecomposition up to ``DENSE_EIG_LIMIT`` and
-    shifted power iteration above, matching the accuracy contract of 1e-9
-    relative.  Raises ``NumericalFailure`` if the iteration cap is hit.
+    Computed from the full symmetric eigenvalue decomposition, at every size.
     """
     a = _as_square_sym(a)
-    n = a.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return _power_extreme(a, n)
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
 
 
 def condition_number(a) -> float:
     """Ratio of extreme eigenvalues of an SPD matrix.
 
+    Both extremes come from one full symmetric eigenvalue decomposition.
     Raises ``NotPositiveDefinite`` when the smallest eigenvalue is at or
-    below the pivot tolerance relative to the largest.
+    below ``SPD_PIVOT_RTOL`` times the largest.
     """
     a = _as_square_sym(a)
-    n = a.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        w = np.linalg.eigvalsh(a)
-        lo, hi = float(w[0]), float(w[-1])
-        if lo <= SPD_PIVOT_RTOL * max(hi, 0.0):
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lo:.3e} fails the SPD tolerance"
-            )
-        return hi / lo
-    c = cholesky_lower(a)
-    hi = _power_extreme(a, n)
-    # Inverse power iteration through the Cholesky factor for lambda_min.
-    rng = np.random.Generator(np.random.Philox(key=0x5EED + 1))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    rayleigh = None
-    cap = _POWER_CAP_PER_DIM * n
-    for _ in range(cap):
-        w = cho_solve((c, True), v)
-        v = w / np.linalg.norm(w)
-        current = float(v @ (a @ v))
-        if rayleigh is not None and abs(current - rayleigh) <= _POWER_RTOL * abs(current):
-            return hi / current
-        rayleigh = current
-    raise NumericalFailure(f"inverse iteration did not converge within {cap} iterations")
+    w = np.linalg.eigvalsh(a)
+    lo, hi = float(w[0]), float(w[-1])
+    if lo <= SPD_PIVOT_RTOL * max(hi, 0.0):
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {lo:.3e} fails the SPD tolerance"
+        )
+    return hi / lo
 
 
 def spd_sqrt(a) -> np.ndarray:

@@ -59,15 +59,13 @@ class LatticeEmbedding:
     """A site-perfect matching of the cloud into lattice nodes.
 
     ``nodes`` is the sorted flat-index set of matched nodes;
-    ``node_of_site[i]`` is the node matched to site ``i`` and
-    ``site_of_node`` its inverse.  ``displacement`` is the largest
-    site-to-node distance over the matching.
+    ``node_of_site[i]`` is the node matched to site ``i``.  ``displacement``
+    is the largest site-to-node distance over the matching.
     """
 
     shape: LatticeShape
     nodes: np.ndarray
     node_of_site: np.ndarray
-    site_of_node: dict
     displacement: float
     c1: float
 
@@ -274,7 +272,6 @@ def perfect_matching(
         shape=shape,
         nodes=np.sort(node_of_site),
         node_of_site=node_of_site,
-        site_of_node={int(t): i for i, t in enumerate(match_site)},
         displacement=displacement,
         c1=c1,
     )

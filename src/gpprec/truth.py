@@ -24,12 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityExceeded, InvalidInput
+from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
 from .lattice import LatticeShape
 from .linalg import (
+    SPD_PIVOT_RTOL,
     cholesky_lower,
     condition_number,
     spd_inverse,
+    spectral_norm,
     symmetrize,
 )
 
@@ -95,11 +97,24 @@ def build_lattice_precision(
 
     ``h = 1/(p+1)`` is the mesh width.  The theory's regime is ``s > d/2``;
     this is documented rather than enforced so that ``d=1, s=1`` works.
+
+    ``kappa`` is taken in closed form.  The Dirichlet Laplacian has the
+    eigenvalues ``(p+1)^2 sum_i 4 sin^2(k_i pi / (2(p+1)))`` for
+    ``k_i in 1..p``, so its extreme ratio is ``cot^2(pi / (2(p+1)))`` in
+    every dimension ``d``, and ``omega``'s is that ratio to the power ``s``.
+    A truth whose ``kappa`` is at or above ``1 / SPD_PIVOT_RTOL`` raises
+    ``NotPositiveDefinite``, the same eigenvalue test as ``condition_number``.
     """
     if s < 1:
         raise InvalidInput(f"s must be a positive integer, got {s}")
     shape = LatticeShape(p=p, d=d)
     _check_capacity(shape.size, max_vertices)
+    kappa = float(np.tan(np.pi / (2 * (p + 1))) ** (-2 * s))
+    if kappa * SPD_PIVOT_RTOL >= 1.0:
+        raise NotPositiveDefinite(
+            f"lattice precision (p={p}, d={d}, s={s}) has condition number "
+            f"{kappa:.3e}, which fails the SPD tolerance"
+        )
     h = 1.0 / (p + 1)
     a = dirichlet_laplacian(p, d)
     omega = symmetrize(h**d * np.linalg.matrix_power(a, s))
@@ -107,7 +122,7 @@ def build_lattice_precision(
     return GroundTruth(
         sigma=sigma,
         omega=omega,
-        kappa=condition_number(omega),
+        kappa=kappa,
         geometry=shape,
         model_tag="laplacian_power",
         params={"p": p, "d": d, "s": s},
@@ -282,7 +297,7 @@ def l1_tail_profile(omega, shape: LatticeShape):
         raise InvalidInput("omega does not match the lattice size")
     dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
     max_k = int(dist.max())
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(omega))))
+    norm = spectral_norm(omega)
     m = omega.shape[0]
     binned = np.zeros((m, max_k + 1))
     rows = np.repeat(np.arange(m), m)

@@ -110,6 +110,17 @@ class TestEstimate:
         assert row[3] == "16"
         assert float(row[9]) > 0.0
 
+    def test_laplacian_above_512_vertices_runs(self, capsys):
+        # 24**2 = 576 vertices with kappa near 6.4e4.
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "2", "--p", "24", "--s", "2",
+            "--n", "1000", "--b", "3",
+        )
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert row[12] == ""
+        assert float(row[9]) > 0.0
+
     def test_row_error_recorded_and_nonzero_exit(self, capsys):
         # N far below the variable count breaks every scale of the factor
         # estimator; the row survives with an error tag.

@@ -16,7 +16,7 @@ from gpprec.linalg import (
     spectral_norm,
     symmetrize,
 )
-from gpprec.linalg import _power_extreme
+from gpprec.truth import build_lattice_precision
 from gpprec.verify import perturbation_corpus, random_spd
 
 
@@ -121,37 +121,7 @@ class TestSpectralNorm:
     def test_negative_dominant(self):
         assert spectral_norm(np.diag([-5.0, 1.0])) == pytest.approx(5.0)
 
-    def test_power_route_matches_dense_oracle(self, rng):
-        # The iterative path is exercised directly at small size against
-        # the dense eigendecomposition.
-        for _ in range(5):
-            a = symmetrize(rng.standard_normal((8, 8)))
-            oracle = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-            assert _power_extreme(a, 8) == pytest.approx(oracle, rel=1e-8)
-
-    def test_opposite_extreme_dominates(self, rng):
-        # The second, shifted pass must resolve the larger-in-magnitude
-        # negative end after the first pass locks onto it or its rival.
-        g = rng.standard_normal((8, 8))
-        q, _ = np.linalg.qr(g)
-        a = symmetrize(q @ np.diag([-5.0, 4.0, 1.0, 0.5, -0.5, 0.2, -0.1, 0.05]) @ q.T)
-        assert _power_extreme(a, 8) == pytest.approx(5.0, rel=1e-8)
-
-    def test_nearly_tied_extremes_hit_the_cap(self, rng):
-        # Power iteration cannot separate extremes whose magnitudes differ
-        # by 2e-4 within the iteration budget; the contract is an explicit
-        # failure rather than a silent wrong answer.
-        from gpprec.errors import NumericalFailure
-
-        g = rng.standard_normal((8, 8))
-        q, _ = np.linalg.qr(g)
-        a = symmetrize(q @ np.diag([5.0, -4.999, 1.0, 0.5, -0.5, 0.2, -0.1, 0.0]) @ q.T)
-        with pytest.raises(NumericalFailure):
-            _power_extreme(a, 8)
-
-    def test_large_dim_power_route(self, rng):
-        # Spectrum with isolated extremes; clustered extremes can
-        # legitimately exhaust the iteration cap instead.
+    def test_large_dim(self, rng):
         n = 600
         g = rng.standard_normal((n, n))
         q, _ = np.linalg.qr(g)
@@ -177,6 +147,13 @@ class TestConditionNumber:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             condition_number(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_lattice_truth_above_512_vertices(self):
+        # m = 576 with kappa near 6.4e4: the truth builds and its closed-form
+        # kappa agrees with the eigenvalue ratio.
+        truth = build_lattice_precision(24, 2, 2)
+        assert truth.dim == 576
+        assert condition_number(truth.omega) == pytest.approx(truth.kappa, rel=1e-9)
 
 
 class TestSpdSqrt:

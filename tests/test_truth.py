@@ -37,6 +37,18 @@ class TestLatticePrecision:
             gap = spectral_norm(symmetrize(truth.sigma @ truth.omega - np.eye(truth.dim)))
             assert gap <= 1e-9 * truth.kappa
 
+    @pytest.mark.parametrize("p, d, s", [(8, 1, 1), (12, 1, 2), (6, 2, 2), (5, 3, 1)])
+    def test_closed_form_kappa(self, p, d, s):
+        truth = build_lattice_precision(p, d, s)
+        w = np.linalg.eigvalsh(truth.omega)
+        assert truth.kappa == pytest.approx(w[-1] / w[0], rel=1e-9)
+
+    @pytest.mark.parametrize("p, d, s", [(200, 1, 3), (500, 1, 3), (22, 2, 6)])
+    def test_ill_conditioned_truth_rejected(self, p, d, s):
+        # kappa at or above 1 / SPD_PIVOT_RTOL: no truth with an inaccurate sigma.
+        with pytest.raises(NotPositiveDefinite):
+            build_lattice_precision(p, d, s)
+
     def test_max_eigenvalue_power_law(self):
         # Largest eigenvalue tracks h**(d - 2s); regression slope within 15%.
         d, s = 1, 1
