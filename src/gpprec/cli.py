@@ -237,14 +237,22 @@ def _experiment_id(cfg) -> str:
 
 
 def _factor_context(truth, cloud, d):
-    """Maximin-permuted truth with its level partition and exact factors."""
+    """Level partition, maximin-permuted truth and its exact factors."""
     order = maximin_order(cloud)
     levels = assign_levels(order)
-    omega = symmetrize(truth.omega[np.ix_(order.perm, order.perm)])
-    scales = exact_scales(omega, levels, d)
+    perm = np.ix_(order.perm, order.perm)
+    truth_mm = type(truth)(
+        sigma=symmetrize(truth.sigma[perm]),
+        omega=symmetrize(truth.omega[perm]),
+        kappa=truth.kappa,
+        geometry=cloud,
+        model_tag=truth.model_tag,
+        params=truth.params,
+    )
+    scales = exact_scales(truth_mm.omega, levels, d)
     exact_u = assemble_U(scales, levels, d).dense()
     exact_star = assemble_U_star(scales, levels, d).dense()
-    return order, levels, omega, exact_u, exact_star
+    return levels, truth_mm, exact_u, exact_star
 
 
 def _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing):
@@ -268,15 +276,7 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing):
             estimate_out = matrix
             err = spectral_norm(symmetrize(matrix - truth.omega)) / spectral_norm(truth.omega)
         else:
-            order, levels, omega_mm, exact_u, exact_star = factor_ctx
-            truth_mm = type(truth)(
-                sigma=symmetrize(truth.sigma[np.ix_(order.perm, order.perm)]),
-                omega=omega_mm,
-                kappa=truth.kappa,
-                geometry=cloud,
-                model_tag=truth.model_tag,
-                params=truth.params,
-            )
+            levels, truth_mm, exact_u, exact_star = factor_ctx
             z = sample(truth_mm, n, seed)
             scales = estimate_scales(z, levels, est_cfg, d=d)
             path = "multiscale"

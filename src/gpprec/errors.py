@@ -31,7 +31,7 @@ class NumericalFailure(Exception):
 
 
 class LocalSingular(Exception):
-    """A local window covariance could not be inverted.
+    """A local window covariance failed the Cholesky pivot gate.
 
     Carries enough context to report under-sampling: the block index, the
     window size, and the sample count (None in population-covariance mode).

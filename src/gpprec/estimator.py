@@ -1,21 +1,29 @@
 """Blockwise precision estimation on the lattice graph.
 
-The estimator partitions the lattice into blocks of width ``b``, inverts
-the sample covariance restricted to each block's radius-2 window, takes
-the in-band sub-blocks as local estimates, and symmetrizes the assembled
-result.  Small problems fall back to inverting the full sample covariance.
+The estimator partitions the lattice into blocks of width ``b`` and, for
+each block, takes the columns of that block in the inverse of the
+covariance restricted to its radius-2 window; the in-band rows of those
+columns are assembled and the result is symmetrized.  Small problems fall
+back to inverting the full sample covariance.
 
-Every sample-driven entry point also accepts the exact population
-covariance in place of samples (``population=True``).  This isolates the
-deterministic bias of the windowed inversion from sampling noise, which is
-what the bias tests exercise.
+Every window reads one covariance source.  From samples it is the band
+Gram: the sample covariance on the vertex pairs whose blocks lie within
+sup-distance ``2 * WINDOW_RADIUS`` (every pair some window contains),
+formed once per estimate from one block-major copy of the samples, with
+exactly symmetric tiles.  The exact population covariance
+(``population=True``) is such a source as it stands, so it takes the same
+path; this isolates the deterministic bias of the windowed inversion from
+sampling noise, which is what the bias tests exercise.  Each window is
+factored once and solved only for the ``b**d`` columns of its own block.
 
-Local windows are independent given the samples, so the per-block work
-could run in parallel; results do not depend on evaluation order.
+Windows are evaluated one after another in lexicographic block order, so
+the first under-sampled block is the one reported; the result does not
+depend on that order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InvalidInput, LocalSingular, NotPositiveDefinite
-from .lattice import BlockScheme, LatticeShape, build_scheme, neighborhood, restrict
+from .lattice import BlockScheme, LatticeShape, build_scheme, neighborhood
 from .linalg import cholesky_lower, sample_covariance, spd_inverse, symmetrize
 
 __all__ = [
@@ -85,40 +93,97 @@ def choose_block_size(n: int, kappa: float) -> int:
     return max(1, math.ceil(math.log(n * kappa)))
 
 
-def _window_covariance(data, vertices, population: bool):
+def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
+    """Sample covariance on every vertex pair some radius-2 window contains.
+
+    Those are the pairs whose blocks lie within sup-distance
+    ``2 * WINDOW_RADIUS``.  The samples are copied once in block-major
+    order (blocks lexicographic, each block's vertices contiguous), so a
+    block's forward band partners form a few contiguous runs and every tile
+    is one product of contiguous slices.  Tiles above the block diagonal are
+    mirrored and diagonal tiles come from :func:`sample_covariance`, so the
+    band is exactly symmetric.  Entries outside the band stay zero; no
+    window reads them.
+    """
+    n, m = samples.shape
+    side = scheme.S
+    blocks = list(scheme.block_indices())
+    order = np.concatenate([scheme.membership[j] for j in blocks])
+    offsets = np.cumsum([0] + [scheme.membership[j].size for j in blocks])
+    rows_of = samples.T[order]
+    reach = 2 * WINDOW_RADIUS
+    gram = np.zeros((m, m))
+    for k, j in enumerate(blocks):
+        rows = scheme.membership[j]
+        own = rows_of[offsets[k]:offsets[k + 1]]
+        gram[np.ix_(rows, rows)] = sample_covariance(own.T)
+        runs = []
+        ranges = [range(max(1, x - reach), min(side, x + reach) + 1) for x in j]
+        for jp in itertools.product(*ranges):
+            kp = 0
+            for x in jp:
+                kp = kp * side + x - 1
+            if kp <= k:
+                continue
+            if runs and runs[-1][1] == kp:
+                runs[-1][1] = kp + 1
+            else:
+                runs.append([kp, kp + 1])
+        for first, stop in runs:
+            lo, hi = offsets[first], offsets[stop]
+            cols = order[lo:hi]
+            tile = own @ rows_of[lo:hi].T / n
+            gram[np.ix_(rows, cols)] = tile
+            gram[np.ix_(cols, rows)] = tile.T
+    return gram
+
+
+def _covariance_source(data: np.ndarray, scheme: BlockScheme, population: bool):
+    """The exactly symmetric matrix every window is sliced from, and the sample count.
+
+    The sample count is ``None`` for a population covariance.
+    """
     if population:
-        return restrict(data, vertices, vertices)
-    return sample_covariance(np.asarray(data, dtype=np.float64)[:, vertices])
+        return symmetrize(data), None
+    return _band_gram(data, scheme), data.shape[0]
 
 
-def _window_inverse(data, scheme: BlockScheme, j, population: bool):
-    """Inverse of the covariance on the radius-2 window of block ``j``."""
+def _kept_columns(source, scheme: BlockScheme, j, n_samples):
+    """Columns of block ``j`` in the inverse of ``source`` on its window.
+
+    Returns ``(cols, w)``: ``w`` is the sorted vertex array of the radius-2
+    window of ``j`` and ``cols`` the ``(|w|, |B_j|)`` solve of the window
+    covariance against the unit columns of ``B_j``.  Raises ``LocalSingular``
+    when the window covariance fails the Cholesky pivot gate.
+    """
     _, w = neighborhood(scheme, j, WINDOW_RADIUS)
-    cov = symmetrize(_window_covariance(data, w, population))
     try:
-        inv = spd_inverse(cov)
+        factor = cholesky_lower(source[np.ix_(w, w)])
     except NotPositiveDefinite as exc:
-        n = None if population else np.asarray(data).shape[0]
-        raise LocalSingular(j, int(w.size), n) from exc
-    return inv, w
+        raise LocalSingular(j, int(w.size), n_samples) from exc
+    kept = np.searchsorted(w, scheme.membership[j])
+    unit = np.zeros((w.size, kept.size))
+    unit[kept, np.arange(kept.size)] = 1.0
+    return cho_solve((factor, True), unit, check_finite=False), w
 
 
 def local_estimate(data, scheme: BlockScheme, j, jp, population: bool = False) -> np.ndarray:
     """Local estimate of the precision block ``(j, jp)``.
 
-    Inverts the covariance on the radius-2 window of ``j`` and returns its
-    sub-block on ``B_j x B_jp``.  Requires ``|j - jp|_inf <= 1``.  Raises
-    ``LocalSingular`` (carrying the window size and sample count) when the
-    window covariance is not SPD.
+    Solves the covariance on the radius-2 window of ``j`` for the columns of
+    ``B_j`` and returns the transpose of their ``B_jp`` rows, that is the
+    ``B_j x B_jp`` block of the window inverse.  Requires
+    ``|j - jp|_inf <= 1``.  Raises ``LocalSingular`` (carrying the window
+    size and sample count) when the window covariance is not SPD.
     """
     j = scheme.validate_block(j)
     jp = scheme.validate_block(jp)
     if max(abs(a - b) for a, b in zip(j, jp)) > 1:
         raise InvalidInput(f"blocks {j} and {jp} are not within the banded range")
-    inv, w = _window_inverse(data, scheme, j, population)
-    rows = np.searchsorted(w, scheme.membership[j])
-    cols = np.searchsorted(w, scheme.membership[jp])
-    return inv[np.ix_(rows, cols)].copy()
+    data = np.asarray(data, dtype=np.float64)
+    source, n_samples = _covariance_source(data, scheme, population)
+    cols, w = _kept_columns(source, scheme, j, n_samples)
+    return cols[np.searchsorted(w, scheme.membership[jp])].T.copy()
 
 
 def _band_pairs(scheme: BlockScheme):
@@ -128,15 +193,22 @@ def _band_pairs(scheme: BlockScheme):
             yield j, jp
 
 
-def assemble_global(locals_map: dict, scheme: BlockScheme) -> PrecisionEstimate:
+def _symmetrized(raw: np.ndarray, scheme: BlockScheme) -> PrecisionEstimate:
+    return PrecisionEstimate(
+        matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
+    )
+
+
+def assemble_global(local_blocks: dict, scheme: BlockScheme) -> PrecisionEstimate:
     """Assemble local blocks into the symmetrized global estimate.
 
-    ``locals_map`` must contain exactly one entry per ordered block pair
-    with sup-distance at most 1.  Off-band entries of the result are zero;
-    the returned matrix is ``(raw + raw.T) / 2`` and exactly symmetric.
+    ``local_blocks`` maps each ordered block pair ``(j, jp)`` with
+    sup-distance at most 1 to its ``B_j x B_jp`` block, exactly one entry
+    per pair.  Off-band entries of the result are zero; the returned matrix
+    is ``(raw + raw.T) / 2`` and exactly symmetric.
     """
     expected = set(_band_pairs(scheme))
-    got = set(locals_map)
+    got = set(local_blocks)
     if got != expected:
         missing = sorted(expected - got)
         extra = sorted(got - expected)
@@ -146,7 +218,7 @@ def assemble_global(locals_map: dict, scheme: BlockScheme) -> PrecisionEstimate:
         )
     m = scheme.shape.size
     raw = np.zeros((m, m))
-    for (j, jp), block in locals_map.items():
+    for (j, jp), block in local_blocks.items():
         rows = scheme.membership[j]
         cols = scheme.membership[jp]
         if block.shape != (rows.size, cols.size):
@@ -154,9 +226,7 @@ def assemble_global(locals_map: dict, scheme: BlockScheme) -> PrecisionEstimate:
                 f"block {(j, jp)} has shape {block.shape}, expected {(rows.size, cols.size)}"
             )
         raw[np.ix_(rows, cols)] = block
-    return PrecisionEstimate(
-        matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
-    )
+    return _symmetrized(raw, scheme)
 
 
 def estimate_precision(
@@ -171,9 +241,10 @@ def estimate_precision(
     p**d)`` covariance when ``population=True`` (population mode requires
     ``b_override`` and always runs the blockwise route).  When ``p <=
     log(N * kappa_hint)`` and the fallback is enabled, the estimate is the
-    inverse of the full sample covariance; otherwise each block's window
-    covariance is inverted once and the in-band sub-blocks are assembled
-    and symmetrized.
+    inverse of the full sample covariance.  Otherwise the band Gram is
+    formed once (the population covariance serves as it is), each block's
+    window is factored and solved for the block's own columns, and their
+    in-band rows are assembled and symmetrized.
     """
     config = config or EstimatorConfig()
     data = np.asarray(data, dtype=np.float64)
@@ -206,15 +277,15 @@ def estimate_precision(
         # when the fallback is disabled.
         b = config.b_override or min(choose_block_size(n, kappa), shape.p)
     scheme = build_scheme(shape.p, b, shape.d)
-    locals_map = {}
+    source, n_samples = _covariance_source(data, scheme, population)
+    # Each window fills the B_j columns of its in-band rows; the raw matrix
+    # is the transpose of assemble_global's, which symmetrization absorbs.
+    raw = np.zeros((m, m))
     for j in scheme.block_indices():
-        inv, w = _window_inverse(data, scheme, j, population)
-        rows = np.searchsorted(w, scheme.membership[j])
-        near, _ = neighborhood(scheme, j, 1)
-        for jp in near:
-            cols = np.searchsorted(w, scheme.membership[jp])
-            locals_map[(j, jp)] = inv[np.ix_(rows, cols)].copy()
-    return assemble_global(locals_map, scheme)
+        cols, w = _kept_columns(source, scheme, j, n_samples)
+        _, near = neighborhood(scheme, j, 1)
+        raw[np.ix_(near, scheme.membership[j])] = cols[np.searchsorted(w, near)]
+    return _symmetrized(raw, scheme)
 
 
 def ols_plugin_row(samples, i: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import CapacityExceeded, InvalidInput, NoMatching
 from .estimator import EstimatorConfig, estimate_precision
@@ -92,6 +93,7 @@ def measure_cloud(sites, d: int | None = None) -> SiteCloud:
     The fill distance is the maximum over a regular evaluation grid of
     roughly ``64 * M`` points of the distance to the nearest site; the
     grid includes the box boundary, where the maximum is often attained.
+    Nearest sites come from a k-d tree, so memory stays linear in ``M``.
     Homogeneity is the smallest site-to-site or site-to-boundary distance
     divided by the fill distance, capped at 1.
     """
@@ -110,19 +112,15 @@ def measure_cloud(sites, d: int | None = None) -> SiteCloud:
     if np.any(sites <= 0.0) or np.any(sites >= 1.0):
         raise InvalidInput("sites must lie strictly inside the open unit box")
 
-    diff = sites[:, None, :] - sites[None, :, :]
-    pair = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(pair, np.inf)
-    min_pair = float(pair.min()) if m > 1 else np.inf
+    tree = cKDTree(sites)
+    min_pair = float(tree.query(sites, k=2)[0][:, 1].min()) if m > 1 else np.inf
     if min_pair <= 0.0:
         raise InvalidInput("sites contain duplicates")
 
     per_axis = max(2, int(np.ceil((64.0 * m) ** (1.0 / d))))
     axes = [np.linspace(0.0, 1.0, per_axis)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    gdiff = grid[:, None, :] - sites[None, :, :]
-    gdist = np.sqrt(np.sum(gdiff * gdiff, axis=2)).min(axis=1)
-    h = float(gdist.max())
+    h = float(tree.query(grid)[0].max())
 
     clearance = float(_boundary_distance(sites).min())
     numerator = min(min_pair, clearance)

@@ -1,8 +1,9 @@
 """Command-line harness: subcommands, determinism, exit codes, verify suites."""
 
 from gpprec import serialization as ser
+from gpprec import truth as truth_module
 from gpprec.cli import CSV_COLUMNS, main
-from gpprec.linalg import spectral_norm, symmetrize
+from gpprec.linalg import cholesky_lower, spectral_norm, symmetrize
 from gpprec.verify import run_suites
 
 
@@ -78,6 +79,24 @@ class TestEstimate:
             row = capsys.readouterr().out.splitlines()[2].split(",")
             assert row[8] == "multiscale"
             assert float(row[9]) > 0.0
+
+    def test_factor_rows_share_one_sigma_factor(self, monkeypatch, capsys):
+        # The maximin-permuted truth is built once per run, so its sigma is
+        # factored once however many rows sample it.
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(truth_module, "cholesky_lower", counting)
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "1", "--p", "7", "--s", "1",
+            "--n", "1000,2000", "--seeds", "0,1", "--factor", "cholesky",
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+        assert calls == [(7, 7)]
 
     def test_scattered_green_runs(self, capsys):
         code = run_cli(

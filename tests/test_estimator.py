@@ -43,6 +43,28 @@ def dense_lattice_truth(p=40, s=2):
     return build_green_restriction(fine_m, 1, s, cloud)
 
 
+def reference_estimate(data, scheme, population=False):
+    """Blockwise estimate with one covariance and one full inverse per window."""
+    n_samples = None if population else data.shape[0]
+    local_blocks = {}
+    for j in scheme.block_indices():
+        _, w = neighborhood(scheme, j, 2)
+        if population:
+            cov = symmetrize(data[np.ix_(w, w)])
+        else:
+            cov = sample_covariance(data[:, w])
+        try:
+            inv = spd_inverse(cov)
+        except NotPositiveDefinite as exc:
+            raise LocalSingular(j, int(w.size), n_samples) from exc
+        rows = np.searchsorted(w, scheme.membership[j])
+        near, _ = neighborhood(scheme, j, 1)
+        for jp in near:
+            cols = np.searchsorted(w, scheme.membership[jp])
+            local_blocks[(j, jp)] = inv[np.ix_(rows, cols)]
+    return assemble_global(local_blocks, scheme).matrix
+
+
 class TestChooseBlockSize:
     def test_floor_at_one(self):
         assert choose_block_size(1, 1.0) == 1
@@ -341,6 +363,54 @@ class TestEstimatePrecision:
         assert direct.path == FALLBACK
         np.testing.assert_allclose(
             permuted.matrix, direct.matrix[np.ix_(perm, perm)], atol=1e-10
+        )
+
+
+class TestWindowOracle:
+    """The band-Gram route against one covariance and inverse per window."""
+
+    @pytest.mark.parametrize(
+        "p, d, s, b, n",
+        [
+            (23, 1, 2, 3, 400),  # ragged last block, 8 blocks
+            (14, 2, 1, 3, 1500),  # ragged, 5 blocks per axis
+            (7, 3, 1, 2, 800),  # ragged, 4 blocks per axis
+            (10, 1, 2, 4, 300),  # 3 blocks: every window is the whole lattice
+            (6, 2, 2, 2, 400),  # 3 blocks per axis: the same in 2-d
+        ],
+    )
+    def test_samples(self, p, d, s, b, n):
+        truth = build_lattice_precision(p, d, s)
+        z = sample(truth, n, seed=p + d)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b, fallback_enabled=False)
+        est = estimate_precision(z, truth.geometry, cfg)
+        want = reference_estimate(z, build_scheme(p, b, d))
+        assert est.path == BLOCKWISE
+        assert np.max(np.abs(est.matrix - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.array_equal(est.matrix, est.matrix.T)
+
+    @pytest.mark.parametrize("p, d, s, b", [(11, 1, 1, 3), (12, 2, 2, 2), (5, 3, 1, 2)])
+    def test_population(self, p, d, s, b):
+        truth = build_lattice_precision(p, d, s)
+        est = estimate_precision(
+            truth.sigma, truth.geometry, EstimatorConfig(b_override=b), population=True
+        )
+        want = reference_estimate(truth.sigma, build_scheme(p, b, d), population=True)
+        assert np.max(np.abs(est.matrix - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("p, d, b, n", [(20, 1, 4, 14), (9, 2, 3, 30)])
+    def test_under_sampled_window_matches_reference(self, p, d, b, n):
+        # (20, 1, 4, 14): the first window has 12 vertices and the second
+        # 16, so the second block is the first to fail.
+        truth = build_lattice_precision(p, d, 1)
+        z = sample(truth, n, seed=4)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b, fallback_enabled=False)
+        with pytest.raises(LocalSingular) as got:
+            estimate_precision(z, truth.geometry, cfg)
+        with pytest.raises(LocalSingular) as want:
+            reference_estimate(z, build_scheme(p, b, d))
+        assert (got.value.block, got.value.window_size, got.value.n_samples) == (
+            want.value.block, want.value.window_size, want.value.n_samples
         )
 
 

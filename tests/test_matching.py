@@ -69,6 +69,24 @@ class TestMeasureCloud:
         with pytest.raises(InvalidInput):
             measure_cloud(np.array([0.0, 0.5]), 1)
 
+    @pytest.mark.parametrize("d, m", [(1, 37), (2, 50), (3, 40)])
+    def test_matches_dense_distance_reference(self, rng, d, m):
+        # All-pairs distance tables, the same arithmetic per pair as the
+        # tree's exact nearest-neighbour search: the results agree bit for bit.
+        sites = rng.uniform(0.01, 0.99, size=(m, d))
+        cloud = measure_cloud(sites, d)
+        diff = sites[:, None, :] - sites[None, :, :]
+        pair = np.sqrt(np.sum(diff * diff, axis=2))
+        np.fill_diagonal(pair, np.inf)
+        per_axis = max(2, int(np.ceil((64.0 * m) ** (1.0 / d))))
+        axes = [np.linspace(0.0, 1.0, per_axis)] * d
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        gdiff = grid[:, None, :] - sites[None, :, :]
+        h = np.sqrt(np.sum(gdiff * gdiff, axis=2)).min(axis=1).max()
+        clearance = np.minimum(sites, 1.0 - sites).min()
+        assert cloud.h == h
+        assert cloud.delta == min(1.0, min(pair.min(), clearance) / h)
+
 
 class TestBuildTargetLattice:
     def test_ceiling_rule(self):

@@ -5,7 +5,8 @@ import pytest
 
 from gpprec.errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
 from gpprec.lattice import LatticeShape, lattice_points
-from gpprec.linalg import spectral_norm, symmetrize
+from gpprec import truth as truth_module
+from gpprec.linalg import cholesky_lower, spectral_norm, symmetrize
 from gpprec.matching import measure_cloud
 from gpprec.truth import (
     build_green_restriction,
@@ -84,6 +85,20 @@ class TestLatticePrecision:
     def test_capacity_cap(self):
         with pytest.raises(CapacityExceeded):
             build_lattice_precision(17, 3, 1)
+
+    @pytest.mark.parametrize("p, d, s", [(22, 2, 2), (16, 3, 2), (513, 1, 1)])
+    def test_sparse_power_equals_dense_formula(self, p, d, s):
+        # Dense Kronecker Laplacian and dense matrix power, as a reference.
+        one_dim = 2.0 * np.eye(p) - np.eye(p, k=1) - np.eye(p, k=-1)
+        a = np.zeros((p**d, p**d))
+        for axis in range(d):
+            term = np.ones((1, 1))
+            for other in range(d):
+                term = np.kron(term, one_dim if other == axis else np.eye(p))
+            a += term
+        a *= (p + 1) ** 2
+        want = symmetrize((1.0 / (p + 1)) ** d * np.linalg.matrix_power(a, s))
+        np.testing.assert_array_equal(build_lattice_precision(p, d, s).omega, want)
 
 
 class TestGreenRestriction:
@@ -175,6 +190,19 @@ class TestSample:
     def test_bit_identical_reruns(self):
         truth = build_lattice_precision(4, 1, 1)
         np.testing.assert_array_equal(sample(truth, 50, seed=3), sample(truth, 50, seed=3))
+
+    def test_sigma_factored_once(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(truth_module, "cholesky_lower", counting)
+        truth = build_lattice_precision(6, 1, 1)
+        first = sample(truth, 20, seed=5)
+        np.testing.assert_array_equal(sample(truth, 20, seed=5), first)
+        assert calls == [(6, 6)]
 
     def test_seeds_differ(self):
         truth = build_lattice_precision(4, 1, 1)
