@@ -13,6 +13,16 @@ row, then one row per (configuration point, seed) with the columns
     experiment_id, model_tag, d, p_or_M, s, N, seed, b, path,
     rel_spectral_error, kappa, wall_ms, error
 
+``rel_spectral_error`` is the relative spectral-norm error of the row's
+estimate.  Precision rows report ``||omega_hat - omega||_2 / ||omega||_2``,
+the numerator from the eigenvalues of the symmetrized difference and the
+denominator ``GroundTruth.omega_norm``, computed once per run.  Factor rows
+(``--factor cholesky`` or ``cholesky-star``) report
+``||U_hat - U||_2 / ||U||_2`` against the exact factor ``U`` of the
+maximin-permuted truth, as ``sqrt(||D D^T||_2 / ||omega||_2)`` with
+``D = U_hat - U``: the exact factor satisfies ``U U^T = omega``, so
+``||U||_2^2 = ||omega||_2``.
+
 Estimator failures are recorded in the final ``error`` column (the row's
 ``rel_spectral_error`` is ``nan``) and the run continues; the exit code is
 zero only when every row succeeded.
@@ -236,8 +246,13 @@ def _experiment_id(cfg) -> str:
     return "-".join(tags)
 
 
-def _factor_context(truth, cloud, d):
-    """Level partition, maximin-permuted truth and its exact factors."""
+def _factor_context(truth, cloud, d, factor):
+    """Level partition, maximin-permuted truth and the exact factor of ``factor``.
+
+    ``None`` for precision runs, which need none of them.
+    """
+    if factor == "precision":
+        return None
     order = maximin_order(cloud)
     levels = assign_levels(order)
     perm = np.ix_(order.perm, order.perm)
@@ -250,9 +265,24 @@ def _factor_context(truth, cloud, d):
         params=truth.params,
     )
     scales = exact_scales(truth_mm.omega, levels, d)
-    exact_u = assemble_U(scales, levels, d).dense()
-    exact_star = assemble_U_star(scales, levels, d).dense()
-    return levels, truth_mm, exact_u, exact_star
+    return levels, truth_mm, _dense_factor(factor, scales, levels, d)
+
+
+def _dense_factor(factor, scales, levels, d) -> np.ndarray:
+    """Dense ``U`` (``cholesky``) or ``U*`` (``cholesky-star``) from per-scale blocks."""
+    assemble = assemble_U if factor == "cholesky" else assemble_U_star
+    return assemble(scales, levels, d).dense()
+
+
+def _factor_error(u_hat, exact, truth_mm) -> float:
+    """``||u_hat - exact||_2 / ||exact||_2`` from one symmetric eigenvalue problem.
+
+    ``||D||_2^2 = ||D D^T||_2``, and both exact factors reconstruct the
+    permuted precision, ``U U^T = U* U*^T = omega``, so
+    ``||exact||_2^2 = ||omega||_2``.
+    """
+    diff = u_hat - exact
+    return float(np.sqrt(spectral_norm(symmetrize(diff @ diff.T)) / truth_mm.omega_norm))
 
 
 def _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing):
@@ -274,18 +304,14 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing):
                 est = estimate_precision(z, truth.geometry, est_cfg)
                 matrix, b_used, path = est.matrix, est.b or 0, est.path
             estimate_out = matrix
-            err = spectral_norm(symmetrize(matrix - truth.omega)) / spectral_norm(truth.omega)
+            err = spectral_norm(symmetrize(matrix - truth.omega)) / truth.omega_norm
         else:
-            levels, truth_mm, exact_u, exact_star = factor_ctx
+            levels, truth_mm, exact = factor_ctx
             z = sample(truth_mm, n, seed)
             scales = estimate_scales(z, levels, est_cfg, d=d)
             path = "multiscale"
-            if cfg["factor"] == "cholesky":
-                u_hat = assemble_U(scales, levels, d).dense()
-                err = np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2)
-            else:
-                u_hat = assemble_U_star(scales, levels, d).dense()
-                err = np.linalg.norm(u_hat - exact_star, 2) / np.linalg.norm(exact_star, 2)
+            u_hat = _dense_factor(cfg["factor"], scales, levels, d)
+            err = _factor_error(u_hat, exact, truth_mm)
             estimate_out = u_hat
         error = ""
     except _ERRORS as exc:
@@ -332,9 +358,7 @@ def _rows_csv(rows, extra=()):
 
 def cmd_estimate(cfg) -> int:
     truth, cloud = _build_truth(cfg)
-    factor_ctx = (
-        _factor_context(truth, cloud, cfg["d"]) if cfg["factor"] != "precision" else None
-    )
+    factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
     rows = [
         _run_point(cfg, truth, cloud, factor_ctx, n, seed, cfg["timing"])
         for n in sorted(cfg["n"])
@@ -351,9 +375,7 @@ def cmd_scaling_study(cfg, p_list=None) -> int:
     for p in p_values:
         point_cfg = dict(cfg, p=p)
         truth, cloud = _build_truth(point_cfg)
-        factor_ctx = (
-            _factor_context(truth, cloud, cfg["d"]) if cfg["factor"] != "precision" else None
-        )
+        factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
         for n in sorted(cfg["n"]):
             errs = []
             for seed in sorted(cfg["seeds"]):

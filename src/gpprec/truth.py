@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import blas
 
 from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
 from .lattice import LatticeShape
@@ -72,6 +73,11 @@ class GroundTruth:
     def sigma_factor(self) -> np.ndarray:
         """Lower Cholesky factor of ``sigma``, computed on first use and kept."""
         return cholesky_lower(self.sigma)
+
+    @functools.cached_property
+    def omega_norm(self) -> float:
+        """Spectral norm of ``omega``, computed on first use and kept."""
+        return spectral_norm(self.omega)
 
 
 def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:
@@ -227,6 +233,9 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` observations ``z = L g`` with ``L L^T = sigma``.
 
     ``L`` is ``truth.sigma_factor``, so ``sigma`` is factored once per truth.
+    The ``(n, dim)`` normals ``g`` are multiplied by ``L^T`` in place with
+    the triangular BLAS product ``dtrmm``, so the result is ``g @ L.T`` up
+    to roundoff, C-contiguous, and no second ``(n, dim)`` buffer is made.
     Deterministic given the seed: the Philox stream is keyed by ``seed``
     alone, so identical calls return bit-identical arrays.
     """
@@ -234,7 +243,8 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
         raise InvalidInput(f"sample count must be positive, got {n}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     g = rng.standard_normal((n, truth.dim))
-    return g @ truth.sigma_factor.T
+    # g.T is Fortran-ordered, so dtrmm overwrites g with L g^T.
+    return blas.dtrmm(1.0, truth.sigma_factor, g.T, side=0, lower=1, overwrite_b=1).T
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,17 @@
 """Command-line harness: subcommands, determinism, exit codes, verify suites."""
 
+import numpy as np
+import pytest
+
+from gpprec import cli
 from gpprec import serialization as ser
 from gpprec import truth as truth_module
+from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, main
+from gpprec.hierarchy import assign_levels, maximin_order
+from gpprec.lattice import lattice_points
 from gpprec.linalg import cholesky_lower, spectral_norm, symmetrize
+from gpprec.matching import measure_cloud
 from gpprec.verify import run_suites
 
 
@@ -97,6 +105,75 @@ class TestEstimate:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 4
         assert calls == [(7, 7)]
+
+    @pytest.mark.parametrize(
+        "factor,assemble", [("cholesky", assemble_U), ("cholesky-star", assemble_U_star)]
+    )
+    def test_factor_error_matches_definition(self, tmp_path, factor, assemble):
+        # The emitted error is ||u_hat - U||_2 / ||U||_2 for the exact factor
+        # U of the maximin-permuted truth, whatever route computes it.
+        out = tmp_path / "rows.csv"
+        est_dir = tmp_path / "estimates"
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "1", "--p", "24", "--s", "1",
+            "--n", "500", "--seeds", "3", "--factor", factor, "--out", str(out),
+            "--save-estimates", str(est_dir),
+        )
+        assert code == 0
+        emitted = float(out.read_text().splitlines()[2].split(",")[9])
+        u_hat = ser.load_matrix(next(est_dir.glob("*seed3-estimate.txt")))
+        truth = truth_module.build_lattice_precision(24, 1, 1)
+        order = maximin_order(measure_cloud(lattice_points(truth.geometry), 1))
+        levels = assign_levels(order)
+        omega_mm = symmetrize(truth.omega[np.ix_(order.perm, order.perm)])
+        exact = assemble(exact_scales(omega_mm, levels, 1), levels, 1).dense()
+        recomputed = np.linalg.norm(u_hat - exact, 2) / np.linalg.norm(exact, 2)
+        assert abs(recomputed - emitted) <= 1e-10 * recomputed
+
+    @pytest.mark.parametrize(
+        "factor,unused", [("cholesky", "assemble_U_star"), ("cholesky-star", "assemble_U")]
+    )
+    def test_factor_run_builds_only_its_factor(self, monkeypatch, capsys, factor, unused):
+        calls = {"assemble_U": 0, "assemble_U_star": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        for name, fn in (("assemble_U", assemble_U), ("assemble_U_star", assemble_U_star)):
+            monkeypatch.setattr(cli, name, counting(name, fn))
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "1", "--p", "7", "--s", "1",
+            "--n", "1000,2000", "--seeds", "0,1", "--factor", factor,
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+        assert calls[unused] == 0
+        # One exact factor per run plus one estimate per row.
+        assert sum(calls.values()) == 1 + 4
+
+    @pytest.mark.parametrize("factor", ["precision", "cholesky"])
+    def test_truth_norm_computed_once_per_run(self, monkeypatch, capsys, factor):
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return spectral_norm(a)
+
+        monkeypatch.setattr(truth_module, "spectral_norm", counting)
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "1", "--p", "7", "--s", "1",
+            "--n", "1000,2000", "--seeds", "0,1", "--factor", factor, "--b", "3",
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+        assert calls == [(7, 7)]
+
+    def test_truth_norm_not_computed_in_setup(self):
+        truth, _ = cli._build_truth(dict(cli._DEFAULTS, d=2, p=6, s=2))
+        assert "omega_norm" not in truth.__dict__
 
     def test_scattered_green_runs(self, capsys):
         code = run_cli(

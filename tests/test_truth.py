@@ -204,6 +204,19 @@ class TestSample:
         np.testing.assert_array_equal(sample(truth, 20, seed=5), first)
         assert calls == [(6, 6)]
 
+    @pytest.mark.parametrize("p,d,s,n", [(22, 2, 2, 300), (513, 1, 1, 200)])
+    def test_matches_gemm_formula(self, p, d, s, n):
+        # The in-place triangular product equals the plain GEMM on the
+        # same Philox draws, up to roundoff.
+        truth = build_lattice_precision(p, d, s)
+        z = sample(truth, n, seed=7)
+        g = np.random.Generator(np.random.Philox(key=7)).standard_normal((n, truth.dim))
+        reference = g @ truth.sigma_factor.T
+        assert z.shape == (n, truth.dim)
+        assert z.dtype == np.float64
+        assert z.flags.c_contiguous
+        assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
+
     def test_seeds_differ(self):
         truth = build_lattice_precision(4, 1, 1)
         assert not np.array_equal(sample(truth, 50, seed=3), sample(truth, 50, seed=4))
