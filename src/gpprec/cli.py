@@ -1,11 +1,15 @@
 """Experiment command line: simulate, estimate, scaling-study, verify, bench.
 
 Configuration comes from optional ``key=value`` lines in a ``--config``
-file, overridden by command-line flags (later wins).  All randomness is
-Philox-seeded, and CSV output is written in deterministic sorted order, so
-identical configurations produce byte-identical files.  Wall-clock timing
-is opt-in (``--timing``), because measured times would break that
-determinism; the ``bench`` subcommand always times.
+file, overridden by command-line flags.  A key is a flag name with ``_``
+for ``-`` (``save_estimates``, ``p_list``); each line becomes that flag and
+is parsed by the subcommand's own parser ahead of the command line, so a
+value is checked exactly as the flag would be and a flag given on the
+command line wins.  All randomness is Philox-seeded, and CSV output is
+written in deterministic sorted order, so identical configurations produce
+byte-identical files.  Wall-clock timing is opt-in (``--timing``), because
+measured times would break that determinism; the ``bench`` subcommand
+always times.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -33,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -112,105 +116,59 @@ class ResultRow:
     error: str = ""
 
     def as_csv(self) -> str:
-        return ",".join(
-            [
-                self.experiment_id,
-                self.model_tag,
-                str(self.d),
-                str(self.p_or_m),
-                str(self.s),
-                str(self.n),
-                str(self.seed),
-                str(self.b),
-                self.path,
-                "%.17g" % self.rel_spectral_error,
-                "%.17g" % self.kappa,
-                "%.17g" % self.wall_ms,
-                self.error,
-            ]
-        )
+        return ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in astuple(self))
 
 
 def _parse_int_list(text: str):
     return [int(v) for v in str(text).split(",") if v != ""]
 
 
-def _load_config_file(path):
-    out = {}
+_TRUE_WORDS = ("1", "true", "yes")
+_FALSE_WORDS = ("0", "false", "no")
+
+
+def _config_tokens(path, parsed) -> list[str]:
+    """Command-line tokens equivalent to the ``key=value`` lines of ``path``.
+
+    ``parsed`` is the subcommand's parsed namespace as a dict, so its keys
+    are the accepted config keys; a boolean value marks a switch, which a
+    true word turns on and a false word leaves off.
+    """
+    tokens = []
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise InvalidInput(f"config line {raw!r} is not key=value")
-        out[key.strip()] = value.strip()
-    return out
-
-
-_DEFAULTS = {
-    "model": "laplacian",
-    "d": 1,
-    "p": 16,
-    "s": 1,
-    "n": [1000],
-    "seeds": [0],
-    "c1": 0.5,
-    "b": None,
-    "factor": "precision",
-    "scattered": False,
-    "out": None,
-    "timing": False,
-    "save_estimates": None,
-}
-
-
-def _merge_config(args) -> dict:
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        for key, value in raw.items():
-            if key not in cfg:
-                raise InvalidInput(f"unknown config key {key!r}")
-            if key in ("n", "seeds"):
-                cfg[key] = _parse_int_list(value)
-            elif key in ("d", "p", "s"):
-                cfg[key] = int(value)
-            elif key == "b":
-                cfg[key] = int(value)
-            elif key == "c1":
-                cfg[key] = float(value)
-            elif key == "scattered":
-                cfg[key] = value.lower() in ("1", "true", "yes")
-            elif key == "timing":
-                cfg[key] = value.lower() in ("1", "true", "yes")
-            else:
-                cfg[key] = value
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None and value is not False:
-            cfg[key] = value
-    _validate_config(cfg)
-    return cfg
+        if key not in parsed or key in ("command", "config"):
+            raise InvalidInput(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if not isinstance(parsed[key], bool):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in _TRUE_WORDS:
+            tokens.append(flag)
+        elif value.lower() not in _FALSE_WORDS:
+            raise InvalidInput(f"{key} must be one of 1/true/yes/0/false/no, got {value!r}")
+    return tokens
 
 
 def _validate_config(cfg):
-    if cfg["model"] not in ("laplacian", "green", "matern"):
-        raise InvalidInput(f"model must be laplacian, green or matern, got {cfg['model']!r}")
+    """Range checks that the parser's types and choices cannot express."""
     if cfg["s"] < 1:
         raise InvalidInput(f"s must be a positive integer, got {cfg['s']}")
-    if cfg["d"] not in (1, 2, 3):
-        raise InvalidInput(f"d must be 1, 2 or 3, got {cfg['d']}")
     if cfg["p"] < 1:
         raise InvalidInput(f"p must be positive, got {cfg['p']}")
     if not cfg["n"] or any(n < 1 for n in cfg["n"]):
         raise InvalidInput(f"n must be a nonempty list of positive sizes, got {cfg['n']}")
-    if not cfg["seeds"] or len(set(cfg["seeds"])) != len(cfg["seeds"]):
-        raise InvalidInput(f"seeds must be a nonempty list of distinct values, got {cfg['seeds']}")
+    seeds = cfg["seeds"]
+    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
+        raise InvalidInput(
+            f"seeds must be a nonempty list of distinct nonnegative values, got {seeds}"
+        )
     if not 0.0 < cfg["c1"] < 1.0:
         raise InvalidInput(f"c1 must lie in (0, 1), got {cfg['c1']}")
-    if cfg["factor"] not in ("precision", "cholesky", "cholesky-star"):
-        raise InvalidInput(f"factor must be precision, cholesky or cholesky-star, got {cfg['factor']!r}")
 
 
 def _jittered_grid(p: int, d: int, snap_fine_m: int | None):
@@ -285,9 +243,10 @@ def _factor_error(u_hat, exact, truth_mm) -> float:
     return float(np.sqrt(spectral_norm(symmetrize(diff @ diff.T)) / truth_mm.omega_norm))
 
 
-def _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing):
+def _run_point(cfg, truth, cloud, factor_ctx, n, seed):
     """One (configuration point, seed) evaluation; returns a ResultRow."""
     d = cfg["d"]
+    on_sites = cfg["scattered"] or cfg["model"] != "laplacian"
     est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
     started = time.perf_counter()
     b_used, path = 0, ""
@@ -295,35 +254,32 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed, timing):
     try:
         if cfg["factor"] == "precision":
             z = sample(truth, n, seed)
-            if cfg["scattered"] or cfg["model"] in ("green", "matern"):
+            if on_sites:
                 est = embed_and_estimate(
                     z, cloud, est_cfg, seed=_PAD_SEED + seed, c1=cfg["c1"]
                 )
-                matrix, b_used, path = est.matrix, est.b or 0, est.path
             else:
                 est = estimate_precision(z, truth.geometry, est_cfg)
-                matrix, b_used, path = est.matrix, est.b or 0, est.path
-            estimate_out = matrix
-            err = spectral_norm(symmetrize(matrix - truth.omega)) / truth.omega_norm
+            estimate_out, b_used, path = est.matrix, est.b or 0, est.path
+            err = spectral_norm(symmetrize(estimate_out - truth.omega)) / truth.omega_norm
         else:
             levels, truth_mm, exact = factor_ctx
             z = sample(truth_mm, n, seed)
             scales = estimate_scales(z, levels, est_cfg, d=d)
             path = "multiscale"
-            u_hat = _dense_factor(cfg["factor"], scales, levels, d)
-            err = _factor_error(u_hat, exact, truth_mm)
-            estimate_out = u_hat
+            estimate_out = _dense_factor(cfg["factor"], scales, levels, d)
+            err = _factor_error(estimate_out, exact, truth_mm)
         error = ""
     except _ERRORS as exc:
         err = float("nan")
         error = type(exc).__name__
-    wall_ms = (time.perf_counter() - started) * 1000.0 if timing else 0.0
-    if cfg.get("save_estimates") and estimate_out is not None:
+    wall_ms = (time.perf_counter() - started) * 1000.0 if cfg["timing"] else 0.0
+    if cfg["save_estimates"] and estimate_out is not None:
         est_dir = Path(cfg["save_estimates"])
         est_dir.mkdir(parents=True, exist_ok=True)
         name = f"{_experiment_id(cfg)}-n{n}-seed{seed}-estimate.txt"
         (est_dir / name).write_text(serialization.format_matrix(estimate_out))
-    p_or_m = cloud.m if (cfg["scattered"] or cfg["model"] != "laplacian") else cfg["p"]
+    p_or_m = cloud.m if on_sites else cfg["p"]
     return ResultRow(
         experiment_id=_experiment_id(cfg),
         model_tag=truth.model_tag,
@@ -356,33 +312,32 @@ def _rows_csv(rows, extra=()):
     return lines
 
 
-def cmd_estimate(cfg) -> int:
+def _point_rows(cfg):
+    """Rows for every (N, seed) pair at ``cfg["p"]``, sorted by N, then seed."""
     truth, cloud = _build_truth(cfg)
     factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
-    rows = [
-        _run_point(cfg, truth, cloud, factor_ctx, n, seed, cfg["timing"])
+    return [
+        _run_point(cfg, truth, cloud, factor_ctx, n, seed)
         for n in sorted(cfg["n"])
         for seed in sorted(cfg["seeds"])
     ]
+
+
+def cmd_estimate(cfg) -> int:
+    rows = _point_rows(cfg)
     _emit(_rows_csv(rows), cfg["out"])
     return 0 if all(row.error == "" for row in rows) else 1
 
 
-def cmd_scaling_study(cfg, p_list=None) -> int:
-    p_values = sorted(p_list or [cfg["p"]])
+def cmd_scaling_study(cfg) -> int:
+    p_values = sorted(cfg["p_list"] or [cfg["p"]])
     all_rows = []
     medians = {}
     for p in p_values:
-        point_cfg = dict(cfg, p=p)
-        truth, cloud = _build_truth(point_cfg)
-        factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
+        rows = _point_rows(dict(cfg, p=p))
+        all_rows.extend(rows)
         for n in sorted(cfg["n"]):
-            errs = []
-            for seed in sorted(cfg["seeds"]):
-                row = _run_point(point_cfg, truth, cloud, factor_ctx, n, seed, cfg["timing"])
-                all_rows.append(row)
-                if row.error == "":
-                    errs.append(row.rel_spectral_error)
+            errs = [row.rel_spectral_error for row in rows if row.n == n and row.error == ""]
             if errs:
                 medians[(p, n)] = float(np.median(errs))
     extra = []
@@ -445,21 +400,22 @@ def cmd_verify(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--model", choices=("laplacian", "green", "matern"))
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--s", type=int)
-    parser.add_argument("--n", type=_parse_int_list, help="comma list of sample sizes")
-    parser.add_argument("--seeds", type=_parse_int_list, help="comma list of seeds")
-    parser.add_argument("--c1", type=float)
+    parser.add_argument("--model", choices=("laplacian", "green", "matern"), default="laplacian")
+    parser.add_argument("--d", type=int, choices=(1, 2, 3), default=1)
+    parser.add_argument("--p", type=int, default=16)
+    parser.add_argument("--s", type=int, default=1)
+    parser.add_argument("--n", type=_parse_int_list, default=[1000],
+                        help="comma list of sample sizes")
+    parser.add_argument("--seeds", type=_parse_int_list, default=[0], help="comma list of seeds")
+    parser.add_argument("--c1", type=float, default=0.5)
     parser.add_argument("--b", type=int, help="fixed block width override")
-    parser.add_argument("--factor", choices=("precision", "cholesky", "cholesky-star"))
-    parser.add_argument("--scattered", action="store_true", default=None)
-    parser.add_argument("--timing", action="store_true", default=None,
+    parser.add_argument("--factor", choices=("precision", "cholesky", "cholesky-star"),
+                        default="precision")
+    parser.add_argument("--scattered", action="store_true")
+    parser.add_argument("--timing", action="store_true",
                         help="record wall-clock times (breaks byte-identical reruns)")
     parser.add_argument("--out", help="output path (directory for simulate)")
-    parser.add_argument("--save-estimates", dest="save_estimates",
-                        help="directory for per-row estimate matrices")
+    parser.add_argument("--save-estimates", help="directory for per-row estimate matrices")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,17 +443,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        cfg = _merge_config(args)
+        if args.config:
+            tokens = _config_tokens(args.config, vars(args))
+            # The subcommand name is the first token: the top-level parser has no options.
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
+        cfg = vars(args)
+        _validate_config(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "estimate":
             return cmd_estimate(cfg)
         if args.command == "scaling-study":
-            return cmd_scaling_study(cfg, p_list=getattr(args, "p_list", None))
+            return cmd_scaling_study(cfg)
         if args.command == "bench":
             return cmd_estimate(dict(cfg, timing=True))
     except _ERRORS as exc:

@@ -1,5 +1,7 @@
 """Command-line harness: subcommands, determinism, exit codes, verify suites."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from gpprec import cli
 from gpprec import serialization as ser
 from gpprec import truth as truth_module
 from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
-from gpprec.cli import CSV_COLUMNS, main
+from gpprec.cli import CSV_COLUMNS, ResultRow, main
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import lattice_points
 from gpprec.linalg import cholesky_lower, spectral_norm, symmetrize
@@ -172,7 +174,8 @@ class TestEstimate:
         assert calls == [(7, 7)]
 
     def test_truth_norm_not_computed_in_setup(self):
-        truth, _ = cli._build_truth(dict(cli._DEFAULTS, d=2, p=6, s=2))
+        args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])
+        truth, _ = cli._build_truth(vars(args))
         assert "omega_norm" not in truth.__dict__
 
     def test_scattered_green_runs(self, capsys):
@@ -217,6 +220,25 @@ class TestEstimate:
         assert row[12] == ""
         assert float(row[9]) > 0.0
 
+    def test_row_fields_match_columns(self):
+        assert len(dataclasses.fields(ResultRow)) == len(CSV_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--seeds=-1"],
+            ["estimate", "--seeds", "0,-3"],
+            ["simulate", "--seeds=-1"],
+        ],
+    )
+    def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv):
+        def forbidden(cfg):
+            raise AssertionError("truth built for an invalid configuration")
+
+        monkeypatch.setattr(cli, "_build_truth", forbidden)
+        assert run_cli(*argv, "--p", "6") == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be")
+
     def test_row_error_recorded_and_nonzero_exit(self, capsys):
         # N far below the variable count breaks every scale of the factor
         # estimator; the row survives with an error tag.
@@ -243,6 +265,69 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("unknown_key=1\n")
         assert run_cli("estimate", "--config", str(cfg)) == 2
+
+    @pytest.mark.parametrize(
+        "line,option",
+        [("d=abc", "--d"), ("b=", "--b"), ("model=foo", "--model"), ("factor=qr", "--factor")],
+    )
+    def test_bad_value_rejected_like_flag(self, tmp_path, capsys, line, option):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate", "--config", str(cfg))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["scattered=maybe", "timing=", "scattered=on"])
+    def test_malformed_boolean_rejected(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=6\n" + line + "\n")
+        assert run_cli("estimate", "--config", str(cfg)) == 2
+        key = line.partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: {key} must be one of")
+
+    def test_config_key_config_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config={cfg}\n")
+        assert run_cli("estimate", "--config", str(cfg)) == 2
+
+    def test_negative_seed_in_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=6\nseeds=-1\n")
+        assert run_cli("estimate", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: seeds must be")
+
+    def test_file_run_matches_flag_run(self, tmp_path):
+        flags = [
+            "--model", "laplacian", "--d", "1", "--p", "10", "--s", "1",
+            "--n", "300,600", "--seeds", "1,2", "--c1", "0.4", "--b", "3", "--scattered",
+            "--save-estimates", str(tmp_path / "flag-est"),
+        ]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "# every key that the flags above set\n"
+            "model = laplacian\nd=1\np=10\ns=1\nn=300,600\nseeds=1,2\nc1=0.4\nb=3\n"
+            f"scattered=Yes\ntiming=false\nsave_estimates={tmp_path / 'file-est'}\n"
+        )
+        by_flags, by_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+        assert run_cli("estimate", *flags, "--out", str(by_flags)) == 0
+        assert run_cli("estimate", "--config", str(cfg), "--out", str(by_file)) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        saved = {f.name: f.read_bytes() for f in (tmp_path / "flag-est").iterdir()}
+        assert len(saved) == 4
+        assert {f.name: f.read_bytes() for f in (tmp_path / "file-est").iterdir()} == saved
+
+    def test_p_list_key_under_scaling_study(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p_list=8,6\nn=200\nseeds=0\nb=3\n")
+        by_flags, by_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+        argv = ["--n", "200", "--seeds", "0", "--b", "3"]
+        assert run_cli("scaling-study", *argv, "--p-list", "8,6", "--out", str(by_flags)) == 0
+        assert run_cli("scaling-study", "--config", str(cfg), "--out", str(by_file)) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        assert len(by_file.read_text().splitlines()) == 2 + 2
 
     def test_invalid_s_exits_nonzero_naming_field(self, capsys):
         code = run_cli(
