@@ -37,6 +37,7 @@ from .linalg import (
     spd_sqrt,
     symmetrize,
 )
+from .matching import embed_and_estimate, measure_cloud
 
 __all__ = [
     "ScaleEstimates",
@@ -262,8 +263,6 @@ def estimate_scales(
             ):
                 omega_k = spd_inverse(sample_covariance(sub))
             else:
-                from .matching import embed_and_estimate, measure_cloud
-
                 sub_cloud = measure_cloud(cloud.sites[:m_k], cloud.d)
                 omega_k = embed_and_estimate(
                     sub, sub_cloud, config, seed=seed + k

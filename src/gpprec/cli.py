@@ -134,8 +134,12 @@ def _config_tokens(path, parsed) -> list[str]:
     are the accepted config keys; a boolean value marks a switch, which a
     true word turns on and a false word leaves off.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read config file {path}: {exc.strerror}") from exc
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -3,20 +3,24 @@
 A homogeneously scattered cloud in the open unit box is matched, site by
 site, to nearby nodes of a lattice sized from the measured fill distance.
 The matching is a maximum bipartite matching under the edge rule
-``|x_i - y_t| <= radius`` found by Hopcroft-Karp style augmenting paths;
-when it is not site-perfect, the raised error carries a Hall violator as
-an explanation.  Samples on the sites are then padded with independent
-unit normals on the unmatched nodes, the lattice estimator runs on the
-padded problem, and the site block of its output is permuted back.
+``|x_i - y_t| <= radius``: a k-d tree over the lattice gives each site's
+candidate nodes, and scipy's Hopcroft-Karp ``maximum_bipartite_matching``
+matches them.  When it is not site-perfect, the raised error carries a
+Hall violator as an explanation.  Samples on the sites are then padded
+with independent unit normals on the unmatched nodes, the lattice
+estimator runs on the padded problem, and the site block of its output
+is permuted back.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from .errors import CapacityExceeded, InvalidInput, NoMatching
@@ -109,8 +113,8 @@ def measure_cloud(sites, d: int | None = None) -> SiteCloud:
     m = sites.shape[0]
     if m < 1:
         raise InvalidInput("site cloud is empty")
-    if np.any(sites <= 0.0) or np.any(sites >= 1.0):
-        raise InvalidInput("sites must lie strictly inside the open unit box")
+    if not np.all((sites > 0.0) & (sites < 1.0)):
+        raise InvalidInput("sites must be finite and lie strictly inside the open unit box")
 
     tree = cKDTree(sites)
     min_pair = float(tree.query(sites, k=2)[0][:, 1].min()) if m > 1 else np.inf
@@ -148,96 +152,41 @@ def build_target_lattice(
     return shape, lattice_points(shape)
 
 
-def _candidate_nodes(shape: LatticeShape, positions: np.ndarray, x: np.ndarray, radius: float):
-    """Flat indices of lattice nodes within ``radius`` of ``x``, ascending."""
-    p = shape.p
-    ranges = []
-    for a in range(shape.d):
-        lo = max(1, int(np.ceil((x[a] - radius) * (p + 1))))
-        hi = min(p, int(np.floor((x[a] + radius) * (p + 1))))
-        if lo > hi:
-            return []
-        ranges.append(range(lo, hi + 1))
-    out = []
-    for t in product(*ranges):
-        flat = shape.flat_index(t)
-        if np.linalg.norm(positions[flat] - x) <= radius:
-            out.append(flat)
-    return out
+def _candidate_graph(cloud: SiteCloud, positions: np.ndarray, radius: float) -> csr_matrix:
+    """Site-by-node biadjacency of the edges ``|x_i - y_t| <= radius``.
+
+    Row ``i`` lists the flat indices of the nodes within ``radius`` of site
+    ``i`` in ascending order.
+    """
+    rows = cKDTree(positions).query_ball_point(cloud.sites, radius, return_sorted=True)
+    indptr = np.cumsum([0, *map(len, rows)])
+    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+    data = np.ones(indices.size, dtype=np.int8)
+    return csr_matrix((data, indices, indptr), shape=(cloud.m, positions.shape[0]))
 
 
-def _hopcroft_karp(adjacency: list[list[int]]):
-    """Maximum matching of sites to nodes; deterministic for sorted adjacency."""
-    inf = float("inf")
-    m = len(adjacency)
-    match_site = [None] * m
-    match_node: dict[int, int] = {}
-
-    def bfs():
-        dist = {}
-        queue = deque()
-        for i in range(m):
-            if match_site[i] is None:
-                dist[i] = 0
-                queue.append(i)
-        found = inf
-        while queue:
-            i = queue.popleft()
-            if dist[i] >= found:
-                continue
-            for t in adjacency[i]:
-                other = match_node.get(t)
-                if other is None:
-                    found = min(found, dist[i] + 1)
-                elif other not in dist:
-                    dist[other] = dist[i] + 1
-                    queue.append(other)
-        return dist, found
-
-    def dfs(i, dist, found):
-        for t in adjacency[i]:
-            other = match_node.get(t)
-            if other is None:
-                if dist[i] + 1 == found:
-                    match_site[i] = t
-                    match_node[t] = i
-                    return True
-            elif dist.get(other) == dist[i] + 1:
-                if dfs(other, dist, found):
-                    match_site[i] = t
-                    match_node[t] = i
-                    return True
-        dist[i] = inf
-        return False
-
-    while True:
-        dist, found = bfs()
-        if found == inf:
-            break
-        for i in range(m):
-            if match_site[i] is None:
-                dfs(i, dist, found)
-    return match_site, match_node
-
-
-def _hall_witness(adjacency, match_site, match_node):
+def _hall_witness(graph: csr_matrix, node_of_site: np.ndarray):
     """Sites reachable from the unmatched ones by alternating paths.
 
-    Their joint neighborhood is strictly smaller than the set, which
-    certifies that no site-perfect matching exists.
+    ``node_of_site[i]`` is the node matched to site ``i``, or -1.  The
+    joint neighborhood of the returned sites is strictly smaller than the
+    set, which certifies that no site-perfect matching exists.
     """
-    frontier = [i for i, t in enumerate(match_site) if t is None]
+    site_of_node = np.full(graph.shape[1], -1, dtype=np.int64)
+    matched = np.flatnonzero(node_of_site >= 0)
+    site_of_node[node_of_site[matched]] = matched
+    frontier = np.flatnonzero(node_of_site < 0).tolist()
     seen_sites = set(frontier)
     seen_nodes = set()
     queue = deque(frontier)
     while queue:
         i = queue.popleft()
-        for t in adjacency[i]:
+        for t in graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist():
             if t in seen_nodes:
                 continue
             seen_nodes.add(t)
-            other = match_node.get(t)
-            if other is not None and other not in seen_sites:
+            other = int(site_of_node[t])
+            if other >= 0 and other not in seen_sites:
                 seen_sites.add(other)
                 queue.append(other)
     return sorted(seen_sites), sorted(seen_nodes)
@@ -248,21 +197,19 @@ def perfect_matching(
 ) -> LatticeEmbedding:
     """Match every site to a distinct lattice node within ``radius``.
 
-    Runs augmenting-path maximum matching on the bipartite graph whose
-    edges join sites to nodes at distance at most ``radius``.  Raises
-    ``NoMatching`` with a Hall violator when some site stays unmatched.
+    Candidate nodes come from a k-d tree over the lattice, and scipy's
+    Hopcroft-Karp ``maximum_bipartite_matching`` matches sites to them.
+    Raises ``NoMatching`` with a Hall violator when some site stays
+    unmatched.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise InvalidInput(f"radius must be positive, got {radius}")
     positions = lattice_points(shape)
-    adjacency = [
-        _candidate_nodes(shape, positions, x, radius) for x in cloud.sites
-    ]
-    match_site, match_node = _hopcroft_karp(adjacency)
-    if any(t is None for t in match_site):
-        witness_sites, witness_nodes = _hall_witness(adjacency, match_site, match_node)
+    graph = _candidate_graph(cloud, positions, radius)
+    node_of_site = maximum_bipartite_matching(graph, perm_type="column").astype(np.int64)
+    if np.any(node_of_site < 0):
+        witness_sites, witness_nodes = _hall_witness(graph, node_of_site)
         raise NoMatching(witness_sites, witness_nodes)
-    node_of_site = np.asarray(match_site, dtype=np.int64)
     displacement = float(
         np.max(np.linalg.norm(cloud.sites - positions[node_of_site], axis=1))
     )

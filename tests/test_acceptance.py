@@ -194,7 +194,6 @@ def brute_force_maximum_matching(adjacency):
 
 def test_criterion_5_hall_matching():
     budget = Budget(30.0)
-    from gpprec.matching import _candidate_nodes, _hopcroft_karp
     from gpprec.lattice import lattice_points as nodes_of
 
     checked_small = 0
@@ -214,13 +213,18 @@ def test_criterion_5_hall_matching():
         assert embedding.displacement <= cloud.h
         assert np.unique(embedding.node_of_site).size == cloud.m
         if cloud.m <= 8:
+            # All-pairs edge reference; every matched pair must be an edge.
             positions = nodes_of(embedding.shape)
             adjacency = [
-                frozenset(_candidate_nodes(embedding.shape, positions, x, cloud.h))
+                frozenset(
+                    t for t in range(len(positions))
+                    if np.linalg.norm(positions[t] - x) <= cloud.h
+                )
                 for x in cloud.sites
             ]
-            match_site, _ = _hopcroft_karp([sorted(a) for a in adjacency])
-            got = sum(t is not None for t in match_site)
+            got = sum(
+                t in adjacency[i] for i, t in enumerate(embedding.node_of_site.tolist())
+            )
             assert got == brute_force_maximum_matching(adjacency) == cloud.m
             checked_small += 1
     assert checked_small >= 20

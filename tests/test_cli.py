@@ -266,6 +266,14 @@ class TestConfigFile:
         cfg.write_text("unknown_key=1\n")
         assert run_cli("estimate", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_file_rejected(self, tmp_path, capsys, name):
+        # A missing file and a directory both fail to read.
+        assert run_cli("estimate", "--config", str(tmp_path / name)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "line,option",
         [("d=abc", "--d"), ("b=", "--b"), ("model=foo", "--model"), ("factor=qr", "--factor")],

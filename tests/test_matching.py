@@ -5,9 +5,10 @@ import pytest
 
 from gpprec.errors import CapacityExceeded, InvalidInput, NoMatching
 from gpprec.estimator import EstimatorConfig
-from gpprec.lattice import lattice_points
+from gpprec.lattice import LatticeShape, lattice_points
 from gpprec.linalg import spectral_norm, symmetrize
 from gpprec.matching import (
+    _candidate_graph,
     build_embedding,
     build_target_lattice,
     embed_and_estimate,
@@ -16,7 +17,6 @@ from gpprec.matching import (
     padded_truth,
     perfect_matching,
 )
-from gpprec.matching import _hopcroft_karp
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, l1_tail_profile, log_linear_fit, sample
 
 
@@ -33,6 +33,14 @@ def brute_force_maximum(adjacency):
         return score
 
     return best(0, frozenset())
+
+
+def reference_adjacency(sites, positions, radius):
+    """Edges ``|x_i - y_t| <= radius`` from all site-node pairs, ascending per site."""
+    return [
+        [t for t in range(len(positions)) if np.linalg.norm(positions[t] - x) <= radius]
+        for x in sites
+    ]
 
 
 def perturbed_grid(m, d, jitter, seed):
@@ -132,8 +140,6 @@ class TestPerfectMatching:
         np.testing.assert_array_equal(np.sort(embedding.node_of_site), embedding.nodes)
 
     def test_two_sites_three_nodes(self):
-        from gpprec.lattice import LatticeShape
-
         cloud = measure_cloud(np.array([0.3, 0.6]), 1)
         shape = LatticeShape(p=3, d=1)
         embedding = perfect_matching(cloud, shape, radius=0.2)
@@ -141,15 +147,13 @@ class TestPerfectMatching:
         assert len(set(embedding.node_of_site)) == 2
 
     def test_hall_violation_carries_witness(self):
-        from gpprec.lattice import LatticeShape
-
         # Both sites only reach the middle node of a 3-node lattice.
         cloud = measure_cloud(np.array([0.49, 0.51]), 1)
         shape = LatticeShape(p=3, d=1)
         with pytest.raises(NoMatching) as info:
             perfect_matching(cloud, shape, radius=0.05)
-        assert len(info.value.witness_sites) == 2
-        assert len(info.value.witness_nodes) == 1
+        assert info.value.witness_sites == [0, 1]
+        assert info.value.witness_nodes == [1]
 
     def test_matching_respects_radius(self, rng):
         for seed in range(5):
@@ -162,18 +166,64 @@ class TestPerfectMatching:
                 assert np.linalg.norm(cloud.sites[i] - positions[node]) <= cloud.h
 
     def test_cardinality_matches_brute_force(self, rng):
-        # Random tiny bipartite instances, including infeasible ones.
+        # Random tiny geometric instances, including infeasible ones.  A
+        # failed matching leaves as many sites unmatched as its witness's
+        # deficiency, so the matcher's cardinality is m minus that.
         for seed in range(40):
             local = np.random.Generator(np.random.Philox(key=900 + seed))
+            d = 1 + seed % 2
+            shape = LatticeShape(p=int(local.integers(1, 10 if d == 1 else 4)), d=d)
+            positions = lattice_points(shape)
             m = int(local.integers(1, 9))
-            n_nodes = int(local.integers(1, 10))
-            adjacency = [
-                sorted(local.choice(n_nodes, size=local.integers(0, min(5, n_nodes) + 1), replace=False).tolist())
-                for _ in range(m)
-            ]
-            match_site, _ = _hopcroft_karp(adjacency)
-            got = sum(t is not None for t in match_site)
+            cloud = measure_cloud(local.uniform(0.05, 0.95, size=(m, d)), d)
+            radius = float(local.uniform(0.02, 0.4))
+            adjacency = reference_adjacency(cloud.sites, positions, radius)
+            try:
+                embedding = perfect_matching(cloud, shape, radius)
+            except NoMatching as exc:
+                neighbours = sorted({t for i in exc.witness_sites for t in adjacency[i]})
+                assert neighbours == exc.witness_nodes
+                got = m - (len(exc.witness_sites) - len(exc.witness_nodes))
+            else:
+                assert all(t in adjacency[i] for i, t in enumerate(embedding.node_of_site))
+                assert np.unique(embedding.node_of_site).size == m
+                got = m
             assert got == brute_force_maximum(adjacency)
+
+    @pytest.mark.parametrize("d, m", [(1, 60), (2, 80), (3, 50)])
+    def test_candidate_graph_matches_all_pairs_reference(self, rng, d, m):
+        cloud = measure_cloud(rng.uniform(0.01, 0.99, size=(m, d)), d)
+        shape, positions = build_target_lattice(cloud, 0.5)
+        for radius in (cloud.h, 0.5 * cloud.h, 2.0 / (shape.p + 1)):
+            graph = _candidate_graph(cloud, positions, radius)
+            got = [graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist() for i in range(m)]
+            assert got == reference_adjacency(cloud.sites, positions, radius)
+
+    def test_long_augmenting_chain(self):
+        # Site i < p-1 sits between nodes i and i+1; the last site reaches
+        # only node 0, so matching it shifts the whole chain by one node
+        # along an augmenting path through all 1500 sites.
+        p = 1500
+        sites = np.append(np.arange(1, p) + 0.5, 0.5) / (p + 1)
+        cloud = measure_cloud(sites, 1)
+        embedding = perfect_matching(cloud, LatticeShape(p=p, d=1), radius=0.6 / (p + 1))
+        np.testing.assert_array_equal(embedding.node_of_site, np.append(np.arange(1, p), 0))
+        assert embedding.displacement == pytest.approx(0.5 / (p + 1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: measure_cloud(np.array([0.3, np.nan]), 1),
+            lambda: measure_cloud(np.array([[0.3, 0.4], [np.inf, 0.5]]), 2),
+            lambda: perfect_matching(
+                measure_cloud(np.array([0.3, 0.6]), 1), LatticeShape(p=3, d=1), radius=np.nan
+            ),
+        ],
+        ids=["nan-site", "inf-site", "nan-radius"],
+    )
+    def test_non_finite_input_rejected(self, call):
+        with pytest.raises(InvalidInput):
+            call()
 
 
 class TestEmbedAndEstimate:
