@@ -240,8 +240,10 @@ def estimate_scales(
     ``prefix_size(k)`` columns are the scale-``k`` observation set.  Each
     scale reuses the same draws at its coarser resolution.  Small scales
     (or all scales when no cloud is given) invert the full sample
-    covariance of their columns; larger ones go through the lattice
-    reduction on the sub-cloud.  Failures carry the scale index.
+    covariance of their columns, failing before any work when ``N`` is
+    below the scale's column count (a rank bound); larger ones go through
+    the lattice reduction on the sub-cloud.  Failures carry the scale
+    index.
     """
     z = np.asarray(samples, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != levels.m:
@@ -261,6 +263,8 @@ def estimate_scales(
             if cloud is None or (
                 config.fallback_enabled and m_k <= math.log(n * kappa)
             ):
+                if n < m_k:
+                    raise NotPositiveDefinite(f"{n} samples cannot span {m_k} variables")
                 omega_k = spd_inverse(sample_covariance(sub))
             else:
                 sub_cloud = measure_cloud(cloud.sites[:m_k], cloud.d)

@@ -7,10 +7,9 @@ columns are assembled and the result is symmetrized.  Small problems fall
 back to inverting the full sample covariance.
 
 Every window reads one covariance source.  From samples it is the band
-Gram: the sample covariance on the vertex pairs whose blocks lie within
-sup-distance ``2 * WINDOW_RADIUS`` (every pair some window contains),
-formed once per estimate from one block-major copy of the samples, with
-exactly symmetric tiles.  The exact population covariance
+Gram, the sample covariance on every vertex pair some window contains,
+formed once per estimate with one product per axis-0 slab of blocks and
+exactly symmetric.  The exact population covariance
 (``population=True``) is such a source as it stands, so it takes the same
 path; this isolates the deterministic bias of the windowed inversion from
 sampling noise, which is what the bias tests exercise.  Each window is
@@ -23,7 +22,6 @@ depend on that order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,45 +94,26 @@ def choose_block_size(n: int, kappa: float) -> int:
 def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
     """Sample covariance on every vertex pair some radius-2 window contains.
 
-    Those are the pairs whose blocks lie within sup-distance
-    ``2 * WINDOW_RADIUS``.  The samples are copied once in block-major
-    order (blocks lexicographic, each block's vertices contiguous), so a
-    block's forward band partners form a few contiguous runs and every tile
-    is one product of contiguous slices.  Tiles above the block diagonal are
-    mirrored and diagonal tiles come from :func:`sample_covariance`, so the
-    band is exactly symmetric.  Entries outside the band stay zero; no
-    window reads them.
+    Flat order has the last axis fastest, so the blocks sharing their first
+    block coordinate (one axis-0 slab) cover one contiguous column range,
+    and every pair some window contains lies in a slab's range continued
+    through the next ``2 * WINDOW_RADIUS`` slabs.  Per slab, the diagonal
+    tile is a :func:`sample_covariance` and the rest one product, mirrored
+    below the diagonal, so the Gram is exactly symmetric.  In ``d >= 2`` it
+    also holds pairs no window reads; all other entries stay zero.
     """
     n, m = samples.shape
-    side = scheme.S
-    blocks = list(scheme.block_indices())
-    order = np.concatenate([scheme.membership[j] for j in blocks])
-    offsets = np.cumsum([0] + [scheme.membership[j].size for j in blocks])
-    rows_of = samples.T[order]
-    reach = 2 * WINDOW_RADIUS
+    p, b = scheme.shape.p, scheme.b
+    plane = m // p  # vertices per axis-0 coordinate, p**(d-1)
     gram = np.zeros((m, m))
-    for k, j in enumerate(blocks):
-        rows = scheme.membership[j]
-        own = rows_of[offsets[k]:offsets[k + 1]]
-        gram[np.ix_(rows, rows)] = sample_covariance(own.T)
-        runs = []
-        ranges = [range(max(1, x - reach), min(side, x + reach) + 1) for x in j]
-        for jp in itertools.product(*ranges):
-            kp = 0
-            for x in jp:
-                kp = kp * side + x - 1
-            if kp <= k:
-                continue
-            if runs and runs[-1][1] == kp:
-                runs[-1][1] = kp + 1
-            else:
-                runs.append([kp, kp + 1])
-        for first, stop in runs:
-            lo, hi = offsets[first], offsets[stop]
-            cols = order[lo:hi]
-            tile = own @ rows_of[lo:hi].T / n
-            gram[np.ix_(rows, cols)] = tile
-            gram[np.ix_(cols, rows)] = tile.T
+    for x in range(scheme.S):
+        ends = (x, x + 1, x + 1 + 2 * WINDOW_RADIUS)
+        lo, hi, stop = (min(k * b, p) * plane for k in ends)
+        own = samples[:, lo:hi]
+        gram[lo:hi, lo:hi] = sample_covariance(own)
+        tile = own.T @ samples[:, hi:stop] / n
+        gram[lo:hi, hi:stop] = tile
+        gram[hi:stop, lo:hi] = tile.T
     return gram
 
 
@@ -186,13 +165,6 @@ def local_estimate(data, scheme: BlockScheme, j, jp, population: bool = False) -
     return cols[np.searchsorted(w, scheme.membership[jp])].T.copy()
 
 
-def _band_pairs(scheme: BlockScheme):
-    for j in scheme.block_indices():
-        near, _ = neighborhood(scheme, j, 1)
-        for jp in near:
-            yield j, jp
-
-
 def _symmetrized(raw: np.ndarray, scheme: BlockScheme) -> PrecisionEstimate:
     return PrecisionEstimate(
         matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
@@ -207,7 +179,9 @@ def assemble_global(local_blocks: dict, scheme: BlockScheme) -> PrecisionEstimat
     per pair.  Off-band entries of the result are zero; the returned matrix
     is ``(raw + raw.T) / 2`` and exactly symmetric.
     """
-    expected = set(_band_pairs(scheme))
+    expected = {
+        (j, jp) for j in scheme.block_indices() for jp in neighborhood(scheme, j, 1)[0]
+    }
     got = set(local_blocks)
     if got != expected:
         missing = sorted(expected - got)
@@ -241,10 +215,11 @@ def estimate_precision(
     p**d)`` covariance when ``population=True`` (population mode requires
     ``b_override`` and always runs the blockwise route).  When ``p <=
     log(N * kappa_hint)`` and the fallback is enabled, the estimate is the
-    inverse of the full sample covariance.  Otherwise the band Gram is
-    formed once (the population covariance serves as it is), each block's
-    window is factored and solved for the block's own columns, and their
-    in-band rows are assembled and symmetrized.
+    inverse of the full sample covariance, singular when ``N < p**d``, so
+    that raises ``NotPositiveDefinite`` before any work.  Otherwise the band
+    Gram is formed once, slab by slab (the population covariance serves as
+    it is), each block's window is factored and solved for its own
+    columns, and their in-band rows are assembled and symmetrized.
     """
     config = config or EstimatorConfig()
     data = np.asarray(data, dtype=np.float64)
@@ -271,6 +246,8 @@ def estimate_precision(
             )
         n = data.shape[0]
         if config.fallback_enabled and shape.p <= math.log(n * kappa):
+            if n < m:
+                raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
             omega = spd_inverse(sample_covariance(data))
             return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
         # The rule-derived width is clamped; it can exceed p legitimately

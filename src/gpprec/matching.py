@@ -263,17 +263,22 @@ def padded_truth(omega_sites, embedding: LatticeEmbedding) -> np.ndarray:
 
 
 def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
-    """Concatenate site samples with seeded unit normals on unmatched nodes."""
+    """Concatenate site samples with seeded unit normals on unmatched nodes.
+
+    The unmatched nodes take the normals in ascending flat order; the
+    padded array is one column gather from ``[samples, normals]``.
+    """
     z = np.asarray(samples, dtype=np.float64)
-    n = z.shape[0]
+    n, m_sites = z.shape
     m_lattice = embedding.shape.size
-    padded = np.empty((n, m_lattice))
-    padded[:, embedding.node_of_site] = z
     mask = np.ones(m_lattice, dtype=bool)
     mask[embedding.node_of_site] = False
+    n_pad = int(mask.sum())
+    src = np.empty(m_lattice, dtype=np.intp)
+    src[embedding.node_of_site] = np.arange(m_sites)
+    src[mask] = m_sites + np.arange(n_pad)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    padded[:, mask] = rng.standard_normal((n, int(mask.sum())))
-    return padded
+    return np.concatenate([z, rng.standard_normal((n, n_pad))], axis=1).take(src, axis=1)
 
 
 def embed_and_estimate(

@@ -16,7 +16,7 @@ from gpprec.errors import InvalidInput, NotPositiveDefinite
 from gpprec.estimator import EstimatorConfig
 from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
 from gpprec.lattice import lattice_points
-from gpprec.linalg import spd_inverse, spectral_norm, symmetrize
+from gpprec.linalg import sample_covariance, spd_inverse, spectral_norm, symmetrize
 from gpprec.matching import measure_cloud
 from gpprec.truth import GroundTruth, build_lattice_precision, sample
 from gpprec.verify import random_spd
@@ -221,6 +221,24 @@ class TestEstimateCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
         assert info.value.scale is not None
+
+    def test_rank_bound_fails_before_covariance(self, monkeypatch):
+        # N = 3 covers scales 1 and 2 (1 and 3 columns); scale 3 has 7 columns,
+        # so the rank bound must fail it before its covariance is formed.
+        formed = []
+
+        def guarded(samples):
+            formed.append(samples.shape[1])
+            assert samples.shape[1] <= samples.shape[0], "rank-deficient covariance formed"
+            return sample_covariance(samples)
+
+        monkeypatch.setattr("gpprec.cholesky.sample_covariance", guarded)
+        truth, levels = nested_truth(3)
+        z = sample(truth, 3, seed=0)
+        with pytest.raises(NotPositiveDefinite) as info:
+            estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
+        assert info.value.scale == 3
+        assert formed == [1, 3]
 
     def test_scattered_route_for_large_scales(self):
         # With a small kappa hint, the finer scales exceed the full-inverse

@@ -10,6 +10,7 @@ from gpprec.estimator import (
     BLOCKWISE,
     FALLBACK,
     EstimatorConfig,
+    _band_gram,
     assemble_global,
     choose_block_size,
     estimate_precision,
@@ -265,6 +266,16 @@ class TestEstimatePrecision:
         with pytest.raises(NotPositiveDefinite):
             estimate_precision(z, truth.geometry, EstimatorConfig(kappa_hint=50.0))
 
+    def test_fallback_rank_bound_fails_before_covariance(self, monkeypatch):
+        def forbidden(samples):
+            raise AssertionError("covariance formed for a rank-deficient sample")
+
+        monkeypatch.setattr("gpprec.estimator.sample_covariance", forbidden)
+        truth = build_lattice_precision(3, 1, 1)
+        z = sample(truth, 2, seed=0)
+        with pytest.raises(NotPositiveDefinite):
+            estimate_precision(z, truth.geometry, EstimatorConfig(kappa_hint=50.0))
+
     def test_blockwise_support_band(self):
         truth = build_lattice_precision(30, 1, 1)
         z = sample(truth, 800, seed=1)
@@ -377,6 +388,7 @@ class TestWindowOracle:
             (7, 3, 1, 2, 800),  # ragged, 4 blocks per axis
             (10, 1, 2, 4, 300),  # 3 blocks: every window is the whole lattice
             (6, 2, 2, 2, 400),  # 3 blocks per axis: the same in 2-d
+            (22, 2, 2, 3, 1000),  # the lattice-2d benchmark shape
         ],
     )
     def test_samples(self, p, d, s, b, n):
@@ -412,6 +424,32 @@ class TestWindowOracle:
         assert (got.value.block, got.value.window_size, got.value.n_samples) == (
             want.value.block, want.value.window_size, want.value.n_samples
         )
+
+
+class TestBandGram:
+    """The slab Gram against the full sample covariance on every window."""
+
+    @pytest.mark.parametrize(
+        "p, d, b",
+        [
+            (23, 1, 3),  # ragged last slab
+            (14, 2, 3),
+            (7, 3, 2),
+            (10, 1, 4),  # 3 slabs: the first slab's range is the whole lattice
+            (6, 2, 2),
+            (22, 2, 3),  # the lattice-2d benchmark shape
+        ],
+    )
+    def test_windows_match_full_covariance(self, p, d, b):
+        z = np.random.Generator(np.random.Philox(key=p + d)).standard_normal((60, p**d))
+        scheme = build_scheme(p, b, d)
+        gram = _band_gram(z, scheme)
+        full = sample_covariance(z)
+        tol = 1e-13 * np.max(np.abs(full))
+        assert np.array_equal(gram, gram.T)
+        for j in scheme.block_indices():
+            _, w = neighborhood(scheme, j, 2)
+            assert np.max(np.abs(gram[np.ix_(w, w)] - full[np.ix_(w, w)])) <= tol
 
 
 class TestOlsPluginRow:

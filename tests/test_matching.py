@@ -326,6 +326,24 @@ class TestEmbedAndEstimate:
         padded = pad_samples(z, embedding, seed=77)
         np.testing.assert_array_equal(padded[:, embedding.node_of_site], z)
 
+    @pytest.mark.parametrize("m, d", [(9, 1), (16, 2)])
+    def test_pad_samples_equals_column_scatters(self, rng, m, d):
+        # The gather must equal writing the sites, then the seeded normals,
+        # into their columns, bit for bit.
+        cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
+        embedding, _ = build_embedding(cloud)
+        z = rng.standard_normal((6, m))
+        nodes = embedding.node_of_site
+        mask = np.ones(embedding.shape.size, dtype=bool)
+        mask[nodes] = False
+        assert mask.any()
+        want = np.empty((6, embedding.shape.size))
+        want[:, nodes] = z
+        want[:, mask] = np.random.Generator(np.random.Philox(key=77)).standard_normal(
+            (6, int(mask.sum()))
+        )
+        assert np.array_equal(pad_samples(z, embedding, seed=77), want)
+
     def test_retries_halve_c1(self):
         # A small lattice with one undersized retry budget surfaces the
         # matching failure; a larger budget succeeds by growing the lattice.
