@@ -19,13 +19,13 @@ row, then one row per (configuration point, seed) with the columns
 
 ``rel_spectral_error`` is the relative spectral-norm error of the row's
 estimate.  Precision rows report ``||omega_hat - omega||_2 / ||omega||_2``,
-the numerator from the eigenvalues of the symmetrized difference and the
-denominator ``GroundTruth.omega_norm``, computed once per run.  Factor rows
-(``--factor cholesky`` or ``cholesky-star``) report
-``||U_hat - U||_2 / ||U||_2`` against the exact factor ``U`` of the
-maximin-permuted truth, as ``sqrt(||D D^T||_2 / ||omega||_2)`` with
-``D = U_hat - U``: the exact factor satisfies ``U U^T = omega``, so
-``||U||_2^2 = ||omega||_2``.
+the numerator from the eigenvalues of the difference (exactly symmetric,
+as both operands are) and the denominator ``GroundTruth.omega_norm``,
+computed once per run.  Factor rows (``--factor cholesky`` or
+``cholesky-star``) report ``||U_hat - U||_2 / ||U||_2`` against the exact
+factor ``U`` of the maximin-permuted truth, as
+``sqrt(||D D^T||_2 / ||omega||_2)`` with ``D = U_hat - U``: the exact
+factor satisfies ``U U^T = omega``, so ``||U||_2^2 = ||omega||_2``.
 
 Estimator failures are recorded in the final ``error`` column (the row's
 ``rel_spectral_error`` is ``nan``) and the run continues; the exit code is
@@ -265,7 +265,7 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed):
             else:
                 est = estimate_precision(z, truth.geometry, est_cfg)
             estimate_out, b_used, path = est.matrix, est.b or 0, est.path
-            err = spectral_norm(symmetrize(estimate_out - truth.omega)) / truth.omega_norm
+            err = spectral_norm(estimate_out - truth.omega) / truth.omega_norm
         else:
             levels, truth_mm, exact = factor_ctx
             z = sample(truth_mm, n, seed)

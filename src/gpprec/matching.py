@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 from scipy.spatial import cKDTree
 
 from .errors import CapacityExceeded, InvalidInput, NoMatching
 from .estimator import EstimatorConfig, estimate_precision
 from .lattice import LatticeShape, lattice_points
-from .linalg import symmetrize
 
 __all__ = [
     "SiteCloud",
@@ -43,6 +41,10 @@ __all__ = [
 DEFAULT_C1 = 0.5
 DEFAULT_RETRIES = 3
 DEFAULT_MAX_VERTICES = 40_000
+
+# Entries per row chunk of ``pad_samples`` (2 MiB of float64), so the
+# chunk's temporaries stay small against the padded output.
+_PAD_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,9 @@ def perfect_matching(
     Raises ``NoMatching`` with a Hall violator when some site stays
     unmatched.
     """
+    # Imported here so lattice-only runs never load scipy.sparse.csgraph (~3 MB RSS).
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     if not radius > 0:
         raise InvalidInput(f"radius must be positive, got {radius}")
     positions = lattice_points(shape)
@@ -265,8 +270,12 @@ def padded_truth(omega_sites, embedding: LatticeEmbedding) -> np.ndarray:
 def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
     """Concatenate site samples with seeded unit normals on unmatched nodes.
 
-    The unmatched nodes take the normals in ascending flat order; the
-    padded array is one column gather from ``[samples, normals]``.
+    The unmatched nodes take the normals in ascending flat order.  The
+    padded array is allocated once and filled in row chunks of about
+    ``_PAD_CHUNK_ELEMENTS`` entries, each one column gather from
+    ``[samples, normals]``.  The chunks draw their normals in turn from one
+    Philox stream, so the padding equals a single ``(N, n_pad)`` draw bit
+    for bit, and no full-size temporary is held next to the output.
     """
     z = np.asarray(samples, dtype=np.float64)
     n, m_sites = z.shape
@@ -278,7 +287,15 @@ def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
     src[embedding.node_of_site] = np.arange(m_sites)
     src[mask] = m_sites + np.arange(n_pad)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    return np.concatenate([z, rng.standard_normal((n, n_pad))], axis=1).take(src, axis=1)
+    padded = np.empty((n, m_lattice))
+    rows = max(1, _PAD_CHUNK_ELEMENTS // m_lattice)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        chunk = np.concatenate([z[lo:hi], rng.standard_normal((hi - lo, n_pad))], axis=1)
+        # Every index of src is in range, and only mode="raise" makes take
+        # gather into a scratch copy of ``out`` first.
+        chunk.take(src, axis=1, out=padded[lo:hi], mode="clip")
+    return padded
 
 
 def embed_and_estimate(
@@ -309,9 +326,8 @@ def embed_and_estimate(
     padded = pad_samples(z, embedding, seed)
     estimate = estimate_precision(padded, embedding.shape, config)
     nodes = embedding.node_of_site
-    site_matrix = symmetrize(estimate.matrix[np.ix_(nodes, nodes)])
     return ScatteredEstimate(
-        matrix=site_matrix,
+        matrix=estimate.matrix[np.ix_(nodes, nodes)],
         embedding=embedding,
         b=estimate.b,
         path=estimate.path,

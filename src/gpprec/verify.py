@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -230,12 +231,10 @@ SUITES = {
 def run_suites(names=None, inject_asymmetry: bool = False):
     """Run the named suites (all by default) and return their results."""
     names = list(SUITES) if not names else list(names)
+    suites = dict(SUITES, symmetry=partial(suite_symmetry, inject_asymmetry=inject_asymmetry))
     results = []
     for name in names:
-        if name not in SUITES:
+        if name not in suites:
             raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        if name == "symmetry":
-            results.append(suite_symmetry(inject_asymmetry=inject_asymmetry))
-        else:
-            results.append(SUITES[name]())
+        results.append(suites[name]())
     return results

@@ -1,6 +1,10 @@
 """Command-line harness: subcommands, determinism, exit codes, verify suites."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,16 @@ from gpprec.verify import run_suites
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def test_import_does_not_load_csgraph():
+    # Only the scattered route matches; lattice and factor runs should not
+    # pay for loading scipy's graph module.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, gpprec.cli; sys.exit('scipy.sparse.csgraph' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 class TestEstimate:

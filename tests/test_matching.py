@@ -1,5 +1,7 @@
 """Scattered-site measurement, lattice matching, and the embedding estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from gpprec.estimator import EstimatorConfig
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec.linalg import spectral_norm, symmetrize
 from gpprec.matching import (
+    _PAD_CHUNK_ELEMENTS,
+    LatticeEmbedding,
     _candidate_graph,
     build_embedding,
     build_target_lattice,
@@ -272,6 +276,7 @@ class TestEmbedAndEstimate:
         for seed in range(5):
             z = sample(green, 4000, seed=seed)
             est = embed_and_estimate(z, cloud, EstimatorConfig(kappa_hint=green.kappa), seed=seed)
+            assert np.array_equal(est.matrix, est.matrix.T)
             scattered_errs.append(
                 spectral_norm(symmetrize(est.matrix - green.omega)) / spectral_norm(green.omega)
             )
@@ -326,23 +331,64 @@ class TestEmbedAndEstimate:
         padded = pad_samples(z, embedding, seed=77)
         np.testing.assert_array_equal(padded[:, embedding.node_of_site], z)
 
-    @pytest.mark.parametrize("m, d", [(9, 1), (16, 2)])
-    def test_pad_samples_equals_column_scatters(self, rng, m, d):
-        # The gather must equal writing the sites, then the seeded normals,
-        # into their columns, bit for bit.
-        cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
-        embedding, _ = build_embedding(cloud)
-        z = rng.standard_normal((6, m))
+    @pytest.mark.parametrize(
+        "m, d, chunks, extra",
+        [
+            pytest.param(9, 1, 0, 6, id="9-1"),
+            pytest.param(16, 2, 0, 6, id="16-2"),
+            pytest.param(9, 1, 0, 1, id="9-1-one-row"),
+            pytest.param(9, 1, 1, -1, id="9-1-chunk-minus-one"),
+            pytest.param(9, 1, 1, 0, id="9-1-one-chunk"),
+            pytest.param(16, 2, 1, 1, id="16-2-chunk-plus-one"),
+            pytest.param(16, 2, 3, 7, id="16-2-three-chunks-plus-remainder"),
+            pytest.param(0, 2, 2, 3, id="no-unmatched-node"),
+        ],
+    )
+    def test_pad_samples_equals_column_scatters(self, rng, m, d, chunks, extra):
+        # The chunked fill must equal writing the sites, then one seeded
+        # draw of normals, into their columns, bit for bit.  N is ``chunks``
+        # full row chunks plus ``extra`` rows; ``m = 0`` stands for a
+        # hand-built embedding that matches every node.
+        if m:
+            cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
+            embedding, _ = build_embedding(cloud)
+        else:
+            shape = LatticeShape(p=7, d=d)
+            embedding = LatticeEmbedding(
+                shape=shape,
+                nodes=np.arange(shape.size),
+                node_of_site=rng.permutation(shape.size),
+                displacement=0.0,
+                c1=0.5,
+            )
         nodes = embedding.node_of_site
+        rows = max(1, _PAD_CHUNK_ELEMENTS // embedding.shape.size)
+        n = chunks * rows + extra
+        z = rng.standard_normal((n, nodes.size))
         mask = np.ones(embedding.shape.size, dtype=bool)
         mask[nodes] = False
-        assert mask.any()
-        want = np.empty((6, embedding.shape.size))
+        assert mask.any() == bool(m)
+        want = np.empty((n, embedding.shape.size))
         want[:, nodes] = z
         want[:, mask] = np.random.Generator(np.random.Philox(key=77)).standard_normal(
-            (6, int(mask.sum()))
+            (n, int(mask.sum()))
         )
         assert np.array_equal(pad_samples(z, embedding, seed=77), want)
+
+    def test_pad_samples_peak_memory(self, rng):
+        # Only the output and a few row-chunk buffers may be live at once;
+        # a whole-array concatenate and gather would hold two more arrays
+        # of the output's order.
+        cloud = measure_cloud(perturbed_grid(200, 1, 0.25, seed=3), 1)
+        embedding, _ = build_embedding(cloud)
+        z = rng.standard_normal((6000, cloud.m))
+        tracemalloc.start()
+        try:
+            padded = pad_samples(z, embedding, seed=77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= padded.nbytes + 4 * 8 * _PAD_CHUNK_ELEMENTS
 
     def test_retries_halve_c1(self):
         # A small lattice with one undersized retry budget surfaces the
