@@ -18,14 +18,18 @@ row, then one row per (configuration point, seed) with the columns
     rel_spectral_error, kappa, wall_ms, error
 
 ``rel_spectral_error`` is the relative spectral-norm error of the row's
-estimate.  Precision rows report ``||omega_hat - omega||_2 / ||omega||_2``,
-the numerator from the eigenvalues of the difference (exactly symmetric,
-as both operands are) and the denominator ``GroundTruth.omega_norm``,
-computed once per run.  Factor rows (``--factor cholesky`` or
-``cholesky-star``) report ``||U_hat - U||_2 / ||U||_2`` against the exact
-factor ``U`` of the maximin-permuted truth, as
-``sqrt(||D D^T||_2 / ||omega||_2)`` with ``D = U_hat - U``: the exact
-factor satisfies ``U U^T = omega``, so ``||U||_2^2 = ||omega||_2``.
+estimate.  Every norm in it is one Lanczos solve for the extreme
+eigenvalue (``linalg.spectral_norm``), from a fixed start vector, so it
+reruns bit for bit.  Precision rows report
+``||omega_hat - omega||_2 / ||omega||_2``, the numerator on the dense
+difference as it is (exactly symmetric, as both operands are) and the
+denominator ``GroundTruth.omega_norm``, computed once per run, in its first
+row.  Factor rows (``--factor cholesky`` or ``cholesky-star``) report
+``||U_hat - U||_2 / ||U||_2`` against the exact factor ``U`` of the
+maximin-permuted truth, as ``sqrt(||D D^T||_2 / ||omega||_2)`` with
+``D = U_hat - U``: the exact factor satisfies ``U U^T = omega``, so
+``||U||_2^2 = ||omega||_2``.  ``D D^T`` is applied as ``x -> D (D^T x)``
+and never formed.
 
 Estimator failures are recorded in the final ``error`` column (the row's
 ``rel_spectral_error`` is ``nan``) and the run continues; the exit code is
@@ -41,6 +45,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from . import serialization
 from .cholesky import assemble_U, assemble_U_star, estimate_scales, exact_scales
@@ -55,7 +60,7 @@ from .errors import (
 from .estimator import EstimatorConfig, estimate_precision
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
-from .linalg import spectral_norm, symmetrize
+from .linalg import spectral_norm
 from .matching import embed_and_estimate, measure_cloud
 from .truth import (
     build_green_restriction,
@@ -219,8 +224,8 @@ def _factor_context(truth, cloud, d, factor):
     levels = assign_levels(order)
     perm = np.ix_(order.perm, order.perm)
     truth_mm = type(truth)(
-        sigma=symmetrize(truth.sigma[perm]),
-        omega=symmetrize(truth.omega[perm]),
+        sigma=truth.sigma[perm],
+        omega=truth.omega[perm],
         kappa=truth.kappa,
         geometry=cloud,
         model_tag=truth.model_tag,
@@ -241,10 +246,12 @@ def _factor_error(u_hat, exact, truth_mm) -> float:
 
     ``||D||_2^2 = ||D D^T||_2``, and both exact factors reconstruct the
     permuted precision, ``U U^T = U* U*^T = omega``, so
-    ``||exact||_2^2 = ||omega||_2``.
+    ``||exact||_2^2 = ||omega||_2``.  ``D D^T`` is applied as the operator
+    ``x -> D (D^T x)``, symmetric by construction, and never formed.
     """
     diff = u_hat - exact
-    return float(np.sqrt(spectral_norm(symmetrize(diff @ diff.T)) / truth_mm.omega_norm))
+    gram = LinearOperator(diff.shape, matvec=lambda x: diff @ (diff.T @ x), dtype=diff.dtype)
+    return float(np.sqrt(spectral_norm(gram) / truth_mm.omega_norm))
 
 
 def _run_point(cfg, truth, cloud, factor_ctx, n, seed):

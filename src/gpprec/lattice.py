@@ -118,15 +118,14 @@ def build_scheme(p: int, b: int, d: int) -> BlockScheme:
     intervals = tuple(
         np.arange((j - 1) * b + 1, min(j * b, p) + 1) for j in range(1, s + 1)
     )
-    membership = {}
-    for j in itertools.product(range(1, s + 1), repeat=d):
-        axes = [intervals[x - 1] for x in j]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([g.ravel() for g in grids], axis=1)
-        flat = np.zeros(coords.shape[0], dtype=np.int64)
-        for a in range(d):
-            flat = flat * p + (coords[:, a] - 1)
-        membership[j] = np.sort(flat)
+    # A box of the flat-index grid, read in C order, is its block's
+    # vertex set already sorted in flat order.
+    grid = np.arange(shape.size, dtype=np.int64).reshape((p,) * d)
+    boxes = [slice((j - 1) * b, min(j * b, p)) for j in range(1, s + 1)]
+    membership = {
+        j: grid[tuple(boxes[x - 1] for x in j)].ravel()
+        for j in itertools.product(range(1, s + 1), repeat=d)
+    }
     return BlockScheme(shape=shape, b=b, S=s, intervals=intervals, membership=membership)
 
 

@@ -9,8 +9,10 @@ Positive definiteness is decided by the Cholesky pivot rule: a pivot is
 rejected when it is at most ``SPD_PIVOT_RTOL`` times the largest diagonal
 entry of the input.  Inverses and square roots are routed through this
 gate; :func:`condition_number` applies the same tolerance to the ratio of
-its extreme eigenvalues.  Spectral quantities come from a full symmetric
-eigenvalue decomposition at every size.
+its extreme eigenvalues, both from one full symmetric eigenvalue
+decomposition.  :func:`spectral_norm` needs only the one extreme eigenvalue
+and takes it by Lanczos (ARPACK's ``eigsh``), on a dense array, a scipy
+sparse matrix or a ``LinearOperator`` as the caller holds it.
 
 Every function here is a pure function of immutable inputs and never
 mutates its arguments, so concurrent read-only use is safe.
@@ -19,7 +21,9 @@ mutates its arguments, so concurrent read-only use is safe.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lapack, sqrtm
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import InvalidInput, NotPositiveDefinite, NumericalFailure
 
@@ -38,6 +42,11 @@ __all__ = [
 # Scale-invariant pivot floor: a Cholesky pivot at most this fraction of the
 # largest diagonal entry counts as a positive-definiteness failure.
 SPD_PIVOT_RTOL = 1e-12
+
+# Philox key of spectral_norm's Lanczos start vector.  A fixed random start
+# keeps reruns bit-identical and, unlike a constant vector, is not
+# orthogonal to the top eigenvector of a symmetric lattice operator.
+_LANCZOS_START_KEY = 0x6770707265632D6C
 
 
 def _as_square(a, name="matrix") -> np.ndarray:
@@ -146,13 +155,53 @@ def spd_inverse(a) -> np.ndarray:
     return lower + np.tril(inv, -1).T
 
 
-def spectral_norm(a) -> float:
-    """Spectral norm (largest absolute eigenvalue) of a symmetric matrix.
+def _as_symmetric_operand(a):
+    """``a`` as :func:`spectral_norm` hands it to ``eigsh``, after its checks.
 
-    Computed from the full symmetric eigenvalue decomposition, at every size.
+    Dense and sparse arrays must be exactly symmetric; a ``LinearOperator``
+    is taken as symmetric on the caller's word.
     """
-    a = _as_square_sym(a)
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    if not (isinstance(a, LinearOperator) or sparse.issparse(a)):
+        return _as_square_sym(a)
+    if a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise InvalidInput(f"matrix must be square and nonempty, got shape {a.shape}")
+    if isinstance(a, LinearOperator):
+        return a
+    if (a != a.T).nnz:
+        raise InvalidInput("matrix must be exactly symmetric; call symmetrize() first")
+    return a.astype(np.float64, copy=False)
+
+
+def spectral_norm(a) -> float:
+    """Spectral norm (largest absolute eigenvalue) of a symmetric operand.
+
+    ``a`` is a dense array, a scipy sparse matrix or a ``LinearOperator``,
+    and is used as it is held: a sparse matrix is not densified and a dense
+    one is not sparsified.  Arrays must be exactly symmetric
+    (``InvalidInput`` otherwise); for a ``LinearOperator`` the caller
+    guarantees symmetry, which cannot be checked here.
+
+    The norm is the extreme eigenvalue found by Lanczos (``eigsh`` with
+    ``k=1``, ``which="LM"``, ``tol=0``, so converged to machine precision)
+    from a fixed Philox start vector, so repeated calls on the same operand
+    return bit-identical results.  An all-zero array gives 0.0 and a 1 x 1
+    operand its absolute entry, the two cases where a Krylov solve is
+    undefined.  ARPACK failures, including a ``LinearOperator`` that maps
+    everything to zero, raise ``NumericalFailure``.
+    """
+    a = _as_symmetric_operand(a)
+    n = a.shape[0]
+    if n == 1:
+        return abs(float((a @ np.ones(1))[0]))
+    if not isinstance(a, LinearOperator):
+        if not (a.count_nonzero() if sparse.issparse(a) else a.any()):
+            return 0.0
+    v0 = np.random.Generator(np.random.Philox(key=_LANCZOS_START_KEY)).standard_normal(n)
+    try:
+        top = eigsh(a, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+    except ArpackError as exc:
+        raise NumericalFailure(f"Lanczos spectral norm failed: {exc}") from exc
+    return abs(float(top[0]))
 
 
 def condition_number(a) -> float:

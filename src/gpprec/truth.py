@@ -76,7 +76,13 @@ class GroundTruth:
 
     @functools.cached_property
     def omega_norm(self) -> float:
-        """Spectral norm of ``omega``, computed on first use and kept."""
+        """Spectral norm of ``omega``, computed on first use and kept.
+
+        It comes from :func:`gpprec.linalg.spectral_norm`, a Lanczos solve
+        on the dense ``omega``.  Being lazy, it is paid by the first
+        caller, which in the CLI is the first row's error, not the truth
+        build.
+        """
         return spectral_norm(self.omega)
 
 
@@ -181,7 +187,7 @@ def build_green_restriction(
     nodes = np.asarray(nodes, dtype=np.int64)
     if np.unique(nodes).size != nodes.size:
         raise InvalidInput("two sites snap to the same fine-grid node")
-    sigma = symmetrize(fine.sigma[np.ix_(nodes, nodes)])
+    sigma = fine.sigma[np.ix_(nodes, nodes)]
     omega = spd_inverse(sigma)
     return GroundTruth(
         sigma=sigma,

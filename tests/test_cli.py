@@ -187,6 +187,28 @@ class TestEstimate:
         assert len(capsys.readouterr().out.splitlines()) == 2 + 4
         assert calls == [(7, 7)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--d", "1", "--p", "1"), ("--d", "1", "--p", "2"),
+         ("--factor", "cholesky", "--d", "1", "--p", "3")],
+    )
+    def test_tiny_sizes_give_finite_errors(self, capsys, argv):
+        # One and two variables are the sizes a Krylov norm solve cannot
+        # take as they are.
+        assert run_cli("estimate", *argv) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert row[12] == ""
+        assert np.isfinite(float(row[9]))
+
+    def test_factor_context_permutes_truth_exactly(self):
+        args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])
+        truth, cloud = cli._build_truth(vars(args))
+        _, truth_mm, _ = cli._factor_context(truth, cloud, 2, "cholesky")
+        perm = maximin_order(cloud).perm
+        for got, full in ((truth_mm.sigma, truth.sigma), (truth_mm.omega, truth.omega)):
+            assert np.array_equal(got, full[np.ix_(perm, perm)])
+            assert np.array_equal(got, got.T)
+
     def test_truth_norm_not_computed_in_setup(self):
         args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])
         truth, _ = cli._build_truth(vars(args))

@@ -75,6 +75,21 @@ class TestBuildScheme:
             assert np.unique(union).size == p**d
             assert all(1 <= s <= b**d for s in sizes)
 
+    @pytest.mark.parametrize("p,b,d", [(10, 3, 1), (7, 3, 2), (22, 3, 2), (7, 3, 3), (5, 2, 3)])
+    def test_membership_matches_meshgrid(self, p, b, d):
+        # Reference: each block's coordinate product, flattened and sorted.
+        scheme = build_scheme(p, b, d)
+        for j in scheme.block_indices():
+            axes = [scheme.intervals[x - 1] for x in j]
+            grids = np.meshgrid(*axes, indexing="ij")
+            coords = np.stack([g.ravel() for g in grids], axis=1)
+            flat = np.zeros(coords.shape[0], dtype=np.int64)
+            for a in range(d):
+                flat = flat * p + (coords[:, a] - 1)
+            got = scheme.membership[j]
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.sort(flat))
+
     def test_invalid_width(self):
         with pytest.raises(InvalidInput):
             build_scheme(p=4, b=5, d=1)

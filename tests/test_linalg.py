@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
-from gpprec.errors import InvalidInput, NotPositiveDefinite
+from gpprec import linalg
+from gpprec.errors import InvalidInput, NotPositiveDefinite, NumericalFailure
 from gpprec.linalg import (
     block_inverse_schur,
     cholesky_lower,
@@ -128,6 +131,54 @@ class TestSpectralNorm:
         eigs = np.concatenate([[50.0, 40.0], rng.uniform(10.0, 30.0, size=n - 3), [1.0]])
         a = symmetrize(q @ np.diag(eigs) @ q.T)
         assert spectral_norm(a) == pytest.approx(50.0, rel=1e-6)
+
+    @pytest.mark.parametrize("p,d,s", [(64, 1, 1), (22, 2, 2), (6, 3, 2)])
+    def test_dirichlet_closed_form(self, p, d, s):
+        # At (64, 1, 1) the top eigenvector is orthogonal to the ones
+        # vector, so a constant Lanczos start vector misses the top eigenvalue.
+        h = 1.0 / (p + 1)
+        top = (p + 1) ** 2 * 4 * d * math.sin(p * math.pi / (2 * (p + 1))) ** 2
+        want = h**d * top**s
+        got = spectral_norm(build_lattice_precision(p, d, s).omega)
+        assert abs(got - want) <= 1e-12 * want
+
+    @staticmethod
+    def _operands(a):
+        op = LinearOperator(a.shape, matvec=lambda x: a @ x, dtype=a.dtype)
+        return [a, sparse.csr_matrix(a), op]
+
+    def test_storage_types_agree_with_eigvalsh(self, rng):
+        n = 80
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = np.concatenate([[-7.0, 7.0], rng.uniform(-5.0, 5.0, size=n - 2)])
+        a = symmetrize(q @ np.diag(eigs) @ q.T)
+        want = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        for operand in self._operands(a):
+            assert abs(spectral_norm(operand) - want) <= 1e-12 * want
+
+    def test_zero_and_one_by_one(self):
+        assert spectral_norm(np.zeros((4, 4))) == 0.0
+        assert spectral_norm(sparse.csr_matrix((4, 4))) == 0.0
+        for operand in self._operands(np.array([[-3.5]])):
+            assert spectral_norm(operand) == 3.5
+
+    @pytest.mark.parametrize("wrap", [np.asarray, sparse.csr_matrix])
+    def test_asymmetric_rejected(self, wrap):
+        with pytest.raises(InvalidInput):
+            spectral_norm(wrap(np.array([[1.0, 0.1], [0.0, 1.0]])))
+
+    def test_arpack_failure_raises_numerical_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        with pytest.raises(NumericalFailure):
+            spectral_norm(np.diag([1.0, -2.0, 3.0]))
+
+    def test_repeated_calls_bit_identical(self, rng):
+        a = symmetrize(rng.standard_normal((50, 50)))
+        for operand in self._operands(a):
+            assert spectral_norm(operand) == spectral_norm(operand)
 
 
 class TestConditionNumber:
