@@ -4,7 +4,7 @@ Ordering sites from coarse to fine and grouping them into dyadic levels
 turns the precision's Cholesky factorization into independent, well
 conditioned per-scale pieces.  Each scale's stiffness block is estimated
 from the same samples observed at its coarser resolution, and the factor
-is assembled blockwise.  A square-root variant swaps the triangular
+is assembled scale by scale into one dense array.  A square-root variant swaps the triangular
 per-scale factors for symmetric roots.
 
 Run:  python3 demos/multiscale_cholesky_factor.py
@@ -42,8 +42,8 @@ kappas = [float(np.linalg.cond(b)) for b in scales.b_blocks]
 print("per-scale stiffness-block condition numbers:", [f"{k:.2f}" for k in kappas])
 print("(the full precision's condition number is %.0f)" % truth.kappa)
 
-factor = assemble_U(scales, levels, d=1)
-rec_err = np.linalg.norm(factor.reconstruct() - omega, 2) / np.linalg.norm(omega, 2)
+exact_u = assemble_U(scales)
+rec_err = np.linalg.norm(exact_u @ exact_u.T - omega, 2) / np.linalg.norm(omega, 2)
 print(f"\nexact factor reconstructs the precision to {rec_err:.2e}")
 
 ordered_truth = GroundTruth(
@@ -54,16 +54,15 @@ ordered_truth = GroundTruth(
     model_tag=truth.model_tag,
     params=truth.params,
 )
-exact_u = factor.dense()
-exact_star = assemble_U_star(scales, levels, d=1).dense()
+exact_star = assemble_U_star(scales)
 
 config = EstimatorConfig(kappa_hint=truth.kappa)
 print("\nestimated factors from N samples (seed 0):")
 for n in (2000, 8000):
     z = sample(ordered_truth, n, seed=0)
     est = estimate_scales(z, levels, config, d=1)
-    u_hat = assemble_U(est, levels, d=1).dense()
-    star_hat = assemble_U_star(est, levels, d=1).dense()
+    u_hat = assemble_U(est)
+    star_hat = assemble_U_star(est)
     err_u = np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2)
     err_star = np.linalg.norm(star_hat - exact_star, 2) / np.linalg.norm(exact_star, 2)
     print(f"  N={n:>5}: triangular {err_u:.4f}, square-root variant {err_star:.4f}")

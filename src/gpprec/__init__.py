@@ -8,12 +8,10 @@ generators and a verification harness accompany the estimators.
 """
 
 from .cholesky import (
-    BlockTriangularFactor,
     ScaleEstimates,
     assemble_U,
     assemble_U_star,
     estimate_B,
-    estimate_cholesky,
     estimate_scales,
     exact_block_factor,
     exact_scales,

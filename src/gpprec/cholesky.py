@@ -12,6 +12,11 @@ where ``omega_k`` is the precision of the first ``k`` levels,
 block of scale ``k``, and ``Ltilde_k`` is the lower Cholesky factor of
 ``inv(B_k)``.  ``h`` is fixed at 1/2.
 
+A factor is one dense ``m x m`` array ``U`` in level order: the rows and
+columns of level ``k`` are ``levels.level_slice(k)``, so the ``(k, l)``
+block of ``U^T`` is ``U.T[level_slice(k), level_slice(l)]`` and the
+precision is ``U @ U.T``.
+
 Estimation plugs per-scale precision estimates into the same formulas.
 A square-root variant replaces the triangular factors with symmetric
 roots of ``B_k``, trading the entrywise triangular structure for a
@@ -41,62 +46,38 @@ from .matching import embed_and_estimate, measure_cloud
 
 __all__ = [
     "ScaleEstimates",
-    "BlockTriangularFactor",
     "exact_scales",
     "exact_block_factor",
     "estimate_B",
     "assemble_U",
     "assemble_U_star",
     "estimate_scales",
-    "estimate_cholesky",
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaleEstimates:
     """Per-scale ingredients of the factor assembly.
 
     ``omegas[k-1]`` is the (estimated or exact) precision on the first
     ``k`` levels, ``b_blocks[k-1]`` the scale's stiffness block, and
-    ``ltilde[k-1]`` the lower Cholesky factor of its inverse.
+    ``ltilde[k-1]`` the lower Cholesky factor of its inverse.  Each holds
+    exactly one entry per level of ``levels``.
     """
 
     levels: LevelPartition
     d: int
-    omegas: list
-    b_blocks: list
-    ltilde: list
+    omegas: tuple
+    b_blocks: tuple
+    ltilde: tuple
 
-
-@dataclass(frozen=True)
-class BlockTriangularFactor:
-    """Blockwise storage of the transpose of a block upper-triangular factor.
-
-    ``blocks[(k, l)]`` with ``l <= k`` holds the ``(k, l)`` block of
-    ``U^T``; blocks above the diagonal are absent.  Diagonal blocks are
-    nonsingular by construction.
-    """
-
-    levels: LevelPartition
-    d: int
-    blocks: dict
-
-    def transpose_dense(self) -> np.ndarray:
-        """Dense ``U^T`` (block lower-triangular)."""
-        m = self.levels.m
-        out = np.zeros((m, m))
-        for (k, l), block in self.blocks.items():
-            out[self.levels.level_slice(k), self.levels.level_slice(l)] = block
-        return out
-
-    def dense(self) -> np.ndarray:
-        """Dense ``U`` (block upper-triangular)."""
-        return self.transpose_dense().T
-
-    def reconstruct(self) -> np.ndarray:
-        """``U U^T``, exactly symmetric."""
-        u = self.dense()
-        return symmetrize(u @ u.T)
+    def __post_init__(self):
+        for name in ("omegas", "b_blocks", "ltilde"):
+            count = len(getattr(self, name))
+            if count != self.levels.q:
+                raise InvalidInput(
+                    f"{name} holds {count} scales, expected {self.levels.q}"
+                )
 
 
 def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int) -> np.ndarray:
@@ -130,7 +111,9 @@ def _scales_from(levels: LevelPartition, d: int, omegas: list) -> ScaleEstimates
                 f"scale {k}: {exc}", pivot=exc.pivot, scale=k
             ) from exc
         b_blocks.append(b)
-    return ScaleEstimates(levels=levels, d=d, omegas=omegas, b_blocks=b_blocks, ltilde=ltilde)
+    return ScaleEstimates(
+        levels=levels, d=d, omegas=tuple(omegas), b_blocks=tuple(b_blocks), ltilde=tuple(ltilde)
+    )
 
 
 def exact_scales(omega, levels: LevelPartition, d: int) -> ScaleEstimates:
@@ -138,7 +121,8 @@ def exact_scales(omega, levels: LevelPartition, d: int) -> ScaleEstimates:
 
     ``omega`` must be SPD and ordered by the level partition.  The
     covariance is formed once; each scale's precision is the inverse of
-    its leading covariance block.
+    its leading covariance block, a symmetric slice of an exactly
+    symmetric inverse.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (levels.m, levels.m):
@@ -150,80 +134,68 @@ def exact_scales(omega, levels: LevelPartition, d: int) -> ScaleEstimates:
         if k == levels.q:
             omegas.append(omega)
         else:
-            omegas.append(spd_inverse(symmetrize(sigma[:n_k, :n_k])))
+            omegas.append(spd_inverse(sigma[:n_k, :n_k]))
     return _scales_from(levels, d, omegas)
 
 
-def assemble_U(scales: ScaleEstimates, levels: LevelPartition, d: int) -> BlockTriangularFactor:
-    """Assemble the factor transpose from per-scale estimates.
+def _assemble(scales: ScaleEstimates, per_scale) -> np.ndarray:
+    """Dense ``U`` from ``(diagonal, left)`` pairs, one per scale.
 
-    Diagonal blocks invert the triangular ``Ltilde_k``; off-diagonal
-    blocks multiply its transpose into the in-scale precision slices.
+    Scale ``k`` writes ``h^{kd/2} diagonal`` into the diagonal block of
+    ``U^T`` and ``h^{-kd/2} left @ omega_k[J_k, J_1..J_{k-1}]`` into the
+    row slab left of it; ``left`` is not read at ``k = 1``.
     """
-    _check_scales(scales, levels, d)
-    h = H_SCALE
-    blocks = {}
-    for k in range(1, levels.q + 1):
-        ltilde = scales.ltilde[k - 1]
-        eye = np.eye(ltilde.shape[0])
-        blocks[(k, k)] = h ** (k * d / 2.0) * solve_triangular(ltilde, eye, lower=True)
+    levels, d = scales.levels, scales.d
+    ut = np.zeros((levels.m, levels.m))
+    for k, (diagonal, left) in enumerate(per_scale, start=1):
+        sl = levels.level_slice(k)
+        ut[sl, sl] = H_SCALE ** (k * d / 2.0) * diagonal
         if k > 1:
-            omega_k = scales.omegas[k - 1]
-            sl = levels.level_slice(k)
-            row = h ** (-k * d / 2.0) * (ltilde.T @ omega_k[sl, : levels.prefix_size(k - 1)])
-            for l in range(1, k):
-                blocks[(k, l)] = row[:, levels.level_slice(l)].copy()
-    return BlockTriangularFactor(levels=levels, d=d, blocks=blocks)
+            prev = levels.prefix_size(k - 1)
+            ut[sl, :prev] = H_SCALE ** (-k * d / 2.0) * (left @ scales.omegas[k - 1][sl, :prev])
+    return ut.T
 
 
-def assemble_U_star(
-    scales: ScaleEstimates, levels: LevelPartition, d: int
-) -> BlockTriangularFactor:
-    """Square-root variant of the factor assembly.
+def assemble_U(scales: ScaleEstimates) -> np.ndarray:
+    """Dense block upper-triangular factor ``U`` from per-scale estimates.
+
+    Diagonal blocks of ``U^T`` invert the triangular ``Ltilde_k``;
+    off-diagonal blocks multiply its transpose into the in-scale precision
+    slices.
+    """
+    return _assemble(
+        scales,
+        (
+            (solve_triangular(ltilde, np.eye(ltilde.shape[0]), lower=True), ltilde.T)
+            for ltilde in scales.ltilde
+        ),
+    )
+
+
+def assemble_U_star(scales: ScaleEstimates) -> np.ndarray:
+    """Square-root variant of the factor assembly, as a dense ``U*``.
 
     Uses ``inv(sqrt(B_k))`` in place of ``Ltilde_k^T`` off the diagonal
     and ``h^{kd/2} sqrt(B_k)`` on it.  The result is block upper
     triangular but not entrywise triangular; it reconstructs the same
     precision.
     """
-    _check_scales(scales, levels, d)
-    h = H_SCALE
-    blocks = {}
-    for k in range(1, levels.q + 1):
-        b_k = scales.b_blocks[k - 1]
-        root = spd_sqrt(b_k)
-        blocks[(k, k)] = h ** (k * d / 2.0) * root
-        if k > 1:
-            inv_root = spd_sqrt(spd_inverse(b_k))
-            omega_k = scales.omegas[k - 1]
-            sl = levels.level_slice(k)
-            row = h ** (-k * d / 2.0) * (inv_root @ omega_k[sl, : levels.prefix_size(k - 1)])
-            for l in range(1, k):
-                blocks[(k, l)] = row[:, levels.level_slice(l)].copy()
-    return BlockTriangularFactor(levels=levels, d=d, blocks=blocks)
+    return _assemble(
+        scales,
+        (
+            (spd_sqrt(b_k), spd_sqrt(spd_inverse(b_k)) if k > 1 else None)
+            for k, b_k in enumerate(scales.b_blocks, start=1)
+        ),
+    )
 
 
-def _check_scales(scales: ScaleEstimates, levels: LevelPartition, d: int):
-    if scales.levels is not levels and scales.levels.q != levels.q:
-        raise InvalidInput("scale estimates were built for a different partition")
-    for name, seq in (
-        ("omegas", scales.omegas),
-        ("b_blocks", scales.b_blocks),
-        ("ltilde", scales.ltilde),
-    ):
-        if len(seq) != levels.q:
-            raise InvalidInput(
-                f"{name} holds {len(seq)} scales, expected {levels.q}"
-            )
+def exact_block_factor(omega, levels: LevelPartition, d: int) -> np.ndarray:
+    """Exact dense factor ``U`` of a known precision; ``U U^T`` reproduces it.
 
-
-def exact_block_factor(omega, levels: LevelPartition, d: int) -> BlockTriangularFactor:
-    """Exact block factor of a known precision; ``U U^T`` reproduces it.
-
-    With positive diagonals throughout, the dense form coincides with the
-    unique upper-triangular Cholesky factor of the input.
+    With positive diagonals throughout, it coincides with the unique
+    upper-triangular Cholesky factor of the input.
     """
-    return assemble_U(exact_scales(omega, levels, d), levels, d)
+    return assemble_U(exact_scales(omega, levels, d))
 
 
 def estimate_scales(
@@ -260,9 +232,7 @@ def estimate_scales(
         m_k = levels.prefix_size(k)
         sub = z[:, :m_k]
         try:
-            if cloud is None or (
-                config.fallback_enabled and m_k <= math.log(n * kappa)
-            ):
+            if cloud is None or m_k <= math.log(n * kappa):
                 if n < m_k:
                     raise NotPositiveDefinite(f"{n} samples cannot span {m_k} variables")
                 omega_k = spd_inverse(sample_covariance(sub))
@@ -277,21 +247,3 @@ def estimate_scales(
             ) from exc
         omegas.append(omega_k)
     return _scales_from(levels, d, omegas)
-
-
-def estimate_cholesky(
-    samples,
-    levels: LevelPartition,
-    config: EstimatorConfig | None = None,
-    cloud=None,
-    seed: int = 0,
-    d: int | None = None,
-) -> BlockTriangularFactor:
-    """Estimated block upper-triangular factor of the precision.
-
-    Convenience wrapper: estimates every scale with
-    :func:`estimate_scales` and assembles with :func:`assemble_U`.  For the
-    square-root variant, call :func:`assemble_U_star` on the same scales.
-    """
-    scales = estimate_scales(samples, levels, config, cloud=cloud, seed=seed, d=d)
-    return assemble_U(scales, levels, scales.d)

@@ -232,13 +232,8 @@ def _factor_context(truth, cloud, d, factor):
         params=truth.params,
     )
     scales = exact_scales(truth_mm.omega, levels, d)
-    return levels, truth_mm, _dense_factor(factor, scales, levels, d)
-
-
-def _dense_factor(factor, scales, levels, d) -> np.ndarray:
-    """Dense ``U`` (``cholesky``) or ``U*`` (``cholesky-star``) from per-scale blocks."""
     assemble = assemble_U if factor == "cholesky" else assemble_U_star
-    return assemble(scales, levels, d).dense()
+    return levels, truth_mm, assemble(scales)
 
 
 def _factor_error(u_hat, exact, truth_mm) -> float:
@@ -247,9 +242,13 @@ def _factor_error(u_hat, exact, truth_mm) -> float:
     ``||D||_2^2 = ||D D^T||_2``, and both exact factors reconstruct the
     permuted precision, ``U U^T = U* U*^T = omega``, so
     ``||exact||_2^2 = ||omega||_2``.  ``D D^T`` is applied as the operator
-    ``x -> D (D^T x)``, symmetric by construction, and never formed.
+    ``x -> D (D^T x)``, symmetric by construction, and never formed.  An
+    all-zero ``D`` gives 0.0 without a Krylov solve, which would start from
+    the zero vector.
     """
     diff = u_hat - exact
+    if not diff.any():
+        return 0.0
     gram = LinearOperator(diff.shape, matvec=lambda x: diff @ (diff.T @ x), dtype=diff.dtype)
     return float(np.sqrt(spectral_norm(gram) / truth_mm.omega_norm))
 
@@ -278,7 +277,8 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed):
             z = sample(truth_mm, n, seed)
             scales = estimate_scales(z, levels, est_cfg, d=d)
             path = "multiscale"
-            estimate_out = _dense_factor(cfg["factor"], scales, levels, d)
+            assemble = assemble_U if cfg["factor"] == "cholesky" else assemble_U_star
+            estimate_out = assemble(scales)
             err = _factor_error(estimate_out, exact, truth_mm)
         error = ""
     except _ERRORS as exc:

@@ -57,13 +57,12 @@ class EstimatorConfig:
     ``kappa_hint`` enters the block-width rule ``b = ceil(log(N * kappa))``;
     pass the exact condition number when the truth is known, otherwise it
     defaults to the variable count ``p**d`` at the call site.  ``b_override``
-    bypasses the rule.  ``fallback_enabled`` controls whether small lattices
-    are handled by inverting the full sample covariance.
+    bypasses the rule and the small-lattice fallback: with it set, the
+    estimate is always blockwise at that width.
     """
 
     b_override: int | None = None
     kappa_hint: float | None = None
-    fallback_enabled: bool = True
 
     def __post_init__(self):
         if self.kappa_hint is not None and self.kappa_hint < 1.0:
@@ -214,7 +213,7 @@ def estimate_precision(
     ``data`` is an ``(N, p**d)`` sample matrix, or the exact ``(p**d,
     p**d)`` covariance when ``population=True`` (population mode requires
     ``b_override`` and always runs the blockwise route).  When ``p <=
-    log(N * kappa_hint)`` and the fallback is enabled, the estimate is the
+    log(N * kappa_hint)`` and no ``b_override`` is given, the estimate is the
     inverse of the full sample covariance, singular when ``N < p**d``, so
     that raises ``NotPositiveDefinite`` before any work.  Otherwise the band
     Gram is formed once, slab by slab (the population covariance serves as
@@ -245,14 +244,13 @@ def estimate_precision(
                 f"samples must have {m} columns for this lattice, got shape {data.shape}"
             )
         n = data.shape[0]
-        if config.fallback_enabled and shape.p <= math.log(n * kappa):
+        if config.b_override is None and shape.p <= math.log(n * kappa):
             if n < m:
                 raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
             omega = spd_inverse(sample_covariance(data))
             return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
-        # The rule-derived width is clamped; it can exceed p legitimately
-        # when the fallback is disabled.
-        b = config.b_override or min(choose_block_size(n, kappa), shape.p)
+        # Past the fallback, p > log(N * kappa), so the rule's width is at most p.
+        b = config.b_override or choose_block_size(n, kappa)
     scheme = build_scheme(shape.p, b, shape.d)
     source, n_samples = _covariance_source(data, scheme, population)
     # Each window fills the B_j columns of its in-band rows; the raw matrix

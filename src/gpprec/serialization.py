@@ -12,7 +12,6 @@ import numpy as np
 from .errors import InvalidInput
 from .hierarchy import LevelPartition, MaximinOrdering
 from .matching import SiteCloud, measure_cloud
-from .cholesky import BlockTriangularFactor
 
 __all__ = [
     "format_matrix",
@@ -125,29 +124,33 @@ def parse_ordering(text: str):
     )
 
 
-def format_factor(factor: BlockTriangularFactor) -> str:
-    """Factor as ``M q d``, level sizes, then ``(k, l)`` blocks row-major."""
-    levels = factor.levels
-    lines = [f"{levels.m} {levels.q} {factor.d}"]
+def format_factor(u, levels: LevelPartition, d: int) -> str:
+    """Dense factor ``U`` as ``M q d``, level sizes, then ``(k, l)`` blocks.
+
+    The blocks are those of ``U^T`` with ``l <= k``, row-major.
+    """
+    ut = np.asarray(u, dtype=np.float64).T
+    if ut.shape != (levels.m, levels.m):
+        raise InvalidInput(f"factor must be {(levels.m, levels.m)}, got {ut.shape}")
+    lines = [f"{levels.m} {levels.q} {d}"]
     lines.append(" ".join(str(int(s)) for s in levels.sizes()))
     for k in range(1, levels.q + 1):
         for l in range(1, k + 1):
-            block = factor.blocks[(k, l)]
+            block = ut[levels.level_slice(k), levels.level_slice(l)]
             lines.append(f"{k} {l} {block.shape[0]} {block.shape[1]}")
             lines.extend(_rows(block))
     return "\n".join(lines) + "\n"
 
 
-def parse_factor(text: str) -> BlockTriangularFactor:
+def parse_factor(text: str):
+    """Inverse of :func:`format_factor`: ``(u, levels, d)``."""
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
     m, q, d = (int(v) for v in lines[0].split())
     sizes = np.array([int(v) for v in lines[1].split()], dtype=np.int64)
     if sizes.size != q or int(sizes.sum()) != m:
         raise InvalidInput("level sizes disagree with the header")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    level_of = np.repeat(np.arange(1, q + 1), sizes)
-    levels = LevelPartition(q=q, offsets=offsets, level_of=level_of)
-    blocks = {}
+    levels = LevelPartition.from_sizes(sizes)
+    ut = np.zeros((m, m))
     pos = 2
     while pos < len(lines):
         k, l, rows, cols = (int(v) for v in lines[pos].split())
@@ -155,11 +158,14 @@ def parse_factor(text: str) -> BlockTriangularFactor:
         block = np.array(
             [[float(v) for v in lines[pos + r].split()] for r in range(rows)]
         )
-        if block.shape != (rows, cols):
+        if not 1 <= l <= k <= q:
+            raise InvalidInput(f"block ({k}, {l}) is not in the lower block triangle")
+        target = ut[levels.level_slice(k), levels.level_slice(l)]
+        if block.shape != (rows, cols) or block.shape != target.shape:
             raise InvalidInput(f"block ({k}, {l}) does not match its declared shape")
         pos += rows
-        blocks[(k, l)] = block
-    return BlockTriangularFactor(levels=levels, d=d, blocks=blocks)
+        target[...] = block
+    return ut.T, levels, d
 
 
 def format_truth(truth) -> str:

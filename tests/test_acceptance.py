@@ -246,12 +246,12 @@ def test_criterion_6_block_cholesky_exactness():
             sizes = rng.integers(1, 11, size=q)
         levels = LevelPartition.from_sizes(sizes)
         omega = random_spd(rng, levels.m, float(rng.uniform(2.0, 1e4)))
-        factor = exact_block_factor(omega, levels, d=int(rng.integers(1, 4)))
-        rec_gap = spectral_norm(symmetrize(factor.reconstruct() - omega)) / spectral_norm(omega)
+        u = exact_block_factor(omega, levels, d=int(rng.integers(1, 4)))
+        rec_gap = spectral_norm(symmetrize(u @ u.T - omega)) / spectral_norm(omega)
         n = levels.m
         j = np.eye(n)[::-1]
         dense = j @ np.linalg.cholesky(j @ omega @ j) @ j
-        factor_gap = np.linalg.norm(factor.dense() - dense, 2) / np.linalg.norm(dense, 2)
+        factor_gap = np.linalg.norm(u - dense, 2) / np.linalg.norm(dense, 2)
         worst_rec = max(worst_rec, rec_gap)
         worst_factor = max(worst_factor, factor_gap)
     ok = worst_rec <= 1e-8 and worst_factor <= 1e-8
@@ -284,14 +284,14 @@ def test_criterion_8_cholesky_estimator_error():
     truth, levels = nested_maximin_truth(3, s=1)
     config = EstimatorConfig(kappa_hint=truth.kappa)
     exact = exact_scales(truth.omega, levels, d=1)
-    exact_u = assemble_U(exact, levels, d=1).dense()
-    exact_star = assemble_U_star(exact, levels, d=1).dense()
+    exact_u = assemble_U(exact)
+    exact_star = assemble_U_star(exact)
     u_errs, star_errs, prec_errs = [], [], []
     for seed in range(20):
         z = sample(truth, 8000, seed=seed)
         scales = estimate_scales(z, levels, config, d=1)
-        u_hat = assemble_U(scales, levels, d=1).dense()
-        star_hat = assemble_U_star(scales, levels, d=1).dense()
+        u_hat = assemble_U(scales)
+        star_hat = assemble_U_star(scales)
         u_errs.append(np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2))
         star_errs.append(np.linalg.norm(star_hat - exact_star, 2) / np.linalg.norm(exact_star, 2))
         prec_errs.append(

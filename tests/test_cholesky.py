@@ -1,5 +1,7 @@
 """Block-Cholesky machinery: exact factors, per-scale estimation, assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from gpprec.cholesky import (
     assemble_U,
     assemble_U_star,
     estimate_B,
-    estimate_cholesky,
     estimate_scales,
     exact_block_factor,
     exact_scales,
@@ -51,15 +52,13 @@ class TestExactBlockFactor:
     def test_single_level_collapses(self, rng):
         levels = LevelPartition.from_sizes([6])
         omega = random_spd(rng, 6, 80.0)
-        factor = exact_block_factor(omega, levels, d=1)
-        rec = factor.reconstruct()
-        assert spectral_norm(symmetrize(rec - omega)) <= 1e-10 * spectral_norm(omega)
+        u = exact_block_factor(omega, levels, d=1)
+        assert spectral_norm(symmetrize(u @ u.T - omega)) <= 1e-10 * spectral_norm(omega)
 
     def test_identity_truth(self):
         levels = LevelPartition.from_sizes([2, 3])
-        factor = exact_block_factor(np.eye(5), levels, d=1)
-        rec = factor.reconstruct()
-        np.testing.assert_allclose(rec, np.eye(5), atol=1e-12)
+        u = exact_block_factor(np.eye(5), levels, d=1)
+        np.testing.assert_allclose(u @ u.T, np.eye(5), atol=1e-12)
 
     def test_matches_dense_cholesky(self, rng):
         for _ in range(10):
@@ -67,20 +66,20 @@ class TestExactBlockFactor:
             sizes = rng.integers(1, 8, size=q)
             levels = LevelPartition.from_sizes(sizes)
             omega = random_spd(rng, levels.m, float(rng.uniform(2.0, 1e3)))
-            factor = exact_block_factor(omega, levels, d=1)
+            u = exact_block_factor(omega, levels, d=1)
             dense = dense_upper_factor(omega)
-            gap = np.linalg.norm(factor.dense() - dense, 2) / np.linalg.norm(dense, 2)
+            gap = np.linalg.norm(u - dense, 2) / np.linalg.norm(dense, 2)
             assert gap <= 1e-8
-            rec_gap = spectral_norm(symmetrize(factor.reconstruct() - omega))
+            rec_gap = spectral_norm(symmetrize(u @ u.T - omega))
             assert rec_gap <= 1e-8 * spectral_norm(omega)
 
     def test_block_structure(self, rng):
         levels = LevelPartition.from_sizes([2, 2, 3])
         omega = random_spd(rng, 7, 30.0)
-        factor = exact_block_factor(omega, levels, d=2)
-        assert set(factor.blocks) == {(k, l) for k in (1, 2, 3) for l in range(1, k + 1)}
-        ut = factor.transpose_dense()
-        assert np.all(np.triu(ut, 1) == 0.0)
+        u = exact_block_factor(omega, levels, d=2)
+        assert u.shape == (7, 7)
+        assert np.all(np.triu(u.T, 1) == 0.0)
+        assert np.all(np.diag(u) > 0.0)
 
     def test_scale_conjugated_covariance_identity(self, rng):
         # The lower Cholesky factor of the scale-conjugated covariance
@@ -94,7 +93,7 @@ class TestExactBlockFactor:
         sigma = spd_inverse(omega)
         dvec = scale_diagonal(levels, d)
         theta = symmetrize(sigma / np.outer(dvec, dvec))
-        u = exact_block_factor(omega, levels, d).dense()
+        u = exact_block_factor(omega, levels, d)
         implied = np.linalg.inv(u).T / dvec[:, None]
         direct = cholesky_lower(theta)
         gap = np.linalg.norm(implied - direct, 2) / np.linalg.norm(direct, 2)
@@ -134,37 +133,33 @@ class TestAssembly:
         omega = random_spd(rng, 9, 100.0)
         scales = exact_scales(omega, levels, d=1)
         direct = exact_block_factor(omega, levels, d=1)
-        rebuilt = assemble_U(scales, levels, d=1)
-        np.testing.assert_allclose(
-            rebuilt.transpose_dense(), direct.transpose_dense(), atol=1e-10
-        )
+        np.testing.assert_allclose(assemble_U(scales), direct, atol=1e-10)
 
     def test_star_variant_reconstructs(self, rng):
         levels = LevelPartition.from_sizes([1, 2, 4])
         omega = random_spd(rng, 7, 60.0)
         scales = exact_scales(omega, levels, d=1)
-        star = assemble_U_star(scales, levels, d=1)
-        rec = star.reconstruct()
-        assert spectral_norm(symmetrize(rec - omega)) <= 1e-8 * spectral_norm(omega)
-        ut = star.transpose_dense()
-        assert np.all(ut[: levels.prefix_size(1), levels.prefix_size(1) :] == 0.0)
+        star = assemble_U_star(scales)
+        assert spectral_norm(symmetrize(star @ star.T - omega)) <= 1e-8 * spectral_norm(omega)
+        assert np.all(star.T[: levels.prefix_size(1), levels.prefix_size(1) :] == 0.0)
 
     def test_star_diagonal_truth_is_scaled_root(self):
         levels = LevelPartition.from_sizes([3])
         omega = np.diag([4.0, 9.0, 16.0])
-        star = assemble_U_star(exact_scales(omega, levels, d=1), levels, d=1)
+        star = assemble_U_star(exact_scales(omega, levels, d=1))
         # Diagonal block is h^{d/2} * sqrt(B) with B = h^{-d} * omega.
         np.testing.assert_allclose(
-            star.blocks[(1, 1)], np.sqrt(0.5) * np.sqrt(2.0 * omega), atol=1e-12
+            star.T[levels.level_slice(1), levels.level_slice(1)],
+            np.sqrt(0.5) * np.sqrt(2.0 * omega),
+            atol=1e-12,
         )
 
     def test_missing_scale_rejected(self, rng):
         levels = LevelPartition.from_sizes([2, 2])
         omega = random_spd(rng, 4, 10.0)
         scales = exact_scales(omega, levels, d=1)
-        scales.omegas.pop()
         with pytest.raises(InvalidInput):
-            assemble_U(scales, levels, d=1)
+            dataclasses.replace(scales, omegas=scales.omegas[:-1])
 
 
 class TestEstimateCholesky:
@@ -172,12 +167,11 @@ class TestEstimateCholesky:
         truth, _ = nested_truth(1)
         levels = LevelPartition.from_sizes([truth.omega.shape[0]])
         z = sample(truth, 2000, seed=4)
-        factor = estimate_cholesky(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
-        rec = factor.reconstruct()
-        from gpprec.linalg import sample_covariance
-
+        u = assemble_U(
+            estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
+        )
         direct = spd_inverse(sample_covariance(z))
-        assert spectral_norm(symmetrize(rec - direct)) <= 1e-10 * spectral_norm(direct)
+        assert spectral_norm(symmetrize(u @ u.T - direct)) <= 1e-10 * spectral_norm(direct)
 
     def test_population_mode_recovers_exact_factor(self):
         # Exact covariance in, exact factor out: the per-scale estimates
@@ -185,25 +179,22 @@ class TestEstimateCholesky:
         truth, levels = nested_truth(3)
         exact = exact_block_factor(truth.omega, levels, d=1)
         scales = exact_scales(truth.omega, levels, d=1)
-        rebuilt = assemble_U(scales, levels, d=1)
-        np.testing.assert_allclose(
-            rebuilt.transpose_dense(), exact.transpose_dense(), atol=1e-12
-        )
+        np.testing.assert_allclose(assemble_U(scales), exact, atol=1e-12)
 
     def test_estimated_factor_error_tracks_precision_error(self):
         # Seeds 0..19 at N=8000 realize median factor error 0.028 against
         # median finest-scale precision error 0.031 and a star/plain error
         # ratio of 0.82.
         truth, levels = nested_truth(3)
-        exact_u = exact_block_factor(truth.omega, levels, d=1).dense()
-        exact_star = assemble_U_star(exact_scales(truth.omega, levels, d=1), levels, d=1).dense()
+        exact_u = exact_block_factor(truth.omega, levels, d=1)
+        exact_star = assemble_U_star(exact_scales(truth.omega, levels, d=1))
         cfg = EstimatorConfig(kappa_hint=truth.kappa)
         u_errs, star_errs, prec_errs = [], [], []
         for seed in range(10):
             z = sample(truth, 8000, seed=seed)
             scales = estimate_scales(z, levels, cfg, d=1)
-            u_hat = assemble_U(scales, levels, d=1).dense()
-            star_hat = assemble_U_star(scales, levels, d=1).dense()
+            u_hat = assemble_U(scales)
+            star_hat = assemble_U_star(scales)
             u_errs.append(np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2))
             star_errs.append(
                 np.linalg.norm(star_hat - exact_star, 2) / np.linalg.norm(exact_star, 2)
@@ -252,7 +243,7 @@ class TestEstimateCholesky:
         scales = estimate_scales(
             z, levels, EstimatorConfig(kappa_hint=1.0), cloud=ordered_cloud, seed=5
         )
-        exact_u = exact_block_factor(truth.omega, levels, d=1).dense()
-        u_hat = assemble_U(scales, levels, d=1).dense()
+        exact_u = exact_block_factor(truth.omega, levels, d=1)
+        u_hat = assemble_U(scales)
         err = np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2)
         assert err <= 0.3

@@ -61,6 +61,16 @@ class TestEstimate:
         rows = capsys.readouterr().out.splitlines()
         assert rows[2].split(",")[8] == "fallback_full_inverse"
 
+    def test_block_width_skips_fallback(self, capsys):
+        # The same lattice as above, but an explicit --b runs blockwise.
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "1", "--p", "2", "--s", "1",
+            "--n", "300", "--seeds", "0", "--b", "1",
+        )
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert (row[7], row[8], row[12]) == ("1", "blockwise", "")
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = [
@@ -142,7 +152,7 @@ class TestEstimate:
         order = maximin_order(measure_cloud(lattice_points(truth.geometry), 1))
         levels = assign_levels(order)
         omega_mm = symmetrize(truth.omega[np.ix_(order.perm, order.perm)])
-        exact = assemble(exact_scales(omega_mm, levels, 1), levels, 1).dense()
+        exact = assemble(exact_scales(omega_mm, levels, 1))
         recomputed = np.linalg.norm(u_hat - exact, 2) / np.linalg.norm(exact, 2)
         assert abs(recomputed - emitted) <= 1e-10 * recomputed
 
@@ -208,6 +218,15 @@ class TestEstimate:
         for got, full in ((truth_mm.sigma, truth.sigma), (truth_mm.omega, truth.omega)):
             assert np.array_equal(got, full[np.ix_(perm, perm)])
             assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("factor", ["cholesky", "cholesky-star"])
+    def test_factor_error_zero_for_exact_estimate(self, factor):
+        # An estimate equal to the exact factor has error 0; a Krylov solve
+        # on the zero operator would start from the zero vector.
+        args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])
+        truth, cloud = cli._build_truth(vars(args))
+        _, truth_mm, exact = cli._factor_context(truth, cloud, 2, factor)
+        assert cli._factor_error(exact.copy(), exact, truth_mm) == 0.0
 
     def test_truth_norm_not_computed_in_setup(self):
         args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])

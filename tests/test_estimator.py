@@ -276,6 +276,17 @@ class TestEstimatePrecision:
         with pytest.raises(NotPositiveDefinite):
             estimate_precision(z, truth.geometry, EstimatorConfig(kappa_hint=50.0))
 
+    def test_b_override_skips_fallback(self):
+        # kappa_hint=50 puts p=3 under the fallback threshold at N=500; an
+        # explicit width runs blockwise at that width all the same.
+        truth = build_lattice_precision(3, 1, 1)
+        z = sample(truth, 500, seed=0)
+        est = estimate_precision(
+            z, truth.geometry, EstimatorConfig(kappa_hint=50.0, b_override=1)
+        )
+        assert est.path == BLOCKWISE
+        assert est.b == 1
+
     def test_blockwise_support_band(self):
         truth = build_lattice_precision(30, 1, 1)
         z = sample(truth, 800, seed=1)
@@ -308,7 +319,7 @@ class TestEstimatePrecision:
     def test_blockwise_undersampling_carries_block_id(self):
         truth = build_lattice_precision(30, 1, 1)
         z = sample(truth, 5, seed=0)
-        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=4, fallback_enabled=False)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=4)
         with pytest.raises(LocalSingular) as info:
             estimate_precision(z, truth.geometry, cfg)
         assert info.value.block is not None
@@ -357,7 +368,7 @@ class TestEstimatePrecision:
     def test_sampled_blockwise_2d(self):
         truth = build_lattice_precision(10, 2, 1)
         z = sample(truth, 3000, seed=2)
-        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=2, fallback_enabled=False)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=2)
         est = estimate_precision(z, truth.geometry, cfg)
         assert est.path == BLOCKWISE
         err = spectral_norm(symmetrize(est.matrix - truth.omega)) / spectral_norm(truth.omega)
@@ -394,7 +405,7 @@ class TestWindowOracle:
     def test_samples(self, p, d, s, b, n):
         truth = build_lattice_precision(p, d, s)
         z = sample(truth, n, seed=p + d)
-        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b, fallback_enabled=False)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b)
         est = estimate_precision(z, truth.geometry, cfg)
         want = reference_estimate(z, build_scheme(p, b, d))
         assert est.path == BLOCKWISE
@@ -416,7 +427,7 @@ class TestWindowOracle:
         # 16, so the second block is the first to fail.
         truth = build_lattice_precision(p, d, 1)
         z = sample(truth, n, seed=4)
-        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b, fallback_enabled=False)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b)
         with pytest.raises(LocalSingular) as got:
             estimate_precision(z, truth.geometry, cfg)
         with pytest.raises(LocalSingular) as want:

@@ -67,11 +67,43 @@ class TestFactorFormat:
     def test_round_trip(self, rng):
         levels = LevelPartition.from_sizes([2, 3, 2])
         omega = random_spd(rng, 7, 40.0)
-        factor = exact_block_factor(omega, levels, d=2)
-        back = ser.parse_factor(ser.format_factor(factor))
-        assert back.d == 2
-        assert back.levels.q == 3
-        np.testing.assert_array_equal(back.transpose_dense(), factor.transpose_dense())
+        u = exact_block_factor(omega, levels, d=2)
+        back, back_levels, back_d = ser.parse_factor(ser.format_factor(u, levels, 2))
+        assert back_d == 2
+        assert back_levels.q == 3
+        np.testing.assert_array_equal(back_levels.offsets, levels.offsets)
+        np.testing.assert_array_equal(back, u)
+
+    def test_golden_text(self):
+        omega = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        levels = LevelPartition.from_sizes([1, 2])
+        u = exact_block_factor(omega, levels, d=1)
+        text = ser.format_factor(u, levels, 1)
+        assert text == (
+            "3 2 1\n"
+            "1 2\n"
+            "1 1 1 1\n"
+            "1.8973665961010278\n"
+            "2 1 2 1\n"
+            "0.63245553203367599\n"
+            "0\n"
+            "2 2 2 2\n"
+            "1.5811388300841893 0\n"
+            "0.70710678118654735 1.4142135623730949\n"
+        )
+        back, _, _ = ser.parse_factor(text)
+        np.testing.assert_array_equal(back, u)
+
+    @pytest.mark.parametrize(
+        "block_line", ["1 2 1 2", "3 1 1 1", "2 1 1 1"], ids=["above", "outside", "shape"]
+    )
+    def test_misplaced_block_rejected(self, block_line):
+        # Each block is well formed by its own dims; level sizes are 1 and 2,
+        # so a 1 x 1 block (2, 1) would otherwise broadcast into a 2 x 1 slot.
+        rows, cols = (int(v) for v in block_line.split()[2:])
+        text = "3 2 1\n1 2\n" + block_line + "\n" + (" ".join(["1"] * cols) + "\n") * rows
+        with pytest.raises(InvalidInput):
+            ser.parse_factor(text)
 
 
 class TestTruthFormat:
