@@ -47,7 +47,6 @@ rec_err = np.linalg.norm(exact_u @ exact_u.T - omega, 2) / np.linalg.norm(omega,
 print(f"\nexact factor reconstructs the precision to {rec_err:.2e}")
 
 ordered_truth = GroundTruth(
-    sigma=symmetrize(truth.sigma[np.ix_(perm, perm)]),
     omega=omega,
     kappa=truth.kappa,
     geometry=cloud,

@@ -38,7 +38,6 @@ from .hierarchy import (
     MaximinOrdering,
     assign_levels,
     maximin_order,
-    scale_diagonal,
 )
 from .lattice import (
     BlockScheme,
@@ -46,7 +45,6 @@ from .lattice import (
     build_scheme,
     lattice_points,
     neighborhood,
-    restrict,
 )
 from .linalg import (
     block_inverse_schur,
@@ -66,7 +64,6 @@ from .matching import (
     build_target_lattice,
     embed_and_estimate,
     measure_cloud,
-    padded_truth,
     perfect_matching,
 )
 from .truth import (
@@ -74,7 +71,6 @@ from .truth import (
     ScreeningProfile,
     build_green_restriction,
     build_lattice_precision,
-    dirichlet_laplacian,
     l1_tail_profile,
     log_linear_fit,
     matern_covariance,

@@ -116,25 +116,28 @@ def _scales_from(levels: LevelPartition, d: int, omegas: list) -> ScaleEstimates
     )
 
 
-def exact_scales(omega, levels: LevelPartition, d: int) -> ScaleEstimates:
+def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEstimates:
     """Exact per-scale blocks computed from a known precision.
 
-    ``omega`` must be SPD and ordered by the level partition.  The
-    covariance is formed once; each scale's precision is the inverse of
-    its leading covariance block, a symmetric slice of an exactly
-    symmetric inverse.
+    ``omega`` must be SPD and ordered by the level partition.  ``factor``
+    is its upper-triangular ``U`` with ``omega = U U^T``
+    (``GroundTruth.omega_factor``); when omitted it is computed here as
+    the reverse Cholesky factor.  The precision of the first ``n_k``
+    variables is the inverse of their covariance block, which is
+    ``U[:n_k, :n_k] U[:n_k, :n_k]^T`` because ``U^{-1}`` is upper
+    triangular too; the last scale's is ``omega`` itself.  No inverse is
+    formed.
     """
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (levels.m, levels.m):
         raise InvalidInput(f"omega must be {(levels.m, levels.m)}, got {omega.shape}")
-    sigma = spd_inverse(omega)
+    if factor is None:
+        factor = cholesky_lower(omega[::-1, ::-1])[::-1, ::-1]
     omegas = []
-    for k in range(1, levels.q + 1):
-        n_k = levels.prefix_size(k)
-        if k == levels.q:
-            omegas.append(omega)
-        else:
-            omegas.append(spd_inverse(sigma[:n_k, :n_k]))
+    for k in range(1, levels.q):
+        lead = factor[: levels.prefix_size(k), : levels.prefix_size(k)]
+        omegas.append(symmetrize(lead @ lead.T))
+    omegas.append(omega)
     return _scales_from(levels, d, omegas)
 
 
@@ -192,7 +195,8 @@ def assemble_U_star(scales: ScaleEstimates) -> np.ndarray:
 def exact_block_factor(omega, levels: LevelPartition, d: int) -> np.ndarray:
     """Exact dense factor ``U`` of a known precision; ``U U^T`` reproduces it.
 
-    With positive diagonals throughout, it coincides with the unique
+    It is assembled from :func:`exact_scales` by the block formulas.  With
+    positive diagonals throughout, it coincides with the unique
     upper-triangular Cholesky factor of the input.
     """
     return assemble_U(exact_scales(omega, levels, d))

@@ -18,13 +18,14 @@ row, then one row per (configuration point, seed) with the columns
     rel_spectral_error, kappa, wall_ms, error
 
 ``rel_spectral_error`` is the relative spectral-norm error of the row's
-estimate.  Every norm in it is one Lanczos solve for the extreme
-eigenvalue (``linalg.spectral_norm``), from a fixed start vector, so it
-reruns bit for bit.  Precision rows report
+estimate.  Every norm in it but the truth's is one Lanczos solve for the
+extreme eigenvalue (``linalg.spectral_norm``), from a fixed start vector,
+so it reruns bit for bit.  The truth's norm ``GroundTruth.omega_norm`` is
+in closed form for lattice truths (``--model laplacian``) and otherwise
+one Lanczos solve per run, in its first row.  Precision rows report
 ``||omega_hat - omega||_2 / ||omega||_2``, the numerator on the dense
-difference as it is (exactly symmetric, as both operands are) and the
-denominator ``GroundTruth.omega_norm``, computed once per run, in its first
-row.  Factor rows (``--factor cholesky`` or ``cholesky-star``) report
+difference as it is (exactly symmetric, as both operands are).  Factor
+rows (``--factor cholesky`` or ``cholesky-star``) report
 ``||U_hat - U||_2 / ||U||_2`` against the exact factor ``U`` of the
 maximin-permuted truth, as ``sqrt(||D D^T||_2 / ||omega||_2)`` with
 ``D = U_hat - U``: the exact factor satisfies ``U U^T = omega``, so
@@ -41,7 +42,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,24 +217,26 @@ def _experiment_id(cfg) -> str:
 def _factor_context(truth, cloud, d, factor):
     """Level partition, maximin-permuted truth and the exact factor of ``factor``.
 
-    ``None`` for precision runs, which need none of them.
+    ``None`` for precision runs, which need none of them.  The permuted
+    truth keeps the closed-form norm, which a symmetric permutation does
+    not change.  Its ``omega_factor`` is the exact ``cholesky`` factor and
+    feeds the exact scales of ``cholesky-star``.
     """
     if factor == "precision":
         return None
     order = maximin_order(cloud)
     levels = assign_levels(order)
     perm = np.ix_(order.perm, order.perm)
-    truth_mm = type(truth)(
-        sigma=truth.sigma[perm],
+    truth_mm = replace(
+        truth,
         omega=truth.omega[perm],
-        kappa=truth.kappa,
+        covariance=None if truth.covariance is None else truth.covariance[perm],
         geometry=cloud,
-        model_tag=truth.model_tag,
-        params=truth.params,
     )
-    scales = exact_scales(truth_mm.omega, levels, d)
-    assemble = assemble_U if factor == "cholesky" else assemble_U_star
-    return levels, truth_mm, assemble(scales)
+    if factor == "cholesky":
+        return levels, truth_mm, truth_mm.omega_factor
+    scales = exact_scales(truth_mm.omega, levels, d, factor=truth_mm.omega_factor)
+    return levels, truth_mm, assemble_U_star(scales)
 
 
 def _factor_error(u_hat, exact, truth_mm) -> float:

@@ -117,24 +117,35 @@ def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
 
 
 def _covariance_source(data: np.ndarray, scheme: BlockScheme, population: bool):
-    """The exactly symmetric matrix every window is sliced from, and the sample count.
-
-    The sample count is ``None`` for a population covariance.
-    """
+    """The exactly symmetric matrix every window is sliced from."""
     if population:
-        return symmetrize(data), None
-    return _band_gram(data, scheme), data.shape[0]
+        return symmetrize(data)
+    return _band_gram(data, scheme)
 
 
-def _kept_columns(source, scheme: BlockScheme, j, n_samples):
-    """Columns of block ``j`` in the inverse of ``source`` on its window.
+def _window(scheme: BlockScheme, j, n_samples) -> np.ndarray:
+    """Sorted vertices of the radius-2 window of block ``j``.
 
-    Returns ``(cols, w)``: ``w`` is the sorted vertex array of the radius-2
-    window of ``j`` and ``cols`` the ``(|w|, |B_j|)`` solve of the window
-    covariance against the unit columns of ``B_j``.  Raises ``LocalSingular``
-    when the window covariance fails the Cholesky pivot gate.
+    Raises ``LocalSingular`` when the window holds at least ``n_samples``
+    vertices, so before any covariance is factored: ``N`` samples give rank
+    at most ``N``, and at ``N = |w|`` the covariance is full rank but so
+    ill-conditioned that the pivot gate passes a useless inverse.
+    ``n_samples`` is ``None`` for a population covariance, which is not
+    checked.
     """
     _, w = neighborhood(scheme, j, WINDOW_RADIUS)
+    if n_samples is not None and n_samples <= w.size:
+        raise LocalSingular(j, int(w.size), n_samples)
+    return w
+
+
+def _kept_columns(source, scheme: BlockScheme, j, w, n_samples):
+    """Columns of block ``j`` in the inverse of ``source`` on its window ``w``.
+
+    Returns the ``(|w|, |B_j|)`` solve of the window covariance against
+    the unit columns of ``B_j``.  Raises ``LocalSingular`` when the window
+    covariance fails the Cholesky pivot gate.
+    """
     try:
         factor = cholesky_lower(source[np.ix_(w, w)])
     except NotPositiveDefinite as exc:
@@ -142,7 +153,7 @@ def _kept_columns(source, scheme: BlockScheme, j, n_samples):
     kept = np.searchsorted(w, scheme.membership[j])
     unit = np.zeros((w.size, kept.size))
     unit[kept, np.arange(kept.size)] = 1.0
-    return cho_solve((factor, True), unit, check_finite=False), w
+    return cho_solve((factor, True), unit, check_finite=False)
 
 
 def local_estimate(data, scheme: BlockScheme, j, jp, population: bool = False) -> np.ndarray:
@@ -152,15 +163,17 @@ def local_estimate(data, scheme: BlockScheme, j, jp, population: bool = False) -
     ``B_j`` and returns the transpose of their ``B_jp`` rows, that is the
     ``B_j x B_jp`` block of the window inverse.  Requires
     ``|j - jp|_inf <= 1``.  Raises ``LocalSingular`` (carrying the window
-    size and sample count) when the window covariance is not SPD.
+    size and sample count) when the window holds at least ``N`` vertices or
+    its covariance is not SPD.
     """
     j = scheme.validate_block(j)
     jp = scheme.validate_block(jp)
     if max(abs(a - b) for a, b in zip(j, jp)) > 1:
         raise InvalidInput(f"blocks {j} and {jp} are not within the banded range")
     data = np.asarray(data, dtype=np.float64)
-    source, n_samples = _covariance_source(data, scheme, population)
-    cols, w = _kept_columns(source, scheme, j, n_samples)
+    n_samples = None if population else data.shape[0]
+    w = _window(scheme, j, n_samples)
+    cols = _kept_columns(_covariance_source(data, scheme, population), scheme, j, w, n_samples)
     return cols[np.searchsorted(w, scheme.membership[jp])].T.copy()
 
 
@@ -215,10 +228,12 @@ def estimate_precision(
     ``b_override`` and always runs the blockwise route).  When ``p <=
     log(N * kappa_hint)`` and no ``b_override`` is given, the estimate is the
     inverse of the full sample covariance, singular when ``N < p**d``, so
-    that raises ``NotPositiveDefinite`` before any work.  Otherwise the band
-    Gram is formed once, slab by slab (the population covariance serves as
-    it is), each block's window is factored and solved for its own
-    columns, and their in-band rows are assembled and symmetrized.
+    that raises ``NotPositiveDefinite`` before any work.  Otherwise a
+    window holding at least ``N`` vertices raises ``LocalSingular`` before
+    any work, and then the band Gram is formed once, slab by slab (the
+    population covariance serves as it is), each block's window is
+    factored and solved for its own columns, and their in-band rows are
+    assembled and symmetrized.
     """
     config = config or EstimatorConfig()
     data = np.asarray(data, dtype=np.float64)
@@ -238,12 +253,13 @@ def estimate_precision(
         if config.b_override is None:
             raise InvalidInput("population mode requires b_override")
         b = config.b_override
+        n_samples = None
     else:
         if data.ndim != 2 or data.shape[1] != m:
             raise InvalidInput(
                 f"samples must have {m} columns for this lattice, got shape {data.shape}"
             )
-        n = data.shape[0]
+        n = n_samples = data.shape[0]
         if config.b_override is None and shape.p <= math.log(n * kappa):
             if n < m:
                 raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
@@ -252,12 +268,13 @@ def estimate_precision(
         # Past the fallback, p > log(N * kappa), so the rule's width is at most p.
         b = config.b_override or choose_block_size(n, kappa)
     scheme = build_scheme(shape.p, b, shape.d)
-    source, n_samples = _covariance_source(data, scheme, population)
+    windows = [(j, _window(scheme, j, n_samples)) for j in scheme.block_indices()]
+    source = _covariance_source(data, scheme, population)
     # Each window fills the B_j columns of its in-band rows; the raw matrix
     # is the transpose of assemble_global's, which symmetrization absorbs.
     raw = np.zeros((m, m))
-    for j in scheme.block_indices():
-        cols, w = _kept_columns(source, scheme, j, n_samples)
+    for j, w in windows:
+        cols = _kept_columns(source, scheme, j, w, n_samples)
         _, near = neighborhood(scheme, j, 1)
         raw[np.ix_(near, scheme.membership[j])] = cols[np.searchsorted(w, near)]
     return _symmetrized(raw, scheme)

@@ -1,4 +1,4 @@
-"""Maximin ordering, dyadic level assignment, and the scale diagonal."""
+"""Maximin ordering and dyadic level assignment."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ __all__ = [
     "LevelPartition",
     "maximin_order",
     "assign_levels",
-    "scale_diagonal",
 ]
 
 H_SCALE = 0.5
@@ -131,14 +130,3 @@ def assign_levels(ordering: MaximinOrdering) -> LevelPartition:
     counts = np.bincount(level_of, minlength=q + 1)[1:]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return LevelPartition(q=q, offsets=offsets, level_of=level_of)
-
-
-def scale_diagonal(levels: LevelPartition, d: int) -> np.ndarray:
-    """Diagonal entries ``(1/2)^(-d * level / 2)``, one per ordered site.
-
-    Conjugating the covariance by the inverse of this diagonal puts all
-    scales on a comparable footing.
-    """
-    if d not in (1, 2, 3):
-        raise InvalidInput(f"d must be 1, 2 or 3, got {d}")
-    return np.power(2.0, d * levels.level_of.astype(np.float64) / 2.0)

@@ -24,7 +24,6 @@ __all__ = [
     "BlockScheme",
     "build_scheme",
     "neighborhood",
-    "restrict",
     "lattice_points",
 ]
 
@@ -143,22 +142,3 @@ def neighborhood(scheme: BlockScheme, j, lam: int):
     blocks = tuple(itertools.product(*ranges))
     vertices = np.sort(np.concatenate([scheme.membership[jj] for jj in blocks]))
     return blocks, vertices
-
-
-def restrict(a, rows, cols) -> np.ndarray:
-    """Submatrix of ``a`` on the given flat vertex sets, in their given order.
-
-    ``rows`` and ``cols`` are arrays of 0-based flat indices; pass them
-    sorted to obtain the canonical lexicographic-order restriction.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise InvalidInput(f"matrix must be 2-d, got shape {a.shape}")
-    rows = np.asarray(rows, dtype=np.int64).ravel()
-    cols = np.asarray(cols, dtype=np.int64).ravel()
-    for name, idx, limit in (("rows", rows, a.shape[0]), ("cols", cols, a.shape[1])):
-        if idx.size == 0:
-            raise InvalidInput(f"{name} is empty")
-        if idx.min() < 0 or idx.max() >= limit:
-            raise InvalidInput(f"{name} contain indices outside [0, {limit})")
-    return a[np.ix_(rows, cols)].copy()

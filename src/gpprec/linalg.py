@@ -43,6 +43,15 @@ __all__ = [
 # largest diagonal entry counts as a positive-definiteness failure.
 SPD_PIVOT_RTOL = 1e-12
 
+# Restart budget of spectral_norm's Lanczos (eigsh's maxiter).  With k = 1
+# a restart costs about 10 matvecs, so a solve stops after about 1 000.
+# The norms the CLI takes need at most a few hundred (351 for the Green's
+# d = 1 truth at M = 1000, 101 for the row errors at the d = 1 and d = 2
+# caps).  The 1-d Dirichlet Laplacian, whose top eigenvalues cluster, needs
+# 6 991 at p = 1024 and about 26 000 at p = 2048, and is refused instead of
+# running for minutes; lattice truths take their norm in closed form.
+_LANCZOS_MAX_RESTARTS = 100
+
 # Philox key of spectral_norm's Lanczos start vector.  A fixed random start
 # keeps reruns bit-identical and, unlike a constant vector, is not
 # orthogonal to the top eigenvector of a symmetric lattice operator.
@@ -186,8 +195,10 @@ def spectral_norm(a) -> float:
     from a fixed Philox start vector, so repeated calls on the same operand
     return bit-identical results.  An all-zero array gives 0.0 and a 1 x 1
     operand its absolute entry, the two cases where a Krylov solve is
-    undefined.  ARPACK failures, including a ``LinearOperator`` that maps
-    everything to zero, raise ``NumericalFailure``.
+    undefined.  The solve has a budget of ``_LANCZOS_MAX_RESTARTS``
+    restarts; an operand whose top eigenvalue does not converge within it
+    raises ``NumericalFailure``, as do other ARPACK failures, including a
+    ``LinearOperator`` that maps everything to zero.
     """
     a = _as_symmetric_operand(a)
     n = a.shape[0]
@@ -198,7 +209,10 @@ def spectral_norm(a) -> float:
             return 0.0
     v0 = np.random.Generator(np.random.Philox(key=_LANCZOS_START_KEY)).standard_normal(n)
     try:
-        top = eigsh(a, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)
+        top = eigsh(
+            a, k=1, which="LM", tol=0, v0=v0, maxiter=_LANCZOS_MAX_RESTARTS,
+            return_eigenvectors=False,
+        )
     except ArpackError as exc:
         raise NumericalFailure(f"Lanczos spectral norm failed: {exc}") from exc
     return abs(float(top[0]))

@@ -35,7 +35,6 @@ __all__ = [
     "perfect_matching",
     "build_embedding",
     "embed_and_estimate",
-    "padded_truth",
 ]
 
 DEFAULT_C1 = 0.5
@@ -250,21 +249,6 @@ def build_embedding(
             if attempts > retries:
                 raise
             current /= 2.0
-
-
-def padded_truth(omega_sites, embedding: LatticeEmbedding) -> np.ndarray:
-    """Extend a site precision to the lattice with an identity on unmatched nodes.
-
-    The matched block carries the site precision permuted to node order;
-    cross blocks are zero.  Used as the oracle truth for the padded
-    problem.
-    """
-    omega_sites = np.asarray(omega_sites, dtype=np.float64)
-    m_lattice = embedding.shape.size
-    out = np.eye(m_lattice)
-    nodes = embedding.node_of_site
-    out[np.ix_(nodes, nodes)] = omega_sites
-    return out
 
 
 def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:

@@ -13,9 +13,11 @@ Three model families are provided at desk scale:
   smoothness values.  Included for realism; the screening decay weakens
   near the boundary for this family, so no hard guarantee depends on it.
 
-Sampling uses the Philox counter-based generator with 64-bit seeds, so
-experiments are bit-reproducible across platforms and the draw counter
-could be partitioned across parallel workers without changing output.
+Sampling uses the Philox counter-based generator keyed by a 64-bit seed,
+so experiments are bit-reproducible across platforms.  The normals come
+from numpy's ziggurat, which consumes a variable number of 64-bit words
+per draw, so a stream cannot be split by counter offsets across workers
+without changing the output; separate seeds give independent streams.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 
-from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
+from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, NumericalFailure
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
@@ -41,7 +43,6 @@ from .linalg import (
 __all__ = [
     "GroundTruth",
     "ScreeningProfile",
-    "dirichlet_laplacian",
     "build_lattice_precision",
     "build_green_restriction",
     "matern_covariance",
@@ -56,38 +57,82 @@ MAX_VERTICES = 4096
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact covariance/precision pair with its geometry and provenance."""
+    """Exact precision with its geometry and provenance.
 
-    sigma: np.ndarray
+    ``omega`` is the primary object; its factor ``omega_factor``, the upper
+    ``U`` with ``omega = U U^T``, gives the sampling factor and, in maximin
+    order, the exact multiscale factor.  ``covariance`` is the covariance
+    the truth was built from (Green's and Matern truths), or ``None`` for
+    lattice truths, whose ``sigma`` is formed only when a caller reads it.
+    ``closed_form_norm`` is ``omega``'s spectral norm where it is known in
+    closed form (lattice truths), or ``None``.
+    """
+
     omega: np.ndarray
     kappa: float
     geometry: object
     model_tag: str
     params: dict = field(default_factory=dict)
+    covariance: np.ndarray | None = None
+    closed_form_norm: float | None = None
 
     @property
     def dim(self) -> int:
-        return self.sigma.shape[0]
+        return self.omega.shape[0]
+
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        """The covariance: ``covariance`` if given, else ``spd_inverse(omega)`` on first read."""
+        if self.covariance is not None:
+            return self.covariance
+        return spd_inverse(self.omega)
+
+    @functools.cached_property
+    def omega_factor(self) -> np.ndarray:
+        """Upper-triangular ``U`` with ``omega = U U^T``, computed on first use and kept.
+
+        It is the reverse Cholesky factor: ``omega`` with its rows and
+        columns flipped is factored by :func:`cholesky_lower`, with its
+        pivot gate, and the factor is flipped back.
+        """
+        return cholesky_lower(self.omega[::-1, ::-1])[::-1, ::-1]
 
     @functools.cached_property
     def sigma_factor(self) -> np.ndarray:
-        """Lower Cholesky factor of ``sigma``, computed on first use and kept."""
-        return cholesky_lower(self.sigma)
+        """Lower Cholesky factor ``L`` of ``sigma``, computed on first use and kept.
+
+        A truth built from a covariance factors it.  Otherwise ``L`` is
+        ``inv(omega_factor)^T``, one triangular inverse (``dtrtri``): from
+        ``omega = U U^T`` follows ``sigma = U^{-T} U^{-1}``, and ``U^{-T}``
+        is lower triangular with a positive diagonal, so ``sigma`` is
+        never formed.
+        """
+        if self.covariance is not None:
+            return cholesky_lower(self.covariance)
+        inverse, info = lapack.dtrtri(self.omega_factor, lower=0)
+        if info != 0:
+            raise NumericalFailure(f"dtrtri failed with info={info}")
+        return np.asfortranarray(inverse.T)
 
     @functools.cached_property
     def omega_norm(self) -> float:
         """Spectral norm of ``omega``, computed on first use and kept.
 
-        It comes from :func:`gpprec.linalg.spectral_norm`, a Lanczos solve
-        on the dense ``omega``.  Being lazy, it is paid by the first
-        caller, which in the CLI is the first row's error, not the truth
-        build.
+        It is ``closed_form_norm`` where that is known, and otherwise comes
+        from :func:`gpprec.linalg.spectral_norm`, a Lanczos solve on the
+        dense ``omega``.  Being lazy, it is paid by the first caller, which
+        in the CLI is the first row's error, not the truth build.
         """
+        if self.closed_form_norm is not None:
+            return self.closed_form_norm
         return spectral_norm(self.omega)
 
 
 def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:
-    """Sparse form of :func:`dirichlet_laplacian`."""
+    """(2d+1)-point finite difference Laplacian on ``{1..p}^d``, scaled by ``(p+1)^2``.
+
+    Zero boundary values are eliminated, so the matrix is SPD.
+    """
     shape = LatticeShape(p=p, d=d)
     one_dim = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(p, p))
     eye = sparse.identity(p)
@@ -98,14 +143,6 @@ def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:
             term = sparse.kron(term, one_dim if other == axis else eye)
         a = a + term
     return ((p + 1) ** 2 * a).tocsr()
-
-
-def dirichlet_laplacian(p: int, d: int) -> np.ndarray:
-    """(2d+1)-point finite difference Laplacian on ``{1..p}^d``, scaled by ``(p+1)^2``.
-
-    Zero boundary values are eliminated, so the matrix is SPD.
-    """
-    return _laplacian_csr(p, d).toarray()
 
 
 def _check_capacity(n_vertices: int, max_vertices: int):
@@ -123,12 +160,14 @@ def build_lattice_precision(
     ``h = 1/(p+1)`` is the mesh width.  The theory's regime is ``s > d/2``;
     this is documented rather than enforced so that ``d=1, s=1`` works.
 
-    ``kappa`` is taken in closed form.  The Dirichlet Laplacian has the
-    eigenvalues ``(p+1)^2 sum_i 4 sin^2(k_i pi / (2(p+1)))`` for
-    ``k_i in 1..p``, so its extreme ratio is ``cot^2(pi / (2(p+1)))`` in
-    every dimension ``d``, and ``omega``'s is that ratio to the power ``s``.
-    A truth whose ``kappa`` is at or above ``1 / SPD_PIVOT_RTOL`` raises
-    ``NotPositiveDefinite``, the same eigenvalue test as ``condition_number``.
+    ``kappa`` and the spectral norm are taken in closed form.  The
+    Dirichlet Laplacian has the eigenvalues
+    ``(p+1)^2 sum_i 4 sin^2(k_i pi / (2(p+1)))`` for ``k_i in 1..p``, so
+    ``omega``'s largest is ``h^d ((p+1)^2 4d sin^2(p pi / (2(p+1))))^s``
+    and its extreme ratio is ``cot^2(pi / (2(p+1)))`` to the power ``s``,
+    in every dimension ``d``.  A truth whose ``kappa`` is at or above
+    ``1 / SPD_PIVOT_RTOL`` raises ``NotPositiveDefinite``, the same
+    eigenvalue test as ``condition_number``.  ``sigma`` is not formed here.
     """
     if s < 1:
         raise InvalidInput(f"s must be a positive integer, got {s}")
@@ -149,14 +188,14 @@ def build_lattice_precision(
     for _ in range(s - 1):
         power = power @ a
     omega = symmetrize(h**d * power.toarray())
-    sigma = spd_inverse(omega)
+    top = (p + 1) ** 2 * 4 * d * np.sin(p * np.pi / (2 * (p + 1))) ** 2
     return GroundTruth(
-        sigma=sigma,
         omega=omega,
         kappa=kappa,
         geometry=shape,
         model_tag="laplacian_power",
         params={"p": p, "d": d, "s": s},
+        closed_form_norm=float(h**d * top**s),
     )
 
 
@@ -190,7 +229,7 @@ def build_green_restriction(
     sigma = fine.sigma[np.ix_(nodes, nodes)]
     omega = spd_inverse(sigma)
     return GroundTruth(
-        sigma=sigma,
+        covariance=sigma,
         omega=omega,
         kappa=condition_number(omega),
         geometry=cloud,
@@ -226,7 +265,7 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     sigma = symmetrize(sigma2 * k)
     omega = spd_inverse(sigma)
     return GroundTruth(
-        sigma=sigma,
+        covariance=sigma,
         omega=omega,
         kappa=condition_number(omega),
         geometry=cloud,
@@ -238,7 +277,7 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
 def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` observations ``z = L g`` with ``L L^T = sigma``.
 
-    ``L`` is ``truth.sigma_factor``, so ``sigma`` is factored once per truth.
+    ``L`` is ``truth.sigma_factor``, formed once per truth.
     The ``(n, dim)`` normals ``g`` are multiplied by ``L^T`` in place with
     the triangular BLAS product ``dtrmm``, so the result is ``g @ L.T`` up
     to roundoff, C-contiguous, and no second ``(n, dim)`` buffer is made.

@@ -69,7 +69,6 @@ def nested_maximin_truth(q, s):
     ordering = maximin_order(cloud)
     levels = assign_levels(ordering)
     permuted = GroundTruth(
-        sigma=symmetrize(truth.sigma[np.ix_(ordering.perm, ordering.perm)]),
         omega=symmetrize(truth.omega[np.ix_(ordering.perm, ordering.perm)]),
         kappa=truth.kappa,
         geometry=cloud,

@@ -38,7 +38,6 @@ def nested_truth(q, s=1):
     levels = assign_levels(ordering)
     omega = symmetrize(truth.omega[np.ix_(ordering.perm, ordering.perm)])
     permuted = GroundTruth(
-        sigma=symmetrize(truth.sigma[np.ix_(ordering.perm, ordering.perm)]),
         omega=omega,
         kappa=truth.kappa,
         geometry=cloud,
@@ -84,14 +83,13 @@ class TestExactBlockFactor:
     def test_scale_conjugated_covariance_identity(self, rng):
         # The lower Cholesky factor of the scale-conjugated covariance
         # equals inv(D) @ inv(U).T, tying the factor to the scale diagonal.
-        from gpprec.hierarchy import scale_diagonal
         from gpprec.linalg import cholesky_lower
 
         levels = LevelPartition.from_sizes([1, 2, 4])
         d = 2
         omega = random_spd(rng, 7, 200.0)
         sigma = spd_inverse(omega)
-        dvec = scale_diagonal(levels, d)
+        dvec = np.power(2.0, d * levels.level_of / 2.0)
         theta = symmetrize(sigma / np.outer(dvec, dvec))
         u = exact_block_factor(omega, levels, d)
         implied = np.linalg.inv(u).T / dvec[:, None]
@@ -134,6 +132,23 @@ class TestAssembly:
         scales = exact_scales(omega, levels, d=1)
         direct = exact_block_factor(omega, levels, d=1)
         np.testing.assert_allclose(assemble_U(scales), direct, atol=1e-10)
+
+    def test_exact_scales_invert_leading_covariance_blocks(self, rng):
+        # Each scale's precision is the inverse of its leading covariance
+        # block, here formed by two independent inverses; a factor passed
+        # in gives the same scales as one computed inside.
+        levels = LevelPartition.from_sizes([2, 3, 4, 6])
+        omega = random_spd(rng, 15, 1e4)
+        sigma = spd_inverse(omega)
+        scales = exact_scales(omega, levels, d=2)
+        for k, omega_k in enumerate(scales.omegas, start=1):
+            n_k = levels.prefix_size(k)
+            want = spd_inverse(sigma[:n_k, :n_k])
+            assert np.array_equal(omega_k, omega_k.T)
+            assert np.max(np.abs(omega_k - want)) <= 1e-11 * np.max(np.abs(want))
+        given = exact_scales(omega, levels, d=2, factor=dense_upper_factor(omega))
+        for got, want in zip(given.omegas, scales.omegas):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(omega)))
 
     def test_star_variant_reconstructs(self, rng):
         levels = LevelPartition.from_sizes([1, 2, 4])

@@ -16,7 +16,7 @@ from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, ResultRow, main
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import lattice_points
-from gpprec.linalg import cholesky_lower, spectral_norm, symmetrize
+from gpprec.linalg import cholesky_lower, spd_inverse, spectral_norm, symmetrize
 from gpprec.matching import measure_cloud
 from gpprec.verify import run_suites
 
@@ -177,11 +177,31 @@ class TestEstimate:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 4
         assert calls[unused] == 0
-        # One exact factor per run plus one estimate per row.
-        assert sum(calls.values()) == 1 + 4
+        # One estimate per row; cholesky-star also assembles its exact factor
+        # once per run, while the exact cholesky factor is the truth's own.
+        assert sum(calls.values()) == (4 if factor == "cholesky" else 1 + 4)
 
     @pytest.mark.parametrize("factor", ["precision", "cholesky"])
     def test_truth_norm_computed_once_per_run(self, monkeypatch, capsys, factor):
+        # A Green's truth has no closed-form norm, so one Lanczos solve
+        # serves every row.
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return spectral_norm(a)
+
+        monkeypatch.setattr(truth_module, "spectral_norm", counting)
+        code = run_cli(
+            "estimate", "--model", "green", "--d", "1", "--p", "7", "--s", "1",
+            "--n", "1000,2000", "--seeds", "0,1", "--factor", factor, "--b", "3",
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+        assert calls == [(7, 7)]
+
+    @pytest.mark.parametrize("factor", ["precision", "cholesky"])
+    def test_lattice_truth_norm_is_closed_form(self, monkeypatch, capsys, factor):
         calls = []
 
         def counting(a):
@@ -195,7 +215,31 @@ class TestEstimate:
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 4
-        assert calls == [(7, 7)]
+        assert calls == []
+
+    def test_lattice_factor_run_forms_no_covariance(self, monkeypatch, capsys):
+        # The exact factor, the exact scales and the sampling factor all come
+        # from one m x m Cholesky factorization of the permuted precision.
+        inverses, factorizations = [], []
+
+        def counting(log, fn):
+            def spy(a):
+                log.append(np.shape(a))
+                return fn(a)
+            return spy
+
+        monkeypatch.setattr(truth_module, "spd_inverse", counting(inverses, spd_inverse))
+        monkeypatch.setattr(
+            truth_module, "cholesky_lower", counting(factorizations, cholesky_lower)
+        )
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "2", "--p", "6", "--s", "2",
+            "--n", "1000,2000", "--seeds", "0,1", "--factor", "cholesky",
+        )
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 4
+        assert inverses == []
+        assert factorizations == [(36, 36)]
 
     @pytest.mark.parametrize(
         "argv",
@@ -215,9 +259,8 @@ class TestEstimate:
         truth, cloud = cli._build_truth(vars(args))
         _, truth_mm, _ = cli._factor_context(truth, cloud, 2, "cholesky")
         perm = maximin_order(cloud).perm
-        for got, full in ((truth_mm.sigma, truth.sigma), (truth_mm.omega, truth.omega)):
-            assert np.array_equal(got, full[np.ix_(perm, perm)])
-            assert np.array_equal(got, got.T)
+        assert np.array_equal(truth_mm.omega, truth.omega[np.ix_(perm, perm)])
+        assert np.array_equal(truth_mm.omega, truth_mm.omega.T)
 
     @pytest.mark.parametrize("factor", ["cholesky", "cholesky-star"])
     def test_factor_error_zero_for_exact_estimate(self, factor):

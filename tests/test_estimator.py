@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gpprec import estimator as estimator_module
 from gpprec.errors import InvalidInput, LocalSingular, NotPositiveDefinite
 from gpprec.estimator import (
     BLOCKWISE,
@@ -45,8 +46,16 @@ def dense_lattice_truth(p=40, s=2):
 
 
 def reference_estimate(data, scheme, population=False):
-    """Blockwise estimate with one covariance and one full inverse per window."""
+    """Blockwise estimate with one covariance and one full inverse per window.
+
+    Like the estimator, it refuses a window of at least N vertices before
+    inverting anything.
+    """
     n_samples = None if population else data.shape[0]
+    for j in scheme.block_indices():
+        _, w = neighborhood(scheme, j, 2)
+        if n_samples is not None and n_samples <= w.size:
+            raise LocalSingular(j, int(w.size), n_samples)
     local_blocks = {}
     for j in scheme.block_indices():
         _, w = neighborhood(scheme, j, 2)
@@ -219,7 +228,7 @@ class TestEstimatePrecision:
         # Seeds 0..4 realize errors between 0.048 and 0.125.
         shape = LatticeShape(p=2, d=1)
         truth = GroundTruth(
-            sigma=np.eye(2), omega=np.eye(2), kappa=1.0, geometry=shape,
+            omega=np.eye(2), kappa=1.0, geometry=shape,
             model_tag="identity",
         )
         for seed in range(5):
@@ -324,6 +333,19 @@ class TestEstimatePrecision:
             estimate_precision(z, truth.geometry, cfg)
         assert info.value.block is not None
         assert info.value.n_samples == 5
+
+    def test_window_of_n_vertices_fails_before_gram(self, monkeypatch):
+        # Every window is the whole 12-vertex lattice.  Twelve samples give a
+        # full-rank covariance that passes the pivot gate yet inverts to
+        # noise (relative error 12.9); the rule N > |w| refuses it before
+        # the band Gram is formed.
+        truth = build_lattice_precision(12, 1, 1)
+        z = sample(truth, 12, seed=0)
+        monkeypatch.setattr(estimator_module, "_band_gram", None)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=4)
+        with pytest.raises(LocalSingular) as info:
+            estimate_precision(z, truth.geometry, cfg)
+        assert (info.value.block, info.value.window_size, info.value.n_samples) == ((1,), 12, 12)
 
     def test_reflection_equivariance_blockwise(self):
         # Reversing the lattice maps the block partition onto itself when

@@ -1,14 +1,9 @@
-"""Maximin ordering, level assignment, and the scale diagonal."""
+"""Maximin ordering and level assignment."""
 
 import numpy as np
 import pytest
 
-from gpprec.hierarchy import (
-    LevelPartition,
-    assign_levels,
-    maximin_order,
-    scale_diagonal,
-)
+from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec.matching import measure_cloud
 
@@ -114,30 +109,3 @@ class TestAssignLevels:
             prefix = ordered_sites[: levels.prefix_size(k)]
             cover = np.max(np.min(np.abs(grid - prefix.ravel()[None, :]), axis=1))
             assert cover <= scale0 * 0.5 ** (k - 1) * 1.001
-
-
-class TestScaleDiagonal:
-    def test_single_level_is_sqrt2(self):
-        levels = LevelPartition.from_sizes([5])
-        np.testing.assert_allclose(scale_diagonal(levels, 1), np.sqrt(2.0))
-
-    def test_level_three_dimension_two(self):
-        levels = LevelPartition.from_sizes([1, 1, 1])
-        assert scale_diagonal(levels, 2)[2] == pytest.approx(8.0)
-
-    def test_nondecreasing_along_order(self):
-        levels = LevelPartition.from_sizes([2, 3, 1, 4])
-        entries = scale_diagonal(levels, 3)
-        assert np.all(np.diff(entries) >= 0)
-
-    def test_conjugation_consistency(self, rng):
-        # Scaling the covariance elementwise equals multiplying by the
-        # explicit diagonal on both sides.
-        from gpprec.verify import random_spd
-
-        levels = LevelPartition.from_sizes([1, 2, 3])
-        sigma = random_spd(rng, 6, 50.0)
-        dvec = scale_diagonal(levels, 2)
-        elementwise = sigma / np.outer(dvec, dvec)
-        explicit = np.diag(1.0 / dvec) @ sigma @ np.diag(1.0 / dvec)
-        assert np.max(np.abs(elementwise - explicit)) <= 1e-14 * np.max(np.abs(sigma))

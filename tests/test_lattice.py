@@ -1,4 +1,4 @@
-"""Lattice partition, neighborhoods, and restriction bookkeeping."""
+"""Lattice partition and neighborhood bookkeeping."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from gpprec.lattice import (
     build_scheme,
     lattice_points,
     neighborhood,
-    restrict,
 )
 
 
@@ -138,36 +137,3 @@ class TestNeighborhood:
         scheme = build_scheme(p=5, b=2, d=1)
         with pytest.raises(InvalidInput):
             neighborhood(scheme, (4,), 1)
-
-
-class TestRestrict:
-    def test_identity_subset(self):
-        rows = np.array([0, 2, 5])
-        np.testing.assert_array_equal(restrict(np.eye(6), rows, rows), np.eye(3))
-
-    def test_direct_indexing(self):
-        # a[i][j] = i + j + 2 in 0-based indexing mirrors a 1-based i + j table.
-        a = np.add.outer(np.arange(4), np.arange(4)) + 2.0
-        out = restrict(a, [0, 2], [1])
-        np.testing.assert_array_equal(out, [[3.0], [5.0]])
-
-    def test_full_restriction_is_identity(self, rng):
-        a = rng.standard_normal((5, 5))
-        np.testing.assert_array_equal(restrict(a, np.arange(5), np.arange(5)), a)
-
-    def test_composition(self, rng):
-        a = rng.standard_normal((8, 8))
-        r = np.array([0, 2, 3, 6])
-        c = np.array([1, 4, 5])
-        inner = restrict(a, r, c)
-        r_sub = np.array([0, 3, 6])
-        c_sub = np.array([1, 5])
-        pos_r = np.searchsorted(r, r_sub)
-        pos_c = np.searchsorted(c, c_sub)
-        np.testing.assert_array_equal(
-            restrict(inner, pos_r, pos_c), restrict(a, r_sub, c_sub)
-        )
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            restrict(np.eye(3), [0, 3], [0])

@@ -1,6 +1,7 @@
 """Dense kernel contracts: factorizations, inverses, norms, perturbations."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +142,15 @@ class TestSpectralNorm:
         want = h**d * top**s
         got = spectral_norm(build_lattice_precision(p, d, s).omega)
         assert abs(got - want) <= 1e-12 * want
+
+    def test_over_budget_fails_fast(self):
+        # The top of the 1-d Dirichlet spectrum clusters: at p = 2048 Lanczos
+        # needs about 26 000 matvecs, far over the restart budget.
+        a = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(2048, 2048)).tocsr()
+        started = time.perf_counter()
+        with pytest.raises(NumericalFailure):
+            spectral_norm(a)
+        assert time.perf_counter() - started < 2.0
 
     @staticmethod
     def _operands(a):

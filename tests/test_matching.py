@@ -18,7 +18,6 @@ from gpprec.matching import (
     embed_and_estimate,
     measure_cloud,
     pad_samples,
-    padded_truth,
     perfect_matching,
 )
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, l1_tail_profile, log_linear_fit, sample
@@ -236,7 +235,7 @@ class TestEmbedAndEstimate:
         sites = positions[1:6].ravel()
         cloud = measure_cloud(sites, 1)
         truth = GroundTruth(
-            sigma=np.eye(5), omega=np.eye(5), kappa=1.0, geometry=cloud,
+            omega=np.eye(5), kappa=1.0, geometry=cloud,
             model_tag="identity",
         )
         errs = []
@@ -252,7 +251,7 @@ class TestEmbedAndEstimate:
         # |estimate - 1| <= 0.05 at N=2000.
         cloud = measure_cloud(np.array([0.5]), 1)
         truth = GroundTruth(
-            sigma=np.eye(1), omega=np.eye(1), kappa=1.0, geometry=cloud,
+            omega=np.eye(1), kappa=1.0, geometry=cloud,
             model_tag="identity",
         )
         for seed in range(5):
@@ -293,22 +292,11 @@ class TestEmbedAndEstimate:
         ratio = np.median(scattered_errs) / np.median(lattice_errs)
         assert ratio <= 3.0
 
-    def test_padded_truth_structure(self):
-        sites = perturbed_grid(9, 1, 0.25, seed=3).ravel()
-        cloud = measure_cloud(sites, 1)
-        embedding, _ = build_embedding(cloud)
-        omega = build_lattice_precision(9, 1, 1).omega
-        padded = padded_truth(omega, embedding)
-        nodes = embedding.node_of_site
-        mask = np.zeros(embedding.shape.size, dtype=bool)
-        mask[nodes] = True
-        np.testing.assert_array_equal(padded[np.ix_(nodes, nodes)], omega)
-        np.testing.assert_array_equal(padded[np.ix_(~mask, ~mask)], np.eye(int((~mask).sum())))
-        assert np.all(padded[np.ix_(mask, ~mask)] == 0.0)
-
     def test_padded_truth_tail_decay(self):
-        # The padded precision keeps its exponential off-diagonal decay on
-        # the lattice; fit quality 0.9 or better.
+        # The precision of the padded problem (the site precision on the
+        # matched nodes, unit variance on the unmatched ones, as pad_samples
+        # draws them) keeps its exponential off-diagonal decay on the
+        # lattice; fit quality 0.9 or better.
         rng = np.random.Generator(np.random.Philox(key=21))
         sites = np.arange(1, 21) / 21 + rng.uniform(-0.25, 0.25, 20) / 21
         fine_m = 83
@@ -316,7 +304,9 @@ class TestEmbedAndEstimate:
         cloud = measure_cloud(snapped, 1)
         green = build_green_restriction(fine_m, 1, 2, cloud)
         embedding, _ = build_embedding(cloud)
-        padded = padded_truth(green.omega, embedding)
+        nodes = embedding.node_of_site
+        padded = np.eye(embedding.shape.size)
+        padded[np.ix_(nodes, nodes)] = green.omega
         ks, tails = l1_tail_profile(padded, embedding.shape)
         keep = tails > 1e-12
         slope, _, r2 = log_linear_fit(ks[keep], tails[keep])

@@ -1,5 +1,7 @@
 """Ground-truth models: construction, sampling, and structural diagnostics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from gpprec.matching import measure_cloud
 from gpprec.truth import (
     build_green_restriction,
     build_lattice_precision,
-    dirichlet_laplacian,
     l1_tail_profile,
     log_linear_fit,
     matern_covariance,
@@ -28,7 +29,7 @@ class TestLatticePrecision:
 
     def test_squared_operator_is_pentadiagonal(self):
         truth = build_lattice_precision(5, 1, 2)
-        a = dirichlet_laplacian(5, 1)
+        a = 36.0 * (2.0 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1))
         np.testing.assert_allclose(truth.omega, symmetrize(a @ a) / 6.0, rtol=1e-13)
         assert truth.omega[0, 3] == 0.0
 
@@ -43,6 +44,21 @@ class TestLatticePrecision:
         truth = build_lattice_precision(p, d, s)
         w = np.linalg.eigvalsh(truth.omega)
         assert truth.kappa == pytest.approx(w[-1] / w[0], rel=1e-9)
+
+    @pytest.mark.parametrize("p, d, s", [(8, 1, 1), (12, 1, 2), (6, 2, 2), (5, 3, 1)])
+    def test_closed_form_norm(self, p, d, s):
+        truth = build_lattice_precision(p, d, s)
+        assert truth.omega_norm == pytest.approx(np.linalg.eigvalsh(truth.omega)[-1], rel=1e-12)
+
+    def test_closed_form_norm_where_lanczos_stalls(self, monkeypatch):
+        # At (2048, 1, 1) a Lanczos norm would need about 26 000 matvecs.
+        monkeypatch.setattr(truth_module, "spectral_norm", None)
+        started = time.perf_counter()
+        truth = build_lattice_precision(2048, 1, 1)
+        norm = truth.omega_norm
+        assert time.perf_counter() - started < 1.0
+        top = 2049**2 * 4 * np.sin(2048 * np.pi / 4098) ** 2
+        assert norm == pytest.approx(top / 2049, rel=1e-14)
 
     @pytest.mark.parametrize("p, d, s", [(200, 1, 3), (500, 1, 3), (22, 2, 6)])
     def test_ill_conditioned_truth_rejected(self, p, d, s):
@@ -171,7 +187,7 @@ class TestSample:
         from gpprec.truth import GroundTruth
 
         truth = GroundTruth(
-            sigma=np.eye(3), omega=np.eye(3), kappa=1.0,
+            omega=np.eye(3), kappa=1.0,
             geometry=LatticeShape(3, 1), model_tag="identity",
         )
         z = sample(truth, 4, seed=9)
@@ -216,6 +232,16 @@ class TestSample:
         assert z.dtype == np.float64
         assert z.flags.c_contiguous
         assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("p,d,s,n", [(22, 2, 2, 300), (513, 1, 1, 200), (12, 1, 3, 50)])
+    def test_matches_cholesky_of_sigma(self, p, d, s, n):
+        # Lattice truths sample through inv(omega_factor)^T, which is the
+        # lower Cholesky factor of sigma up to roundoff.
+        truth = build_lattice_precision(p, d, s)
+        z = sample(truth, n, seed=7)
+        g = np.random.Generator(np.random.Philox(key=7)).standard_normal((n, truth.dim))
+        reference = g @ cholesky_lower(truth.sigma).T
+        assert np.max(np.abs(z - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_seeds_differ(self):
         truth = build_lattice_precision(4, 1, 1)
