@@ -27,10 +27,8 @@ from .errors import (
 from .estimator import (
     EstimatorConfig,
     PrecisionEstimate,
-    assemble_global,
     choose_block_size,
     estimate_precision,
-    local_estimate,
     ols_plugin_row,
 )
 from .hierarchy import (
@@ -50,6 +48,7 @@ from .linalg import (
     block_inverse_schur,
     cholesky_lower,
     condition_number,
+    reverse_cholesky,
     sample_covariance,
     spd_inverse,
     spd_sqrt,

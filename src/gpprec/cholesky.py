@@ -4,13 +4,16 @@ With sites grouped into levels ``1..q`` of a maximin ordering, the
 precision admits an upper-triangular factorization ``omega = U U^T``
 whose transpose has the explicit block form
 
-* diagonal: ``(U^T)_{k,k} = h^{kd/2} inv(Ltilde_k)``
-* below:    ``(U^T)_{k,l} = h^{-kd/2} Ltilde_k^T omega_k[J_k, J_l]``
+* diagonal: ``(U^T)_{k,k} = h^{kd/2} R_k^T``
+* below:    ``(U^T)_{k,l} = h^{-kd/2} R_k^{-1} omega_k[J_k, J_l]``
 
 where ``omega_k`` is the precision of the first ``k`` levels,
 ``B_k = h^{-kd} omega_k[J_k, J_k]`` is the well-conditioned stiffness
-block of scale ``k``, and ``Ltilde_k`` is the lower Cholesky factor of
-``inv(B_k)``.  ``h`` is fixed at 1/2.
+block of scale ``k``, and ``R_k`` is its reverse Cholesky factor,
+upper triangular with ``B_k = R_k R_k^T``.  The lower Cholesky factor
+``Ltilde_k`` of ``inv(B_k)`` in the usual statement of these formulas is
+``R_k^{-T}``, so neither ``inv(B_k)`` nor ``Ltilde_k`` is formed: the
+off-diagonal blocks are one triangular solve.  ``h`` is fixed at 1/2.
 
 A factor is one dense ``m x m`` array ``U`` in level order: the rows and
 columns of level ``k`` are ``levels.level_slice(k)``, so the ``(k, l)``
@@ -18,9 +21,9 @@ block of ``U^T`` is ``U.T[level_slice(k), level_slice(l)]`` and the
 precision is ``U @ U.T``.
 
 Estimation plugs per-scale precision estimates into the same formulas.
-A square-root variant replaces the triangular factors with symmetric
-roots of ``B_k``, trading the entrywise triangular structure for a
-slightly better perturbation constant.  Scales are independent given the
+A square-root variant replaces ``R_k`` with the symmetric root of
+``B_k``, trading the entrywise triangular structure for a slightly
+better perturbation constant.  Scales are independent given the
 samples, so they could be estimated in parallel.
 """
 
@@ -30,18 +33,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve, solve_triangular
 
 from .errors import InvalidInput, NotPositiveDefinite
 from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
-from .linalg import (
-    cholesky_lower,
-    sample_covariance,
-    spd_inverse,
-    spd_sqrt,
-    symmetrize,
-)
+from .linalg import reverse_cholesky, sample_covariance, spd_inverse, spd_sqrt, symmetrize
 from .matching import embed_and_estimate, measure_cloud
 
 __all__ = [
@@ -60,19 +57,17 @@ class ScaleEstimates:
     """Per-scale ingredients of the factor assembly.
 
     ``omegas[k-1]`` is the (estimated or exact) precision on the first
-    ``k`` levels, ``b_blocks[k-1]`` the scale's stiffness block, and
-    ``ltilde[k-1]`` the lower Cholesky factor of its inverse.  Each holds
-    exactly one entry per level of ``levels``.
+    ``k`` levels and ``b_blocks[k-1]`` the scale's stiffness block.  Each
+    holds exactly one entry per level of ``levels``.
     """
 
     levels: LevelPartition
     d: int
     omegas: tuple
     b_blocks: tuple
-    ltilde: tuple
 
     def __post_init__(self):
-        for name in ("omegas", "b_blocks", "ltilde"):
+        for name in ("omegas", "b_blocks"):
             count = len(getattr(self, name))
             if count != self.levels.q:
                 raise InvalidInput(
@@ -95,25 +90,20 @@ def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int) -> np.ndarra
         )
     sl = levels.level_slice(k)
     block = symmetrize(H_SCALE ** (-k * d) * omega_k_hat[sl, sl])
-    cholesky_lower(block)
+    reverse_cholesky(block)
     return block
 
 
 def _scales_from(levels: LevelPartition, d: int, omegas: list) -> ScaleEstimates:
     b_blocks = []
-    ltilde = []
     for k, omega_k in enumerate(omegas, start=1):
         try:
-            b = estimate_B(omega_k, levels, k, d)
-            ltilde.append(cholesky_lower(spd_inverse(b)))
+            b_blocks.append(estimate_B(omega_k, levels, k, d))
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 f"scale {k}: {exc}", pivot=exc.pivot, scale=k
             ) from exc
-        b_blocks.append(b)
-    return ScaleEstimates(
-        levels=levels, d=d, omegas=tuple(omegas), b_blocks=tuple(b_blocks), ltilde=tuple(ltilde)
-    )
+    return ScaleEstimates(levels=levels, d=d, omegas=tuple(omegas), b_blocks=tuple(b_blocks))
 
 
 def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEstimates:
@@ -121,9 +111,9 @@ def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEst
 
     ``omega`` must be SPD and ordered by the level partition.  ``factor``
     is its upper-triangular ``U`` with ``omega = U U^T``
-    (``GroundTruth.omega_factor``); when omitted it is computed here as
-    the reverse Cholesky factor.  The precision of the first ``n_k``
-    variables is the inverse of their covariance block, which is
+    (``GroundTruth.omega_factor``); when omitted it is computed here by
+    :func:`gpprec.linalg.reverse_cholesky`.  The precision of the first
+    ``n_k`` variables is the inverse of their covariance block, which is
     ``U[:n_k, :n_k] U[:n_k, :n_k]^T`` because ``U^{-1}`` is upper
     triangular too; the last scale's is ``omega`` itself.  No inverse is
     formed.
@@ -132,7 +122,7 @@ def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEst
     if omega.shape != (levels.m, levels.m):
         raise InvalidInput(f"omega must be {(levels.m, levels.m)}, got {omega.shape}")
     if factor is None:
-        factor = cholesky_lower(omega[::-1, ::-1])[::-1, ::-1]
+        factor = reverse_cholesky(omega)
     omegas = []
     for k in range(1, levels.q):
         lead = factor[: levels.prefix_size(k), : levels.prefix_size(k)]
@@ -141,54 +131,46 @@ def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEst
     return _scales_from(levels, d, omegas)
 
 
-def _assemble(scales: ScaleEstimates, per_scale) -> np.ndarray:
-    """Dense ``U`` from ``(diagonal, left)`` pairs, one per scale.
+def _assemble(scales: ScaleEstimates, roots, solve_root) -> np.ndarray:
+    """Dense ``U`` from one root ``R_k`` with ``B_k = R_k R_k^T`` per scale.
 
-    Scale ``k`` writes ``h^{kd/2} diagonal`` into the diagonal block of
-    ``U^T`` and ``h^{-kd/2} left @ omega_k[J_k, J_1..J_{k-1}]`` into the
-    row slab left of it; ``left`` is not read at ``k = 1``.
+    Scale ``k`` writes ``h^{kd/2} R_k^T`` into the diagonal block of
+    ``U^T`` and ``h^{-kd/2} R_k^{-1} omega_k[J_k, J_1..J_{k-1}]``, taken
+    by ``solve_root(R_k, slab)``, into the row slab left of it.
     """
     levels, d = scales.levels, scales.d
     ut = np.zeros((levels.m, levels.m))
-    for k, (diagonal, left) in enumerate(per_scale, start=1):
+    for k, root in enumerate(roots, start=1):
         sl = levels.level_slice(k)
-        ut[sl, sl] = H_SCALE ** (k * d / 2.0) * diagonal
+        ut[sl, sl] = H_SCALE ** (k * d / 2.0) * root.T
         if k > 1:
             prev = levels.prefix_size(k - 1)
-            ut[sl, :prev] = H_SCALE ** (-k * d / 2.0) * (left @ scales.omegas[k - 1][sl, :prev])
+            slab = scales.omegas[k - 1][sl, :prev]
+            ut[sl, :prev] = H_SCALE ** (-k * d / 2.0) * solve_root(root, slab)
     return ut.T
 
 
 def assemble_U(scales: ScaleEstimates) -> np.ndarray:
-    """Dense block upper-triangular factor ``U`` from per-scale estimates.
+    """Dense upper-triangular factor ``U`` from per-scale estimates.
 
-    Diagonal blocks of ``U^T`` invert the triangular ``Ltilde_k``;
-    off-diagonal blocks multiply its transpose into the in-scale precision
-    slices.
+    ``R_k`` is the reverse Cholesky factor of ``B_k``: the diagonal blocks
+    of ``U^T`` are ``R_k^T`` and the blocks left of them one triangular
+    solve of ``R_k`` against the in-scale precision slices.
     """
-    return _assemble(
-        scales,
-        (
-            (solve_triangular(ltilde, np.eye(ltilde.shape[0]), lower=True), ltilde.T)
-            for ltilde in scales.ltilde
-        ),
-    )
+    return _assemble(scales, map(reverse_cholesky, scales.b_blocks), solve_triangular)
 
 
 def assemble_U_star(scales: ScaleEstimates) -> np.ndarray:
     """Square-root variant of the factor assembly, as a dense ``U*``.
 
-    Uses ``inv(sqrt(B_k))`` in place of ``Ltilde_k^T`` off the diagonal
-    and ``h^{kd/2} sqrt(B_k)`` on it.  The result is block upper
-    triangular but not entrywise triangular; it reconstructs the same
-    precision.
+    ``R_k`` is the symmetric root ``sqrt(B_k)``, taken once per scale.  The
+    result is block upper triangular but not entrywise triangular; it
+    reconstructs the same precision.
     """
     return _assemble(
         scales,
-        (
-            (spd_sqrt(b_k), spd_sqrt(spd_inverse(b_k)) if k > 1 else None)
-            for k, b_k in enumerate(scales.b_blocks, start=1)
-        ),
+        map(spd_sqrt, scales.b_blocks),
+        lambda root, slab: solve(root, slab, assume_a="pos"),
     )
 
 

@@ -36,8 +36,6 @@ __all__ = [
     "EstimatorConfig",
     "PrecisionEstimate",
     "choose_block_size",
-    "local_estimate",
-    "assemble_global",
     "estimate_precision",
     "ols_plugin_row",
 ]
@@ -116,13 +114,6 @@ def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
     return gram
 
 
-def _covariance_source(data: np.ndarray, scheme: BlockScheme, population: bool):
-    """The exactly symmetric matrix every window is sliced from."""
-    if population:
-        return symmetrize(data)
-    return _band_gram(data, scheme)
-
-
 def _window(scheme: BlockScheme, j, n_samples) -> np.ndarray:
     """Sorted vertices of the radius-2 window of block ``j``.
 
@@ -154,65 +145,6 @@ def _kept_columns(source, scheme: BlockScheme, j, w, n_samples):
     unit = np.zeros((w.size, kept.size))
     unit[kept, np.arange(kept.size)] = 1.0
     return cho_solve((factor, True), unit, check_finite=False)
-
-
-def local_estimate(data, scheme: BlockScheme, j, jp, population: bool = False) -> np.ndarray:
-    """Local estimate of the precision block ``(j, jp)``.
-
-    Solves the covariance on the radius-2 window of ``j`` for the columns of
-    ``B_j`` and returns the transpose of their ``B_jp`` rows, that is the
-    ``B_j x B_jp`` block of the window inverse.  Requires
-    ``|j - jp|_inf <= 1``.  Raises ``LocalSingular`` (carrying the window
-    size and sample count) when the window holds at least ``N`` vertices or
-    its covariance is not SPD.
-    """
-    j = scheme.validate_block(j)
-    jp = scheme.validate_block(jp)
-    if max(abs(a - b) for a, b in zip(j, jp)) > 1:
-        raise InvalidInput(f"blocks {j} and {jp} are not within the banded range")
-    data = np.asarray(data, dtype=np.float64)
-    n_samples = None if population else data.shape[0]
-    w = _window(scheme, j, n_samples)
-    cols = _kept_columns(_covariance_source(data, scheme, population), scheme, j, w, n_samples)
-    return cols[np.searchsorted(w, scheme.membership[jp])].T.copy()
-
-
-def _symmetrized(raw: np.ndarray, scheme: BlockScheme) -> PrecisionEstimate:
-    return PrecisionEstimate(
-        matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
-    )
-
-
-def assemble_global(local_blocks: dict, scheme: BlockScheme) -> PrecisionEstimate:
-    """Assemble local blocks into the symmetrized global estimate.
-
-    ``local_blocks`` maps each ordered block pair ``(j, jp)`` with
-    sup-distance at most 1 to its ``B_j x B_jp`` block, exactly one entry
-    per pair.  Off-band entries of the result are zero; the returned matrix
-    is ``(raw + raw.T) / 2`` and exactly symmetric.
-    """
-    expected = {
-        (j, jp) for j in scheme.block_indices() for jp in neighborhood(scheme, j, 1)[0]
-    }
-    got = set(local_blocks)
-    if got != expected:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        raise InvalidInput(
-            f"local estimates do not cover the band exactly "
-            f"(missing {missing[:3]}..., extra {extra[:3]}...)"
-        )
-    m = scheme.shape.size
-    raw = np.zeros((m, m))
-    for (j, jp), block in local_blocks.items():
-        rows = scheme.membership[j]
-        cols = scheme.membership[jp]
-        if block.shape != (rows.size, cols.size):
-            raise InvalidInput(
-                f"block {(j, jp)} has shape {block.shape}, expected {(rows.size, cols.size)}"
-            )
-        raw[np.ix_(rows, cols)] = block
-    return _symmetrized(raw, scheme)
 
 
 def estimate_precision(
@@ -269,15 +201,17 @@ def estimate_precision(
         b = config.b_override or choose_block_size(n, kappa)
     scheme = build_scheme(shape.p, b, shape.d)
     windows = [(j, _window(scheme, j, n_samples)) for j in scheme.block_indices()]
-    source = _covariance_source(data, scheme, population)
-    # Each window fills the B_j columns of its in-band rows; the raw matrix
-    # is the transpose of assemble_global's, which symmetrization absorbs.
+    # The exactly symmetric matrix every window is sliced from.
+    source = symmetrize(data) if population else _band_gram(data, scheme)
+    # Each window fills the B_j columns of its in-band rows.
     raw = np.zeros((m, m))
     for j, w in windows:
         cols = _kept_columns(source, scheme, j, w, n_samples)
         _, near = neighborhood(scheme, j, 1)
         raw[np.ix_(near, scheme.membership[j])] = cols[np.searchsorted(w, near)]
-    return _symmetrized(raw, scheme)
+    return PrecisionEstimate(
+        matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
+    )
 
 
 def ols_plugin_row(samples, i: int) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "symmetrize",
     "sample_covariance",
     "cholesky_lower",
+    "reverse_cholesky",
     "spd_inverse",
     "spectral_norm",
     "condition_number",
@@ -148,6 +149,17 @@ def cholesky_lower(a) -> np.ndarray:
             pivot=int(bad[0]),
         )
     return c
+
+
+def reverse_cholesky(a) -> np.ndarray:
+    """Upper-triangular ``R`` with ``R R^T = a``, the reverse Cholesky factor.
+
+    ``a`` with its rows and columns flipped is factored by
+    :func:`cholesky_lower`, with its pivot gate, and the factor is flipped
+    back, so ``R`` has a strictly positive diagonal.  A failing pivot is
+    counted from the last row and column of ``a``.
+    """
+    return cholesky_lower(_as_square(a)[::-1, ::-1])[::-1, ::-1]
 
 
 def spd_inverse(a) -> np.ndarray:

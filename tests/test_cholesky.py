@@ -17,7 +17,13 @@ from gpprec.errors import InvalidInput, NotPositiveDefinite
 from gpprec.estimator import EstimatorConfig
 from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
 from gpprec.lattice import lattice_points
-from gpprec.linalg import sample_covariance, spd_inverse, spectral_norm, symmetrize
+from gpprec.linalg import (
+    cholesky_lower,
+    sample_covariance,
+    spd_inverse,
+    spectral_norm,
+    symmetrize,
+)
 from gpprec.matching import measure_cloud
 from gpprec.truth import GroundTruth, build_lattice_precision, sample
 from gpprec.verify import random_spd
@@ -83,8 +89,6 @@ class TestExactBlockFactor:
     def test_scale_conjugated_covariance_identity(self, rng):
         # The lower Cholesky factor of the scale-conjugated covariance
         # equals inv(D) @ inv(U).T, tying the factor to the scale diagonal.
-        from gpprec.linalg import cholesky_lower
-
         levels = LevelPartition.from_sizes([1, 2, 4])
         d = 2
         omega = random_spd(rng, 7, 200.0)
@@ -220,6 +224,30 @@ class TestEstimateCholesky:
             )
         assert np.median(u_errs) <= 5.0 * np.median(prec_errs)
         assert np.median(star_errs) <= 1.2 * np.median(u_errs)
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    def test_full_inverse_route_is_inverse_sample_factor(self, n):
+        # Without a cloud every scale inverts its sample covariance, as the
+        # CLI's factor rows do, so the factor is that of inv(S): the upper
+        # factor inv(L)^T with S = L L^T.  On the 2-d p = 22 truth in
+        # maximin order seed 3 agrees to 1.9e-14 (N = 1000) and 2.0e-14
+        # (N = 4000).
+        truth = build_lattice_precision(22, 2, 2)
+        cloud = measure_cloud(lattice_points(truth.geometry), 2)
+        ordering = maximin_order(cloud)
+        levels = assign_levels(ordering)
+        permuted = GroundTruth(
+            omega=truth.omega[np.ix_(ordering.perm, ordering.perm)],
+            kappa=truth.kappa,
+            geometry=cloud,
+            model_tag=truth.model_tag,
+        )
+        z = sample(permuted, n, seed=3)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa)
+        u = assemble_U(estimate_scales(z, levels, cfg, d=2))
+        want = np.linalg.inv(cholesky_lower(sample_covariance(z))).T
+        assert levels.q > 1
+        assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_scale_failure_carries_index(self):
         truth, levels = nested_truth(3)

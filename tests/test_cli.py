@@ -16,7 +16,13 @@ from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, ResultRow, main
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import lattice_points
-from gpprec.linalg import cholesky_lower, spd_inverse, spectral_norm, symmetrize
+from gpprec.linalg import (
+    cholesky_lower,
+    reverse_cholesky,
+    spd_inverse,
+    spectral_norm,
+    symmetrize,
+)
 from gpprec.matching import measure_cloud
 from gpprec.verify import run_suites
 
@@ -115,15 +121,15 @@ class TestEstimate:
             assert float(row[9]) > 0.0
 
     def test_factor_rows_share_one_sigma_factor(self, monkeypatch, capsys):
-        # The maximin-permuted truth is built once per run, so its sigma is
+        # The maximin-permuted truth is built once per run, so its omega is
         # factored once however many rows sample it.
         calls = []
 
         def counting(a):
             calls.append(a.shape)
-            return cholesky_lower(a)
+            return reverse_cholesky(a)
 
-        monkeypatch.setattr(truth_module, "cholesky_lower", counting)
+        monkeypatch.setattr(truth_module, "reverse_cholesky", counting)
         code = run_cli(
             "estimate", "--model", "laplacian", "--d", "1", "--p", "7", "--s", "1",
             "--n", "1000,2000", "--seeds", "0,1", "--factor", "cholesky",
@@ -231,6 +237,9 @@ class TestEstimate:
         monkeypatch.setattr(truth_module, "spd_inverse", counting(inverses, spd_inverse))
         monkeypatch.setattr(
             truth_module, "cholesky_lower", counting(factorizations, cholesky_lower)
+        )
+        monkeypatch.setattr(
+            truth_module, "reverse_cholesky", counting(factorizations, reverse_cholesky)
         )
         code = run_cli(
             "estimate", "--model", "laplacian", "--d", "2", "--p", "6", "--s", "2",

@@ -1,4 +1,4 @@
-"""Blockwise lattice estimator: local blocks, assembly, routes, regression view."""
+"""Blockwise lattice estimator: window bias, assembly, routes, regression view."""
 
 import math
 
@@ -12,16 +12,15 @@ from gpprec.estimator import (
     FALLBACK,
     EstimatorConfig,
     _band_gram,
-    assemble_global,
     choose_block_size,
     estimate_precision,
-    local_estimate,
     ols_plugin_row,
 )
 from gpprec.lattice import LatticeShape, build_scheme, neighborhood
 from gpprec.linalg import sample_covariance, spd_inverse, spectral_norm, symmetrize
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, sample
 from gpprec.matching import measure_cloud
+from oracle import assemble, reference_estimate, window_block
 
 
 def banded_block_truth(p, b, rng):
@@ -45,36 +44,6 @@ def dense_lattice_truth(p=40, s=2):
     return build_green_restriction(fine_m, 1, s, cloud)
 
 
-def reference_estimate(data, scheme, population=False):
-    """Blockwise estimate with one covariance and one full inverse per window.
-
-    Like the estimator, it refuses a window of at least N vertices before
-    inverting anything.
-    """
-    n_samples = None if population else data.shape[0]
-    for j in scheme.block_indices():
-        _, w = neighborhood(scheme, j, 2)
-        if n_samples is not None and n_samples <= w.size:
-            raise LocalSingular(j, int(w.size), n_samples)
-    local_blocks = {}
-    for j in scheme.block_indices():
-        _, w = neighborhood(scheme, j, 2)
-        if population:
-            cov = symmetrize(data[np.ix_(w, w)])
-        else:
-            cov = sample_covariance(data[:, w])
-        try:
-            inv = spd_inverse(cov)
-        except NotPositiveDefinite as exc:
-            raise LocalSingular(j, int(w.size), n_samples) from exc
-        rows = np.searchsorted(w, scheme.membership[j])
-        near, _ = neighborhood(scheme, j, 1)
-        for jp in near:
-            cols = np.searchsorted(w, scheme.membership[jp])
-            local_blocks[(j, jp)] = inv[np.ix_(rows, cols)]
-    return assemble_global(local_blocks, scheme).matrix
-
-
 class TestChooseBlockSize:
     def test_floor_at_one(self):
         assert choose_block_size(1, 1.0) == 1
@@ -93,13 +62,15 @@ class TestChooseBlockSize:
 
 
 class TestLocalEstimate:
+    """Local window blocks: the oracle's population blocks against the truth."""
+
     def test_diagonal_precision_recovered_exactly(self):
         p, b = 12, 2
         scheme = build_scheme(p, b, 1)
         omega = np.diag(np.linspace(1.0, 3.0, p))
         sigma = np.diag(1.0 / np.diag(omega))
         for j in scheme.block_indices():
-            t_jj = local_estimate(sigma, scheme, j, j, population=True)
+            t_jj = window_block(sigma, scheme, j, j)
             np.testing.assert_allclose(
                 t_jj, omega[np.ix_(scheme.membership[j], scheme.membership[j])], atol=1e-12
             )
@@ -112,7 +83,7 @@ class TestLocalEstimate:
         for j in scheme.block_indices():
             near, _ = neighborhood(scheme, j, 1)
             for jp in near:
-                t_block = local_estimate(truth.sigma, scheme, j, jp, population=True)
+                t_block = window_block(truth.sigma, scheme, j, jp)
                 want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
                 assert np.max(np.abs(t_block - want)) <= 1e-10 * spectral_norm(truth.omega)
 
@@ -124,7 +95,7 @@ class TestLocalEstimate:
         for j in scheme.block_indices():
             near, _ = neighborhood(scheme, j, 1)
             for jp in near:
-                t_block = local_estimate(truth.sigma, scheme, j, jp, population=True)
+                t_block = window_block(truth.sigma, scheme, j, jp)
                 want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
                 err = np.linalg.norm(t_block - want, 2) / norm
                 assert err <= truth.kappa * math.exp(-12) + 1e-12
@@ -141,26 +112,22 @@ class TestLocalEstimate:
             for j in scheme.block_indices():
                 near, _ = neighborhood(scheme, j, 1)
                 for jp in near:
-                    t_block = local_estimate(truth.sigma, scheme, j, jp, population=True)
+                    t_block = window_block(truth.sigma, scheme, j, jp)
                     want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
                     worst = max(worst, np.linalg.norm(t_block - want, 2) / norm)
             assert 0.0 < worst <= truth.kappa * math.exp(-3 * b)
 
-    def test_out_of_band_pair_rejected(self):
-        scheme = build_scheme(12, 2, 1)
-        with pytest.raises(InvalidInput):
-            local_estimate(np.eye(12), scheme, (1,), (3,), population=True)
-
     def test_singular_window_reports_context(self):
-        scheme = build_scheme(8, 2, 1)
         z = np.ones((3, 8))
         with pytest.raises(LocalSingular) as info:
-            local_estimate(z, scheme, (1,), (1,), population=False)
+            estimate_precision(z, LatticeShape(p=8, d=1), EstimatorConfig(b_override=2))
         assert info.value.n_samples == 3
         assert info.value.window_size == 6
 
 
 class TestAssembleGlobal:
+    """Global assembly of local blocks, on the oracle's assembly."""
+
     def test_identity_on_banded_truth(self, rng):
         scheme, omega = banded_block_truth(12, 2, rng)
         locals_map = {}
@@ -170,8 +137,7 @@ class TestAssembleGlobal:
                 locals_map[(j, jp)] = omega[
                     np.ix_(scheme.membership[j], scheme.membership[jp])
                 ]
-        est = assemble_global(locals_map, scheme)
-        np.testing.assert_allclose(est.matrix, omega, atol=1e-14)
+        np.testing.assert_allclose(assemble(locals_map, scheme), omega, atol=1e-14)
 
     def test_symmetrization_of_disagreeing_blocks(self):
         scheme = build_scheme(4, 2, 1)
@@ -183,9 +149,9 @@ class TestAssembleGlobal:
             ((1,), (2,)): x,
             ((2,), (1,)): y,
         }
-        est = assemble_global(locals_map, scheme)
-        np.testing.assert_allclose(est.matrix[:2, 2:], 0.5 * (x + y.T))
-        assert np.array_equal(est.matrix, est.matrix.T)
+        est = assemble(locals_map, scheme)
+        np.testing.assert_allclose(est[:2, 2:], 0.5 * (x + y.T))
+        assert np.array_equal(est, est.T)
 
     def test_assembly_error_bound(self, rng):
         # Assembled error is at most 3**d times the worst block error plus
@@ -197,12 +163,12 @@ class TestAssembleGlobal:
         for j in scheme.block_indices():
             near, _ = neighborhood(scheme, j, 1)
             for jp in near:
-                block = local_estimate(truth.sigma, scheme, j, jp, population=True)
+                block = window_block(truth.sigma, scheme, j, jp)
                 block += 0.01 * rng.standard_normal(block.shape) * np.abs(block).max()
                 locals_map[(j, jp)] = block
                 want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
                 worst_block = max(worst_block, np.linalg.norm(block - want, 2))
-        est = assemble_global(locals_map, scheme)
+        est = assemble(locals_map, scheme)
         raw = np.zeros_like(truth.omega)
         for (j, jp), block in locals_map.items():
             raw[np.ix_(scheme.membership[j], scheme.membership[jp])] = block
@@ -215,12 +181,7 @@ class TestAssembleGlobal:
         lhs = np.linalg.norm(raw - truth.omega, 2)
         rhs = 3.0 * worst_block + spectral_norm(symmetrize(remainder))
         assert lhs <= rhs
-        assert np.array_equal(est.matrix, est.matrix.T)
-
-    def test_missing_pair_rejected(self):
-        scheme = build_scheme(4, 2, 1)
-        with pytest.raises(InvalidInput):
-            assemble_global({((1,), (1,)): np.eye(2)}, scheme)
+        assert np.array_equal(est, est.T)
 
 
 class TestEstimatePrecision:

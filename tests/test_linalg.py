@@ -14,6 +14,7 @@ from gpprec.linalg import (
     block_inverse_schur,
     cholesky_lower,
     condition_number,
+    reverse_cholesky,
     sample_covariance,
     spd_inverse,
     spd_sqrt,
@@ -89,6 +90,34 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInput):
             cholesky_lower(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+class TestReverseCholesky:
+    def test_upper_with_positive_diagonal(self, rng):
+        for a in spd_corpus(rng):
+            r = reverse_cholesky(a)
+            assert np.all(np.tril(r, -1) == 0.0)
+            assert np.all(np.diag(r) > 0.0)
+
+    def test_reproduces_input(self, rng):
+        for a in spd_corpus(rng):
+            r = reverse_cholesky(a)
+            res = spectral_norm(symmetrize(r @ r.T - a))
+            assert res <= 1e-12 * spectral_norm(a)
+
+    def test_hand_factorization(self):
+        # [[4, 2], [2, 5]] = R R^T with R = [[a, b], [0, sqrt(5)]].
+        r = reverse_cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
+        c = 2.0 / math.sqrt(5.0)
+        np.testing.assert_allclose(r, [[math.sqrt(4.0 - c * c), c], [0.0, math.sqrt(5.0)]])
+
+    @pytest.mark.parametrize(
+        "a", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.diag([1.0, 1e-30, 1.0])],
+        ids=["indefinite", "singular", "tiny-pivot"],
+    )
+    def test_not_spd_rejected(self, a):
+        with pytest.raises(NotPositiveDefinite):
+            reverse_cholesky(np.asarray(a))
 
 
 class TestSpdInverse:

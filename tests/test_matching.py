@@ -102,21 +102,23 @@ class TestMeasureCloud:
 class TestBuildTargetLattice:
     def test_ceiling_rule(self):
         cloud = measure_cloud(np.array([0.5]), 1)
-        shape, positions = build_target_lattice(cloud, 0.5)
+        shape = build_target_lattice(cloud, 0.5)
+        positions = lattice_points(shape)
         assert shape.p == 4
         assert positions.shape == (4, 1)
         np.testing.assert_allclose(positions.ravel(), [0.2, 0.4, 0.6, 0.8])
 
     def test_exact_integer_ceiling(self):
         cloud = measure_cloud(np.array([0.5]), 1)
-        shape, _ = build_target_lattice(cloud, 0.4)
+        shape = build_target_lattice(cloud, 0.4)
         assert shape.p == 5
 
     def test_grid_cloud_sizing(self):
         # The 9-point regular grid has fill distance exactly 0.1, so the
         # lattice side is ceil(1 / 0.05) = 20 with node spacing 1/21.
         cloud = measure_cloud(np.arange(1, 10) / 10, 1)
-        shape, positions = build_target_lattice(cloud, 0.5)
+        shape = build_target_lattice(cloud, 0.5)
+        positions = lattice_points(shape)
         assert shape.p == 20
         assert positions[1, 0] - positions[0, 0] == pytest.approx(1.0 / 21)
 
@@ -124,7 +126,7 @@ class TestBuildTargetLattice:
         sites = perturbed_grid(25, 2, 0.3, seed=4)
         cloud = measure_cloud(sites, 2)
         for c1 in (0.9, 0.5, 0.3):
-            shape, _ = build_target_lattice(cloud, c1)
+            shape = build_target_lattice(cloud, c1)
             assert 1.0 / (shape.p + 1) < cloud.h
 
     def test_capacity_cap(self):
@@ -136,7 +138,8 @@ class TestBuildTargetLattice:
 class TestPerfectMatching:
     def test_sites_on_nodes_have_zero_displacement(self):
         # With a tiny radius each site's only candidate is its own node.
-        shape, positions = build_target_lattice(measure_cloud(np.array([0.5]), 1), 0.3)
+        shape = build_target_lattice(measure_cloud(np.array([0.5]), 1), 0.3)
+        positions = lattice_points(shape)
         cloud = measure_cloud(positions[1:5].ravel(), 1)
         embedding = perfect_matching(cloud, shape, radius=1e-9)
         assert embedding.displacement == 0.0
@@ -196,7 +199,8 @@ class TestPerfectMatching:
     @pytest.mark.parametrize("d, m", [(1, 60), (2, 80), (3, 50)])
     def test_candidate_graph_matches_all_pairs_reference(self, rng, d, m):
         cloud = measure_cloud(rng.uniform(0.01, 0.99, size=(m, d)), d)
-        shape, positions = build_target_lattice(cloud, 0.5)
+        shape = build_target_lattice(cloud, 0.5)
+        positions = lattice_points(shape)
         for radius in (cloud.h, 0.5 * cloud.h, 2.0 / (shape.p + 1)):
             graph = _candidate_graph(cloud, positions, radius)
             got = [graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist() for i in range(m)]
@@ -231,7 +235,8 @@ class TestPerfectMatching:
 
 class TestEmbedAndEstimate:
     def test_identity_truth_on_lattice_sites(self):
-        shape, positions = build_target_lattice(measure_cloud(np.array([0.5]), 1), 0.25)
+        shape = build_target_lattice(measure_cloud(np.array([0.5]), 1), 0.25)
+        positions = lattice_points(shape)
         sites = positions[1:6].ravel()
         cloud = measure_cloud(sites, 1)
         truth = GroundTruth(

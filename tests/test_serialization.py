@@ -85,11 +85,11 @@ class TestFactorFormat:
             "1 1 1 1\n"
             "1.8973665961010278\n"
             "2 1 2 1\n"
-            "0.63245553203367599\n"
+            "0.63245553203367588\n"
             "0\n"
             "2 2 2 2\n"
-            "1.5811388300841893 0\n"
-            "0.70710678118654735 1.4142135623730949\n"
+            "1.5811388300841898 0\n"
+            "0.70710678118654746 1.4142135623730951\n"
         )
         back, _, _ = ser.parse_factor(text)
         np.testing.assert_array_equal(back, u)

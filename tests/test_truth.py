@@ -8,7 +8,7 @@ import pytest
 from gpprec.errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec import truth as truth_module
-from gpprec.linalg import cholesky_lower, spectral_norm, symmetrize
+from gpprec.linalg import cholesky_lower, reverse_cholesky, spectral_norm, symmetrize
 from gpprec.matching import measure_cloud
 from gpprec.truth import (
     build_green_restriction,
@@ -114,7 +114,9 @@ class TestLatticePrecision:
             a += term
         a *= (p + 1) ** 2
         want = symmetrize((1.0 / (p + 1)) ** d * np.linalg.matrix_power(a, s))
-        np.testing.assert_array_equal(build_lattice_precision(p, d, s).omega, want)
+        omega = build_lattice_precision(p, d, s).omega
+        np.testing.assert_array_equal(omega, want)
+        assert np.array_equal(omega, omega.T)
 
 
 class TestGreenRestriction:
@@ -212,9 +214,9 @@ class TestSample:
 
         def counting(a):
             calls.append(a.shape)
-            return cholesky_lower(a)
+            return reverse_cholesky(a)
 
-        monkeypatch.setattr(truth_module, "cholesky_lower", counting)
+        monkeypatch.setattr(truth_module, "reverse_cholesky", counting)
         truth = build_lattice_precision(6, 1, 1)
         first = sample(truth, 20, seed=5)
         np.testing.assert_array_equal(sample(truth, 20, seed=5), first)
