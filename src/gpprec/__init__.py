@@ -30,6 +30,7 @@ from .estimator import (
     choose_block_size,
     estimate_precision,
     ols_plugin_row,
+    plan_estimate,
 )
 from .hierarchy import (
     LevelPartition,
@@ -62,7 +63,9 @@ from .matching import (
     build_embedding,
     build_target_lattice,
     embed_and_estimate,
+    estimate_padded,
     measure_cloud,
+    pad_samples,
     perfect_matching,
 )
 from .truth import (

@@ -57,17 +57,20 @@ class ScaleEstimates:
     """Per-scale ingredients of the factor assembly.
 
     ``omegas[k-1]`` is the (estimated or exact) precision on the first
-    ``k`` levels and ``b_blocks[k-1]`` the scale's stiffness block.  Each
-    holds exactly one entry per level of ``levels``.
+    ``k`` levels, ``b_blocks[k-1]`` the scale's stiffness block ``B_k``
+    and ``b_roots[k-1]`` its reverse Cholesky factor ``R_k``, the factor
+    of the SPD gate in :func:`estimate_B`.  Each holds exactly one entry
+    per level of ``levels``.
     """
 
     levels: LevelPartition
     d: int
     omegas: tuple
     b_blocks: tuple
+    b_roots: tuple
 
     def __post_init__(self):
-        for name in ("omegas", "b_blocks"):
+        for name in ("omegas", "b_blocks", "b_roots"):
             count = len(getattr(self, name))
             if count != self.levels.q:
                 raise InvalidInput(
@@ -75,12 +78,15 @@ class ScaleEstimates:
                 )
 
 
-def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int) -> np.ndarray:
-    """Stiffness block ``h^{-kd} omega_k[J_k, J_k]`` of scale ``k``.
+def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int):
+    """Stiffness block ``B_k = h^{-kd} omega_k[J_k, J_k]`` of scale ``k`` and its factor.
 
-    ``omega_k_hat`` must be indexed by the first ``k`` levels in level
-    order.  Raises ``NotPositiveDefinite`` when the scaled block is not
-    SPD, which signals an insufficient sample size at this scale.
+    Returns ``(B_k, R_k)`` with ``R_k`` the reverse Cholesky factor,
+    upper triangular with ``B_k = R_k R_k^T``.  ``omega_k_hat`` must be
+    indexed by the first ``k`` levels in level order.  The factorization
+    is the SPD gate: it raises ``NotPositiveDefinite`` when the scaled
+    block is not SPD, which signals an insufficient sample size at this
+    scale.
     """
     omega_k_hat = np.asarray(omega_k_hat, dtype=np.float64)
     expected = levels.prefix_size(k)
@@ -90,20 +96,22 @@ def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int) -> np.ndarra
         )
     sl = levels.level_slice(k)
     block = symmetrize(H_SCALE ** (-k * d) * omega_k_hat[sl, sl])
-    reverse_cholesky(block)
-    return block
+    return block, reverse_cholesky(block)
 
 
 def _scales_from(levels: LevelPartition, d: int, omegas: list) -> ScaleEstimates:
-    b_blocks = []
+    gated = []
     for k, omega_k in enumerate(omegas, start=1):
         try:
-            b_blocks.append(estimate_B(omega_k, levels, k, d))
+            gated.append(estimate_B(omega_k, levels, k, d))
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 f"scale {k}: {exc}", pivot=exc.pivot, scale=k
             ) from exc
-    return ScaleEstimates(levels=levels, d=d, omegas=tuple(omegas), b_blocks=tuple(b_blocks))
+    b_blocks, b_roots = zip(*gated)
+    return ScaleEstimates(
+        levels=levels, d=d, omegas=tuple(omegas), b_blocks=b_blocks, b_roots=b_roots
+    )
 
 
 def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEstimates:
@@ -153,11 +161,13 @@ def _assemble(scales: ScaleEstimates, roots, solve_root) -> np.ndarray:
 def assemble_U(scales: ScaleEstimates) -> np.ndarray:
     """Dense upper-triangular factor ``U`` from per-scale estimates.
 
-    ``R_k`` is the reverse Cholesky factor of ``B_k``: the diagonal blocks
-    of ``U^T`` are ``R_k^T`` and the blocks left of them one triangular
-    solve of ``R_k`` against the in-scale precision slices.
+    ``R_k`` is the reverse Cholesky factor of ``B_k`` that
+    :func:`estimate_B` kept from its SPD gate, so no block is factored
+    again: the diagonal blocks of ``U^T`` are ``R_k^T`` and the blocks
+    left of them one triangular solve of ``R_k`` against the in-scale
+    precision slices.
     """
-    return _assemble(scales, map(reverse_cholesky, scales.b_blocks), solve_triangular)
+    return _assemble(scales, scales.b_roots, solve_triangular)
 
 
 def assemble_U_star(scales: ScaleEstimates) -> np.ndarray:

@@ -11,6 +11,17 @@ byte-identical files.  Wall-clock timing is opt-in (``--timing``), because
 measured times would break that determinism; the ``bench`` subcommand
 always times.
 
+The rows of one seed share one draw.  They run in descending N, and a
+row's sample is the first N rows of its seed's draw at the run's largest
+N; on scattered precision runs so is its padding, and the site embedding
+is built once per run.  ``simulate`` writes the same prefixes.  The
+largest-N rows, and every row of a single-N run, equal a run at that N
+alone byte for byte; a smaller-N row matches one to roundoff, as the
+triangular product of the draw over more rows rounds a few rows
+differently.  ``wall_ms`` counts the draw only in the largest-N row of
+each seed.  A precision row that ``estimator.plan_estimate`` refuses from
+its sizes alone fails before it draws.
+
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
 
@@ -22,7 +33,7 @@ estimate.  Every norm in it but the truth's is one Lanczos solve for the
 extreme eigenvalue (``linalg.spectral_norm``), from a fixed start vector,
 so it reruns bit for bit.  The truth's norm ``GroundTruth.omega_norm`` is
 in closed form for lattice truths (``--model laplacian``) and otherwise
-one Lanczos solve per run, in its first row.  Precision rows report
+one Lanczos solve per run, in the first row it computes.  Precision rows report
 ``||omega_hat - omega||_2 / ||omega||_2``, the numerator on the dense
 difference as it is (exactly symmetric, as both operands are).  Factor
 rows (``--factor cholesky`` or ``cholesky-star``) report
@@ -58,11 +69,11 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
 )
-from .estimator import EstimatorConfig, estimate_precision
+from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
 from .linalg import spectral_norm
-from .matching import embed_and_estimate, measure_cloud
+from .matching import build_embedding, estimate_padded, measure_cloud, pad_samples
 from .truth import (
     build_green_restriction,
     build_lattice_precision,
@@ -256,29 +267,82 @@ def _factor_error(u_hat, exact, truth_mm) -> float:
     return float(np.sqrt(spectral_norm(gram) / truth_mm.omega_norm))
 
 
-def _run_point(cfg, truth, cloud, factor_ctx, n, seed):
-    """One (configuration point, seed) evaluation; returns a ResultRow."""
+def _on_sites(cfg) -> bool:
+    """Whether the run's variables are the site cloud rather than the lattice."""
+    return cfg["scattered"] or cfg["model"] != "laplacian"
+
+
+def _site_embedding(cfg, cloud):
+    """``build_embedding`` of the run's sites, or the error that refused it.
+
+    ``None`` for runs that estimate on no embedding: lattice precision runs
+    and factor runs.  A refused matching is returned, not raised, so every
+    row records it, as a row failure, in its ``error`` column.
+    """
+    if cfg["factor"] != "precision" or not _on_sites(cfg):
+        return None
+    try:
+        return build_embedding(cloud, c1=cfg["c1"])
+    except _ERRORS as exc:
+        return exc
+
+
+class _SeedDraw:
+    """One seed's estimator input, drawn at the first sample size asked for.
+
+    The input is ``sample(truth, N, seed)``, padded onto ``embedding``
+    (scattered precision runs) or not (``embedding`` is ``None``).  A
+    seed's rows ask in descending N, so every row reads a row prefix of
+    the one draw.  The Philox streams of ``sample`` and ``pad_samples``
+    fill row-major, so that prefix is the input at the row's own N: the
+    padding bit for bit, the sample to roundoff of its triangular product.
+    """
+
+    def __init__(self, truth, embedding, seed):
+        self._truth = truth
+        self._embedding = embedding
+        self.seed = seed
+        self._data = None
+
+    def rows(self, n):
+        if self._data is None:
+            z = sample(self._truth, n, self.seed)
+            if self._embedding is not None:
+                z = pad_samples(z, self._embedding, _PAD_SEED + self.seed)
+            self._data = z
+        return self._data[:n]
+
+
+def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
+    """One (configuration point, seed) evaluation; returns a ResultRow.
+
+    ``draw`` is the seed's :class:`_SeedDraw`.  A precision row runs the
+    estimator's data-free refusals (:func:`plan_estimate`) before it reads
+    ``draw``, so a refused row draws nothing.
+    """
     d = cfg["d"]
-    on_sites = cfg["scattered"] or cfg["model"] != "laplacian"
     est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
     started = time.perf_counter()
     b_used, path = 0, ""
     estimate_out = None
     try:
         if cfg["factor"] == "precision":
-            z = sample(truth, n, seed)
-            if on_sites:
-                est = embed_and_estimate(
-                    z, cloud, est_cfg, seed=_PAD_SEED + seed, c1=cfg["c1"]
-                )
+            if isinstance(embedding, Exception):
+                raise embedding
+            if embedding is None:
+                plan_estimate(truth.geometry, n, est_cfg)
+                est = estimate_precision(draw.rows(n), truth.geometry, est_cfg)
             else:
-                est = estimate_precision(z, truth.geometry, est_cfg)
+                lattice, attempts = embedding
+                plan_estimate(lattice.shape, n, est_cfg)
+                est = estimate_padded(
+                    draw.rows(n), lattice, est_cfg, _PAD_SEED + draw.seed, attempts
+                )
             estimate_out, b_used, path = est.matrix, est.b or 0, est.path
             err = spectral_norm(estimate_out - truth.omega) / truth.omega_norm
         else:
             levels, truth_mm, exact = factor_ctx
-            z = sample(truth_mm, n, seed)
-            scales = estimate_scales(z, levels, est_cfg, d=d)
+            scales = estimate_scales(draw.rows(n), levels, est_cfg, d=d)
             path = "multiscale"
             assemble = assemble_U if cfg["factor"] == "cholesky" else assemble_U_star
             estimate_out = assemble(scales)
@@ -291,9 +355,9 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed):
     if cfg["save_estimates"] and estimate_out is not None:
         est_dir = Path(cfg["save_estimates"])
         est_dir.mkdir(parents=True, exist_ok=True)
-        name = f"{_experiment_id(cfg)}-n{n}-seed{seed}-estimate.txt"
+        name = f"{_experiment_id(cfg)}-n{n}-seed{draw.seed}-estimate.txt"
         (est_dir / name).write_text(serialization.format_matrix(estimate_out))
-    p_or_m = cloud.m if on_sites else cfg["p"]
+    p_or_m = cloud.m if _on_sites(cfg) else cfg["p"]
     return ResultRow(
         experiment_id=_experiment_id(cfg),
         model_tag=truth.model_tag,
@@ -301,7 +365,7 @@ def _run_point(cfg, truth, cloud, factor_ctx, n, seed):
         p_or_m=p_or_m,
         s=cfg["s"],
         n=n,
-        seed=seed,
+        seed=draw.seed,
         b=int(b_used),
         path=path,
         rel_spectral_error=float(err),
@@ -327,14 +391,26 @@ def _rows_csv(rows, extra=()):
 
 
 def _point_rows(cfg):
-    """Rows for every (N, seed) pair at ``cfg["p"]``, sorted by N, then seed."""
+    """Rows for every (N, seed) pair at ``cfg["p"]``, sorted by N, then seed.
+
+    The truth, the factor context and the site embedding are built once
+    per run.  Each seed's rows run in descending N and share one draw,
+    made by the first row that passes the data-free refusals.
+    """
     truth, cloud = _build_truth(cfg)
     factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
-    return [
-        _run_point(cfg, truth, cloud, factor_ctx, n, seed)
-        for n in sorted(cfg["n"])
-        for seed in sorted(cfg["seeds"])
-    ]
+    embedding = _site_embedding(cfg, cloud)
+    # Factor rows sample the maximin-permuted truth.
+    source = truth if factor_ctx is None else factor_ctx[1]
+    padding = embedding[0] if isinstance(embedding, tuple) else None
+    rows = []
+    for seed in sorted(cfg["seeds"]):
+        draw = _SeedDraw(source, padding, seed)
+        rows.extend(
+            _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw)
+            for n in sorted(cfg["n"], reverse=True)
+        )
+    return sorted(rows, key=lambda row: (row.n, row.seed))
 
 
 def cmd_estimate(cfg) -> int:
@@ -387,11 +463,12 @@ def cmd_simulate(cfg) -> int:
     if cfg["model"] != "laplacian":
         (out_dir / f"{stem}-sites.txt").write_text(serialization.format_sites(cloud))
     for seed in sorted(cfg["seeds"]):
+        # The rows of estimate read prefixes of one draw per seed; so do these files.
+        z = sample(truth, max(cfg["n"]), seed)
         for n in sorted(cfg["n"]):
-            z = sample(truth, n, seed)
             name = f"{stem}-samples-n{n}-seed{seed}.txt"
             (out_dir / name).write_text(
-                f"# seed={seed}\n# seed_policy=philox64\n" + serialization.format_samples(z)
+                f"# seed={seed}\n# seed_policy=philox64\n" + serialization.format_samples(z[:n])
             )
     return 0
 

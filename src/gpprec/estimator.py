@@ -15,13 +15,16 @@ path; this isolates the deterministic bias of the windowed inversion from
 sampling noise, which is what the bias tests exercise.  Each window is
 factored once and solved only for the ``b**d`` columns of its own block.
 
-Windows are evaluated one after another in lexicographic block order, so
-the first under-sampled block is the one reported; the result does not
-depend on that order.
+Every refusal that needs no data is made by :func:`plan_estimate`
+before any sample is read, so a caller can run it before drawing one.
+Windows are checked in lexicographic block order, so the first
+under-sampled block is the one reported; the result does not depend on
+that order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +41,7 @@ __all__ = [
     "choose_block_size",
     "estimate_precision",
     "ols_plugin_row",
+    "plan_estimate",
 ]
 
 BLOCKWISE = "blockwise"
@@ -114,20 +118,63 @@ def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
     return gram
 
 
-def _window(scheme: BlockScheme, j, n_samples) -> np.ndarray:
-    """Sorted vertices of the radius-2 window of block ``j``.
+def _window_sizes(p: int, b: int, d: int) -> np.ndarray:
+    """Vertex counts of the radius-2 windows of every block, ``(S,) * d``.
 
-    Raises ``LocalSingular`` when the window holds at least ``n_samples``
-    vertices, so before any covariance is factored: ``N`` samples give rank
-    at most ``N``, and at ``N = |w|`` the covariance is full rank but so
-    ill-conditioned that the pivot gate passes a useless inverse.
-    ``n_samples`` is ``None`` for a population covariance, which is not
-    checked.
+    A window is the box of blocks within sup-distance ``WINDOW_RADIUS``,
+    so its count is the product of its per-axis extents.
     """
-    _, w = neighborhood(scheme, j, WINDOW_RADIUS)
-    if n_samples is not None and n_samples <= w.size:
-        raise LocalSingular(j, int(w.size), n_samples)
-    return w
+    s = -(-p // b)
+    x = np.arange(1, s + 1)
+    extent = np.minimum(np.minimum(s, x + WINDOW_RADIUS) * b, p) - (
+        np.maximum(1, x - WINDOW_RADIUS) - 1
+    ) * b
+    return functools.reduce(np.multiply.outer, [extent] * d)
+
+
+def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | None = None):
+    """Block width of an estimate from ``n`` samples on ``shape``; ``None`` for the fallback.
+
+    Makes every refusal that needs no data, so a caller can run it before
+    drawing the samples; :func:`estimate_precision` runs it first.  Raises
+
+    * ``InvalidInput`` when ``b_override`` exceeds the side ``p``, or when
+      ``n`` (``None`` for a population covariance) is below 1 or, for a
+      population covariance, no ``b_override`` is given;
+    * ``NotPositiveDefinite`` when the route is the fallback (``p <=
+      log(n * kappa_hint)`` and no ``b_override``) and ``n < p**d``, as
+      ``n`` samples cannot span ``p**d`` variables;
+    * ``LocalSingular`` for the first block, in lexicographic order, whose
+      radius-2 window holds at least ``n`` vertices: ``n`` samples give
+      rank at most ``n``, and at ``n = |w|`` the covariance is full rank
+      but so ill-conditioned that the pivot gate passes a useless inverse.
+      A population covariance is not checked.
+    """
+    config = config or EstimatorConfig()
+    m = shape.size
+    if config.b_override is not None and config.b_override > shape.p:
+        raise InvalidInput(
+            f"b_override={config.b_override} exceeds the lattice side {shape.p}"
+        )
+    if n is None:
+        if config.b_override is None:
+            raise InvalidInput("population mode requires b_override")
+        return config.b_override
+    if n < 1:
+        raise InvalidInput(f"sample count must be positive, got {n}")
+    kappa = config.kappa_hint if config.kappa_hint is not None else float(m)
+    if config.b_override is None and shape.p <= math.log(n * kappa):
+        if n < m:
+            raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
+        return None
+    # Past the fallback, p > log(n * kappa), so the rule's width is at most p.
+    b = config.b_override or choose_block_size(n, kappa)
+    sizes = _window_sizes(shape.p, b, shape.d)
+    under = np.flatnonzero(sizes >= n)
+    if under.size:
+        block = tuple(int(x) + 1 for x in np.unravel_index(under[0], sizes.shape))
+        raise LocalSingular(block, int(sizes.flat[under[0]]), n)
+    return b
 
 
 def _kept_columns(source, scheme: BlockScheme, j, w, n_samples):
@@ -159,53 +206,38 @@ def estimate_precision(
     p**d)`` covariance when ``population=True`` (population mode requires
     ``b_override`` and always runs the blockwise route).  When ``p <=
     log(N * kappa_hint)`` and no ``b_override`` is given, the estimate is the
-    inverse of the full sample covariance, singular when ``N < p**d``, so
-    that raises ``NotPositiveDefinite`` before any work.  Otherwise a
-    window holding at least ``N`` vertices raises ``LocalSingular`` before
-    any work, and then the band Gram is formed once, slab by slab (the
-    population covariance serves as it is), each block's window is
-    factored and solved for its own columns, and their in-band rows are
-    assembled and symmetrized.
+    inverse of the full sample covariance.  Otherwise the band Gram is
+    formed once, slab by slab (the population covariance serves as it
+    is), each block's window is factored and solved for its own columns,
+    and their in-band rows are assembled and symmetrized.  The refusals
+    of :func:`plan_estimate` come before any of this work.
     """
     config = config or EstimatorConfig()
     data = np.asarray(data, dtype=np.float64)
     m = shape.size
-    kappa = config.kappa_hint if config.kappa_hint is not None else float(m)
-
-    if config.b_override is not None and config.b_override > shape.p:
-        raise InvalidInput(
-            f"b_override={config.b_override} exceeds the lattice side {shape.p}"
-        )
-
     if population:
         if data.shape != (m, m):
             raise InvalidInput(
                 f"population covariance must be {(m, m)}, got {data.shape}"
             )
-        if config.b_override is None:
-            raise InvalidInput("population mode requires b_override")
-        b = config.b_override
         n_samples = None
     else:
         if data.ndim != 2 or data.shape[1] != m:
             raise InvalidInput(
                 f"samples must have {m} columns for this lattice, got shape {data.shape}"
             )
-        n = n_samples = data.shape[0]
-        if config.b_override is None and shape.p <= math.log(n * kappa):
-            if n < m:
-                raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
-            omega = spd_inverse(sample_covariance(data))
-            return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
-        # Past the fallback, p > log(N * kappa), so the rule's width is at most p.
-        b = config.b_override or choose_block_size(n, kappa)
+        n_samples = data.shape[0]
+    b = plan_estimate(shape, n_samples, config)
+    if b is None:
+        omega = spd_inverse(sample_covariance(data))
+        return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
     scheme = build_scheme(shape.p, b, shape.d)
-    windows = [(j, _window(scheme, j, n_samples)) for j in scheme.block_indices()]
     # The exactly symmetric matrix every window is sliced from.
     source = symmetrize(data) if population else _band_gram(data, scheme)
     # Each window fills the B_j columns of its in-band rows.
     raw = np.zeros((m, m))
-    for j, w in windows:
+    for j in scheme.block_indices():
+        _, w = neighborhood(scheme, j, WINDOW_RADIUS)
         cols = _kept_columns(source, scheme, j, w, n_samples)
         _, near = neighborhood(scheme, j, 1)
         raw[np.ix_(near, scheme.membership[j])] = cols[np.searchsorted(w, near)]

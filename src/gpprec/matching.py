@@ -34,6 +34,8 @@ __all__ = [
     "build_target_lattice",
     "perfect_matching",
     "build_embedding",
+    "pad_samples",
+    "estimate_padded",
     "embed_and_estimate",
 ]
 
@@ -258,7 +260,9 @@ def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
     ``_PAD_CHUNK_ELEMENTS`` entries, each one column gather from
     ``[samples, normals]``.  The chunks draw their normals in turn from one
     Philox stream, so the padding equals a single ``(N, n_pad)`` draw bit
-    for bit, and no full-size temporary is held next to the output.
+    for bit, and no full-size temporary is held next to the output.  The
+    stream fills row-major, so the first ``n`` rows of the output are
+    ``pad_samples(samples[:n], embedding, seed)`` bit for bit.
     """
     z = np.asarray(samples, dtype=np.float64)
     n, m_sites = z.shape
@@ -281,28 +285,21 @@ def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
     return padded
 
 
-def embed_and_estimate(
-    samples,
-    cloud: SiteCloud,
-    config: EstimatorConfig | None = None,
-    seed: int = 0,
-    c1: float = DEFAULT_C1,
+def estimate_padded(
+    padded,
+    embedding: LatticeEmbedding,
+    config: EstimatorConfig | None,
+    seed: int,
+    attempts: int,
 ) -> ScatteredEstimate:
-    """Precision estimate on scattered sites through the lattice reduction.
+    """Site-block precision estimate from samples padded onto ``embedding``.
 
-    Pads each observation with independent unit normals on the unmatched
-    lattice nodes (drawn from ``seed``), estimates the padded lattice
-    precision, and returns its site block permuted back to the original
-    site order.  The padding stream is recorded in the result so runs are
-    reproducible.
+    ``padded`` is an output of :func:`pad_samples` on ``embedding``, or
+    a row prefix of one.  The lattice precision is estimated on it and
+    its site block is permuted back to the original site order.  ``seed``
+    and ``attempts`` are the padding seed and the matching attempts, kept
+    in the result so runs are reproducible.
     """
-    z = np.asarray(samples, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != cloud.m:
-        raise InvalidInput(
-            f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
-        )
-    embedding, attempts = build_embedding(cloud, c1=c1)
-    padded = pad_samples(z, embedding, seed)
     estimate = estimate_precision(padded, embedding.shape, config)
     nodes = embedding.node_of_site
     return ScatteredEstimate(
@@ -313,3 +310,27 @@ def embed_and_estimate(
         seed=seed,
         attempts=attempts,
     )
+
+
+def embed_and_estimate(
+    samples,
+    cloud: SiteCloud,
+    config: EstimatorConfig | None = None,
+    seed: int = 0,
+    c1: float = DEFAULT_C1,
+) -> ScatteredEstimate:
+    """Precision estimate on scattered sites through the lattice reduction.
+
+    Matches the cloud into a lattice (:func:`build_embedding`), pads each
+    observation with independent unit normals on the unmatched lattice
+    nodes (:func:`pad_samples`, drawn from ``seed``) and estimates the site
+    block (:func:`estimate_padded`).
+    """
+    z = np.asarray(samples, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != cloud.m:
+        raise InvalidInput(
+            f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
+        )
+    embedding, attempts = build_embedding(cloud, c1=c1)
+    padded = pad_samples(z, embedding, seed)
+    return estimate_padded(padded, embedding, config, seed=seed, attempts=attempts)

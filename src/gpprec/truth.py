@@ -281,7 +281,11 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     the triangular BLAS product ``dtrmm``, so the result is ``g @ L.T`` up
     to roundoff, C-contiguous, and no second ``(n, dim)`` buffer is made.
     Deterministic given the seed: the Philox stream is keyed by ``seed``
-    alone, so identical calls return bit-identical arrays.
+    alone, so identical calls return bit-identical arrays.  The stream
+    fills ``g`` row-major, so the first ``n`` rows of ``sample(truth, N,
+    seed)`` are ``sample(truth, n, seed)`` for any ``n <= N``: the normals
+    bit for bit, the product to roundoff, as ``dtrmm`` over ``N`` rows
+    may round a few rows differently from ``dtrmm`` over ``n``.
     """
     if n < 1:
         raise InvalidInput(f"sample count must be positive, got {n}")

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gpprec import cholesky as cholesky_module
 from gpprec.cholesky import (
     assemble_U,
     assemble_U_star,
@@ -19,6 +20,7 @@ from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
 from gpprec.lattice import lattice_points
 from gpprec.linalg import (
     cholesky_lower,
+    reverse_cholesky,
     sample_covariance,
     spd_inverse,
     spectral_norm,
@@ -105,14 +107,22 @@ class TestExactBlockFactor:
 class TestEstimateB:
     def test_identity_scaling_level_one(self):
         levels = LevelPartition.from_sizes([3])
-        out = estimate_B(np.eye(3), levels, 1, d=1)
+        out, root = estimate_B(np.eye(3), levels, 1, d=1)
         np.testing.assert_allclose(out, 2.0 * np.eye(3))
+        np.testing.assert_allclose(root, np.sqrt(2.0) * np.eye(3))
 
     def test_scaling_level_two_dim_two(self):
         levels = LevelPartition.from_sizes([1, 2])
         omega2 = np.eye(3)
-        out = estimate_B(omega2, levels, 2, d=2)
+        out, root = estimate_B(omega2, levels, 2, d=2)
         np.testing.assert_allclose(out, 16.0 * np.eye(2))
+        np.testing.assert_allclose(root, 4.0 * np.eye(2))
+
+    def test_root_is_the_reverse_cholesky_factor(self, rng):
+        levels = LevelPartition.from_sizes([2, 3])
+        out, root = estimate_B(random_spd(rng, 5, 10.0), levels, 2, d=1)
+        assert np.array_equal(root, reverse_cholesky(out))
+        assert np.array_equal(root, np.triu(root))
 
     def test_conditioning_stays_bounded(self):
         # Exact per-scale blocks of the dyadic second-order truth have
@@ -153,6 +163,25 @@ class TestAssembly:
         given = exact_scales(omega, levels, d=2, factor=dense_upper_factor(omega))
         for got, want in zip(given.omegas, scales.omegas):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(omega)))
+
+    def test_each_stiffness_block_factored_once(self, rng, monkeypatch):
+        # The SPD gate's factor of B_k is the one assemble_U uses.
+        levels = LevelPartition.from_sizes([2, 3, 4, 6])
+        omega = random_spd(rng, 15, 1e3)
+        factored = []
+
+        def counting(a):
+            factored.append(a.shape)
+            return reverse_cholesky(a)
+
+        monkeypatch.setattr(cholesky_module, "reverse_cholesky", counting)
+        scales = exact_scales(omega, levels, d=1, factor=dense_upper_factor(omega))
+        u = assemble_U(scales)
+        assert factored == [(n, n) for n in levels.sizes()]
+        for k, (block, root) in enumerate(zip(scales.b_blocks, scales.b_roots), start=1):
+            assert np.array_equal(root, reverse_cholesky(block))
+            sl = levels.level_slice(k)
+            assert np.array_equal(u.T[sl, sl], 2.0 ** (-k / 2.0) * root.T)
 
     def test_star_variant_reconstructs(self, rng):
         levels = LevelPartition.from_sizes([1, 2, 4])

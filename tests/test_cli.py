@@ -14,6 +14,7 @@ from gpprec import serialization as ser
 from gpprec import truth as truth_module
 from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, ResultRow, main
+from gpprec.errors import CapacityExceeded
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import lattice_points
 from gpprec.linalg import (
@@ -359,6 +360,117 @@ class TestEstimate:
         assert row[9] == "nan"
 
 
+def spy(monkeypatch, name):
+    """Record the positional arguments of every call of ``cli.<name>``."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
+
+
+def csv_rows(path):
+    return [line.split(",") for line in Path(path).read_text().splitlines()[2:]]
+
+
+ONE_DRAW_CONFIGS = {
+    "lattice": ["--model", "laplacian", "--d", "1", "--p", "12", "--s", "1", "--b", "3"],
+    "scattered": ["--model", "matern", "--d", "1", "--p", "40", "--b", "4"],
+    "factor": [
+        "--model", "laplacian", "--d", "1", "--p", "7", "--s", "1", "--factor", "cholesky",
+    ],
+}
+
+
+class TestOneDrawPerSeed:
+    """Each seed's rows read prefixes of one draw at the run's largest N."""
+
+    @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
+    def test_one_draw_and_padding_per_seed(self, monkeypatch, tmp_path, kind):
+        samples = spy(monkeypatch, "sample")
+        paddings = spy(monkeypatch, "pad_samples")
+        embeddings = spy(monkeypatch, "build_embedding")
+        out = tmp_path / "rows.csv"
+        argv = ONE_DRAW_CONFIGS[kind] + ["--n", "1000,2000", "--seeds", "0,1"]
+        assert run_cli("estimate", *argv, "--out", str(out)) == 0
+        assert [args[1:] for args in samples] == [(2000, 0), (2000, 1)]
+        scattered = kind == "scattered"
+        assert [args[0].shape[0] for args in paddings] == ([2000, 2000] if scattered else [])
+        assert len(embeddings) == (1 if scattered else 0)
+        assert [(row[5], row[6]) for row in csv_rows(out)] == [
+            ("1000", "0"), ("1000", "1"), ("2000", "0"), ("2000", "1"),
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
+    def test_rows_match_single_size_runs(self, tmp_path, kind):
+        # The largest-N rows are those of a run at that N alone, byte for
+        # byte; a smaller N's error moves only by the roundoff of the
+        # triangular product over more rows.
+        argv = ONE_DRAW_CONFIGS[kind] + ["--seeds", "0,1"]
+        assert run_cli("estimate", *argv, "--n", "1000,2000", "--out", str(tmp_path / "m")) == 0
+        multi = csv_rows(tmp_path / "m")
+        for n in (1000, 2000):
+            single_out = tmp_path / f"n{n}"
+            assert run_cli("estimate", *argv, "--n", str(n), "--out", str(single_out)) == 0
+            single = csv_rows(single_out)
+            got = [row for row in multi if row[5] == str(n)]
+            if n == 2000:
+                assert got == single
+                continue
+            for a, b in zip(got, single):
+                assert a[:9] + a[10:] == b[:9] + b[10:]
+                assert abs(float(a[9]) - float(b[9])) <= 1e-12 * float(b[9])
+
+    def test_scattered_multi_size_rerun_byte_identical(self, tmp_path):
+        argv = ONE_DRAW_CONFIGS["scattered"] + ["--n", "300,600,1000", "--seeds", "2,0"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("estimate", *argv, "--out", str(out1)) == 0
+        assert run_cli("estimate", *argv, "--out", str(out2)) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["lattice", "scattered"])
+    def test_refused_row_draws_nothing(self, monkeypatch, capsys, kind):
+        # The 10-sample rows are refused for windows of 12 or more vertices
+        # before any draw; the seed's one draw is made by its 500-sample row.
+        samples = spy(monkeypatch, "sample")
+        argv = ONE_DRAW_CONFIGS[kind] + ["--n", "10,500", "--seeds", "0,1", "--timing"]
+        assert run_cli("estimate", *argv) == 1
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(row[5], row[12]) for row in rows] == [
+            ("10", "LocalSingular"), ("10", "LocalSingular"), ("500", ""), ("500", ""),
+        ]
+        assert [args[1:] for args in samples] == [(500, 0), (500, 1)]
+
+    def test_data_free_refusals_draw_nothing(self, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("a refused row drew its sample")
+
+        monkeypatch.setattr(cli, "sample", forbidden)
+        # The fallback route (p = 2 <= log(N * kappa) = log(9)) with fewer
+        # samples than variables, then an explicit width above the side.
+        assert run_cli("estimate", "--d", "2", "--p", "2", "--n", "3", "--seeds", "0,1") == 1
+        errors = [line.split(",")[12] for line in capsys.readouterr().out.splitlines()[2:]]
+        assert errors == ["NotPositiveDefinite", "NotPositiveDefinite"]
+        assert run_cli("estimate", "--p", "4", "--b", "5", "--n", "50") == 1
+        assert capsys.readouterr().out.splitlines()[2].split(",")[12] == "InvalidInput"
+
+    def test_refused_matching_fails_every_row(self, monkeypatch, capsys):
+        def refused(cloud, c1):
+            raise CapacityExceeded("target lattice above the cap")
+
+        monkeypatch.setattr(cli, "build_embedding", refused)
+        samples = spy(monkeypatch, "sample")
+        argv = ONE_DRAW_CONFIGS["scattered"] + ["--n", "300,600", "--seeds", "0,1"]
+        assert run_cli("estimate", *argv) == 1
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split(",")[12] for row in rows] == ["CapacityExceeded"] * 4
+        assert samples == []
+
+
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -476,6 +588,30 @@ class TestSimulate:
         assert run_cli(*argv) == 0
         files = sorted(tmp_path.glob("*samples*"))
         assert files[0].read_bytes() != files[1].read_bytes()
+
+
+    def test_sample_files_are_the_rows_estimate_reads(self, tmp_path, monkeypatch):
+        # Every file of a seed is a prefix of the seed's one draw at the
+        # largest N, the very array the estimate rows of that seed read.
+        common = [
+            "--model", "laplacian", "--d", "1", "--p", "6", "--s", "1",
+            "--n", "50,120", "--seeds", "3", "--b", "2",
+        ]
+        assert run_cli("simulate", *common, "--out", str(tmp_path)) == 0
+        read = {}
+        estimate = cli.estimate_precision
+
+        def recording(data, shape, config):
+            read[data.shape[0]] = data
+            return estimate(data, shape, config)
+
+        monkeypatch.setattr(cli, "estimate_precision", recording)
+        assert run_cli("estimate", *common, "--out", str(tmp_path / "rows.csv")) == 0
+        for n in (50, 120):
+            path = next(tmp_path.glob(f"*-samples-n{n}-seed3.txt"))
+            stored = ser.parse_samples(path.read_text())
+            assert np.array_equal(stored, read[n])
+            assert np.array_equal(stored, read[120][:n])
 
 
 class TestScalingStudy:

@@ -13,8 +13,10 @@ from gpprec.estimator import (
     EstimatorConfig,
     _band_gram,
     choose_block_size,
+    WINDOW_RADIUS,
     estimate_precision,
     ols_plugin_row,
+    plan_estimate,
 )
 from gpprec.lattice import LatticeShape, build_scheme, neighborhood
 from gpprec.linalg import sample_covariance, spd_inverse, spectral_norm, symmetrize
@@ -369,6 +371,68 @@ class TestEstimatePrecision:
         np.testing.assert_allclose(
             permuted.matrix, direct.matrix[np.ix_(perm, perm)], atol=1e-10
         )
+
+
+class TestPlanEstimate:
+    """The data-free refusals, against the windows ``neighborhood`` lists."""
+
+    @staticmethod
+    def first_under_sampled(p, b, d, n):
+        scheme = build_scheme(p, b, d)
+        for j in scheme.block_indices():
+            size = neighborhood(scheme, j, WINDOW_RADIUS)[1].size
+            if size >= n:
+                return j, size
+        return None
+
+    @pytest.mark.parametrize(
+        "p,d,b", [(12, 1, 4), (20, 1, 4), (29, 1, 3), (9, 2, 2), (22, 2, 3), (11, 3, 2), (7, 3, 7)]
+    )
+    def test_refusal_matches_window_loop(self, p, d, b):
+        cfg = EstimatorConfig(b_override=b)
+        sizes = set()
+        for j in build_scheme(p, b, d).block_indices():
+            sizes.add(neighborhood(build_scheme(p, b, d), j, WINDOW_RADIUS)[1].size)
+        for n in sorted(sizes | {s + 1 for s in sizes} | {1}):
+            want = self.first_under_sampled(p, b, d, n)
+            if want is None:
+                assert plan_estimate(LatticeShape(p, d), n, cfg) == b
+                continue
+            with pytest.raises(LocalSingular) as info:
+                plan_estimate(LatticeShape(p, d), n, cfg)
+            assert (info.value.block, info.value.window_size, info.value.n_samples) == (
+                *want, n
+            )
+            assert all(type(x) is int for x in info.value.block)
+
+    def test_routes(self):
+        shape = LatticeShape(3, 1)
+        assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0)) is None
+        assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0, b_override=1)) == 1
+        assert plan_estimate(shape, None, EstimatorConfig(b_override=2)) == 2
+        wide = LatticeShape(200, 1)
+        assert plan_estimate(wide, 1000, EstimatorConfig(kappa_hint=10.0)) == math.ceil(
+            math.log(1000 * 10.0)
+        )
+
+    @pytest.mark.parametrize(
+        "shape,n,cfg,error",
+        [
+            (LatticeShape(3, 1), 2, EstimatorConfig(kappa_hint=50.0), NotPositiveDefinite),
+            (LatticeShape(8, 1), 100, EstimatorConfig(b_override=9), InvalidInput),
+            (LatticeShape(8, 1), None, EstimatorConfig(b_override=9), InvalidInput),
+            (LatticeShape(8, 1), None, EstimatorConfig(), InvalidInput),
+            (LatticeShape(8, 1), 0, EstimatorConfig(b_override=2), InvalidInput),
+            (LatticeShape(8, 1), 0, EstimatorConfig(), InvalidInput),
+        ],
+    )
+    def test_refusals(self, shape, n, cfg, error):
+        with pytest.raises(error):
+            plan_estimate(shape, n, cfg)
+
+    def test_zero_rows_refused_as_invalid(self):
+        with pytest.raises(InvalidInput):
+            estimate_precision(np.zeros((0, 8)), LatticeShape(8, 1))
 
 
 class TestWindowOracle:

@@ -16,6 +16,7 @@ from gpprec.matching import (
     build_embedding,
     build_target_lattice,
     embed_and_estimate,
+    estimate_padded,
     measure_cloud,
     pad_samples,
     perfect_matching,
@@ -251,6 +252,17 @@ class TestEmbedAndEstimate:
         # Seeds 40..44 realize errors of at most 0.16 at N=3000.
         assert max(errs) <= 0.3
 
+    def test_embed_and_estimate_is_pad_then_estimate_padded(self, rng):
+        cloud = measure_cloud(perturbed_grid(30, 1, 0.25, seed=3), 1)
+        z = rng.standard_normal((300, cloud.m))
+        cfg = EstimatorConfig(b_override=3)
+        got = embed_and_estimate(z, cloud, cfg, seed=9)
+        embedding, attempts = build_embedding(cloud)
+        want = estimate_padded(pad_samples(z, embedding, 9), embedding, cfg, 9, attempts)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert (got.b, got.path, got.seed, got.attempts) == (3, "blockwise", 9, attempts)
+        assert np.array_equal(got.embedding.node_of_site, want.embedding.node_of_site)
+
     def test_single_site_reduces_to_variance_estimation(self):
         # Seeds 50..54 realize |estimate - direct reciprocal| <= 0.002 and
         # |estimate - 1| <= 0.05 at N=2000.
@@ -369,6 +381,20 @@ class TestEmbedAndEstimate:
             (n, int(mask.sum()))
         )
         assert np.array_equal(pad_samples(z, embedding, seed=77), want)
+
+    @pytest.mark.parametrize("chunks, extra", [(0, 5), (2, 3)])
+    def test_pad_samples_prefix_is_exact(self, rng, chunks, extra):
+        # One padding at the largest N serves every smaller N: its first n
+        # rows are the padding of the first n site rows, bit for bit, also
+        # across row chunks.
+        cloud = measure_cloud(perturbed_grid(16, 2, 0.25, seed=3), 2)
+        embedding, _ = build_embedding(cloud)
+        rows = max(1, _PAD_CHUNK_ELEMENTS // embedding.shape.size)
+        big = chunks * rows + extra
+        z = rng.standard_normal((big, cloud.m))
+        padded = pad_samples(z, embedding, seed=77)
+        for n in sorted({1, extra, rows, big - 1, big}):
+            assert np.array_equal(padded[:n], pad_samples(z[:n], embedding, seed=77))
 
     def test_pad_samples_peak_memory(self, rng):
         # Only the output and a few row-chunk buffers may be live at once;

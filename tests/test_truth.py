@@ -245,6 +245,17 @@ class TestSample:
         reference = g @ cholesky_lower(truth.sigma).T
         assert np.max(np.abs(z - reference)) <= 1e-12 * np.max(np.abs(reference))
 
+    @pytest.mark.parametrize("p,d,s", [(22, 2, 2), (40, 1, 1)])
+    def test_prefix_of_larger_draw(self, p, d, s):
+        # The Philox normals fill row-major, so a larger draw's first rows
+        # are the smaller draw's normals; the triangular product over more
+        # rows may round differently.
+        truth = build_lattice_precision(p, d, s)
+        big = sample(truth, 2000, seed=5)
+        for n in (1, 300, 1999):
+            small = sample(truth, n, seed=5)
+            assert np.max(np.abs(big[:n] - small)) <= 1e-12 * np.max(np.abs(small))
+
     def test_seeds_differ(self):
         truth = build_lattice_precision(4, 1, 1)
         assert not np.array_equal(sample(truth, 50, seed=3), sample(truth, 50, seed=4))
