@@ -15,6 +15,7 @@ from .cholesky import (
     estimate_scales,
     exact_block_factor,
     exact_scales,
+    plan_scales,
 )
 from .errors import (
     CapacityExceeded,
@@ -43,7 +44,6 @@ from .lattice import (
     LatticeShape,
     build_scheme,
     lattice_points,
-    neighborhood,
 )
 from .linalg import (
     block_inverse_schur,

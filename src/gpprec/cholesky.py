@@ -48,6 +48,7 @@ __all__ = [
     "estimate_B",
     "assemble_U",
     "assemble_U_star",
+    "plan_scales",
     "estimate_scales",
 ]
 
@@ -194,6 +195,33 @@ def exact_block_factor(omega, levels: LevelPartition, d: int) -> np.ndarray:
     return assemble_U(exact_scales(omega, levels, d))
 
 
+def plan_scales(
+    levels: LevelPartition, n: int, config: EstimatorConfig | None = None, cloud=None
+) -> tuple:
+    """Whether each scale, in level order, inverts its full sample covariance.
+
+    Scale ``k`` does when no cloud is given or ``m_k = prefix_size(k) <=
+    log(n * kappa_hint)``, and otherwise goes through the lattice reduction
+    on its sub-cloud.  The refusals need no data, so a caller can run this
+    before drawing; :func:`estimate_scales` runs it first.  Raises
+    ``InvalidInput`` for ``n < 1`` and ``NotPositiveDefinite``, carrying
+    the scale, at the first full-inverse scale with ``n < m_k``.
+    """
+    if n < 1:
+        raise InvalidInput(f"sample count must be positive, got {n}")
+    config = config or EstimatorConfig()
+    kappa = config.kappa_hint if config.kappa_hint is not None else float(levels.m)
+    full = []
+    for k in range(1, levels.q + 1):
+        m_k = levels.prefix_size(k)
+        full.append(cloud is None or m_k <= math.log(n * kappa))
+        if full[-1] and n < m_k:
+            raise NotPositiveDefinite(
+                f"scale {k}: {n} samples cannot span {m_k} variables", scale=k
+            )
+    return tuple(full)
+
+
 def estimate_scales(
     samples,
     levels: LevelPartition,
@@ -208,29 +236,24 @@ def estimate_scales(
     ``prefix_size(k)`` columns are the scale-``k`` observation set.  Each
     scale reuses the same draws at its coarser resolution.  Small scales
     (or all scales when no cloud is given) invert the full sample
-    covariance of their columns, failing before any work when ``N`` is
-    below the scale's column count (a rank bound); larger ones go through
-    the lattice reduction on the sub-cloud.  Failures carry the scale
-    index.
+    covariance of their columns, and larger ones go through the lattice
+    reduction on the sub-cloud (:func:`plan_scales`, whose refusals come
+    before any covariance is formed).  Failures carry the scale index.
     """
     z = np.asarray(samples, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != levels.m:
         raise InvalidInput(
             f"samples must have {levels.m} columns in maximin order, got shape {z.shape}"
         )
-    config = config or EstimatorConfig()
-    n = z.shape[0]
-    kappa = config.kappa_hint if config.kappa_hint is not None else float(levels.m)
+    full = plan_scales(levels, z.shape[0], config, cloud)
     if d is None:
         d = cloud.d if cloud is not None else 1
     omegas = []
-    for k in range(1, levels.q + 1):
+    for k, full_k in enumerate(full, start=1):
         m_k = levels.prefix_size(k)
         sub = z[:, :m_k]
         try:
-            if cloud is None or m_k <= math.log(n * kappa):
-                if n < m_k:
-                    raise NotPositiveDefinite(f"{n} samples cannot span {m_k} variables")
+            if full_k:
                 omega_k = spd_inverse(sample_covariance(sub))
             else:
                 sub_cloud = measure_cloud(cloud.sites[:m_k], cloud.d)

@@ -19,8 +19,9 @@ largest-N rows, and every row of a single-N run, equal a run at that N
 alone byte for byte; a smaller-N row matches one to roundoff, as the
 triangular product of the draw over more rows rounds a few rows
 differently.  ``wall_ms`` counts the draw only in the largest-N row of
-each seed.  A precision row that ``estimator.plan_estimate`` refuses from
-its sizes alone fails before it draws.
+each seed.  A row that ``estimator.plan_estimate`` (precision rows) or
+``cholesky.plan_scales`` (factor rows) refuses from its sizes alone fails
+before it draws.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -60,7 +61,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from . import serialization
-from .cholesky import assemble_U, assemble_U_star, estimate_scales, exact_scales
+from .cholesky import assemble_U, assemble_U_star, estimate_scales, exact_scales, plan_scales
 from .errors import (
     CapacityExceeded,
     InvalidInput,
@@ -316,9 +317,10 @@ class _SeedDraw:
 def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
     """One (configuration point, seed) evaluation; returns a ResultRow.
 
-    ``draw`` is the seed's :class:`_SeedDraw`.  A precision row runs the
-    estimator's data-free refusals (:func:`plan_estimate`) before it reads
-    ``draw``, so a refused row draws nothing.
+    ``draw`` is the seed's :class:`_SeedDraw`.  A row runs its estimator's
+    data-free refusals (:func:`plan_estimate` for precision rows,
+    :func:`plan_scales` for factor rows) before it reads ``draw``, so a
+    refused row draws nothing.
     """
     d = cfg["d"]
     est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
@@ -342,6 +344,7 @@ def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
             err = spectral_norm(estimate_out - truth.omega) / truth.omega_norm
         else:
             levels, truth_mm, exact = factor_ctx
+            plan_scales(levels, n, est_cfg)
             scales = estimate_scales(draw.rows(n), levels, est_cfg, d=d)
             path = "multiscale"
             assemble = assemble_U if cfg["factor"] == "cholesky" else assemble_U_star

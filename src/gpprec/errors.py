@@ -23,18 +23,21 @@ class NotPositiveDefinite(Exception):
 
 
 class NumericalFailure(Exception):
-    """A LAPACK kernel reported failure on an input that passed its gates.
+    """A numerical kernel failed on an input that passed its gates.
 
-    Raised only by :func:`gpprec.linalg.spd_inverse` when ``dpotri``
-    returns a nonzero ``info`` after a successful Cholesky factorization.
+    Raised when ``dpotri`` (:func:`gpprec.linalg.spd_inverse`) or ``dtrtri``
+    (``GroundTruth.sigma_factor``) returns a nonzero ``info``, and when
+    :func:`gpprec.linalg.spectral_norm` gets an ARPACK failure or runs out
+    of Lanczos restarts.
     """
 
 
 class LocalSingular(Exception):
-    """A local window covariance failed the Cholesky pivot gate.
+    """A local window covariance failed the Cholesky pivot gate, or would.
 
-    Carries enough context to report under-sampling: the block index, the
-    window size, and the sample count (None in population-covariance mode).
+    :func:`gpprec.estimator.plan_estimate` raises it without data for a
+    window of at least N vertices.  Carries the block index, the window
+    size, and the sample count (None in population-covariance mode).
     """
 
     def __init__(self, block, window_size, n_samples):
@@ -51,14 +54,14 @@ class NoMatching(Exception):
     """No site-perfect matching exists within the given radius.
 
     ``witness_sites`` and ``witness_nodes`` form a Hall violator: a set of
-    sites whose joint lattice neighborhood is strictly smaller than the set
-    itself.
+    sites with strictly fewer candidate lattice nodes between them than
+    sites.
     """
 
     def __init__(self, witness_sites, witness_nodes):
         super().__init__(
-            f"no perfect matching: {len(witness_sites)} sites share a "
-            f"neighborhood of only {len(witness_nodes)} lattice nodes"
+            f"no perfect matching: {len(witness_sites)} sites have only "
+            f"{len(witness_nodes)} candidate lattice nodes between them"
         )
         self.witness_sites = witness_sites
         self.witness_nodes = witness_nodes

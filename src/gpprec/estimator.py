@@ -6,6 +6,10 @@ covariance restricted to its radius-2 window; the in-band rows of those
 columns are assembled and the result is symmetrized.  Small problems fall
 back to inverting the full sample covariance.
 
+Blocks and windows are boxes of the flat-index grid
+(:meth:`gpprec.lattice.BlockScheme.box`), so a window's vertices are its
+box read in C order and its block and radius-1 rows are boxes inside it.
+
 Every window reads one covariance source.  From samples it is the band
 Gram, the sample covariance on every vertex pair some window contains,
 formed once per estimate with one product per axis-0 slab of blocks and
@@ -24,7 +28,6 @@ that order.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import InvalidInput, LocalSingular, NotPositiveDefinite
-from .lattice import BlockScheme, LatticeShape, build_scheme, neighborhood
+from .lattice import BlockScheme, LatticeShape, build_scheme
 from .linalg import cholesky_lower, sample_covariance, spd_inverse, symmetrize
 
 __all__ = [
@@ -118,20 +121,6 @@ def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
     return gram
 
 
-def _window_sizes(p: int, b: int, d: int) -> np.ndarray:
-    """Vertex counts of the radius-2 windows of every block, ``(S,) * d``.
-
-    A window is the box of blocks within sup-distance ``WINDOW_RADIUS``,
-    so its count is the product of its per-axis extents.
-    """
-    s = -(-p // b)
-    x = np.arange(1, s + 1)
-    extent = np.minimum(np.minimum(s, x + WINDOW_RADIUS) * b, p) - (
-        np.maximum(1, x - WINDOW_RADIUS) - 1
-    ) * b
-    return functools.reduce(np.multiply.outer, [extent] * d)
-
-
 def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | None = None):
     """Block width of an estimate from ``n`` samples on ``shape``; ``None`` for the fallback.
 
@@ -169,26 +158,25 @@ def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | 
         return None
     # Past the fallback, p > log(n * kappa), so the rule's width is at most p.
     b = config.b_override or choose_block_size(n, kappa)
-    sizes = _window_sizes(shape.p, b, shape.d)
-    under = np.flatnonzero(sizes >= n)
-    if under.size:
-        block = tuple(int(x) + 1 for x in np.unravel_index(under[0], sizes.shape))
-        raise LocalSingular(block, int(sizes.flat[under[0]]), n)
+    scheme = build_scheme(shape.p, b, shape.d)
+    for j in scheme.block_indices():
+        size = math.prod(s.stop - s.start for s in scheme.box(j, WINDOW_RADIUS))
+        if size >= n:
+            raise LocalSingular(j, size, n)
     return b
 
 
-def _kept_columns(source, scheme: BlockScheme, j, w, n_samples):
-    """Columns of block ``j`` in the inverse of ``source`` on its window ``w``.
+def _kept_columns(source, j, w, kept, n_samples):
+    """Columns ``kept`` of the inverse of ``source`` on the window ``w`` of block ``j``.
 
-    Returns the ``(|w|, |B_j|)`` solve of the window covariance against
-    the unit columns of ``B_j``.  Raises ``LocalSingular`` when the window
-    covariance fails the Cholesky pivot gate.
+    Returns the ``(|w|, |kept|)`` solve of the window covariance against
+    the unit columns at the window positions ``kept``.  Raises
+    ``LocalSingular`` when the window covariance fails the pivot gate.
     """
     try:
         factor = cholesky_lower(source[np.ix_(w, w)])
     except NotPositiveDefinite as exc:
         raise LocalSingular(j, int(w.size), n_samples) from exc
-    kept = np.searchsorted(w, scheme.membership[j])
     unit = np.zeros((w.size, kept.size))
     unit[kept, np.arange(kept.size)] = 1.0
     return cho_solve((factor, True), unit, check_finite=False)
@@ -235,12 +223,15 @@ def estimate_precision(
     # The exactly symmetric matrix every window is sliced from.
     source = symmetrize(data) if population else _band_gram(data, scheme)
     # Each window fills the B_j columns of its in-band rows.
+    grid = np.arange(m).reshape((shape.p,) * shape.d)
+    local = np.empty_like(grid)  # positions within the current window, over its box
     raw = np.zeros((m, m))
     for j in scheme.block_indices():
-        _, w = neighborhood(scheme, j, WINDOW_RADIUS)
-        cols = _kept_columns(source, scheme, j, w, n_samples)
-        _, near = neighborhood(scheme, j, 1)
-        raw[np.ix_(near, scheme.membership[j])] = cols[np.searchsorted(w, near)]
+        window, block, near = (scheme.box(j, r) for r in (WINDOW_RADIUS, 0, 1))
+        w = grid[window]
+        local[window] = np.arange(w.size).reshape(w.shape)
+        cols = _kept_columns(source, j, w.ravel(), local[block].ravel(), n_samples)
+        raw[np.ix_(grid[near].ravel(), grid[block].ravel())] = cols[local[near].ravel()]
     return PrecisionEstimate(
         matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
     )

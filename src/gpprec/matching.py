@@ -66,13 +66,12 @@ class SiteCloud:
 class LatticeEmbedding:
     """A site-perfect matching of the cloud into lattice nodes.
 
-    ``nodes`` is the sorted flat-index set of matched nodes;
-    ``node_of_site[i]`` is the node matched to site ``i``.  ``displacement``
-    is the largest site-to-node distance over the matching.
+    ``node_of_site[i]`` is the flat index of the node matched to site
+    ``i``.  ``displacement`` is the largest site-to-node distance over the
+    matching.
     """
 
     shape: LatticeShape
-    nodes: np.ndarray
     node_of_site: np.ndarray
     displacement: float
     c1: float
@@ -171,8 +170,8 @@ def _hall_witness(graph: csr_matrix, node_of_site: np.ndarray):
     """Sites reachable from the unmatched ones by alternating paths.
 
     ``node_of_site[i]`` is the node matched to site ``i``, or -1.  The
-    joint neighborhood of the returned sites is strictly smaller than the
-    set, which certifies that no site-perfect matching exists.
+    returned sites have fewer candidate nodes between them than sites,
+    which certifies that no site-perfect matching exists.
     """
     site_of_node = np.full(graph.shape[1], -1, dtype=np.int64)
     matched = np.flatnonzero(node_of_site >= 0)
@@ -220,7 +219,6 @@ def perfect_matching(
     )
     return LatticeEmbedding(
         shape=shape,
-        nodes=np.sort(node_of_site),
         node_of_site=node_of_site,
         displacement=displacement,
         c1=c1,

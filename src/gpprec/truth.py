@@ -130,18 +130,11 @@ class GroundTruth:
 def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:
     """(2d+1)-point finite difference Laplacian on ``{1..p}^d``, scaled by ``(p+1)^2``.
 
-    Zero boundary values are eliminated, so the matrix is SPD.
+    Zero boundary values are eliminated, so the matrix is SPD.  It is the
+    Kronecker sum of ``d`` copies of the 1-d second difference.
     """
-    shape = LatticeShape(p=p, d=d)
     one_dim = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(p, p))
-    eye = sparse.identity(p)
-    a = sparse.csr_matrix((shape.size, shape.size))
-    for axis in range(d):
-        term = sparse.identity(1)
-        for other in range(d):
-            term = sparse.kron(term, one_dim if other == axis else eye)
-        a = a + term
-    return ((p + 1) ** 2 * a).tocsr()
+    return ((p + 1) ** 2 * functools.reduce(sparse.kronsum, [one_dim] * d)).tocsr()
 
 
 def _check_capacity(n_vertices: int, max_vertices: int):
@@ -207,22 +200,22 @@ def build_green_restriction(
 ) -> GroundTruth:
     """Green's matrix of the fine-grid operator restricted to site nodes.
 
-    Every site of ``cloud`` must coincide with a node ``t/(fine_m+1)`` of
-    the fine lattice; off-grid sites raise ``InvalidInput``.  The fine grid
+    Every site of ``cloud`` must lie on a node ``t/(fine_m+1)``, ``t`` in
+    ``{1..fine_m}^d``; other sites raise ``InvalidInput``.  The fine grid
     should oversample the sites by a factor of at least 4 for the
     restriction to approximate the continuum Green's function well.
     """
     fine = build_lattice_precision(fine_m, d, s, max_vertices=max_vertices)
-    fine_shape: LatticeShape = fine.geometry
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
-    nodes = []
-    for x in sites:
-        t = x * (fine_m + 1)
-        t_round = np.rint(t)
-        if np.max(np.abs(t - t_round)) > 1e-9 * (fine_m + 1):
-            raise InvalidInput(f"site {x} does not lie on the fine grid")
-        nodes.append(fine_shape.flat_index(t_round.astype(int)))
-    nodes = np.asarray(nodes, dtype=np.int64)
+    if sites.shape[1] != d:
+        raise InvalidInput(f"sites must have {d} coordinates, got shape {sites.shape}")
+    t = sites * (fine_m + 1)
+    coords = np.rint(t)
+    off = (np.abs(t - coords) > 1e-9 * (fine_m + 1)) | (coords < 1) | (coords > fine_m)
+    if off.any():
+        site = sites[off.any(axis=1).argmax()]
+        raise InvalidInput(f"site {site} does not lie on an interior node of the fine grid")
+    nodes = np.ravel_multi_index(tuple(coords.T.astype(np.int64) - 1), (fine_m,) * d)
     if np.unique(nodes).size != nodes.size:
         raise InvalidInput("two sites snap to the same fine-grid node")
     sigma = fine.sigma[np.ix_(nodes, nodes)]

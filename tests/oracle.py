@@ -1,30 +1,48 @@
 """Per-window oracle of the blockwise estimator, for the tests.
 
-It takes one covariance and one full inverse per radius-2 window, where
-the estimator factors a slice of one shared source and solves only for
-the kept columns, and it assembles its blocks entry by entry.
+It builds blocks and windows on its own, a block as the vertices whose
+coordinates fall in its axis intervals and a window as the sorted union of
+its blocks, independently of ``BlockScheme.box``.  It takes one covariance
+and one full inverse per radius-2 window, where the estimator factors a
+slice of one shared source and solves only for the kept columns, and it
+assembles its blocks entry by entry.
 """
+
+import itertools
 
 import numpy as np
 
 from gpprec.errors import LocalSingular, NotPositiveDefinite
-from gpprec.lattice import neighborhood
 from gpprec.linalg import sample_covariance, spd_inverse, symmetrize
 
 
-def _window(scheme, j):
-    return neighborhood(scheme, j, 2)[1]
+def block_vertices(scheme, j):
+    """Sorted flat vertices whose coordinates lie in the axis intervals of block ``j``."""
+    labels = (scheme.shape.coordinates() - 1) // scheme.b + 1
+    return np.flatnonzero((labels == np.asarray(j)).all(axis=1))
+
+
+def near_blocks(scheme, j, radius):
+    """Block index tuples within sup-distance ``radius`` of ``j``, in lexicographic order."""
+    ranges = [range(max(1, x - radius), min(scheme.S, x + radius) + 1) for x in j]
+    return tuple(itertools.product(*ranges))
+
+
+def window_vertices(scheme, j, radius=2):
+    """Sorted union of the vertices of the blocks within ``radius`` of ``j``."""
+    blocks = near_blocks(scheme, j, radius)
+    return np.sort(np.concatenate([block_vertices(scheme, jj) for jj in blocks]))
 
 
 def _block(inverse, w, scheme, j, jp):
-    rows = np.searchsorted(w, scheme.membership[j])
-    cols = np.searchsorted(w, scheme.membership[jp])
+    rows = np.searchsorted(w, block_vertices(scheme, j))
+    cols = np.searchsorted(w, block_vertices(scheme, jp))
     return inverse[np.ix_(rows, cols)]
 
 
 def window_block(sigma, scheme, j, jp):
     """The ``(j, jp)`` block of ``inv(sigma[w, w])``, ``w`` the window of ``j``."""
-    w = _window(scheme, j)
+    w = window_vertices(scheme, j)
     return _block(spd_inverse(symmetrize(sigma[np.ix_(w, w)])), w, scheme, j, jp)
 
 
@@ -36,7 +54,7 @@ def assemble(local_blocks, scheme):
     m = scheme.shape.size
     raw = np.zeros((m, m))
     for (j, jp), block in local_blocks.items():
-        raw[np.ix_(scheme.membership[j], scheme.membership[jp])] = block
+        raw[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))] = block
     return 0.5 * (raw + raw.T)
 
 
@@ -48,12 +66,12 @@ def reference_estimate(data, scheme, population=False):
     """
     n_samples = None if population else data.shape[0]
     for j in scheme.block_indices():
-        w = _window(scheme, j)
+        w = window_vertices(scheme, j)
         if n_samples is not None and n_samples <= w.size:
             raise LocalSingular(j, int(w.size), n_samples)
     local_blocks = {}
     for j in scheme.block_indices():
-        w = _window(scheme, j)
+        w = window_vertices(scheme, j)
         if population:
             cov = symmetrize(data[np.ix_(w, w)])
         else:
@@ -62,6 +80,6 @@ def reference_estimate(data, scheme, population=False):
             inverse = spd_inverse(cov)
         except NotPositiveDefinite as exc:
             raise LocalSingular(j, int(w.size), n_samples) from exc
-        for jp in neighborhood(scheme, j, 1)[0]:
+        for jp in near_blocks(scheme, j, 1):
             local_blocks[(j, jp)] = _block(inverse, w, scheme, j, jp)
     return assemble(local_blocks, scheme)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from oracle import window_block
+from oracle import block_vertices, near_blocks, window_block
 
 from gpprec.cholesky import (
     assemble_U,
@@ -24,7 +24,7 @@ from gpprec.cholesky import (
 from gpprec.errors import NotPositiveDefinite
 from gpprec.estimator import EstimatorConfig, estimate_precision, ols_plugin_row
 from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
-from gpprec.lattice import build_scheme, lattice_points, neighborhood
+from gpprec.lattice import build_scheme, lattice_points
 from gpprec.linalg import (
     cholesky_lower,
     sample_covariance,
@@ -96,10 +96,10 @@ def test_criterion_1_population_bias_bound():
         scheme = build_scheme(40, b, 1)
         bound = truth.kappa * math.exp(-3 * b) + 1e-12
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
                 t_block = window_block(truth.sigma, scheme, j, jp)
-                want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
+                want = truth.omega[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))]
                 err = np.linalg.norm(t_block - want, 2) / norm
                 assert err < bound
                 worst_margin = min(worst_margin, bound - err)

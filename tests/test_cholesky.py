@@ -13,6 +13,7 @@ from gpprec.cholesky import (
     estimate_scales,
     exact_block_factor,
     exact_scales,
+    plan_scales,
 )
 from gpprec.errors import InvalidInput, NotPositiveDefinite
 from gpprec.estimator import EstimatorConfig
@@ -287,7 +288,7 @@ class TestEstimateCholesky:
 
     def test_rank_bound_fails_before_covariance(self, monkeypatch):
         # N = 3 covers scales 1 and 2 (1 and 3 columns); scale 3 has 7 columns,
-        # so the rank bound must fail it before its covariance is formed.
+        # so the rank bound fails it before any scale's covariance is formed.
         formed = []
 
         def guarded(samples):
@@ -301,7 +302,23 @@ class TestEstimateCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
         assert info.value.scale == 3
-        assert formed == [1, 3]
+        assert formed == []
+
+    def test_plan_scales_routes_and_refusals(self):
+        # Prefix sizes 1, 3, 7 and 15; with kappa_hint 1 a scale inverts its
+        # full covariance when its size is at most log(N).
+        truth, levels = nested_truth(4)
+        cloud = truth.geometry
+        cfg = EstimatorConfig(kappa_hint=1.0)
+        assert plan_scales(levels, 2000, cfg) == (True,) * 4
+        assert plan_scales(levels, 2000, cfg, cloud) == (True, True, True, False)
+        assert plan_scales(levels, 5, cfg, cloud) == (True, False, False, False)
+        with pytest.raises(NotPositiveDefinite) as info:
+            plan_scales(levels, 5, cfg)
+        assert info.value.scale == 3
+        assert str(info.value) == "scale 3: 5 samples cannot span 7 variables"
+        with pytest.raises(InvalidInput):
+            plan_scales(levels, 0, cfg)
 
     def test_scattered_route_for_large_scales(self):
         # With a small kappa hint, the finer scales exceed the full-inverse

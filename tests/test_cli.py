@@ -432,16 +432,18 @@ class TestOneDrawPerSeed:
         assert run_cli("estimate", *argv, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["lattice", "scattered"])
+    @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_refused_row_draws_nothing(self, monkeypatch, capsys, kind):
-        # The 10-sample rows are refused for windows of 12 or more vertices
-        # before any draw; the seed's one draw is made by its 500-sample row.
+        # The small rows are refused before any draw: the precision rows for
+        # windows of 12 or more vertices, the factor rows for a 7-column
+        # scale.  The seed's one draw is made by its 500-sample row.
+        small, error = {"factor": ("5", "NotPositiveDefinite")}.get(kind, ("10", "LocalSingular"))
         samples = spy(monkeypatch, "sample")
-        argv = ONE_DRAW_CONFIGS[kind] + ["--n", "10,500", "--seeds", "0,1", "--timing"]
+        argv = ONE_DRAW_CONFIGS[kind] + ["--n", f"{small},500", "--seeds", "0,1", "--timing"]
         assert run_cli("estimate", *argv) == 1
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
         assert [(row[5], row[12]) for row in rows] == [
-            ("10", "LocalSingular"), ("10", "LocalSingular"), ("500", ""), ("500", ""),
+            (small, error), (small, error), ("500", ""), ("500", ""),
         ]
         assert [args[1:] for args in samples] == [(500, 0), (500, 1)]
 
@@ -457,6 +459,10 @@ class TestOneDrawPerSeed:
         assert errors == ["NotPositiveDefinite", "NotPositiveDefinite"]
         assert run_cli("estimate", "--p", "4", "--b", "5", "--n", "50") == 1
         assert capsys.readouterr().out.splitlines()[2].split(",")[12] == "InvalidInput"
+        # A factor row with fewer samples than the columns of a scale.
+        argv = ONE_DRAW_CONFIGS["factor"] + ["--n", "5"]
+        assert run_cli("estimate", *argv) == 1
+        assert capsys.readouterr().out.splitlines()[2].split(",")[12] == "NotPositiveDefinite"
 
     def test_refused_matching_fails_every_row(self, monkeypatch, capsys):
         def refused(cloud, c1):

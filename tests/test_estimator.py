@@ -18,11 +18,18 @@ from gpprec.estimator import (
     ols_plugin_row,
     plan_estimate,
 )
-from gpprec.lattice import LatticeShape, build_scheme, neighborhood
+from gpprec.lattice import LatticeShape, build_scheme
 from gpprec.linalg import sample_covariance, spd_inverse, spectral_norm, symmetrize
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, sample
 from gpprec.matching import measure_cloud
-from oracle import assemble, reference_estimate, window_block
+from oracle import (
+    assemble,
+    block_vertices,
+    near_blocks,
+    reference_estimate,
+    window_block,
+    window_vertices,
+)
 
 
 def banded_block_truth(p, b, rng):
@@ -30,9 +37,9 @@ def banded_block_truth(p, b, rng):
     scheme = build_scheme(p, b, 1)
     mask = np.zeros((p, p), dtype=bool)
     for j in scheme.block_indices():
-        near, _ = neighborhood(scheme, j, 1)
+        near = near_blocks(scheme, j, 1)
         for jp in near:
-            mask[np.ix_(scheme.membership[j], scheme.membership[jp])] = True
+            mask[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))] = True
     base = symmetrize(rng.standard_normal((p, p))) * 0.2
     omega = symmetrize(np.where(mask, base, 0.0) + np.eye(p) * (2.0 + p * 0.05))
     return scheme, omega
@@ -74,7 +81,7 @@ class TestLocalEstimate:
         for j in scheme.block_indices():
             t_jj = window_block(sigma, scheme, j, j)
             np.testing.assert_allclose(
-                t_jj, omega[np.ix_(scheme.membership[j], scheme.membership[j])], atol=1e-12
+                t_jj, omega[np.ix_(block_vertices(scheme, j), block_vertices(scheme, j))], atol=1e-12
             )
 
     def test_full_window_is_exact(self):
@@ -83,10 +90,10 @@ class TestLocalEstimate:
         truth = build_lattice_precision(10, 1, 2)
         scheme = build_scheme(10, 2, 1)
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
                 t_block = window_block(truth.sigma, scheme, j, jp)
-                want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
+                want = truth.omega[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))]
                 assert np.max(np.abs(t_block - want)) <= 1e-10 * spectral_norm(truth.omega)
 
     def test_population_bias_bound_banded(self):
@@ -95,10 +102,10 @@ class TestLocalEstimate:
         norm = spectral_norm(truth.omega)
         scheme = build_scheme(40, 4, 1)
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
                 t_block = window_block(truth.sigma, scheme, j, jp)
-                want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
+                want = truth.omega[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))]
                 err = np.linalg.norm(t_block - want, 2) / norm
                 assert err <= truth.kappa * math.exp(-12) + 1e-12
 
@@ -112,10 +119,10 @@ class TestLocalEstimate:
             scheme = build_scheme(p, b, 1)
             worst = 0.0
             for j in scheme.block_indices():
-                near, _ = neighborhood(scheme, j, 1)
+                near = near_blocks(scheme, j, 1)
                 for jp in near:
                     t_block = window_block(truth.sigma, scheme, j, jp)
-                    want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
+                    want = truth.omega[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))]
                     worst = max(worst, np.linalg.norm(t_block - want, 2) / norm)
             assert 0.0 < worst <= truth.kappa * math.exp(-3 * b)
 
@@ -134,10 +141,10 @@ class TestAssembleGlobal:
         scheme, omega = banded_block_truth(12, 2, rng)
         locals_map = {}
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
                 locals_map[(j, jp)] = omega[
-                    np.ix_(scheme.membership[j], scheme.membership[jp])
+                    np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))
                 ]
         np.testing.assert_allclose(assemble(locals_map, scheme), omega, atol=1e-14)
 
@@ -163,22 +170,22 @@ class TestAssembleGlobal:
         scheme = build_scheme(p, 5, 1)
         locals_map, worst_block = {}, 0.0
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
                 block = window_block(truth.sigma, scheme, j, jp)
                 block += 0.01 * rng.standard_normal(block.shape) * np.abs(block).max()
                 locals_map[(j, jp)] = block
-                want = truth.omega[np.ix_(scheme.membership[j], scheme.membership[jp])]
+                want = truth.omega[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))]
                 worst_block = max(worst_block, np.linalg.norm(block - want, 2))
         est = assemble(locals_map, scheme)
         raw = np.zeros_like(truth.omega)
         for (j, jp), block in locals_map.items():
-            raw[np.ix_(scheme.membership[j], scheme.membership[jp])] = block
+            raw[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))] = block
         in_band = np.zeros_like(truth.omega, dtype=bool)
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
-                in_band[np.ix_(scheme.membership[j], scheme.membership[jp])] = True
+                in_band[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))] = True
         remainder = np.where(in_band, 0.0, truth.omega)
         lhs = np.linalg.norm(raw - truth.omega, 2)
         rhs = 3.0 * worst_block + spectral_norm(symmetrize(remainder))
@@ -269,9 +276,9 @@ class TestEstimatePrecision:
         scheme = est.scheme
         in_band = np.zeros((30, 30), dtype=bool)
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
-                in_band[np.ix_(scheme.membership[j], scheme.membership[jp])] = True
+                in_band[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))] = True
         assert np.all(est.matrix[~in_band] == 0.0)
         assert np.array_equal(est.matrix, est.matrix.T)
 
@@ -324,9 +331,7 @@ class TestEstimatePrecision:
         truth = build_lattice_precision(6, 2, 1)
         shape = truth.geometry
         z = sample(truth, 400, seed=8)
-        perm = np.array(
-            [shape.flat_index(tuple(reversed(shape.coordinate(f)))) for f in range(shape.size)]
-        )
+        perm = np.arange(shape.size).reshape(shape.p, shape.p).T.ravel()
         cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=2)
         direct = estimate_precision(z, shape, cfg).matrix
         swapped = estimate_precision(z[:, perm], shape, cfg).matrix
@@ -344,9 +349,9 @@ class TestEstimatePrecision:
         in_band = np.zeros_like(truth.omega, dtype=bool)
         scheme = est.scheme
         for j in scheme.block_indices():
-            near, _ = neighborhood(scheme, j, 1)
+            near = near_blocks(scheme, j, 1)
             for jp in near:
-                in_band[np.ix_(scheme.membership[j], scheme.membership[jp])] = True
+                in_band[np.ix_(block_vertices(scheme, j), block_vertices(scheme, jp))] = True
         gap = spectral_norm(symmetrize(np.where(in_band, est.matrix - truth.omega, 0.0)))
         assert gap <= 1e-9 * spectral_norm(truth.omega)
 
@@ -374,13 +379,13 @@ class TestEstimatePrecision:
 
 
 class TestPlanEstimate:
-    """The data-free refusals, against the windows ``neighborhood`` lists."""
+    """The data-free refusals, against the oracle's tuple-union windows."""
 
     @staticmethod
     def first_under_sampled(p, b, d, n):
         scheme = build_scheme(p, b, d)
         for j in scheme.block_indices():
-            size = neighborhood(scheme, j, WINDOW_RADIUS)[1].size
+            size = window_vertices(scheme, j, WINDOW_RADIUS).size
             if size >= n:
                 return j, size
         return None
@@ -392,7 +397,7 @@ class TestPlanEstimate:
         cfg = EstimatorConfig(b_override=b)
         sizes = set()
         for j in build_scheme(p, b, d).block_indices():
-            sizes.add(neighborhood(build_scheme(p, b, d), j, WINDOW_RADIUS)[1].size)
+            sizes.add(window_vertices(build_scheme(p, b, d), j, WINDOW_RADIUS).size)
         for n in sorted(sizes | {s + 1 for s in sizes} | {1}):
             want = self.first_under_sampled(p, b, d, n)
             if want is None:
@@ -506,7 +511,7 @@ class TestBandGram:
         tol = 1e-13 * np.max(np.abs(full))
         assert np.array_equal(gram, gram.T)
         for j in scheme.block_indices():
-            _, w = neighborhood(scheme, j, 2)
+            w = window_vertices(scheme, j)
             assert np.max(np.abs(gram[np.ix_(w, w)] - full[np.ix_(w, w)])) <= tol
 
 

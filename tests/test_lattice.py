@@ -1,4 +1,4 @@
-"""Lattice partition and neighborhood bookkeeping."""
+"""Lattice shapes, block partitions and their window boxes."""
 
 import numpy as np
 import pytest
@@ -8,27 +8,34 @@ from gpprec.lattice import (
     LatticeShape,
     build_scheme,
     lattice_points,
-    neighborhood,
 )
+from oracle import block_vertices, window_vertices
+
+
+def vertices(scheme, j, radius=0):
+    """Flat vertices of the box of block ``j`` at ``radius``, read in C order."""
+    grid = np.arange(scheme.shape.size).reshape((scheme.shape.p,) * scheme.shape.d)
+    return grid[scheme.box(j, radius)].ravel()
 
 
 class TestLatticeShape:
     def test_flat_round_trip(self):
         shape = LatticeShape(p=4, d=2)
-        for flat in range(shape.size):
-            assert shape.flat_index(shape.coordinate(flat)) == flat
+        flat = np.ravel_multi_index(tuple(shape.coordinates().T - 1), (4, 4))
+        np.testing.assert_array_equal(flat, np.arange(shape.size))
 
     def test_last_axis_fastest(self):
-        shape = LatticeShape(p=3, d=2)
-        assert shape.flat_index((1, 1)) == 0
-        assert shape.flat_index((1, 2)) == 1
-        assert shape.flat_index((2, 1)) == 3
+        coords = LatticeShape(p=3, d=2).coordinates()
+        assert tuple(coords[0]) == (1, 1)
+        assert tuple(coords[1]) == (1, 2)
+        assert tuple(coords[3]) == (2, 1)
 
     def test_coordinates_in_flat_order(self):
-        shape = LatticeShape(p=3, d=2)
+        shape = LatticeShape(p=3, d=3)
         coords = shape.coordinates()
         for flat in range(shape.size):
-            assert tuple(coords[flat]) == shape.coordinate(flat)
+            want = np.unravel_index(flat, (3, 3, 3))
+            assert tuple(coords[flat]) == tuple(int(x) + 1 for x in want)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidInput):
@@ -43,24 +50,24 @@ class TestBuildScheme:
     def test_short_last_interval(self):
         scheme = build_scheme(p=5, b=2, d=1)
         assert scheme.S == 3
-        np.testing.assert_array_equal(scheme.intervals[0], [1, 2])
-        np.testing.assert_array_equal(scheme.intervals[1], [3, 4])
-        np.testing.assert_array_equal(scheme.intervals[2], [5])
+        assert scheme.box((1,)) == (slice(0, 2),)
+        assert scheme.box((2,)) == (slice(2, 4),)
+        assert scheme.box((3,)) == (slice(4, 5),)
 
     def test_single_block_covers_everything(self):
         scheme = build_scheme(p=4, b=4, d=2)
         assert scheme.S == 1
-        assert scheme.membership[(1, 1)].size == 16
+        assert vertices(scheme, (1, 1)).size == 16
 
     def test_partition_exhaustive(self):
         scheme = build_scheme(p=6, b=2, d=2)
         blocks = list(scheme.block_indices())
         assert len(blocks) == 9
-        seen = np.concatenate([scheme.membership[j] for j in blocks])
+        seen = np.concatenate([vertices(scheme, j) for j in blocks])
         assert seen.size == 36
         assert np.unique(seen).size == 36
         for j in blocks:
-            assert scheme.membership[j].size == 4
+            assert vertices(scheme, j).size == 4
 
     def test_partition_property_randomized(self, rng):
         for _ in range(25):
@@ -68,8 +75,8 @@ class TestBuildScheme:
             p = int(rng.integers(1, 9 if d == 3 else 14))
             b = int(rng.integers(1, p + 1))
             scheme = build_scheme(p, b, d)
-            sizes = [scheme.membership[j].size for j in scheme.block_indices()]
-            union = np.concatenate([scheme.membership[j] for j in scheme.block_indices()])
+            sizes = [vertices(scheme, j).size for j in scheme.block_indices()]
+            union = np.concatenate([vertices(scheme, j) for j in scheme.block_indices()])
             assert sum(sizes) == p**d
             assert np.unique(union).size == p**d
             assert all(1 <= s <= b**d for s in sizes)
@@ -79,13 +86,13 @@ class TestBuildScheme:
         # Reference: each block's coordinate product, flattened and sorted.
         scheme = build_scheme(p, b, d)
         for j in scheme.block_indices():
-            axes = [scheme.intervals[x - 1] for x in j]
+            axes = [np.arange((x - 1) * b + 1, min(x * b, p) + 1) for x in j]
             grids = np.meshgrid(*axes, indexing="ij")
             coords = np.stack([g.ravel() for g in grids], axis=1)
             flat = np.zeros(coords.shape[0], dtype=np.int64)
             for a in range(d):
                 flat = flat * p + (coords[:, a] - 1)
-            got = scheme.membership[j]
+            got = vertices(scheme, j)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.sort(flat))
 
@@ -97,43 +104,52 @@ class TestBuildScheme:
 
 
 class TestNeighborhood:
+    """``BlockScheme.box``: the blocks within a sup-distance of a block, as one box."""
+
+    @pytest.mark.parametrize(
+        "p,b,d", [(23, 3, 1), (10, 4, 1), (14, 3, 2), (11, 2, 2), (7, 2, 3), (8, 3, 3)]
+    )
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_matches_tuple_union(self, p, b, d, radius):
+        # Ragged shapes: the last block is shorter than b on every axis.
+        scheme = build_scheme(p, b, d)
+        for j in scheme.block_indices():
+            got = vertices(scheme, j, radius)
+            np.testing.assert_array_equal(got, window_vertices(scheme, j, radius))
+
     def test_clipped_at_boundary(self):
         scheme = build_scheme(p=5, b=2, d=1)
-        blocks, vertices = neighborhood(scheme, (1,), 1)
-        assert blocks == ((1,), (2,))
-        np.testing.assert_array_equal(vertices, [0, 1, 2, 3])
+        assert scheme.box((1,), 1) == (slice(0, 4),)
+        np.testing.assert_array_equal(vertices(scheme, (1,), 1), [0, 1, 2, 3])
 
     def test_full_interior_window(self):
+        # An interior radius-2 window holds (5b)^d vertices.
         scheme = build_scheme(p=10, b=2, d=2)
-        blocks, _ = neighborhood(scheme, (3, 3), 2)
-        assert len(blocks) == 25
+        assert vertices(scheme, (3, 3), 2).size == (5 * 2) ** 2
 
     def test_radius_zero_is_the_block(self):
-        scheme = build_scheme(p=6, b=2, d=2)
+        scheme = build_scheme(p=7, b=2, d=2)
         for j in scheme.block_indices():
-            blocks, vertices = neighborhood(scheme, j, 0)
-            assert blocks == (j,)
-            np.testing.assert_array_equal(vertices, scheme.membership[j])
+            assert scheme.box(j) == scheme.box(j, 0)
+            np.testing.assert_array_equal(vertices(scheme, j), block_vertices(scheme, j))
 
     def test_monotone_in_radius(self, rng):
         scheme = build_scheme(p=9, b=2, d=2)
         for _ in range(10):
             j = tuple(rng.integers(1, scheme.S + 1, size=2))
-            _, w1 = neighborhood(scheme, j, 1)
-            _, w2 = neighborhood(scheme, j, 2)
+            w0, w1, w2 = (vertices(scheme, j, r) for r in (0, 1, 2))
+            assert np.isin(w0, w1).all()
             assert np.isin(w1, w2).all()
 
-    def test_size_bound(self, rng):
+    def test_size_bound(self):
         scheme = build_scheme(p=12, b=2, d=2)
         for lam in (0, 1, 2):
             for j in scheme.block_indices():
-                blocks, _ = neighborhood(scheme, j, lam)
-                assert len(blocks) <= (2 * lam + 1) ** 2
-        interior = (3, 3)
-        blocks, _ = neighborhood(scheme, interior, 2)
-        assert len(blocks) == 25
+                assert vertices(scheme, j, lam).size <= ((2 * lam + 1) * 2) ** 2
+        assert vertices(scheme, (3, 3), 2).size == 10**2
 
     def test_invalid_block(self):
         scheme = build_scheme(p=5, b=2, d=1)
-        with pytest.raises(InvalidInput):
-            neighborhood(scheme, (4,), 1)
+        for j, radius in (((4,), 1), ((0,), 0), ((1, 1), 0), ((1,), -1)):
+            with pytest.raises(InvalidInput):
+                scheme.box(j, radius)

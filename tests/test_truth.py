@@ -152,6 +152,16 @@ class TestGreenRestriction:
         with pytest.raises(InvalidInput):
             build_green_restriction(15, 1, 1, cloud)
 
+    @pytest.mark.parametrize(
+        "site", [[1e-12], [1.0 - 1e-12], [0.5, 1e-12], [1.0 - 1e-12, 0.25]]
+    )
+    def test_site_snapping_to_the_boundary_rejected(self, site):
+        # The site rounds to fine-grid coordinate 0 or fine_m + 1, a
+        # boundary node that the Dirichlet lattice does not hold.
+        cloud = measure_cloud(np.array([site]), len(site))
+        with pytest.raises(InvalidInput, match="interior node"):
+            build_green_restriction(15, len(site), 1, cloud)
+
 
 class TestMatern:
     @pytest.fixture
