@@ -16,8 +16,15 @@ formed once per estimate with one product per axis-0 slab of blocks and
 exactly symmetric.  The exact population covariance
 (``population=True``) is such a source as it stands, so it takes the same
 path; this isolates the deterministic bias of the windowed inversion from
-sampling noise, which is what the bias tests exercise.  Each window is
-factored once and solved only for the ``b**d`` columns of its own block.
+sampling noise, which is what the bias tests exercise.
+
+The source's exact symmetry is checked once per estimate.  Viewed as
+``source.reshape((p,) * 2d)``, a window's covariance is one box slice, the
+window's box twice, copied in C order.  Each window takes one gated
+Cholesky factorization of that copy, in place and without re-checking its
+symmetry, and one solve for the ``b**d`` unit columns of its own block;
+the in-band rows of the solve are written back as the box of the radius-1
+rows times the block.
 
 Every refusal that needs no data is made by :func:`plan_estimate`
 before any sample is read, so a caller can run it before drawing one.
@@ -32,11 +39,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, lapack
 
 from .errors import InvalidInput, LocalSingular, NotPositiveDefinite
 from .lattice import BlockScheme, LatticeShape, build_scheme
-from .linalg import cholesky_lower, sample_covariance, spd_inverse, symmetrize
+from .linalg import (
+    _as_square_sym,
+    _gated_factor,
+    cholesky_lower,
+    sample_covariance,
+    spd_inverse,
+    symmetrize,
+)
 
 __all__ = [
     "EstimatorConfig",
@@ -166,20 +180,9 @@ def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | 
     return b
 
 
-def _kept_columns(source, j, w, kept, n_samples):
-    """Columns ``kept`` of the inverse of ``source`` on the window ``w`` of block ``j``.
-
-    Returns the ``(|w|, |kept|)`` solve of the window covariance against
-    the unit columns at the window positions ``kept``.  Raises
-    ``LocalSingular`` when the window covariance fails the pivot gate.
-    """
-    try:
-        factor = cholesky_lower(source[np.ix_(w, w)])
-    except NotPositiveDefinite as exc:
-        raise LocalSingular(j, int(w.size), n_samples) from exc
-    unit = np.zeros((w.size, kept.size))
-    unit[kept, np.arange(kept.size)] = 1.0
-    return cho_solve((factor, True), unit, check_finite=False)
+def _within(window, box):
+    """``box``, a box inside ``window``, as slices of the window's own box."""
+    return tuple(slice(s.start - w.start, s.stop - w.start) for w, s in zip(window, box))
 
 
 def estimate_precision(
@@ -220,18 +223,30 @@ def estimate_precision(
         omega = spd_inverse(sample_covariance(data))
         return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
     scheme = build_scheme(shape.p, b, shape.d)
-    # The exactly symmetric matrix every window is sliced from.
-    source = symmetrize(data) if population else _band_gram(data, scheme)
-    # Each window fills the B_j columns of its in-band rows.
-    grid = np.arange(m).reshape((shape.p,) * shape.d)
-    local = np.empty_like(grid)  # positions within the current window, over its box
+    # The matrix every window is sliced from, checked exactly symmetric once
+    # here so that no window is checked again.
+    source = _as_square_sym(symmetrize(data) if population else _band_gram(data, scheme))
+    # Over the flat-index grid squared, a window's covariance is one box and
+    # the B_j columns of its in-band rows are another.
+    src = source.reshape((shape.p,) * (2 * shape.d))
     raw = np.zeros((m, m))
+    out = raw.reshape(src.shape)
     for j in scheme.block_indices():
         window, block, near = (scheme.box(j, r) for r in (WINDOW_RADIUS, 0, 1))
-        w = grid[window]
-        local[window] = np.arange(w.size).reshape(w.shape)
-        cols = _kept_columns(source, j, w.ravel(), local[block].ravel(), n_samples)
-        raw[np.ix_(grid[near].ravel(), grid[block].ravel())] = cols[local[near].ravel()]
+        wshape, bshape = (tuple(s.stop - s.start for s in box) for box in (window, block))
+        k, kb = math.prod(wshape), math.prod(bshape)
+        # The copy is C-ordered and symmetric, so its transpose is the same
+        # matrix in Fortran order, which dpotrf factors in place.
+        cov = np.array(src[window + window]).reshape(k, k).T
+        try:
+            factor = _gated_factor(cov)
+        except NotPositiveDefinite as exc:
+            raise LocalSingular(j, k, n_samples) from exc
+        unit = np.zeros(wshape + (kb,))
+        unit[_within(window, block)] = np.eye(kb).reshape(bshape + (kb,))
+        # dpotrs reports only illegal arguments, which these shapes rule out.
+        cols, _ = lapack.dpotrs(factor, unit.reshape(k, kb), lower=1)
+        out[near + block] = cols.reshape(wshape + bshape)[_within(window, near)]
     return PrecisionEstimate(
         matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
     )

@@ -7,15 +7,21 @@ use :func:`symmetrize` first when a matrix was assembled entrywise.
 
 Positive definiteness is decided by the Cholesky pivot rule: a pivot is
 rejected when it is at most ``SPD_PIVOT_RTOL`` times the largest diagonal
-entry of the input.  Inverses and square roots are routed through this
-gate; :func:`condition_number` applies the same tolerance to the ratio of
-its extreme eigenvalues, both from one full symmetric eigenvalue
-decomposition.  :func:`spectral_norm` needs only the one extreme eigenvalue
-and takes it by Lanczos (ARPACK's ``eigsh``), on a dense array, a scipy
-sparse matrix or a ``LinearOperator`` as the caller holds it.
+entry of the input.  The rule lives in one private gate, ``_gated_factor``,
+whose precondition is an exactly symmetric input, guaranteed by its
+caller: :func:`cholesky_lower` checks each input, and the blockwise
+estimator checks its covariance source once per estimate and then factors
+each window, a slice of it, through the gate directly.  Inverses and
+square roots are routed through this gate; :func:`condition_number`
+applies the same tolerance to the ratio of its extreme eigenvalues, both
+from one full symmetric eigenvalue decomposition.  :func:`spectral_norm`
+needs only the one extreme eigenvalue and takes it by Lanczos (ARPACK's
+``eigsh``), on a dense array, a scipy sparse matrix or a
+``LinearOperator`` as the caller holds it.
 
-Every function here is a pure function of immutable inputs and never
-mutates its arguments, so concurrent read-only use is safe.
+Every public function here is a pure function of immutable inputs and
+never mutates its arguments, so concurrent read-only use is safe; only
+the private gate factors its argument, a copy its caller made, in place.
 """
 
 from __future__ import annotations
@@ -131,9 +137,23 @@ def cholesky_lower(a) -> np.ndarray:
         largest diagonal entry of ``a``; the exception reports the failing
         pivot index.
     """
-    a = _as_square_sym(a)
+    return _gated_factor(np.array(_as_square_sym(a), order="F"))
+
+
+def _gated_factor(a) -> np.ndarray:
+    """Clean lower Cholesky factor of ``a`` behind the pivot gate, in place.
+
+    Precondition: ``a`` is an exactly symmetric float64 square array in
+    Fortran order, which the caller owns.  The caller guarantees it and
+    nothing here checks it, so a caller that slices many matrices from one
+    symmetric source checks that source once instead of every slice.
+    ``dpotrf`` overwrites ``a`` with the factor.  Raises
+    ``NotPositiveDefinite`` with the failing pivot index when ``dpotrf``
+    stops (``info > 0``) or a pivot is at most ``SPD_PIVOT_RTOL`` times the
+    largest diagonal entry of ``a``.
+    """
     pivot_floor = SPD_PIVOT_RTOL * float(np.max(np.diag(a), initial=0.0))
-    c, info = lapack.dpotrf(a, lower=1, clean=1)
+    c, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefinite(
             f"factorization failed at pivot {info - 1}", pivot=info - 1

@@ -6,14 +6,18 @@ its blocks, independently of ``BlockScheme.box``.  It takes one covariance
 and one full inverse per radius-2 window, where the estimator factors a
 slice of one shared source and solves only for the kept columns, and it
 assembles its blocks entry by entry.
+
+:func:`indexed_estimate` is the estimator's window step by index arrays
+instead of boxes, so the two must agree bit for bit.
 """
 
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from gpprec.errors import LocalSingular, NotPositiveDefinite
-from gpprec.linalg import sample_covariance, spd_inverse, symmetrize
+from gpprec.linalg import cholesky_lower, sample_covariance, spd_inverse, symmetrize
 
 
 def block_vertices(scheme, j):
@@ -83,3 +87,24 @@ def reference_estimate(data, scheme, population=False):
         for jp in near_blocks(scheme, j, 1):
             local_blocks[(j, jp)] = _block(inverse, w, scheme, j, jp)
     return assemble(local_blocks, scheme)
+
+
+def indexed_estimate(source, scheme):
+    """Blockwise estimate from one exactly symmetric ``source`` by index arrays.
+
+    Per block, the window covariance is an ``np.ix_`` gather of ``source``,
+    factored by :func:`cholesky_lower` and solved by ``cho_solve`` against
+    the block's unit columns; the in-band rows of the solve are scattered
+    into place by ``np.ix_`` and the result is symmetrized.
+    """
+    m = scheme.shape.size
+    raw = np.zeros((m, m))
+    for j in scheme.block_indices():
+        w, block, near = (window_vertices(scheme, j, r) for r in (2, 0, 1))
+        kept = np.searchsorted(w, block)
+        unit = np.zeros((w.size, kept.size))
+        unit[kept, np.arange(kept.size)] = 1.0
+        factor = cholesky_lower(source[np.ix_(w, w)])
+        cols = cho_solve((factor, True), unit, check_finite=False)
+        raw[np.ix_(near, block)] = cols[np.searchsorted(w, near)]
+    return 0.5 * (raw + raw.T)

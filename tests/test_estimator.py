@@ -25,6 +25,7 @@ from gpprec.matching import measure_cloud
 from oracle import (
     assemble,
     block_vertices,
+    indexed_estimate,
     near_blocks,
     reference_estimate,
     window_block,
@@ -441,7 +442,11 @@ class TestPlanEstimate:
 
 
 class TestWindowOracle:
-    """The band-Gram route against one covariance and inverse per window."""
+    """The band-Gram route against one covariance and inverse per window.
+
+    Each test also checks the estimate bit for bit against
+    ``indexed_estimate``, the same window step by index arrays.
+    """
 
     @pytest.mark.parametrize(
         "p, d, s, b, n",
@@ -459,10 +464,12 @@ class TestWindowOracle:
         z = sample(truth, n, seed=p + d)
         cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b)
         est = estimate_precision(z, truth.geometry, cfg)
-        want = reference_estimate(z, build_scheme(p, b, d))
+        scheme = build_scheme(p, b, d)
+        want = reference_estimate(z, scheme)
         assert est.path == BLOCKWISE
         assert np.max(np.abs(est.matrix - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.array_equal(est.matrix, est.matrix.T)
+        assert np.array_equal(est.matrix, indexed_estimate(_band_gram(z, scheme), scheme))
 
     @pytest.mark.parametrize("p, d, s, b", [(11, 1, 1, 3), (12, 2, 2, 2), (5, 3, 1, 2)])
     def test_population(self, p, d, s, b):
@@ -470,8 +477,10 @@ class TestWindowOracle:
         est = estimate_precision(
             truth.sigma, truth.geometry, EstimatorConfig(b_override=b), population=True
         )
-        want = reference_estimate(truth.sigma, build_scheme(p, b, d), population=True)
+        scheme = build_scheme(p, b, d)
+        want = reference_estimate(truth.sigma, scheme, population=True)
         assert np.max(np.abs(est.matrix - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.array_equal(est.matrix, indexed_estimate(symmetrize(truth.sigma), scheme))
 
     @pytest.mark.parametrize("p, d, b, n", [(20, 1, 4, 14), (9, 2, 3, 30)])
     def test_under_sampled_window_matches_reference(self, p, d, b, n):
@@ -487,6 +496,41 @@ class TestWindowOracle:
         assert (got.value.block, got.value.window_size, got.value.n_samples) == (
             want.value.block, want.value.window_size, want.value.n_samples
         )
+
+
+class TestWindowGate:
+    """Both failure paths of the pivot gate name the first failing window."""
+
+    @pytest.mark.parametrize(
+        "p, d, b, n, dup, block, size",
+        [
+            # Vertex 39 copies 38; block 8's window, blocks 6..10, is the first to hold both.
+            (40, 1, 4, 100, (39, 38), (8,), 20),
+            # (12, 12) copies (12, 11); block (4, 4)'s window is the first, 10 x 10.
+            (12, 2, 2, 200, (143, 142), (4, 4), 100),
+        ],
+    )
+    def test_duplicated_column_stops_dpotrf(self, p, d, b, n, dup, block, size):
+        truth = build_lattice_precision(p, d, 1)
+        z = sample(truth, n, seed=5)
+        z[:, dup[0]] = z[:, dup[1]]
+        cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=b)
+        with pytest.raises(LocalSingular) as info:
+            estimate_precision(z, truth.geometry, cfg)
+        assert (info.value.block, info.value.window_size, info.value.n_samples) == (block, size, n)
+        assert "factorization failed" in str(info.value.__cause__)
+
+    def test_pivot_floor_in_population_mode(self):
+        # dpotrf passes, but the second pivot, 1 - (1 - 1e-14)**2 ~ 2e-14, is
+        # below SPD_PIVOT_RTOL times the unit diagonal.  Vertices 16 and 17
+        # sit in block 5 (b = 4, p = 24), first held by block 3's window.
+        sigma = np.eye(24)
+        sigma[16, 17] = sigma[17, 16] = 1.0 - 1e-14
+        cfg = EstimatorConfig(b_override=4)
+        with pytest.raises(LocalSingular) as info:
+            estimate_precision(sigma, LatticeShape(p=24, d=1), cfg, population=True)
+        assert (info.value.block, info.value.window_size, info.value.n_samples) == ((3,), 20, None)
+        assert "at or below the tolerance" in str(info.value.__cause__)
 
 
 class TestBandGram:
