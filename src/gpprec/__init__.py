@@ -28,6 +28,7 @@ from .errors import (
 from .estimator import (
     EstimatorConfig,
     PrecisionEstimate,
+    RowBlocks,
     choose_block_size,
     estimate_precision,
     ols_plugin_row,

@@ -13,15 +13,18 @@ always times.
 
 The rows of one seed share one draw.  They run in descending N, and a
 row's sample is the first N rows of its seed's draw at the run's largest
-N; on scattered precision runs so is its padding, and the site embedding
-is built once per run.  ``simulate`` writes the same prefixes.  The
-largest-N rows, and every row of a single-N run, equal a run at that N
-alone byte for byte; a smaller-N row matches one to roundoff, as the
-triangular product of the draw over more rows rounds a few rows
-differently.  ``wall_ms`` counts the draw only in the largest-N row of
-each seed.  A row that ``estimator.plan_estimate`` (precision rows) or
-``cholesky.plan_scales`` (factor rows) refuses from its sizes alone fails
-before it draws.
+N.  On scattered precision runs the site embedding is built once per run,
+and each row pads its own sample prefix as it estimates, one row block at
+a time (``matching.estimate_padded``); rows ``[0, N)`` of the padding
+stream are the same at every N, so no row holds the padded array and no
+padding is shared between rows.  ``simulate`` writes the same sample
+prefixes.  The largest-N rows, and every row of a single-N run, equal a
+run at that N alone byte for byte; a smaller-N row matches one to
+roundoff, as the triangular product of the draw over more rows rounds a
+few rows differently.  ``wall_ms`` counts the draw only in the largest-N
+row of each seed, and the padding in every scattered row.  A row that
+``estimator.plan_estimate`` (precision rows) or ``cholesky.plan_scales``
+(factor rows) refuses from its sizes alone fails before it draws.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -74,7 +77,7 @@ from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
 from .linalg import spectral_norm
-from .matching import build_embedding, estimate_padded, measure_cloud, pad_samples
+from .matching import build_embedding, estimate_padded, measure_cloud
 from .truth import (
     build_green_restriction,
     build_lattice_precision,
@@ -289,28 +292,24 @@ def _site_embedding(cfg, cloud):
 
 
 class _SeedDraw:
-    """One seed's estimator input, drawn at the first sample size asked for.
+    """One seed's sample, drawn at the first sample size asked for.
 
-    The input is ``sample(truth, N, seed)``, padded onto ``embedding``
-    (scattered precision runs) or not (``embedding`` is ``None``).  A
-    seed's rows ask in descending N, so every row reads a row prefix of
-    the one draw.  The Philox streams of ``sample`` and ``pad_samples``
-    fill row-major, so that prefix is the input at the row's own N: the
-    padding bit for bit, the sample to roundoff of its triangular product.
+    The sample is ``sample(truth, N, seed)``, on the lattice or on the
+    sites; scattered precision rows pad their own prefix of it as they
+    estimate (``matching.estimate_padded``).  A seed's rows ask in
+    descending N, so every row reads a row prefix of the one draw.  The
+    Philox stream of ``sample`` fills row-major, so that prefix is the
+    sample at the row's own N to roundoff of its triangular product.
     """
 
-    def __init__(self, truth, embedding, seed):
+    def __init__(self, truth, seed):
         self._truth = truth
-        self._embedding = embedding
         self.seed = seed
         self._data = None
 
     def rows(self, n):
         if self._data is None:
-            z = sample(self._truth, n, self.seed)
-            if self._embedding is not None:
-                z = pad_samples(z, self._embedding, _PAD_SEED + self.seed)
-            self._data = z
+            self._data = sample(self._truth, n, self.seed)
         return self._data[:n]
 
 
@@ -405,10 +404,9 @@ def _point_rows(cfg):
     embedding = _site_embedding(cfg, cloud)
     # Factor rows sample the maximin-permuted truth.
     source = truth if factor_ctx is None else factor_ctx[1]
-    padding = embedding[0] if isinstance(embedding, tuple) else None
     rows = []
     for seed in sorted(cfg["seeds"]):
-        draw = _SeedDraw(source, padding, seed)
+        draw = _SeedDraw(source, seed)
         rows.extend(
             _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw)
             for n in sorted(cfg["n"], reverse=True)

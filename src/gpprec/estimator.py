@@ -13,7 +13,12 @@ box read in C order and its block and radius-1 rows are boxes inside it.
 Every window reads one covariance source.  From samples it is the band
 Gram, the sample covariance on every vertex pair some window contains,
 formed once per estimate with one product per axis-0 slab of blocks and
-exactly symmetric.  The exact population covariance
+exactly symmetric.  The samples may arrive as consecutive row blocks
+(:class:`RowBlocks`), which the Gram reads one at a time, so a caller
+that makes its rows block by block, such as the scattered-site padding,
+never holds them all; a sample matrix is the one-block case, and the
+full-inverse fallback is the band Gram of a one-block scheme.  The exact
+population covariance
 (``population=True``) is such a source as it stands, so it takes the same
 path; this isolates the deterministic bias of the windowed inversion from
 sampling noise, which is what the bias tests exercise.
@@ -24,7 +29,8 @@ window's box twice, copied in C order.  Each window takes one gated
 Cholesky factorization of that copy, in place and without re-checking its
 symmetry, and one solve for the ``b**d`` unit columns of its own block;
 the in-band rows of the solve are written back as the box of the radius-1
-rows times the block.
+rows times the block, and the assembled matrix is symmetrized in place,
+tile by tile.
 
 Every refusal that needs no data is made by :func:`plan_estimate`
 before any sample is read, so a caller can run it before drawing one.
@@ -36,6 +42,7 @@ that order.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,7 @@ from .lattice import BlockScheme, LatticeShape, build_scheme
 from .linalg import (
     _as_square_sym,
     _gated_factor,
+    _symmetrize_in_place,
     cholesky_lower,
     sample_covariance,
     spd_inverse,
@@ -55,6 +63,7 @@ from .linalg import (
 __all__ = [
     "EstimatorConfig",
     "PrecisionEstimate",
+    "RowBlocks",
     "choose_block_size",
     "estimate_precision",
     "ols_plugin_row",
@@ -100,6 +109,22 @@ class PrecisionEstimate:
     path: str
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """``n`` samples of ``m`` variables, handed out once as consecutive row blocks.
+
+    ``blocks`` yields ``(rows, m)`` float64 arrays whose rows, in order,
+    are the ``n`` samples; the maker guarantees those shapes.
+    :func:`estimate_precision` reads each block before it takes the next,
+    so a block may be overwritten by the next one, and the samples never
+    have to exist together.
+    """
+
+    n: int
+    m: int
+    blocks: Iterable[np.ndarray]
+
+
 def choose_block_size(n: int, kappa: float) -> int:
     """Block width ``ceil(log(n * kappa))``, floored at 1."""
     if n < 1:
@@ -109,29 +134,42 @@ def choose_block_size(n: int, kappa: float) -> int:
     return max(1, math.ceil(math.log(n * kappa)))
 
 
-def _band_gram(samples: np.ndarray, scheme: BlockScheme) -> np.ndarray:
+def _band_gram(blocks, n: int, scheme: BlockScheme) -> np.ndarray:
     """Sample covariance on every vertex pair some radius-2 window contains.
 
-    Flat order has the last axis fastest, so the blocks sharing their first
-    block coordinate (one axis-0 slab) cover one contiguous column range,
-    and every pair some window contains lies in a slab's range continued
-    through the next ``2 * WINDOW_RADIUS`` slabs.  Per slab, the diagonal
-    tile is a :func:`sample_covariance` and the rest one product, mirrored
-    below the diagonal, so the Gram is exactly symmetric.  In ``d >= 2`` it
-    also holds pairs no window reads; all other entries stay zero.
+    ``blocks`` are consecutive row blocks of the ``n`` samples, each read
+    once, in turn, before the next is taken.  Flat order has the last axis
+    fastest, so the blocks of the scheme sharing their first block
+    coordinate (one axis-0 slab) cover one contiguous column range, and
+    every pair some window contains lies in a slab's range continued
+    through the next ``2 * WINDOW_RADIUS`` slabs.  Per row block and slab,
+    the diagonal tile is the row block's :func:`sample_covariance`
+    weighted by its share ``rows / n`` of the samples, and the rest one
+    product divided by ``n``; the sums are mirrored below the diagonal at
+    the end, so the Gram is exactly symmetric.  A single row block of all
+    ``n`` samples has weight 1 and is summed into zeros, both exact, so it
+    gives the plain per-slab covariance bit for bit.  A scheme of one
+    block (``b = p``) has one slab, whose tile is the whole sample
+    covariance.  In ``d >= 2`` the Gram also holds pairs no window reads;
+    all other entries stay zero.
     """
-    n, m = samples.shape
     p, b = scheme.shape.p, scheme.b
+    m = scheme.shape.size
     plane = m // p  # vertices per axis-0 coordinate, p**(d-1)
+    slabs = [
+        tuple(min(k * b, p) * plane for k in (x, x + 1, x + 1 + 2 * WINDOW_RADIUS))
+        for x in range(scheme.S)
+    ]
     gram = np.zeros((m, m))
-    for x in range(scheme.S):
-        ends = (x, x + 1, x + 1 + 2 * WINDOW_RADIUS)
-        lo, hi, stop = (min(k * b, p) * plane for k in ends)
-        own = samples[:, lo:hi]
-        gram[lo:hi, lo:hi] = sample_covariance(own)
-        tile = own.T @ samples[:, hi:stop] / n
-        gram[lo:hi, hi:stop] = tile
-        gram[hi:stop, lo:hi] = tile.T
+    for rows in blocks:
+        for lo, hi, stop in slabs:
+            own = rows[:, lo:hi]
+            tile = sample_covariance(own)
+            tile *= rows.shape[0] / n
+            gram[lo:hi, lo:hi] += tile
+            gram[lo:hi, hi:stop] += own.T @ rows[:, hi:stop] / n
+    for lo, hi, stop in slabs:
+        gram[hi:stop, lo:hi] = gram[lo:hi, hi:stop].T
     return gram
 
 
@@ -193,39 +231,52 @@ def estimate_precision(
 ) -> PrecisionEstimate:
     """Estimate the lattice precision operator from samples.
 
-    ``data`` is an ``(N, p**d)`` sample matrix, or the exact ``(p**d,
-    p**d)`` covariance when ``population=True`` (population mode requires
-    ``b_override`` and always runs the blockwise route).  When ``p <=
-    log(N * kappa_hint)`` and no ``b_override`` is given, the estimate is the
-    inverse of the full sample covariance.  Otherwise the band Gram is
-    formed once, slab by slab (the population covariance serves as it
-    is), each block's window is factored and solved for its own columns,
-    and their in-band rows are assembled and symmetrized.  The refusals
-    of :func:`plan_estimate` come before any of this work.
+    ``data`` is an ``(N, p**d)`` sample matrix, a :class:`RowBlocks` of
+    ``N`` such rows, or the exact ``(p**d, p**d)`` covariance when
+    ``population=True`` (population mode requires ``b_override`` and always
+    runs the blockwise route).  A sample matrix is one row block.  When
+    ``p <= log(N * kappa_hint)`` and no ``b_override`` is given, the
+    estimate is the inverse of the full sample covariance, the band Gram
+    of a one-block scheme.  Otherwise the band Gram is formed once, slab
+    by slab and row block by row block (the population covariance serves
+    as it is), each block's window is factored and solved for its own
+    columns, and their in-band rows are assembled and symmetrized in
+    place.  The refusals of :func:`plan_estimate` come before any of this
+    work, so a refused estimate reads no row block.
     """
     config = config or EstimatorConfig()
-    data = np.asarray(data, dtype=np.float64)
     m = shape.size
     if population:
+        data = np.asarray(data, dtype=np.float64)
         if data.shape != (m, m):
             raise InvalidInput(
                 f"population covariance must be {(m, m)}, got {data.shape}"
             )
         n_samples = None
+    elif isinstance(data, RowBlocks):
+        if data.m != m:
+            raise InvalidInput(f"samples must have {m} columns for this lattice, got {data.m}")
+        n_samples, blocks = data.n, data.blocks
     else:
+        data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != m:
             raise InvalidInput(
                 f"samples must have {m} columns for this lattice, got shape {data.shape}"
             )
-        n_samples = data.shape[0]
+        n_samples, blocks = data.shape[0], (data,)
     b = plan_estimate(shape, n_samples, config)
     if b is None:
-        omega = spd_inverse(sample_covariance(data))
+        whole = build_scheme(shape.p, shape.p, shape.d)
+        omega = spd_inverse(_band_gram(blocks, n_samples, whole))
         return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
     scheme = build_scheme(shape.p, b, shape.d)
     # The matrix every window is sliced from, checked exactly symmetric once
     # here so that no window is checked again.
-    source = _as_square_sym(symmetrize(data) if population else _band_gram(data, scheme))
+    if population:
+        source = _symmetrize_in_place(np.array(data))
+    else:
+        source = _band_gram(blocks, n_samples, scheme)
+    source = _as_square_sym(source)
     # Over the flat-index grid squared, a window's covariance is one box and
     # the B_j columns of its in-band rows are another.
     src = source.reshape((shape.p,) * (2 * shape.d))
@@ -248,7 +299,7 @@ def estimate_precision(
         cols, _ = lapack.dpotrs(factor, unit.reshape(k, kb), lower=1)
         out[near + block] = cols.reshape(wshape + bshape)[_within(window, near)]
     return PrecisionEstimate(
-        matrix=0.5 * (raw + raw.T), scheme=scheme, b=scheme.b, path=BLOCKWISE
+        matrix=_symmetrize_in_place(raw), scheme=scheme, b=scheme.b, path=BLOCKWISE
     )
 
 

@@ -3,13 +3,22 @@
 A homogeneously scattered cloud in the open unit box is matched, site by
 site, to nearby nodes of a lattice sized from the measured fill distance.
 The matching is a maximum bipartite matching under the edge rule
-``|x_i - y_t| <= radius``: a k-d tree over the lattice gives each site's
-candidate nodes, and scipy's Hopcroft-Karp ``maximum_bipartite_matching``
-matches them.  When it is not site-perfect, the raised error carries a
-Hall violator as an explanation.  Samples on the sites are then padded
-with independent unit normals on the unmatched nodes, the lattice
-estimator runs on the padded problem, and the site block of its output
-is permuted back.
+``sum((x_i - y_t)**2) <= radius**2``, summed over the axes in order: a
+k-d tree over the lattice, queried at a slightly larger radius, proposes
+each site's candidate nodes, the rule keeps its edges among them, and
+scipy's Hopcroft-Karp ``maximum_bipartite_matching`` matches them.  When
+it is not site-perfect, the raised error carries a Hall violator as an
+explanation.
+
+Samples on the sites are then padded with independent unit normals on the
+unmatched nodes, the lattice estimator runs on the padded problem, and the
+site block of its output is permuted back.  The estimator reads only
+second moments inside its windows, so :func:`estimate_padded` pads the
+rows one block at a time into one reused buffer and streams them into the
+estimator's band Gram; the padded ``(N, lattice)`` array exists only when
+:func:`pad_samples` is asked for it.  Both draw the padding from one
+Philox stream per seed, in row-major order, so they pad every row alike,
+bit for bit, and a row prefix of the samples as the prefix of the whole.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import CapacityExceeded, InvalidInput, NoMatching
-from .estimator import EstimatorConfig, estimate_precision
+from .estimator import EstimatorConfig, RowBlocks, estimate_precision
 from .lattice import LatticeShape, lattice_points
 
 __all__ = [
@@ -43,9 +52,21 @@ DEFAULT_C1 = 0.5
 DEFAULT_RETRIES = 3
 DEFAULT_MAX_VERTICES = 40_000
 
-# Entries per row chunk of ``pad_samples`` (2 MiB of float64), so the
-# chunk's temporaries stay small against the padded output.
+# Relative margin of the k-d tree's candidate radius over the edge rule's,
+# far above the few ulps by which the tree's distances can differ from
+# _squared_distances, so every edge is proposed.
+_CANDIDATE_SLACK = 1.0 + 1e-9
+
+# Entries per row chunk of the padding (2 MiB of float64), so a chunk's
+# temporaries stay small against the rows it pads.
 _PAD_CHUNK_ELEMENTS = 1 << 18
+
+# Entries per padded row block that estimate_padded hands the band Gram
+# (4 MiB of float64): the block, one chunk and its normals are all of the
+# padded samples held at once.  The Gram loops over every slab once per
+# block, so on the 795-node scattered-1d chain 4 MiB blocks take half the
+# loop passes of 2 MiB ones, at the same peak RSS.
+_PAD_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -68,7 +89,8 @@ class LatticeEmbedding:
 
     ``node_of_site[i]`` is the flat index of the node matched to site
     ``i``.  ``displacement`` is the largest site-to-node distance over the
-    matching.
+    matching, the square root of the edge rule's squared distance, so it
+    is at most the matching radius.
     """
 
     shape: LatticeShape
@@ -153,15 +175,31 @@ def build_target_lattice(
     return shape
 
 
-def _candidate_graph(cloud: SiteCloud, positions: np.ndarray, radius: float) -> csr_matrix:
-    """Site-by-node biadjacency of the edges ``|x_i - y_t| <= radius``.
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum((x - y)**2)`` per row pair, summed over the axes in order."""
+    total = np.zeros(x.shape[0])
+    for axis in range(x.shape[1]):
+        total += np.square(x[:, axis] - y[:, axis])
+    return total
 
-    Row ``i`` lists the flat indices of the nodes within ``radius`` of site
-    ``i`` in ascending order.
+
+def _candidate_graph(cloud: SiteCloud, positions: np.ndarray, radius: float) -> csr_matrix:
+    """Site-by-node biadjacency of the edges ``sum((x_i - y_t)**2) <= radius**2``.
+
+    A k-d tree query at a slightly larger radius proposes the candidate
+    nodes; the rule, on :func:`_squared_distances`, decides which are
+    edges, so ties at the radius do not depend on the tree's own
+    arithmetic.  Row ``i`` lists the flat indices of site ``i``'s nodes in
+    ascending order.
     """
-    rows = cKDTree(positions).query_ball_point(cloud.sites, radius, return_sorted=True)
-    indptr = np.cumsum([0, *map(len, rows)])
-    indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64)
+    proposed = cKDTree(positions).query_ball_point(
+        cloud.sites, radius * _CANDIDATE_SLACK, return_sorted=True
+    )
+    site = np.repeat(np.arange(cloud.m), [len(row) for row in proposed])
+    node = np.fromiter(itertools.chain.from_iterable(proposed), dtype=np.int64, count=site.size)
+    keep = _squared_distances(cloud.sites[site], positions[node]) <= radius * radius
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(site[keep], minlength=cloud.m))])
+    indices = node[keep]
     data = np.ones(indices.size, dtype=np.int8)
     return csr_matrix((data, indices, indptr), shape=(cloud.m, positions.shape[0]))
 
@@ -215,7 +253,7 @@ def perfect_matching(
         witness_sites, witness_nodes = _hall_witness(graph, node_of_site)
         raise NoMatching(witness_sites, witness_nodes)
     displacement = float(
-        np.max(np.linalg.norm(cloud.sites - positions[node_of_site], axis=1))
+        np.sqrt(np.max(_squared_distances(cloud.sites, positions[node_of_site])))
     )
     return LatticeEmbedding(
         shape=shape,
@@ -250,19 +288,18 @@ def build_embedding(
             current /= 2.0
 
 
-def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
-    """Concatenate site samples with seeded unit normals on unmatched nodes.
+def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int, block_rows: int):
+    """Rows of ``z`` padded onto ``embedding``, ``block_rows`` rows at a time.
 
-    The unmatched nodes take the normals in ascending flat order.  The
-    padded array is allocated once and filled in row chunks of about
-    ``_PAD_CHUNK_ELEMENTS`` entries, each one column gather from
-    ``[samples, normals]``.  The chunks draw their normals in turn from one
-    Philox stream, so the padding equals a single ``(N, n_pad)`` draw bit
-    for bit, and no full-size temporary is held next to the output.  The
-    stream fills row-major, so the first ``n`` rows of the output are
-    ``pad_samples(samples[:n], embedding, seed)`` bit for bit.
+    The unmatched nodes take unit normals in ascending flat order, drawn
+    from one Philox stream keyed by ``seed``.  The stream fills row-major,
+    so the padding equals a single ``(N, n_pad)`` draw bit for bit, however
+    the rows are split, and its first ``n`` rows are the padding of
+    ``z[:n]``.  Every block is written into one buffer and yielded once
+    filled; the next block overwrites it.  A block is filled in row chunks
+    of about ``_PAD_CHUNK_ELEMENTS`` entries, each one column gather from
+    ``[z rows, normals]`` written into one reused chunk.
     """
-    z = np.asarray(samples, dtype=np.float64)
     n, m_sites = z.shape
     m_lattice = embedding.shape.size
     mask = np.ones(m_lattice, dtype=bool)
@@ -272,33 +309,74 @@ def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
     src[embedding.node_of_site] = np.arange(m_sites)
     src[mask] = m_sites + np.arange(n_pad)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    padded = np.empty((n, m_lattice))
-    rows = max(1, _PAD_CHUNK_ELEMENTS // m_lattice)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        chunk = np.concatenate([z[lo:hi], rng.standard_normal((hi - lo, n_pad))], axis=1)
-        # Every index of src is in range, and only mode="raise" makes take
-        # gather into a scratch copy of ``out`` first.
-        chunk.take(src, axis=1, out=padded[lo:hi], mode="clip")
-    return padded
+    step = max(1, _PAD_CHUNK_ELEMENTS // m_lattice)
+    chunk = np.empty((min(step, n), m_lattice))
+    buffer = np.empty((min(block_rows, n), m_lattice))
+    for lo in range(0, n, block_rows):
+        block = buffer[:min(block_rows, n - lo)]
+        for start in range(0, len(block), step):
+            rows = block[start:start + step]
+            first = lo + start
+            part = chunk[:len(rows)]
+            part[:, :m_sites] = z[first:first + len(rows)]
+            part[:, m_sites:] = rng.standard_normal((len(rows), n_pad))
+            # Every index of src is in range, and only mode="raise" makes
+            # take gather into a scratch copy of ``rows`` first.
+            part.take(src, axis=1, out=rows, mode="clip")
+        yield block
+
+
+def _site_samples(samples, embedding: LatticeEmbedding) -> np.ndarray:
+    z = np.asarray(samples, dtype=np.float64)
+    m_sites = embedding.node_of_site.size
+    if z.ndim != 2 or z.shape[1] != m_sites:
+        raise InvalidInput(
+            f"samples must have {m_sites} columns, one per matched site, got shape {z.shape}"
+        )
+    return z
+
+
+def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
+    """Concatenate site samples with seeded unit normals on unmatched nodes.
+
+    The padded array is the one block of the padding step that
+    :func:`estimate_padded` streams, allocated once and filled in row
+    chunks, so no full-size temporary is held next to the output.  The
+    unmatched nodes take the normals in ascending flat order, from one
+    Philox stream that fills row-major: the first ``n`` rows of the output
+    are ``pad_samples(samples[:n], embedding, seed)`` bit for bit.
+    """
+    z = _site_samples(samples, embedding)
+    empty = np.empty((0, embedding.shape.size))
+    return next(_padded_blocks(z, embedding, seed, max(1, z.shape[0])), empty)
 
 
 def estimate_padded(
-    padded,
+    samples,
     embedding: LatticeEmbedding,
     config: EstimatorConfig | None,
     seed: int,
     attempts: int,
 ) -> ScatteredEstimate:
-    """Site-block precision estimate from samples padded onto ``embedding``.
+    """Site-block precision estimate from site samples padded onto ``embedding``.
 
-    ``padded`` is an output of :func:`pad_samples` on ``embedding``, or
-    a row prefix of one.  The lattice precision is estimated on it and
-    its site block is permuted back to the original site order.  ``seed``
-    and ``attempts`` are the padding seed and the matching attempts, kept
-    in the result so runs are reproducible.
+    ``samples`` holds one column per site.  Each row is padded with unit
+    normals from ``seed`` as :func:`pad_samples` pads it, bit for bit, but
+    one row block at a time into one reused buffer of about
+    ``_PAD_BLOCK_ELEMENTS`` entries, which the estimator's band Gram reads
+    before the next block is padded; the padded ``(N, lattice)`` array is
+    never formed.  The padding of row ``i`` depends only on ``seed`` and
+    ``i``, so a row prefix of the samples is padded as the prefix of the
+    whole.  The lattice precision is estimated and its site block is
+    permuted back to the original site order.  ``seed`` and ``attempts``
+    are the padding seed and the matching attempts, kept in the result so
+    runs are reproducible.
     """
-    estimate = estimate_precision(padded, embedding.shape, config)
+    z = _site_samples(samples, embedding)
+    shape = embedding.shape
+    block_rows = max(1, _PAD_BLOCK_ELEMENTS // shape.size)
+    rows = RowBlocks(z.shape[0], shape.size, _padded_blocks(z, embedding, seed, block_rows))
+    estimate = estimate_precision(rows, shape, config)
     nodes = embedding.node_of_site
     return ScatteredEstimate(
         matrix=estimate.matrix[np.ix_(nodes, nodes)],
@@ -319,10 +397,10 @@ def embed_and_estimate(
 ) -> ScatteredEstimate:
     """Precision estimate on scattered sites through the lattice reduction.
 
-    Matches the cloud into a lattice (:func:`build_embedding`), pads each
+    Matches the cloud into a lattice (:func:`build_embedding`) and
+    estimates the site block (:func:`estimate_padded`), which pads each
     observation with independent unit normals on the unmatched lattice
-    nodes (:func:`pad_samples`, drawn from ``seed``) and estimates the site
-    block (:func:`estimate_padded`).
+    nodes, drawn from ``seed``, as it streams the rows to the estimator.
     """
     z = np.asarray(samples, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != cloud.m:
@@ -330,5 +408,4 @@ def embed_and_estimate(
             f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
         )
     embedding, attempts = build_embedding(cloud, c1=c1)
-    padded = pad_samples(z, embedding, seed)
-    return estimate_padded(padded, embedding, config, seed=seed, attempts=attempts)
+    return estimate_padded(z, embedding, config, seed=seed, attempts=attempts)

@@ -391,15 +391,19 @@ class TestOneDrawPerSeed:
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_one_draw_and_padding_per_seed(self, monkeypatch, tmp_path, kind):
+        # One draw per seed; each scattered row pads its own prefix of the
+        # seed's 40-site sample, with the seed's padding stream, as it
+        # estimates.
         samples = spy(monkeypatch, "sample")
-        paddings = spy(monkeypatch, "pad_samples")
+        padded_rows = spy(monkeypatch, "estimate_padded")
         embeddings = spy(monkeypatch, "build_embedding")
         out = tmp_path / "rows.csv"
         argv = ONE_DRAW_CONFIGS[kind] + ["--n", "1000,2000", "--seeds", "0,1"]
         assert run_cli("estimate", *argv, "--out", str(out)) == 0
         assert [args[1:] for args in samples] == [(2000, 0), (2000, 1)]
         scattered = kind == "scattered"
-        assert [args[0].shape[0] for args in paddings] == ([2000, 2000] if scattered else [])
+        want = [(n, 40, cli._PAD_SEED + seed) for seed in (0, 1) for n in (2000, 1000)]
+        assert [(*args[0].shape, args[3]) for args in padded_rows] == (want if scattered else [])
         assert len(embeddings) == (1 if scattered else 0)
         assert [(row[5], row[6]) for row in csv_rows(out)] == [
             ("1000", "0"), ("1000", "1"), ("2000", "0"), ("2000", "1"),

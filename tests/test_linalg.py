@@ -92,6 +92,39 @@ class TestCholesky:
             cholesky_lower(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+class TestTiledSymmetry:
+    """Symmetry is checked, and made in place, tile by tile against the mirrors."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_tiles_and_mirrors_cover_every_entry_once(self, n):
+        count = np.zeros((n, n), dtype=int)
+        for r, c in linalg._mirror_tiles(n):
+            count[r, c] += 1
+            if r != c:
+                count[c, r] += 1
+        assert (count == 1).all()
+
+    @pytest.mark.parametrize("n", [5, 64, 130])
+    def test_symmetrize_in_place_is_symmetrize(self, rng, n):
+        a = rng.standard_normal((n, n))
+        got = linalg._symmetrize_in_place(a.copy())
+        assert got.tobytes() == symmetrize(a).tobytes()
+
+    def test_every_entry_is_checked(self, rng):
+        # One ulp off in a single entry, in a diagonal, interior or ragged
+        # last tile, or a NaN on the diagonal, is refused as before.
+        a = symmetrize(rng.standard_normal((130, 130)))
+        assert linalg._as_square_sym(a) is a
+        for i, j in [(0, 1), (1, 0), (5, 129), (129, 5), (70, 128), (128, 127), (64, 0)]:
+            b = a.copy()
+            b[i, j] = np.nextafter(b[i, j], np.inf)
+            with pytest.raises(InvalidInput):
+                linalg._as_square_sym(b)
+        a[100, 100] = np.nan
+        with pytest.raises(InvalidInput):
+            linalg._as_square_sym(a)
+
+
 class TestReverseCholesky:
     def test_upper_with_positive_diagonal(self, rng):
         for a in spd_corpus(rng):

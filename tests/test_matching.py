@@ -1,18 +1,21 @@
 """Scattered-site measurement, lattice matching, and the embedding estimator."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gpprec.errors import CapacityExceeded, InvalidInput, NoMatching
-from gpprec.estimator import EstimatorConfig
-from gpprec.lattice import LatticeShape, lattice_points
+from gpprec.estimator import EstimatorConfig, _band_gram, estimate_precision
+from gpprec.lattice import LatticeShape, build_scheme, lattice_points
 from gpprec.linalg import spectral_norm, symmetrize
 from gpprec.matching import (
+    _PAD_BLOCK_ELEMENTS,
     _PAD_CHUNK_ELEMENTS,
     LatticeEmbedding,
     _candidate_graph,
+    _padded_blocks,
     build_embedding,
     build_target_lattice,
     embed_and_estimate,
@@ -39,10 +42,18 @@ def brute_force_maximum(adjacency):
     return best(0, frozenset())
 
 
+def squared_distance(x, y):
+    """``sum((x - y)**2)`` in Python float arithmetic, over the axes in order."""
+    total = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        total += (a - b) * (a - b)
+    return total
+
+
 def reference_adjacency(sites, positions, radius):
-    """Edges ``|x_i - y_t| <= radius`` from all site-node pairs, ascending per site."""
+    """Edges ``sum((x_i - y_t)**2) <= radius**2`` from all site-node pairs, ascending per site."""
     return [
-        [t for t in range(len(positions)) if np.linalg.norm(positions[t] - x) <= radius]
+        [t for t in range(len(positions)) if squared_distance(x, positions[t]) <= radius * radius]
         for x in sites
     ]
 
@@ -207,6 +218,30 @@ class TestPerfectMatching:
             got = [graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist() for i in range(m)]
             assert got == reference_adjacency(cloud.sites, positions, radius)
 
+    @pytest.mark.parametrize("d, p, c1", [(1, 9, 0.3), (2, 5, 0.25), (2, 8, 0.25), (3, 3, 0.5)])
+    def test_lattice_aligned_edges_follow_the_squared_rule(self, d, p, c1):
+        # Sites on the nodes of a coarser lattice lie at exactly the radius
+        # from some target nodes; the rule makes those ties edges, whatever
+        # the k-d tree's own arithmetic says.
+        cloud = measure_cloud(lattice_points(LatticeShape(p=p, d=d)), d)
+        shape = build_target_lattice(cloud, c1)
+        positions = lattice_points(shape)
+        ties = 0
+        for radius in (cloud.h, 1.0 / (shape.p + 1), 2.0 / (shape.p + 1)):
+            graph = _candidate_graph(cloud, positions, radius)
+            got = [graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist()
+                   for i in range(cloud.m)]
+            assert got == reference_adjacency(cloud.sites, positions, radius)
+            ties += sum(
+                squared_distance(x, y) == radius * radius for x in cloud.sites for y in positions
+            )
+        assert ties > 0
+        embedding, _ = build_embedding(cloud, c1=c1)
+        matched = lattice_points(embedding.shape)[embedding.node_of_site]
+        worst = max(squared_distance(x, y) for x, y in zip(cloud.sites, matched))
+        assert embedding.displacement == math.sqrt(worst)
+        assert embedding.displacement <= cloud.h
+
     def test_long_augmenting_chain(self):
         # Site i < p-1 sits between nodes i and i+1; the last site reaches
         # only node 0, so matching it shifts the whole chain by one node
@@ -253,15 +288,23 @@ class TestEmbedAndEstimate:
         assert max(errs) <= 0.3
 
     def test_embed_and_estimate_is_pad_then_estimate_padded(self, rng):
+        # embed_and_estimate is build_embedding, then estimate_padded on the
+        # same site samples.  300 padded rows fit one row block, so the
+        # streamed estimate is also the estimate of pad_samples' output,
+        # bit for bit.
         cloud = measure_cloud(perturbed_grid(30, 1, 0.25, seed=3), 1)
         z = rng.standard_normal((300, cloud.m))
         cfg = EstimatorConfig(b_override=3)
         got = embed_and_estimate(z, cloud, cfg, seed=9)
         embedding, attempts = build_embedding(cloud)
-        want = estimate_padded(pad_samples(z, embedding, 9), embedding, cfg, 9, attempts)
+        assert 300 <= _PAD_BLOCK_ELEMENTS // embedding.shape.size
+        want = estimate_padded(z, embedding, cfg, 9, attempts)
         assert np.array_equal(got.matrix, want.matrix)
         assert (got.b, got.path, got.seed, got.attempts) == (3, "blockwise", 9, attempts)
         assert np.array_equal(got.embedding.node_of_site, want.embedding.node_of_site)
+        nodes = embedding.node_of_site
+        padded = estimate_precision(pad_samples(z, embedding, 9), embedding.shape, cfg)
+        assert np.array_equal(got.matrix, padded.matrix[np.ix_(nodes, nodes)])
 
     def test_single_site_reduces_to_variance_estimation(self):
         # Seeds 50..54 realize |estimate - direct reciprocal| <= 0.002 and
@@ -409,6 +452,45 @@ class TestEmbedAndEstimate:
         finally:
             tracemalloc.stop()
         assert peak <= padded.nbytes + 4 * 8 * _PAD_CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("m, d", [(9, 1), (16, 2)])
+    @pytest.mark.parametrize("blocks, extra", [(0, 40), (1, 0), (2, 7)])
+    def test_streamed_band_gram_equals_padded_gram(self, rng, m, d, blocks, extra):
+        # N below the block rows, equal to them, and not a multiple of them.
+        # Padding block by block into one buffer gives the band Gram of the
+        # padded array to roundoff, and bit for bit when one block holds
+        # every row.
+        cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
+        embedding, _ = build_embedding(cloud)
+        rows = max(1, _PAD_BLOCK_ELEMENTS // embedding.shape.size)
+        n = blocks * rows + extra
+        z = rng.standard_normal((n, cloud.m))
+        scheme = build_scheme(embedding.shape.p, 2, d)
+        want = _band_gram([pad_samples(z, embedding, 77)], n, scheme)
+        got = _band_gram(_padded_blocks(z, embedding, 77, rows), n, scheme)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, got.T)
+        if n <= rows:
+            assert np.array_equal(got, want)
+
+    def test_estimate_padded_peak_memory(self, rng):
+        # With N far above the lattice size, the padded samples are never
+        # held: the traced peak stays within a few lattice-square arrays and
+        # the block buffers, well under the padded array's N * m * 8 bytes.
+        cloud = measure_cloud(perturbed_grid(100, 1, 0.25, seed=3), 1)
+        embedding, attempts = build_embedding(cloud)
+        m_lattice = embedding.shape.size
+        z = rng.standard_normal((30_000, cloud.m))
+        cfg = EstimatorConfig(b_override=4)
+        tracemalloc.start()
+        try:
+            estimate_padded(z, embedding, cfg, 77, attempts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 4 * 8 * m_lattice**2 + 8 * _PAD_BLOCK_ELEMENTS + 2 * 8 * _PAD_CHUNK_ELEMENTS
+        assert bound <= z.shape[0] * m_lattice * 8 / 3
+        assert peak <= bound
 
     def test_retries_halve_c1(self):
         # A small lattice with one undersized retry budget surfaces the
