@@ -66,7 +66,6 @@ from .matching import (
     embed_and_estimate,
     estimate_padded,
     measure_cloud,
-    pad_samples,
     perfect_matching,
 )
 from .truth import (

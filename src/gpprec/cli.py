@@ -185,6 +185,8 @@ def _validate_config(cfg):
         raise InvalidInput(f"s must be a positive integer, got {cfg['s']}")
     if cfg["p"] < 1:
         raise InvalidInput(f"p must be positive, got {cfg['p']}")
+    if cfg["b"] is not None and cfg["b"] < 1:
+        raise InvalidInput(f"b must be a positive integer, got {cfg['b']}")
     if not cfg["n"] or any(n < 1 for n in cfg["n"]):
         raise InvalidInput(f"n must be a nonempty list of positive sizes, got {cfg['n']}")
     seeds = cfg["seeds"]

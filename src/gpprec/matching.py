@@ -15,10 +15,11 @@ unmatched nodes, the lattice estimator runs on the padded problem, and the
 site block of its output is permuted back.  The estimator reads only
 second moments inside its windows, so :func:`estimate_padded` pads the
 rows one block at a time into one reused buffer and streams them into the
-estimator's band Gram; the padded ``(N, lattice)`` array exists only when
-:func:`pad_samples` is asked for it.  Both draw the padding from one
-Philox stream per seed, in row-major order, so they pad every row alike,
-bit for bit, and a row prefix of the samples as the prefix of the whole.
+estimator's band Gram; the padded ``(N, lattice)`` array is never formed.
+The padding comes from one Philox stream per seed, in row-major order, so
+every row is padded alike, bit for bit, however the rows are split into
+blocks, and a row prefix of the samples is padded as the prefix of the
+whole.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "build_target_lattice",
     "perfect_matching",
     "build_embedding",
-    "pad_samples",
     "estimate_padded",
     "embed_and_estimate",
 ]
@@ -57,15 +57,11 @@ DEFAULT_MAX_VERTICES = 40_000
 # _squared_distances, so every edge is proposed.
 _CANDIDATE_SLACK = 1.0 + 1e-9
 
-# Entries per row chunk of the padding (2 MiB of float64), so a chunk's
-# temporaries stay small against the rows it pads.
-_PAD_CHUNK_ELEMENTS = 1 << 18
-
 # Entries per padded row block that estimate_padded hands the band Gram
-# (4 MiB of float64): the block, one chunk and its normals are all of the
-# padded samples held at once.  The Gram loops over every slab once per
-# block, so on the 795-node scattered-1d chain 4 MiB blocks take half the
-# loop passes of 2 MiB ones, at the same peak RSS.
+# (4 MiB of float64): the block, its [site rows | normals] source and one
+# block's normals are all of the padded samples held at once.  The Gram
+# loops over every slab once per block, so on the 795-node scattered-1d
+# chain 4 MiB blocks take half the loop passes of 2 MiB ones.
 _PAD_BLOCK_ELEMENTS = 1 << 19
 
 
@@ -288,17 +284,18 @@ def build_embedding(
             current /= 2.0
 
 
-def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int, block_rows: int):
-    """Rows of ``z`` padded onto ``embedding``, ``block_rows`` rows at a time.
+def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int):
+    """Rows of ``z`` padded onto ``embedding``, one row block at a time.
 
     The unmatched nodes take unit normals in ascending flat order, drawn
     from one Philox stream keyed by ``seed``.  The stream fills row-major,
     so the padding equals a single ``(N, n_pad)`` draw bit for bit, however
     the rows are split, and its first ``n`` rows are the padding of
-    ``z[:n]``.  Every block is written into one buffer and yielded once
-    filled; the next block overwrites it.  A block is filled in row chunks
-    of about ``_PAD_CHUNK_ELEMENTS`` entries, each one column gather from
-    ``[z rows, normals]`` written into one reused chunk.
+    ``z[:n]``.  A block has about ``_PAD_BLOCK_ELEMENTS`` entries.  Its
+    site rows and normals are written side by side into one reused
+    ``[z rows | normals]`` buffer, one column gather of which fills one
+    reused block; the block is yielded once filled, and the next block
+    overwrites it.
     """
     n, m_sites = z.shape
     m_lattice = embedding.shape.size
@@ -309,46 +306,18 @@ def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int, block_
     src[embedding.node_of_site] = np.arange(m_sites)
     src[mask] = m_sites + np.arange(n_pad)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    step = max(1, _PAD_CHUNK_ELEMENTS // m_lattice)
-    chunk = np.empty((min(step, n), m_lattice))
-    buffer = np.empty((min(block_rows, n), m_lattice))
+    block_rows = max(1, _PAD_BLOCK_ELEMENTS // m_lattice)
+    staged = np.empty((min(block_rows, n), m_lattice))
+    padded = np.empty_like(staged)
     for lo in range(0, n, block_rows):
-        block = buffer[:min(block_rows, n - lo)]
-        for start in range(0, len(block), step):
-            rows = block[start:start + step]
-            first = lo + start
-            part = chunk[:len(rows)]
-            part[:, :m_sites] = z[first:first + len(rows)]
-            part[:, m_sites:] = rng.standard_normal((len(rows), n_pad))
-            # Every index of src is in range, and only mode="raise" makes
-            # take gather into a scratch copy of ``rows`` first.
-            part.take(src, axis=1, out=rows, mode="clip")
+        rows = min(block_rows, n - lo)
+        stage, block = staged[:rows], padded[:rows]
+        stage[:, :m_sites] = z[lo:lo + rows]
+        stage[:, m_sites:] = rng.standard_normal((rows, n_pad))
+        # Every index of src is in range, and only mode="raise" makes take
+        # gather into a scratch copy of ``block`` first.
+        stage.take(src, axis=1, out=block, mode="clip")
         yield block
-
-
-def _site_samples(samples, embedding: LatticeEmbedding) -> np.ndarray:
-    z = np.asarray(samples, dtype=np.float64)
-    m_sites = embedding.node_of_site.size
-    if z.ndim != 2 or z.shape[1] != m_sites:
-        raise InvalidInput(
-            f"samples must have {m_sites} columns, one per matched site, got shape {z.shape}"
-        )
-    return z
-
-
-def pad_samples(samples, embedding: LatticeEmbedding, seed: int) -> np.ndarray:
-    """Concatenate site samples with seeded unit normals on unmatched nodes.
-
-    The padded array is the one block of the padding step that
-    :func:`estimate_padded` streams, allocated once and filled in row
-    chunks, so no full-size temporary is held next to the output.  The
-    unmatched nodes take the normals in ascending flat order, from one
-    Philox stream that fills row-major: the first ``n`` rows of the output
-    are ``pad_samples(samples[:n], embedding, seed)`` bit for bit.
-    """
-    z = _site_samples(samples, embedding)
-    empty = np.empty((0, embedding.shape.size))
-    return next(_padded_blocks(z, embedding, seed, max(1, z.shape[0])), empty)
 
 
 def estimate_padded(
@@ -361,23 +330,25 @@ def estimate_padded(
     """Site-block precision estimate from site samples padded onto ``embedding``.
 
     ``samples`` holds one column per site.  Each row is padded with unit
-    normals from ``seed`` as :func:`pad_samples` pads it, bit for bit, but
-    one row block at a time into one reused buffer of about
-    ``_PAD_BLOCK_ELEMENTS`` entries, which the estimator's band Gram reads
-    before the next block is padded; the padded ``(N, lattice)`` array is
-    never formed.  The padding of row ``i`` depends only on ``seed`` and
-    ``i``, so a row prefix of the samples is padded as the prefix of the
-    whole.  The lattice precision is estimated and its site block is
-    permuted back to the original site order.  ``seed`` and ``attempts``
-    are the padding seed and the matching attempts, kept in the result so
-    runs are reproducible.
+    normals on the unmatched nodes, drawn from ``seed``, one row block at a
+    time into one reused buffer of about ``_PAD_BLOCK_ELEMENTS`` entries,
+    which the estimator's band Gram reads before the next block is padded;
+    the padded ``(N, lattice)`` array is never formed.  The padding of row
+    ``i`` depends only on ``seed`` and ``i``, so a row prefix of the
+    samples is padded as the prefix of the whole.  The lattice precision
+    is estimated and its site block is permuted back to the original site
+    order.  ``seed`` and ``attempts`` are the padding seed and the matching
+    attempts, kept in the result so runs are reproducible.
     """
-    z = _site_samples(samples, embedding)
-    shape = embedding.shape
-    block_rows = max(1, _PAD_BLOCK_ELEMENTS // shape.size)
-    rows = RowBlocks(z.shape[0], shape.size, _padded_blocks(z, embedding, seed, block_rows))
-    estimate = estimate_precision(rows, shape, config)
+    z = np.asarray(samples, dtype=np.float64)
     nodes = embedding.node_of_site
+    if z.ndim != 2 or z.shape[1] != nodes.size:
+        raise InvalidInput(
+            f"samples must have {nodes.size} columns, one per matched site, got shape {z.shape}"
+        )
+    shape = embedding.shape
+    rows = RowBlocks(z.shape[0], shape.size, _padded_blocks(z, embedding, seed))
+    estimate = estimate_precision(rows, shape, config)
     return ScatteredEstimate(
         matrix=estimate.matrix[np.ix_(nodes, nodes)],
         embedding=embedding,

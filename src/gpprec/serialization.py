@@ -2,7 +2,10 @@
 
 All formats are line-oriented ASCII with values printed to 17 significant
 digits, enough for exact float64 round trips.  Metadata lines start with
-``#`` and hold ``key=value`` pairs.
+``#`` and hold ``key=value`` pairs.  The parsers raise ``InvalidInput`` for
+text that does not hold what its header declares: no data lines, a line
+with the wrong number of values or a non-numeric one, or a line count that
+disagrees with the header.
 """
 
 from __future__ import annotations
@@ -37,6 +40,33 @@ def _rows(a: np.ndarray):
     return [" ".join(_FMT % v for v in row) for row in np.atleast_2d(a)]
 
 
+def _lines(text: str) -> list[str]:
+    """The data lines of ``text``: nonblank and not ``#`` metadata."""
+    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+    if not lines:
+        raise InvalidInput("text holds no data lines")
+    return lines
+
+
+def _values(line: str, kinds, what: str) -> list:
+    """The fields of ``line``, one per converter in ``kinds``."""
+    fields = line.split()
+    if len(fields) != len(kinds):
+        raise InvalidInput(f"{what} must hold {len(kinds)} values, got {len(fields)}: {line!r}")
+    try:
+        return [kind(v) for kind, v in zip(kinds, fields)]
+    except ValueError as exc:
+        raise InvalidInput(f"{what} is not numeric: {line!r}") from exc
+
+
+def _table(lines: list[str], rows: int, cols: int, what: str) -> np.ndarray:
+    """``rows`` lines of ``cols`` floats each as a ``(rows, cols)`` array."""
+    if cols < 0 or len(lines) != rows:
+        raise InvalidInput(f"{what} must be {rows} rows of {cols} values, found {len(lines)} rows")
+    values = [_values(ln, (float,) * cols, f"{what} row") for ln in lines]
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
 def format_matrix(a) -> str:
     """Square matrix as ``dim`` then one space-separated row per line."""
     a = np.asarray(a, dtype=np.float64)
@@ -46,14 +76,9 @@ def format_matrix(a) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    dim = int(lines[0])
-    if len(lines) != dim + 1:
-        raise InvalidInput(f"expected {dim} rows, found {len(lines) - 1}")
-    out = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    if out.shape != (dim, dim):
-        raise InvalidInput(f"rows do not form a {dim}x{dim} matrix")
-    return out
+    lines = _lines(text)
+    (dim,) = _values(lines[0], (int,), "matrix header")
+    return _table(lines[1:], dim, dim, "matrix")
 
 
 def save_matrix(path, a):
@@ -75,12 +100,9 @@ def format_samples(z) -> str:
 
 
 def parse_samples(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    n, dim = (int(v) for v in lines[0].split())
-    out = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    if out.shape != (n, dim):
-        raise InvalidInput(f"rows do not form a {n}x{dim} sample matrix")
-    return out
+    lines = _lines(text)
+    n, dim = _values(lines[0], (int, int), "sample header")
+    return _table(lines[1:], n, dim, "samples")
 
 
 def format_sites(cloud: SiteCloud) -> str:
@@ -89,12 +111,9 @@ def format_sites(cloud: SiteCloud) -> str:
 
 
 def parse_sites(text: str) -> SiteCloud:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    d, m = (int(v) for v in lines[0].split())
-    sites = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    if sites.shape != (m, d):
-        raise InvalidInput(f"rows do not form {m} sites in dimension {d}")
-    return measure_cloud(sites, d)
+    lines = _lines(text)
+    d, m = _values(lines[0], (int, int), "site header")
+    return measure_cloud(_table(lines[1:], m, d, "sites"), d)
 
 
 def format_ordering(ordering: MaximinOrdering, levels: LevelPartition) -> str:
@@ -108,14 +127,17 @@ def format_ordering(ordering: MaximinOrdering, levels: LevelPartition) -> str:
 
 
 def parse_ordering(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    m, q = (int(v) for v in lines[0].split())
+    lines = _lines(text)
+    m, q = _values(lines[0], (int, int), "ordering header")
+    if len(lines) - 1 != m:
+        raise InvalidInput(f"expected {m} ordering rows, found {len(lines) - 1}")
     perm = np.empty(m, dtype=np.int64)
     level_of = np.empty(m, dtype=np.int64)
     ell = np.empty(m)
     for i, ln in enumerate(lines[1:]):
-        a, b, c = ln.split()
-        perm[i], level_of[i], ell[i] = int(a), int(b), float(c)
+        perm[i], level_of[i], ell[i] = _values(ln, (int, int, float), "ordering row")
+    if np.any(level_of < 1) or np.any(level_of > q) or np.any(np.diff(level_of) < 0):
+        raise InvalidInput(f"levels must be nondecreasing and lie in 1..{q}")
     counts = np.bincount(level_of, minlength=q + 1)[1:]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return (
@@ -144,24 +166,24 @@ def format_factor(u, levels: LevelPartition, d: int) -> str:
 
 def parse_factor(text: str):
     """Inverse of :func:`format_factor`: ``(u, levels, d)``."""
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    m, q, d = (int(v) for v in lines[0].split())
-    sizes = np.array([int(v) for v in lines[1].split()], dtype=np.int64)
-    if sizes.size != q or int(sizes.sum()) != m:
+    lines = _lines(text)
+    m, q, d = _values(lines[0], (int, int, int), "factor header")
+    if len(lines) < 2:
+        raise InvalidInput("factor text has no level sizes line")
+    sizes = np.array(_values(lines[1], (int,) * q, "level sizes"), dtype=np.int64)
+    if int(sizes.sum()) != m:
         raise InvalidInput("level sizes disagree with the header")
     levels = LevelPartition.from_sizes(sizes)
     ut = np.zeros((m, m))
     pos = 2
     while pos < len(lines):
-        k, l, rows, cols = (int(v) for v in lines[pos].split())
+        k, l, rows, cols = _values(lines[pos], (int, int, int, int), "block header")
         pos += 1
-        block = np.array(
-            [[float(v) for v in lines[pos + r].split()] for r in range(rows)]
-        )
         if not 1 <= l <= k <= q:
             raise InvalidInput(f"block ({k}, {l}) is not in the lower block triangle")
+        block = _table(lines[pos:pos + rows], rows, cols, f"block ({k}, {l})")
         target = ut[levels.level_slice(k), levels.level_slice(l)]
-        if block.shape != (rows, cols) or block.shape != target.shape:
+        if block.shape != target.shape:
             raise InvalidInput(f"block ({k}, {l}) does not match its declared shape")
         pos += rows
         target[...] = block

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import blas, lapack
+from scipy.spatial.distance import cdist
 
 from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, NumericalFailure
 from .lattice import LatticeShape
@@ -244,8 +245,7 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     if rho <= 0 or sigma2 <= 0:
         raise InvalidInput("rho and sigma2 must be positive")
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
-    diff = sites[:, None, :] - sites[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
+    r = cdist(sites, sites)
     if nu == 0.5:
         k = np.exp(-r / rho)
     elif nu == 1.5:
@@ -339,8 +339,7 @@ def screening_profile(omega, points, h: float, noise_floor: float = 1e-10) -> Sc
         raise InvalidInput("h must be positive")
     diag = np.diag(omega)
     normalized = np.abs(omega) / np.sqrt(np.outer(diag, diag))
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = cdist(points, points)
     iu = np.triu_indices(omega.shape[0], k=1)
     ratios = dist[iu] / h
     bins_all = np.maximum(1, np.ceil(ratios - 1e-9).astype(int))

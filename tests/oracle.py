@@ -9,6 +9,9 @@ assembles its blocks entry by entry.
 
 :func:`indexed_estimate` is the estimator's window step by index arrays
 instead of boxes, so the two must agree bit for bit.
+
+:func:`padded_samples` is the scattered-site padding as whole-array column
+writes, which the streamed padding must match bit for bit.
 """
 
 import itertools
@@ -108,3 +111,20 @@ def indexed_estimate(source, scheme):
         cols = cho_solve((factor, True), unit, check_finite=False)
         raw[np.ix_(near, block)] = cols[np.searchsorted(w, near)]
     return 0.5 * (raw + raw.T)
+
+
+def padded_samples(z, embedding, seed):
+    """``z`` in the matched node columns, one ``Philox(seed)`` draw of normals in the rest.
+
+    The draw is ``(N, n_pad)`` standard normals, its columns the unmatched
+    nodes in ascending flat order.
+    """
+    nodes = embedding.node_of_site
+    mask = np.ones(embedding.shape.size, dtype=bool)
+    mask[nodes] = False
+    out = np.empty((z.shape[0], embedding.shape.size))
+    out[:, nodes] = z
+    out[:, mask] = np.random.Generator(np.random.Philox(key=seed)).standard_normal(
+        (z.shape[0], int(mask.sum()))
+    )
+    return out

@@ -332,20 +332,23 @@ class TestEstimate:
         assert len(dataclasses.fields(ResultRow)) == len(CSV_COLUMNS)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["estimate", "--seeds=-1"],
-            ["estimate", "--seeds", "0,-3"],
-            ["simulate", "--seeds=-1"],
+            (["estimate", "--seeds=-1"], "seeds must be"),
+            (["estimate", "--seeds", "0,-3"], "seeds must be"),
+            (["simulate", "--seeds=-1"], "seeds must be"),
+            (["estimate", "--b", "0"], "b must be a positive integer, got 0"),
+            (["estimate", "--model", "matern", "--d", "2", "--b", "-1"], "b must be"),
         ],
+        ids=[f"argv{i}" for i in range(5)],
     )
-    def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv):
+    def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv, message):
         def forbidden(cfg):
             raise AssertionError("truth built for an invalid configuration")
 
         monkeypatch.setattr(cli, "_build_truth", forbidden)
         assert run_cli(*argv, "--p", "6") == 2
-        assert capsys.readouterr().err.startswith("error: seeds must be")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_row_error_recorded_and_nonzero_exit(self, capsys):
         # N far below the variable count breaks every scale of the factor

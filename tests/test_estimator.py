@@ -11,6 +11,7 @@ from gpprec.estimator import (
     BLOCKWISE,
     FALLBACK,
     EstimatorConfig,
+    RowBlocks,
     _band_gram,
     choose_block_size,
     WINDOW_RADIUS,
@@ -558,6 +559,62 @@ class TestBandGram:
         for j in scheme.block_indices():
             w = window_vertices(scheme, j)
             assert np.max(np.abs(gram[np.ix_(w, w)] - full[np.ix_(w, w)])) <= tol
+
+
+def unread_blocks():
+    """Row blocks that fail the test if the estimator takes one."""
+    raise AssertionError("a row block was read")
+    yield
+
+
+def reused_buffer_blocks(z, bounds):
+    """Rows ``bounds[i]:bounds[i + 1]`` of ``z``, each copied into one reused buffer."""
+    buffer = np.empty_like(z)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = buffer[:hi - lo]
+        block[...] = z[lo:hi]
+        yield block
+
+
+class TestRowBlocks:
+    """Samples handed to estimate_precision as consecutive row blocks."""
+
+    def test_width_other_than_lattice_size_rejected(self):
+        with pytest.raises(InvalidInput, match="columns"):
+            estimate_precision(RowBlocks(100, 15, unread_blocks()), LatticeShape(p=16, d=1))
+
+    @pytest.mark.parametrize(
+        "shape, n, cfg, error",
+        [
+            (LatticeShape(p=16, d=1), 10, EstimatorConfig(b_override=2), LocalSingular),
+            (LatticeShape(p=16, d=1), 100, EstimatorConfig(b_override=17), InvalidInput),
+            (LatticeShape(p=4, d=2), 12, None, NotPositiveDefinite),
+        ],
+        ids=["window-of-n", "b-above-p", "fallback-below-m"],
+    )
+    def test_refused_estimate_reads_no_block(self, shape, n, cfg, error):
+        with pytest.raises(error):
+            estimate_precision(RowBlocks(n, shape.size, unread_blocks()), shape, cfg)
+
+    @pytest.mark.parametrize(
+        "p, d, cfg, path",
+        [
+            (12, 2, EstimatorConfig(b_override=3), BLOCKWISE),
+            (4, 2, None, FALLBACK),
+        ],
+        ids=["blockwise", "fallback"],
+    )
+    def test_uneven_blocks_match_one_block(self, p, d, cfg, path):
+        z = np.random.Generator(np.random.Philox(key=p + d)).standard_normal((1000, p**d))
+        bounds = [0, 1, 300, 301, 777, 1000]
+        shape = LatticeShape(p=p, d=d)
+        want = estimate_precision(z, shape, cfg)
+        got = estimate_precision(
+            RowBlocks(z.shape[0], shape.size, reused_buffer_blocks(z, bounds)), shape, cfg
+        )
+        assert (got.b, got.path) == (want.b, want.path)
+        assert want.path == path
+        assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13 * np.max(np.abs(want.matrix))
 
 
 class TestOlsPluginRow:

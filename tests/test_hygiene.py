@@ -1,0 +1,79 @@
+"""Every import and every private module-level name in the package is used by the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gpprec
+
+PACKAGE = Path(gpprec.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def loaded_names(tree):
+    """Names the module reads."""
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def used_names(tree):
+    """Names the module reads, reads as attributes, or imports from elsewhere."""
+    names = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def module_level_names(tree):
+    """Names bound by the module's top-level definitions and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    # The package's __init__ imports to re-export, so it is not checked.
+    tree = parse(path)
+    used = loaded_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(bound)
+    assert unused == []
+
+
+def test_every_private_module_level_name_is_used():
+    trees = {path.name: parse(path) for path in MODULES}
+    used = set().union(*(used_names(tree) for tree in trees.values()))
+    unused = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert unused == []

@@ -12,7 +12,6 @@ from gpprec.lattice import LatticeShape, build_scheme, lattice_points
 from gpprec.linalg import spectral_norm, symmetrize
 from gpprec.matching import (
     _PAD_BLOCK_ELEMENTS,
-    _PAD_CHUNK_ELEMENTS,
     LatticeEmbedding,
     _candidate_graph,
     _padded_blocks,
@@ -21,10 +20,10 @@ from gpprec.matching import (
     embed_and_estimate,
     estimate_padded,
     measure_cloud,
-    pad_samples,
     perfect_matching,
 )
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, l1_tail_profile, log_linear_fit, sample
+from oracle import padded_samples
 
 
 def brute_force_maximum(adjacency):
@@ -56,6 +55,16 @@ def reference_adjacency(sites, positions, radius):
         [t for t in range(len(positions)) if squared_distance(x, positions[t]) <= radius * radius]
         for x in sites
     ]
+
+
+def streamed_padding(z, embedding, seed):
+    """The blocks of ``_padded_blocks`` stacked, each copied before the next overwrites it."""
+    return np.concatenate([block.copy() for block in _padded_blocks(z, embedding, seed)])
+
+
+def block_rows(embedding):
+    """Rows per padded block on ``embedding``'s lattice."""
+    return max(1, _PAD_BLOCK_ELEMENTS // embedding.shape.size)
 
 
 def perturbed_grid(m, d, jitter, seed):
@@ -290,20 +299,20 @@ class TestEmbedAndEstimate:
     def test_embed_and_estimate_is_pad_then_estimate_padded(self, rng):
         # embed_and_estimate is build_embedding, then estimate_padded on the
         # same site samples.  300 padded rows fit one row block, so the
-        # streamed estimate is also the estimate of pad_samples' output,
-        # bit for bit.
+        # streamed estimate is also the estimate of the padded array the
+        # oracle writes column by column, bit for bit.
         cloud = measure_cloud(perturbed_grid(30, 1, 0.25, seed=3), 1)
         z = rng.standard_normal((300, cloud.m))
         cfg = EstimatorConfig(b_override=3)
         got = embed_and_estimate(z, cloud, cfg, seed=9)
         embedding, attempts = build_embedding(cloud)
-        assert 300 <= _PAD_BLOCK_ELEMENTS // embedding.shape.size
+        assert 300 <= block_rows(embedding)
         want = estimate_padded(z, embedding, cfg, 9, attempts)
         assert np.array_equal(got.matrix, want.matrix)
         assert (got.b, got.path, got.seed, got.attempts) == (3, "blockwise", 9, attempts)
         assert np.array_equal(got.embedding.node_of_site, want.embedding.node_of_site)
         nodes = embedding.node_of_site
-        padded = estimate_precision(pad_samples(z, embedding, 9), embedding.shape, cfg)
+        padded = estimate_precision(padded_samples(z, embedding, 9), embedding.shape, cfg)
         assert np.array_equal(got.matrix, padded.matrix[np.ix_(nodes, nodes)])
 
     def test_single_site_reduces_to_variance_estimation(self):
@@ -354,7 +363,7 @@ class TestEmbedAndEstimate:
 
     def test_padded_truth_tail_decay(self):
         # The precision of the padded problem (the site precision on the
-        # matched nodes, unit variance on the unmatched ones, as pad_samples
+        # matched nodes, unit variance on the unmatched ones, as the padding
         # draws them) keeps its exponential off-diagonal decay on the
         # lattice; fit quality 0.9 or better.
         rng = np.random.Generator(np.random.Philox(key=21))
@@ -378,27 +387,27 @@ class TestEmbedAndEstimate:
         cloud = measure_cloud(sites, 1)
         embedding, _ = build_embedding(cloud)
         z = rng.standard_normal((4, 9))
-        padded = pad_samples(z, embedding, seed=77)
+        padded = streamed_padding(z, embedding, seed=77)
         np.testing.assert_array_equal(padded[:, embedding.node_of_site], z)
 
     @pytest.mark.parametrize(
-        "m, d, chunks, extra",
+        "m, d, blocks, extra",
         [
             pytest.param(9, 1, 0, 6, id="9-1"),
             pytest.param(16, 2, 0, 6, id="16-2"),
             pytest.param(9, 1, 0, 1, id="9-1-one-row"),
-            pytest.param(9, 1, 1, -1, id="9-1-chunk-minus-one"),
-            pytest.param(9, 1, 1, 0, id="9-1-one-chunk"),
-            pytest.param(16, 2, 1, 1, id="16-2-chunk-plus-one"),
-            pytest.param(16, 2, 3, 7, id="16-2-three-chunks-plus-remainder"),
+            pytest.param(9, 1, 1, -1, id="9-1-block-minus-one"),
+            pytest.param(9, 1, 1, 0, id="9-1-one-block"),
+            pytest.param(16, 2, 1, 1, id="16-2-block-plus-one"),
+            pytest.param(16, 2, 3, 7, id="16-2-three-blocks-plus-remainder"),
             pytest.param(0, 2, 2, 3, id="no-unmatched-node"),
         ],
     )
-    def test_pad_samples_equals_column_scatters(self, rng, m, d, chunks, extra):
-        # The chunked fill must equal writing the sites, then one seeded
-        # draw of normals, into their columns, bit for bit.  N is ``chunks``
-        # full row chunks plus ``extra`` rows; ``m = 0`` stands for a
-        # hand-built embedding that matches every node.
+    def test_pad_samples_equals_column_scatters(self, rng, m, d, blocks, extra):
+        # The block-by-block fill must equal writing the sites, then one
+        # seeded draw of normals, into their columns, bit for bit.  N is
+        # ``blocks`` full row blocks plus ``extra`` rows; ``m = 0`` stands
+        # for a hand-built embedding that matches every node.
         if m:
             cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
             embedding, _ = build_embedding(cloud)
@@ -411,47 +420,24 @@ class TestEmbedAndEstimate:
                 c1=0.5,
             )
         nodes = embedding.node_of_site
-        rows = max(1, _PAD_CHUNK_ELEMENTS // embedding.shape.size)
-        n = chunks * rows + extra
+        assert (nodes.size < embedding.shape.size) == bool(m)
+        n = blocks * block_rows(embedding) + extra
         z = rng.standard_normal((n, nodes.size))
-        mask = np.ones(embedding.shape.size, dtype=bool)
-        mask[nodes] = False
-        assert mask.any() == bool(m)
-        want = np.empty((n, embedding.shape.size))
-        want[:, nodes] = z
-        want[:, mask] = np.random.Generator(np.random.Philox(key=77)).standard_normal(
-            (n, int(mask.sum()))
-        )
-        assert np.array_equal(pad_samples(z, embedding, seed=77), want)
+        assert np.array_equal(streamed_padding(z, embedding, 77), padded_samples(z, embedding, 77))
 
-    @pytest.mark.parametrize("chunks, extra", [(0, 5), (2, 3)])
-    def test_pad_samples_prefix_is_exact(self, rng, chunks, extra):
+    @pytest.mark.parametrize("blocks, extra", [(0, 5), (2, 3)])
+    def test_pad_samples_prefix_is_exact(self, rng, blocks, extra):
         # One padding at the largest N serves every smaller N: its first n
         # rows are the padding of the first n site rows, bit for bit, also
-        # across row chunks.
+        # across row blocks.
         cloud = measure_cloud(perturbed_grid(16, 2, 0.25, seed=3), 2)
         embedding, _ = build_embedding(cloud)
-        rows = max(1, _PAD_CHUNK_ELEMENTS // embedding.shape.size)
-        big = chunks * rows + extra
+        rows = block_rows(embedding)
+        big = blocks * rows + extra
         z = rng.standard_normal((big, cloud.m))
-        padded = pad_samples(z, embedding, seed=77)
+        padded = streamed_padding(z, embedding, 77)
         for n in sorted({1, extra, rows, big - 1, big}):
-            assert np.array_equal(padded[:n], pad_samples(z[:n], embedding, seed=77))
-
-    def test_pad_samples_peak_memory(self, rng):
-        # Only the output and a few row-chunk buffers may be live at once;
-        # a whole-array concatenate and gather would hold two more arrays
-        # of the output's order.
-        cloud = measure_cloud(perturbed_grid(200, 1, 0.25, seed=3), 1)
-        embedding, _ = build_embedding(cloud)
-        z = rng.standard_normal((6000, cloud.m))
-        tracemalloc.start()
-        try:
-            padded = pad_samples(z, embedding, seed=77)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= padded.nbytes + 4 * 8 * _PAD_CHUNK_ELEMENTS
+            assert np.array_equal(padded[:n], streamed_padding(z[:n], embedding, 77))
 
     @pytest.mark.parametrize("m, d", [(9, 1), (16, 2)])
     @pytest.mark.parametrize("blocks, extra", [(0, 40), (1, 0), (2, 7)])
@@ -462,12 +448,12 @@ class TestEmbedAndEstimate:
         # every row.
         cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
         embedding, _ = build_embedding(cloud)
-        rows = max(1, _PAD_BLOCK_ELEMENTS // embedding.shape.size)
+        rows = block_rows(embedding)
         n = blocks * rows + extra
         z = rng.standard_normal((n, cloud.m))
         scheme = build_scheme(embedding.shape.p, 2, d)
-        want = _band_gram([pad_samples(z, embedding, 77)], n, scheme)
-        got = _band_gram(_padded_blocks(z, embedding, 77, rows), n, scheme)
+        want = _band_gram([padded_samples(z, embedding, 77)], n, scheme)
+        got = _band_gram(_padded_blocks(z, embedding, 77), n, scheme)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(got, got.T)
         if n <= rows:
@@ -475,8 +461,9 @@ class TestEmbedAndEstimate:
 
     def test_estimate_padded_peak_memory(self, rng):
         # With N far above the lattice size, the padded samples are never
-        # held: the traced peak stays within a few lattice-square arrays and
-        # the block buffers, well under the padded array's N * m * 8 bytes.
+        # held: the traced peak stays within four lattice-square arrays, the
+        # two block buffers and one block's normals, well under the padded
+        # array's N * m * 8 bytes.
         cloud = measure_cloud(perturbed_grid(100, 1, 0.25, seed=3), 1)
         embedding, attempts = build_embedding(cloud)
         m_lattice = embedding.shape.size
@@ -488,7 +475,8 @@ class TestEmbedAndEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 4 * 8 * m_lattice**2 + 8 * _PAD_BLOCK_ELEMENTS + 2 * 8 * _PAD_CHUNK_ELEMENTS
+        normals = block_rows(embedding) * (m_lattice - cloud.m)
+        bound = 4 * 8 * m_lattice**2 + 2 * 8 * _PAD_BLOCK_ELEMENTS + 8 * normals
         assert bound <= z.shape[0] * m_lattice * 8 / 3
         assert peak <= bound
 

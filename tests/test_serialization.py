@@ -106,6 +106,43 @@ class TestFactorFormat:
             ser.parse_factor(text)
 
 
+class TestMalformedText:
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            pytest.param(ser.parse_matrix, "", id="empty"),
+            pytest.param(ser.parse_samples, "# seed=5\n\n", id="metadata-only"),
+            pytest.param(ser.parse_samples, "2\n1 2\n3 4\n", id="short-header"),
+            pytest.param(ser.parse_factor, "3 2\n1 2\n", id="short-factor-header"),
+            pytest.param(ser.parse_factor, "3 2 1\n", id="no-level-sizes"),
+            pytest.param(ser.parse_samples, "2 2\n1 2\n3\n", id="ragged-row"),
+            pytest.param(ser.parse_sites, "1 2\n0.2\n0.4 0.6\n", id="ragged-site"),
+            pytest.param(ser.parse_matrix, "2\n1 x\n3 4\n", id="non-numeric-entry"),
+            pytest.param(ser.parse_matrix, "2.0\n1 2\n3 4\n", id="non-integer-header"),
+            pytest.param(ser.parse_ordering, "2 1\n0 1 0.5\n1 one 0.25\n", id="non-numeric-level"),
+            pytest.param(ser.parse_samples, "0 -1\n", id="negative-width"),
+            pytest.param(ser.parse_samples, "3 2\n1 2\n3 4\n", id="fewer-rows-than-header"),
+            pytest.param(ser.parse_matrix, "1\n1\n2\n", id="more-rows-than-header"),
+            pytest.param(ser.parse_ordering, "3 1\n0 1 0.5\n", id="fewer-ordering-rows"),
+            pytest.param(ser.parse_ordering, "1 1\n0 1 0.5\n1 1 0.25\n", id="more-ordering-rows"),
+            pytest.param(ser.parse_ordering, "2 1\n0 1 0.5\n1 2 0.25\n", id="level-above-q"),
+            pytest.param(ser.parse_ordering, "2 2\n0 2 0.5\n1 1 0.25\n", id="levels-decrease"),
+            pytest.param(ser.parse_factor, "3 2 1\n1 2\n1 1 1 1\n", id="block-without-rows"),
+            pytest.param(
+                ser.parse_factor, "3 2 1\n1 2\n1 1 1 1\n2\n2 2 2 2\n1 0\n", id="truncated-block"
+            ),
+            pytest.param(ser.parse_factor, "3 2 1\n1 2\n1 1 1\n2\n", id="short-block-header"),
+        ],
+    )
+    def test_malformed_text_raises_invalid_input(self, parse, text):
+        with pytest.raises(InvalidInput):
+            parse(text)
+
+    def test_empty_samples_round_trip(self):
+        z = np.empty((0, 3))
+        assert ser.parse_samples(ser.format_samples(z)).shape == (0, 3)
+
+
 class TestTruthFormat:
     def test_round_trip_with_metadata(self):
         truth = build_lattice_precision(5, 1, 2)
