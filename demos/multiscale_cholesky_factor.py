@@ -10,6 +10,8 @@ per-scale factors for symmetric roots.
 Run:  python3 demos/multiscale_cholesky_factor.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from gpprec import (
@@ -26,7 +28,6 @@ from gpprec import (
     sample,
     symmetrize,
 )
-from gpprec.truth import GroundTruth
 
 q = 4
 truth = build_lattice_precision(p=2**q - 1, d=1, s=2)
@@ -46,13 +47,7 @@ exact_u = assemble_U(scales)
 rec_err = np.linalg.norm(exact_u @ exact_u.T - omega, 2) / np.linalg.norm(omega, 2)
 print(f"\nexact factor reconstructs the precision to {rec_err:.2e}")
 
-ordered_truth = GroundTruth(
-    omega=omega,
-    kappa=truth.kappa,
-    geometry=cloud,
-    model_tag=truth.model_tag,
-    params=truth.params,
-)
+ordered_truth = dataclasses.replace(truth, omega=omega, geometry=cloud)
 exact_star = assemble_U_star(scales)
 
 config = EstimatorConfig(kappa_hint=truth.kappa)

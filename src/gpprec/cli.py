@@ -37,7 +37,8 @@ estimate.  Every norm in it but the truth's is one Lanczos solve for the
 extreme eigenvalue (``linalg.spectral_norm``), from a fixed start vector,
 so it reruns bit for bit.  The truth's norm ``GroundTruth.omega_norm`` is
 in closed form for lattice truths (``--model laplacian``) and otherwise
-one Lanczos solve per run, in the first row it computes.  Precision rows report
+one Lanczos solve per run, at build; a norm that fails stops the run
+there with exit status 2, as every other refused build does.  Precision rows report
 ``||omega_hat - omega||_2 / ||omega||_2``, the numerator on the dense
 difference as it is (exactly symmetric, as both operands are).  Factor
 rows (``--factor cholesky`` or ``cholesky-star``) report
@@ -196,6 +197,9 @@ def _validate_config(cfg):
         )
     if not 0.0 < cfg["c1"] < 1.0:
         raise InvalidInput(f"c1 must lie in (0, 1), got {cfg['c1']}")
+    p_list = cfg.get("p_list")
+    if p_list and (len(set(p_list)) != len(p_list) or min(p_list) < 1):
+        raise InvalidInput(f"p_list must be a list of distinct positive sides, got {p_list}")
 
 
 def _jittered_grid(p: int, d: int, snap_fine_m: int | None):
@@ -235,9 +239,9 @@ def _factor_context(truth, cloud, d, factor):
     """Level partition, maximin-permuted truth and the exact factor of ``factor``.
 
     ``None`` for precision runs, which need none of them.  The permuted
-    truth keeps the closed-form norm, which a symmetric permutation does
-    not change.  Its ``omega_factor`` is the exact ``cholesky`` factor and
-    feeds the exact scales of ``cholesky-star``.
+    truth keeps the truth's ``omega_norm`` and ``kappa``, which a symmetric
+    permutation does not change.  Its ``omega_factor`` is the exact
+    ``cholesky`` factor and feeds the exact scales of ``cholesky-star``.
     """
     if factor == "precision":
         return None

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "InvalidInput",
+    "NotPositiveDefinite",
+    "NumericalFailure",
+    "LocalSingular",
+    "NoMatching",
+    "CapacityExceeded",
+]
+
 
 class InvalidInput(ValueError):
     """An argument violates a documented precondition."""

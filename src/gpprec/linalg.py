@@ -12,12 +12,13 @@ whose precondition is an exactly symmetric input, guaranteed by its
 caller: :func:`cholesky_lower` checks each input, and the blockwise
 estimator checks its covariance source once per estimate and then factors
 each window, a slice of it, through the gate directly.  Inverses and
-square roots are routed through this gate; :func:`condition_number`
-applies the same tolerance to the ratio of its extreme eigenvalues, both
-from one full symmetric eigenvalue decomposition.  :func:`spectral_norm`
-needs only the one extreme eigenvalue and takes it by Lanczos (ARPACK's
-``eigsh``), on a dense array, a scipy sparse matrix or a
-``LinearOperator`` as the caller holds it.
+square roots are routed through this gate.  :func:`spectral_norm` takes
+the one extreme eigenvalue by Lanczos (ARPACK's ``eigsh``), on a dense
+array, a scipy sparse matrix or a ``LinearOperator`` as the caller holds
+it; no function here computes a full eigendecomposition.  The truth
+builders take a condition number as the product of two such norms,
+``||omega||_2 ||omega^{-1}||_2``, and refuse one at or above
+``1 / SPD_PIVOT_RTOL``.
 
 Every public function here is a pure function of immutable inputs and
 never mutates its arguments, so concurrent read-only use is safe; only
@@ -44,7 +45,6 @@ __all__ = [
     "reverse_cholesky",
     "spd_inverse",
     "spectral_norm",
-    "condition_number",
     "spd_sqrt",
     "block_inverse_schur",
 ]
@@ -283,23 +283,6 @@ def spectral_norm(a) -> float:
     except ArpackError as exc:
         raise NumericalFailure(f"Lanczos spectral norm failed: {exc}") from exc
     return abs(float(top[0]))
-
-
-def condition_number(a) -> float:
-    """Ratio of extreme eigenvalues of an SPD matrix.
-
-    Both extremes come from one full symmetric eigenvalue decomposition.
-    Raises ``NotPositiveDefinite`` when the smallest eigenvalue is at or
-    below ``SPD_PIVOT_RTOL`` times the largest.
-    """
-    a = _as_square_sym(a)
-    w = np.linalg.eigvalsh(a)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo <= SPD_PIVOT_RTOL * max(hi, 0.0):
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lo:.3e} fails the SPD tolerance"
-        )
-    return hi / lo
 
 
 def spd_sqrt(a) -> np.ndarray:

@@ -4,8 +4,11 @@ All formats are line-oriented ASCII with values printed to 17 significant
 digits, enough for exact float64 round trips.  Metadata lines start with
 ``#`` and hold ``key=value`` pairs.  The parsers raise ``InvalidInput`` for
 text that does not hold what its header declares: no data lines, a line
-with the wrong number of values or a non-numeric one, or a line count that
-disagrees with the header.
+with the wrong number of values or a non-numeric one, a line count that
+disagrees with the header, a factor block missing or given twice, or an
+ordering that is no permutation, has distances that are not positive and
+nonincreasing, or has levels that do not run from 1 at its first
+position to ``q`` at its last.
 """
 
 from __future__ import annotations
@@ -129,15 +132,21 @@ def format_ordering(ordering: MaximinOrdering, levels: LevelPartition) -> str:
 def parse_ordering(text: str):
     lines = _lines(text)
     m, q = _values(lines[0], (int, int), "ordering header")
-    if len(lines) - 1 != m:
-        raise InvalidInput(f"expected {m} ordering rows, found {len(lines) - 1}")
+    if m < 1 or len(lines) - 1 != m:
+        raise InvalidInput(f"expected {m} ordering rows, at least one, found {len(lines) - 1}")
     perm = np.empty(m, dtype=np.int64)
     level_of = np.empty(m, dtype=np.int64)
     ell = np.empty(m)
     for i, ln in enumerate(lines[1:]):
         perm[i], level_of[i], ell[i] = _values(ln, (int, int, float), "ordering row")
-    if np.any(level_of < 1) or np.any(level_of > q) or np.any(np.diff(level_of) < 0):
-        raise InvalidInput(f"levels must be nondecreasing and lie in 1..{q}")
+    if not np.array_equal(np.sort(perm), np.arange(m)):
+        raise InvalidInput(f"ordering indices must be a permutation of 0..{m - 1}")
+    if not (np.all(ell > 0) and np.all(np.diff(ell) <= 0)):
+        raise InvalidInput("selection distances must be positive and nonincreasing")
+    # assign_levels puts the first position at level 1 and the last at q;
+    # a level in between is empty where a distance halves twice in one step.
+    if level_of[0] != 1 or level_of[-1] != q or np.any(np.diff(level_of) < 0):
+        raise InvalidInput(f"levels must be nondecreasing from 1 at the first position to {q}")
     counts = np.bincount(level_of, minlength=q + 1)[1:]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     return (
@@ -175,18 +184,24 @@ def parse_factor(text: str):
         raise InvalidInput("level sizes disagree with the header")
     levels = LevelPartition.from_sizes(sizes)
     ut = np.zeros((m, m))
+    seen = set()
     pos = 2
     while pos < len(lines):
         k, l, rows, cols = _values(lines[pos], (int, int, int, int), "block header")
         pos += 1
         if not 1 <= l <= k <= q:
             raise InvalidInput(f"block ({k}, {l}) is not in the lower block triangle")
+        if (k, l) in seen:
+            raise InvalidInput(f"block ({k}, {l}) appears twice")
+        seen.add((k, l))
         block = _table(lines[pos:pos + rows], rows, cols, f"block ({k}, {l})")
         target = ut[levels.level_slice(k), levels.level_slice(l)]
         if block.shape != target.shape:
             raise InvalidInput(f"block ({k}, {l}) does not match its declared shape")
         pos += rows
         target[...] = block
+    if len(seen) != q * (q + 1) // 2:
+        raise InvalidInput(f"factor text holds {len(seen)} of the {q * (q + 1) // 2} blocks")
     return ut.T, levels, d
 
 

@@ -35,7 +35,6 @@ from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
     cholesky_lower,
-    condition_number,
     reverse_cholesky,
     spd_inverse,
     spectral_norm,
@@ -63,20 +62,20 @@ class GroundTruth:
 
     ``omega`` is the primary object; its factor ``omega_factor``, the upper
     ``U`` with ``omega = U U^T``, gives the sampling factor and, in maximin
-    order, the exact multiscale factor.  ``covariance`` is the covariance
-    the truth was built from (Green's and Matern truths), or ``None`` for
-    lattice truths, whose ``sigma`` is formed only when a caller reads it.
-    ``closed_form_norm`` is ``omega``'s spectral norm where it is known in
-    closed form (lattice truths), or ``None``.
+    order, the exact multiscale factor.  ``omega_norm`` is ``omega``'s
+    spectral norm and ``kappa`` its condition number, both set at build.
+    ``covariance`` is the covariance the truth was built from (Green's and
+    Matern truths), or ``None`` for lattice truths, whose ``sigma`` is
+    formed only when a caller reads it.
     """
 
     omega: np.ndarray
+    omega_norm: float
     kappa: float
     geometry: object
     model_tag: str
     params: dict = field(default_factory=dict)
     covariance: np.ndarray | None = None
-    closed_form_norm: float | None = None
 
     @property
     def dim(self) -> int:
@@ -114,18 +113,38 @@ class GroundTruth:
             raise NumericalFailure(f"dtrtri failed with info={info}")
         return np.asfortranarray(inverse.T)
 
-    @functools.cached_property
-    def omega_norm(self) -> float:
-        """Spectral norm of ``omega``, computed on first use and kept.
 
-        It is ``closed_form_norm`` where that is known, and otherwise comes
-        from :func:`gpprec.linalg.spectral_norm`, a Lanczos solve on the
-        dense ``omega``.  Being lazy, it is paid by the first caller, which
-        in the CLI is the first row's error, not the truth build.
-        """
-        if self.closed_form_norm is not None:
-            return self.closed_form_norm
-        return spectral_norm(self.omega)
+def _check_kappa(kappa: float, what: str) -> float:
+    """``kappa``, or ``NotPositiveDefinite`` when it is at or above ``1 / SPD_PIVOT_RTOL``.
+
+    This is the Cholesky pivot rule's tolerance applied to the ratio of
+    ``omega``'s extreme eigenvalues, one gate for every truth model.
+    """
+    if kappa * SPD_PIVOT_RTOL >= 1.0:
+        raise NotPositiveDefinite(
+            f"{what} has condition number {kappa:.3e}, which fails the SPD tolerance"
+        )
+    return kappa
+
+
+def _truth_from_covariance(sigma, geometry, model_tag: str, params: dict) -> GroundTruth:
+    """Truth whose ``omega`` is ``spd_inverse(sigma)``, with its norm and ``kappa``.
+
+    For SPD ``omega``, ``kappa = ||omega||_2 ||sigma||_2``: two Lanczos
+    solves (:func:`gpprec.linalg.spectral_norm`), each for the top of one
+    spectrum, and no full eigendecomposition.
+    """
+    omega = spd_inverse(sigma)
+    omega_norm = spectral_norm(omega)
+    return GroundTruth(
+        omega=omega,
+        omega_norm=omega_norm,
+        kappa=_check_kappa(omega_norm * spectral_norm(sigma), f"{model_tag} truth"),
+        geometry=geometry,
+        model_tag=model_tag,
+        params=params,
+        covariance=sigma,
+    )
 
 
 def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:
@@ -159,19 +178,17 @@ def build_lattice_precision(
     ``omega``'s largest is ``h^d ((p+1)^2 4d sin^2(p pi / (2(p+1))))^s``
     and its extreme ratio is ``cot^2(pi / (2(p+1)))`` to the power ``s``,
     in every dimension ``d``.  A truth whose ``kappa`` is at or above
-    ``1 / SPD_PIVOT_RTOL`` raises ``NotPositiveDefinite``, the same
-    eigenvalue test as ``condition_number``.  ``sigma`` is not formed here.
+    ``1 / SPD_PIVOT_RTOL`` raises ``NotPositiveDefinite``, as Green's and
+    Matern truths do.  ``sigma`` is not formed here.
     """
     if s < 1:
         raise InvalidInput(f"s must be a positive integer, got {s}")
     shape = LatticeShape(p=p, d=d)
     _check_capacity(shape.size, max_vertices)
-    kappa = float(np.tan(np.pi / (2 * (p + 1))) ** (-2 * s))
-    if kappa * SPD_PIVOT_RTOL >= 1.0:
-        raise NotPositiveDefinite(
-            f"lattice precision (p={p}, d={d}, s={s}) has condition number "
-            f"{kappa:.3e}, which fails the SPD tolerance"
-        )
+    kappa = _check_kappa(
+        float(np.tan(np.pi / (2 * (p + 1))) ** (-2 * s)),
+        f"lattice precision (p={p}, d={d}, s={s})",
+    )
     h = 1.0 / (p + 1)
     # Entries of A^s are integer multiples of (p+1)^(2s), exact in float64
     # for every truth the kappa gate admits, so the sparse product equals
@@ -184,11 +201,11 @@ def build_lattice_precision(
     top = (p + 1) ** 2 * 4 * d * np.sin(p * np.pi / (2 * (p + 1))) ** 2
     return GroundTruth(
         omega=omega,
+        omega_norm=float(h**d * top**s),
         kappa=kappa,
         geometry=shape,
         model_tag="laplacian_power",
         params={"p": p, "d": d, "s": s},
-        closed_form_norm=float(h**d * top**s),
     )
 
 
@@ -220,15 +237,8 @@ def build_green_restriction(
     if np.unique(nodes).size != nodes.size:
         raise InvalidInput("two sites snap to the same fine-grid node")
     sigma = fine.sigma[np.ix_(nodes, nodes)]
-    omega = spd_inverse(sigma)
-    return GroundTruth(
-        covariance=sigma,
-        omega=omega,
-        kappa=condition_number(omega),
-        geometry=cloud,
-        model_tag="green_restriction",
-        params={"fine_m": fine_m, "d": d, "s": s},
-    )
+    params = {"fine_m": fine_m, "d": d, "s": s}
+    return _truth_from_covariance(sigma, cloud, "green_restriction", params)
 
 
 _MATERN_NUS = (0.5, 1.5, 2.5)
@@ -254,16 +264,8 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     else:
         u = np.sqrt(5.0) * r / rho
         k = (1.0 + u + u * u / 3.0) * np.exp(-u)
-    sigma = symmetrize(sigma2 * k)
-    omega = spd_inverse(sigma)
-    return GroundTruth(
-        covariance=sigma,
-        omega=omega,
-        kappa=condition_number(omega),
-        geometry=cloud,
-        model_tag="matern",
-        params={"nu": nu, "rho": rho, "sigma2": sigma2, "demo_only": True},
-    )
+    params = {"nu": nu, "rho": rho, "sigma2": sigma2, "demo_only": True}
+    return _truth_from_covariance(symmetrize(sigma2 * k), cloud, "matern", params)
 
 
 def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
@@ -364,13 +366,16 @@ def l1_tail_profile(omega, shape: LatticeShape):
     coords = shape.coordinates()
     if coords.shape[0] != omega.shape[0]:
         raise InvalidInput("omega does not match the lattice size")
-    dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+    dist = cdist(coords, coords, "cityblock").astype(np.intp)
     max_k = int(dist.max())
     norm = spectral_norm(omega)
     m = omega.shape[0]
-    binned = np.zeros((m, max_k + 1))
-    rows = np.repeat(np.arange(m), m)
-    np.add.at(binned, (rows, dist.ravel()), np.abs(omega).ravel())
+    # Row r's distance k goes to bin r * (max_k + 1) + k; bincount adds
+    # each bin's weights in input order, as a sequential sum would.
+    dist += np.arange(m)[:, None] * (max_k + 1)
+    binned = np.bincount(
+        dist.ravel(), weights=np.abs(omega).ravel(), minlength=m * (max_k + 1)
+    ).reshape(m, max_k + 1)
     suffix = np.cumsum(binned[:, ::-1], axis=1)[:, ::-1]
     ks = np.arange(1, max_k + 1)
     tails = suffix[:, 1:].max(axis=0) / norm

@@ -5,6 +5,7 @@ also enforces its runtime budget.  Randomness is Philox-seeded throughout,
 so every run checks identical numbers.
 """
 
+import dataclasses
 import math
 import time
 
@@ -35,7 +36,6 @@ from gpprec.linalg import (
 )
 from gpprec.matching import build_embedding, measure_cloud
 from gpprec.truth import (
-    GroundTruth,
     build_lattice_precision,
     log_linear_fit,
     sample,
@@ -64,12 +64,8 @@ def nested_maximin_truth(q, s):
     cloud = measure_cloud(lattice_points(truth.geometry), 1)
     ordering = maximin_order(cloud)
     levels = assign_levels(ordering)
-    permuted = GroundTruth(
-        omega=symmetrize(truth.omega[np.ix_(ordering.perm, ordering.perm)]),
-        kappa=truth.kappa,
-        geometry=cloud,
-        model_tag=truth.model_tag,
-        params=truth.params,
+    permuted = dataclasses.replace(
+        truth, omega=symmetrize(truth.omega[np.ix_(ordering.perm, ordering.perm)]), geometry=cloud
     )
     return permuted, levels
 

@@ -28,7 +28,7 @@ from gpprec.linalg import (
     symmetrize,
 )
 from gpprec.matching import measure_cloud
-from gpprec.truth import GroundTruth, build_lattice_precision, sample
+from gpprec.truth import build_lattice_precision, sample
 from gpprec.verify import random_spd
 
 
@@ -46,13 +46,7 @@ def nested_truth(q, s=1):
     ordering = maximin_order(cloud)
     levels = assign_levels(ordering)
     omega = symmetrize(truth.omega[np.ix_(ordering.perm, ordering.perm)])
-    permuted = GroundTruth(
-        omega=omega,
-        kappa=truth.kappa,
-        geometry=cloud,
-        model_tag=truth.model_tag,
-        params=truth.params,
-    )
+    permuted = dataclasses.replace(truth, omega=omega, geometry=cloud)
     return permuted, levels
 
 
@@ -266,11 +260,8 @@ class TestEstimateCholesky:
         cloud = measure_cloud(lattice_points(truth.geometry), 2)
         ordering = maximin_order(cloud)
         levels = assign_levels(ordering)
-        permuted = GroundTruth(
-            omega=truth.omega[np.ix_(ordering.perm, ordering.perm)],
-            kappa=truth.kappa,
-            geometry=cloud,
-            model_tag=truth.model_tag,
+        permuted = dataclasses.replace(
+            truth, omega=truth.omega[np.ix_(ordering.perm, ordering.perm)], geometry=cloud
         )
         z = sample(permuted, n, seed=3)
         cfg = EstimatorConfig(kappa_hint=truth.kappa)

@@ -14,7 +14,7 @@ from gpprec import serialization as ser
 from gpprec import truth as truth_module
 from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, ResultRow, main
-from gpprec.errors import CapacityExceeded
+from gpprec.errors import CapacityExceeded, NumericalFailure
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import lattice_points
 from gpprec.linalg import (
@@ -190,8 +190,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("factor", ["precision", "cholesky"])
     def test_truth_norm_computed_once_per_run(self, monkeypatch, capsys, factor):
-        # A Green's truth has no closed-form norm, so one Lanczos solve
-        # serves every row.
+        # A Green's truth has no closed-form norm: its build takes the norms
+        # of omega and sigma, one Lanczos solve each, and they serve every row.
         calls = []
 
         def counting(a):
@@ -205,7 +205,21 @@ class TestEstimate:
         )
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 2 + 4
-        assert calls == [(7, 7)]
+        assert calls == [(7, 7), (7, 7)]
+
+    def test_failed_truth_norm_stops_run_at_build(self, monkeypatch, capsys):
+        def failing(a):
+            raise NumericalFailure("Lanczos spectral norm failed")
+
+        monkeypatch.setattr(truth_module, "spectral_norm", failing)
+        code = run_cli(
+            "estimate", "--model", "matern", "--d", "1", "--p", "7",
+            "--n", "1000,2000", "--seeds", "0,1",
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Lanczos spectral norm failed")
 
     @pytest.mark.parametrize("factor", ["precision", "cholesky"])
     def test_lattice_truth_norm_is_closed_form(self, monkeypatch, capsys, factor):
@@ -281,11 +295,6 @@ class TestEstimate:
         _, truth_mm, exact = cli._factor_context(truth, cloud, 2, factor)
         assert cli._factor_error(exact.copy(), exact, truth_mm) == 0.0
 
-    def test_truth_norm_not_computed_in_setup(self):
-        args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])
-        truth, _ = cli._build_truth(vars(args))
-        assert "omega_norm" not in truth.__dict__
-
     def test_scattered_green_runs(self, capsys):
         code = run_cli(
             "estimate", "--model", "green", "--d", "1", "--p", "14", "--s", "2",
@@ -339,8 +348,9 @@ class TestEstimate:
             (["simulate", "--seeds=-1"], "seeds must be"),
             (["estimate", "--b", "0"], "b must be a positive integer, got 0"),
             (["estimate", "--model", "matern", "--d", "2", "--b", "-1"], "b must be"),
+            (["scaling-study", "--p-list", "8,8"], "p_list must be"),
         ],
-        ids=[f"argv{i}" for i in range(5)],
+        ids=[f"argv{i}" for i in range(6)],
     )
     def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv, message):
         def forbidden(cfg):

@@ -200,7 +200,7 @@ class TestEstimatePrecision:
         # Seeds 0..4 realize errors between 0.048 and 0.125.
         shape = LatticeShape(p=2, d=1)
         truth = GroundTruth(
-            omega=np.eye(2), kappa=1.0, geometry=shape,
+            omega=np.eye(2), omega_norm=1.0, kappa=1.0, geometry=shape,
             model_tag="identity",
         )
         for seed in range(5):

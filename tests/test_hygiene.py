@@ -1,6 +1,11 @@
-"""Every import and every private module-level name in the package is used by the package."""
+"""Every import and every private module-level name in the package is used by the package.
+
+The package exports exactly what its re-exported modules export, and every
+exported name exists.
+"""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -77,3 +82,25 @@ def test_every_private_module_level_name_is_used():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert unused == []
+
+
+REEXPORTED = (
+    "cholesky", "errors", "estimator", "hierarchy", "lattice", "linalg", "matching", "truth",
+)
+
+
+def test_package_exports_the_union_of_its_modules_exports():
+    modules = [importlib.import_module(f"gpprec.{name}") for name in REEXPORTED]
+    union = [name for module in modules for name in module.__all__]
+    assert len(set(union)) == len(union)
+    assert sorted(gpprec.__all__) == sorted(union)
+
+
+# Importing __main__ would run the command line.
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__main__.py"], ids=lambda p: p.name
+)
+def test_every_exported_name_exists(path):
+    name = "gpprec" if path.name == "__init__.py" else f"gpprec.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

@@ -13,7 +13,6 @@ from gpprec.errors import InvalidInput, NotPositiveDefinite, NumericalFailure
 from gpprec.linalg import (
     block_inverse_schur,
     cholesky_lower,
-    condition_number,
     reverse_cholesky,
     sample_covariance,
     spd_inverse,
@@ -251,32 +250,6 @@ class TestSpectralNorm:
         a = symmetrize(rng.standard_normal((50, 50)))
         for operand in self._operands(a):
             assert spectral_norm(operand) == spectral_norm(operand)
-
-
-class TestConditionNumber:
-    def test_identity(self):
-        assert condition_number(np.eye(5)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert condition_number(np.diag([1.0, 100.0])) == pytest.approx(100.0)
-
-    def test_tridiagonal_closed_form(self):
-        # Second-difference matrix eigenvalues are 2 - 2 cos(k pi / (n+1)).
-        n = 10
-        a = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        eigs = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
-        assert condition_number(a) == pytest.approx(eigs.max() / eigs.min(), rel=1e-6)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            condition_number(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_lattice_truth_above_512_vertices(self):
-        # m = 576 with kappa near 6.4e4: the truth builds and its closed-form
-        # kappa agrees with the eigenvalue ratio.
-        truth = build_lattice_precision(24, 2, 2)
-        assert truth.dim == 576
-        assert condition_number(truth.omega) == pytest.approx(truth.kappa, rel=1e-9)
 
 
 class TestSpdSqrt:

@@ -285,7 +285,7 @@ class TestEmbedAndEstimate:
         sites = positions[1:6].ravel()
         cloud = measure_cloud(sites, 1)
         truth = GroundTruth(
-            omega=np.eye(5), kappa=1.0, geometry=cloud,
+            omega=np.eye(5), omega_norm=1.0, kappa=1.0, geometry=cloud,
             model_tag="identity",
         )
         errs = []
@@ -320,7 +320,7 @@ class TestEmbedAndEstimate:
         # |estimate - 1| <= 0.05 at N=2000.
         cloud = measure_cloud(np.array([0.5]), 1)
         truth = GroundTruth(
-            omega=np.eye(1), kappa=1.0, geometry=cloud,
+            omega=np.eye(1), omega_norm=1.0, kappa=1.0, geometry=cloud,
             model_tag="identity",
         )
         for seed in range(5):

@@ -132,6 +132,24 @@ class TestMalformedText:
                 ser.parse_factor, "3 2 1\n1 2\n1 1 1 1\n2\n2 2 2 2\n1 0\n", id="truncated-block"
             ),
             pytest.param(ser.parse_factor, "3 2 1\n1 2\n1 1 1\n2\n", id="short-block-header"),
+            pytest.param(ser.parse_factor, "3 2 1\n1 2\n", id="no-blocks"),
+            pytest.param(
+                ser.parse_factor,
+                "3 2 1\n1 2\n1 1 1 1\n2\n2 2 2 2\n1 0\n0 1\n",
+                id="missing-block",
+            ),
+            pytest.param(
+                ser.parse_factor, "1 1 1\n1\n1 1 1 1\n2\n1 1 1 1\n3\n", id="repeated-block"
+            ),
+            pytest.param(ser.parse_ordering, "2 1\n5 1 0.5\n5 1 -1\n", id="index-out-of-range"),
+            pytest.param(ser.parse_ordering, "2 1\n1 1 0.5\n1 1 0.25\n", id="repeated-index"),
+            pytest.param(ser.parse_ordering, "2 1\n0 1 0.5\n1 1 -1\n", id="negative-distance"),
+            pytest.param(ser.parse_ordering, "1 1\n0 1 0\n", id="zero-distance"),
+            pytest.param(ser.parse_ordering, "1 1\n0 1 nan\n", id="nan-distance"),
+            pytest.param(ser.parse_ordering, "2 1\n0 1 0.25\n1 1 0.5\n", id="distances-increase"),
+            pytest.param(ser.parse_ordering, "1 3\n0 1 0.5\n", id="empty-last-level"),
+            pytest.param(ser.parse_ordering, "2 2\n0 2 0.5\n1 2 0.25\n", id="empty-first-level"),
+            pytest.param(ser.parse_ordering, "0 1\n", id="empty-ordering"),
         ],
     )
     def test_malformed_text_raises_invalid_input(self, parse, text):

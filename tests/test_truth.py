@@ -39,7 +39,10 @@ class TestLatticePrecision:
             gap = spectral_norm(symmetrize(truth.sigma @ truth.omega - np.eye(truth.dim)))
             assert gap <= 1e-9 * truth.kappa
 
-    @pytest.mark.parametrize("p, d, s", [(8, 1, 1), (12, 1, 2), (6, 2, 2), (5, 3, 1)])
+    # (24, 2, 2) has m = 576 and kappa near 6.4e4.
+    @pytest.mark.parametrize(
+        "p, d, s", [(8, 1, 1), (12, 1, 2), (6, 2, 2), (5, 3, 1), (24, 2, 2)]
+    )
     def test_closed_form_kappa(self, p, d, s):
         truth = build_lattice_precision(p, d, s)
         w = np.linalg.eigvalsh(truth.omega)
@@ -55,10 +58,9 @@ class TestLatticePrecision:
         monkeypatch.setattr(truth_module, "spectral_norm", None)
         started = time.perf_counter()
         truth = build_lattice_precision(2048, 1, 1)
-        norm = truth.omega_norm
         assert time.perf_counter() - started < 1.0
         top = 2049**2 * 4 * np.sin(2048 * np.pi / 4098) ** 2
-        assert norm == pytest.approx(top / 2049, rel=1e-14)
+        assert truth.omega_norm == pytest.approx(top / 2049, rel=1e-14)
 
     @pytest.mark.parametrize("p, d, s", [(200, 1, 3), (500, 1, 3), (22, 2, 6)])
     def test_ill_conditioned_truth_rejected(self, p, d, s):
@@ -98,6 +100,21 @@ class TestLatticePrecision:
         assert slope < 0
         assert r2 >= 0.9
 
+    @pytest.mark.parametrize("p, d, s", [(24, 1, 2), (8, 2, 2), (5, 3, 1)])
+    def test_l1_tail_matches_entrywise_binning(self, p, d, s):
+        # Reference: distances from an (m, m, d) difference array, binned
+        # entry by entry with np.add.at.
+        truth = build_lattice_precision(p, d, s)
+        omega, m = truth.omega, truth.dim
+        coords = truth.geometry.coordinates()
+        dist = np.abs(coords[:, None, :] - coords[None, :, :]).sum(axis=2)
+        binned = np.zeros((m, int(dist.max()) + 1))
+        np.add.at(binned, (np.repeat(np.arange(m), m), dist.ravel()), np.abs(omega).ravel())
+        suffix = np.cumsum(binned[:, ::-1], axis=1)[:, ::-1]
+        ks, tails = l1_tail_profile(omega, truth.geometry)
+        assert np.array_equal(ks, np.arange(1, dist.max() + 1))
+        assert np.array_equal(tails, suffix[:, 1:].max(axis=0) / spectral_norm(omega))
+
     def test_capacity_cap(self):
         with pytest.raises(CapacityExceeded):
             build_lattice_precision(17, 3, 1)
@@ -117,6 +134,43 @@ class TestLatticePrecision:
         omega = build_lattice_precision(p, d, s).omega
         np.testing.assert_array_equal(omega, want)
         assert np.array_equal(omega, omega.T)
+
+
+def _uniform(shape):
+    return np.random.Generator(np.random.Philox(key=7)).uniform(-1.0, 1.0, shape)
+
+
+_LINE = np.arange(4, 64, 4) / 64
+_SQUARE = np.stack(np.meshgrid(*[np.arange(4, 24, 4) / 24] * 2, indexing="ij"), -1).reshape(-1, 2)
+
+# Green's and Matern truths in d = 1 and 2: Green's on fine-grid nodes,
+# Matern on jittered sites.
+COVARIANCE_TRUTHS = {
+    "green-d1": lambda: build_green_restriction(63, 1, 2, measure_cloud(_LINE, 1)),
+    "green-d2": lambda: build_green_restriction(23, 2, 2, measure_cloud(_SQUARE, 2)),
+    "matern-d1": lambda: matern_covariance(
+        measure_cloud(_LINE + 0.005 * _uniform(_LINE.shape), 1), nu=1.5, rho=0.3, sigma2=1.0
+    ),
+    "matern-d2": lambda: matern_covariance(
+        measure_cloud(_SQUARE + 0.02 * _uniform(_SQUARE.shape), 2), nu=1.5, rho=0.3, sigma2=1.0
+    ),
+}
+
+
+class TestCovarianceTruthNorms:
+    @pytest.mark.parametrize("name", sorted(COVARIANCE_TRUTHS))
+    def test_kappa_and_norm_from_two_lanczos_norms(self, name):
+        truth = COVARIANCE_TRUTHS[name]()
+        w = np.linalg.eigvalsh(truth.omega)
+        assert truth.kappa == pytest.approx(w[-1] / w[0], rel=1e-7)
+        assert truth.omega_norm == spectral_norm(truth.omega)
+
+    def test_ill_conditioned_covariance_rejected(self):
+        # Every Cholesky pivot of this covariance passes, but kappa is
+        # 9.7e12, at or above 1 / SPD_PIVOT_RTOL.
+        cloud = measure_cloud((np.arange(20) + 0.5) / 20, 1)
+        with pytest.raises(NotPositiveDefinite, match="condition number"):
+            matern_covariance(cloud, nu=2.5, rho=10.0, sigma2=1.0)
 
 
 class TestGreenRestriction:
@@ -199,7 +253,7 @@ class TestSample:
         from gpprec.truth import GroundTruth
 
         truth = GroundTruth(
-            omega=np.eye(3), kappa=1.0,
+            omega=np.eye(3), omega_norm=1.0, kappa=1.0,
             geometry=LatticeShape(3, 1), model_tag="identity",
         )
         z = sample(truth, 4, seed=9)
