@@ -31,7 +31,7 @@ truth = build_lattice_precision(32, d=1, s=2)
 prof = screening_profile(truth.omega, lattice_points(truth.geometry), h=1.0 / 33)
 print(f"   fitted log-slope {prof.slope:.2f} per mesh step, fit quality r2 = {prof.r2:.3f}")
 
-ks, tails = l1_tail_profile(truth.omega, truth.geometry)
+ks, tails = l1_tail_profile(truth.omega, truth.geometry, truth.omega_norm)
 keep = tails > 0
 slope, _, r2 = log_linear_fit(ks[keep], tails[keep])
 print(f"   worst-row l1 tails decay with slope {slope:.2f} (r2 = {r2:.3f})")

@@ -7,24 +7,31 @@ is parsed by the subcommand's own parser ahead of the command line, so a
 value is checked exactly as the flag would be and a flag given on the
 command line wins.  All randomness is Philox-seeded, and CSV output is
 written in deterministic sorted order, so identical configurations produce
-byte-identical files.  Wall-clock timing is opt-in (``--timing``), because
-measured times would break that determinism; the ``bench`` subcommand
-always times.
+byte-identical files at a fixed BLAS thread count: under another count the
+truth's inverse and norms round differently, and Green's and Matern
+``kappa`` move by about 1e-8 relative between 1 and 2 threads.  Wall-clock
+timing is opt-in (``--timing``), because measured times would break that
+determinism; the ``bench`` subcommand always times.
 
 The rows of one seed share one draw.  They run in descending N, and a
 row's sample is the first N rows of its seed's draw at the run's largest
 N.  On scattered precision runs the site embedding is built once per run,
-and each row pads its own sample prefix as it estimates, one row block at
-a time (``matching.estimate_padded``); rows ``[0, N)`` of the padding
-stream are the same at every N, so no row holds the padded array and no
-padding is shared between rows.  ``simulate`` writes the same sample
-prefixes.  The largest-N rows, and every row of a single-N run, equal a
-run at that N alone byte for byte; a smaller-N row matches one to
-roundoff, as the triangular product of the draw over more rows rounds a
-few rows differently.  ``wall_ms`` counts the draw only in the largest-N
-row of each seed, and the padding in every scattered row.  A row that
-``estimator.plan_estimate`` (precision rows) or ``cholesky.plan_scales``
-(factor rows) refuses from its sizes alone fails before it draws.
+and a seed's scattered rows share one padded pass
+(``matching.padded_tiles``): the first row that passes the data-free
+refusals pads the seed's rows up to the largest size that passes them,
+one row block at a time, into the band tiles of every passing size, and
+each row then estimates from its own tiles (``matching.estimate_padded``).
+Rows ``[0, N)`` of the padding stream are the same at every N, so every
+row's tiles are bit for bit those of a pass over its own rows, and no row
+holds the padded array.  ``simulate`` writes the same sample prefixes.
+The largest-N rows, and every row of a single-N run, equal a run at that
+N alone byte for byte; a smaller-N row matches one to roundoff, as the
+triangular product of the draw over more rows rounds a few rows
+differently.  ``wall_ms`` counts the draw, and on scattered runs the
+seed's padded pass, only in the largest-N row of each seed that passes
+the refusals.  A row that ``estimator.plan_estimate`` (precision rows) or
+``cholesky.plan_scales`` (factor rows) refuses from its sizes alone fails
+before it draws.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -78,7 +85,7 @@ from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
 from .linalg import spectral_norm
-from .matching import build_embedding, estimate_padded, measure_cloud
+from .matching import build_embedding, estimate_padded, measure_cloud, padded_tiles
 from .truth import (
     build_green_restriction,
     build_lattice_precision,
@@ -297,26 +304,64 @@ def _site_embedding(cfg, cloud):
         return exc
 
 
+def _estimator_config(cfg, truth) -> EstimatorConfig:
+    return EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
+
+
+def _padding(cfg, truth, embedding):
+    """What a seed's one padded pass needs: ``(lattice, config, sizes)``, or ``None``.
+
+    ``None`` unless the run's rows estimate on a site embedding.  ``sizes``
+    are the run's sample sizes that pass the estimator's data-free
+    refusals on the embedding's lattice; a refused size fails its own row.
+    """
+    if embedding is None or isinstance(embedding, Exception):
+        return None
+    lattice = embedding[0]
+    est_cfg = _estimator_config(cfg, truth)
+    sizes = []
+    for n in sorted(set(cfg["n"])):
+        try:
+            plan_estimate(lattice.shape, n, est_cfg)
+        except _ERRORS:
+            continue
+        sizes.append(n)
+    return lattice, est_cfg, sizes
+
+
 class _SeedDraw:
-    """One seed's sample, drawn at the first sample size asked for.
+    """One seed's sample, and its scattered rows' band tiles, each made once.
 
     The sample is ``sample(truth, N, seed)``, on the lattice or on the
-    sites; scattered precision rows pad their own prefix of it as they
-    estimate (``matching.estimate_padded``).  A seed's rows ask in
+    sites, drawn at the first sample size asked for.  A seed's rows ask in
     descending N, so every row reads a row prefix of the one draw.  The
     Philox stream of ``sample`` fills row-major, so that prefix is the
     sample at the row's own N to roundoff of its triangular product.
+
+    ``padding`` is :func:`_padding`'s result.  The first scattered row to
+    ask for its tiles pads the draw once, up to the largest passing size,
+    into the tiles of every passing size (``matching.padded_tiles``).
     """
 
-    def __init__(self, truth, seed):
+    def __init__(self, truth, seed, padding=None):
         self._truth = truth
         self.seed = seed
+        self._padding = padding
         self._data = None
+        self._tiles = None
 
     def rows(self, n):
         if self._data is None:
             self._data = sample(self._truth, n, self.seed)
         return self._data[:n]
+
+    def tiles(self, n):
+        """Band tiles of the padded first ``n`` rows, ``n`` a passing size."""
+        if self._tiles is None:
+            lattice, est_cfg, sizes = self._padding
+            z = self.rows(max(sizes))
+            self._tiles = padded_tiles(z, lattice, _PAD_SEED + self.seed, est_cfg, sizes)
+        return self._tiles[n]
 
 
 def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
@@ -328,7 +373,7 @@ def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
     refused row draws nothing.
     """
     d = cfg["d"]
-    est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
+    est_cfg = _estimator_config(cfg, truth)
     started = time.perf_counter()
     b_used, path = 0, ""
     estimate_out = None
@@ -343,7 +388,7 @@ def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
                 lattice, attempts = embedding
                 plan_estimate(lattice.shape, n, est_cfg)
                 est = estimate_padded(
-                    draw.rows(n), lattice, est_cfg, _PAD_SEED + draw.seed, attempts
+                    draw.tiles(n), lattice, est_cfg, _PAD_SEED + draw.seed, attempts
                 )
             estimate_out, b_used, path = est.matrix, est.b or 0, est.path
             err = spectral_norm(estimate_out - truth.omega) / truth.omega_norm
@@ -402,17 +447,19 @@ def _point_rows(cfg):
     """Rows for every (N, seed) pair at ``cfg["p"]``, sorted by N, then seed.
 
     The truth, the factor context and the site embedding are built once
-    per run.  Each seed's rows run in descending N and share one draw,
-    made by the first row that passes the data-free refusals.
+    per run.  Each seed's rows run in descending N and share one draw, and
+    its scattered rows one padded pass, made by the first row that passes
+    the data-free refusals.
     """
     truth, cloud = _build_truth(cfg)
     factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
     embedding = _site_embedding(cfg, cloud)
+    padding = _padding(cfg, truth, embedding)
     # Factor rows sample the maximin-permuted truth.
     source = truth if factor_ctx is None else factor_ctx[1]
     rows = []
     for seed in sorted(cfg["seeds"]):
-        draw = _SeedDraw(source, seed)
+        draw = _SeedDraw(source, seed, padding)
         rows.extend(
             _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw)
             for n in sorted(cfg["n"], reverse=True)

@@ -12,16 +12,22 @@ box read in C order and its block and radius-1 rows are boxes inside it.
 
 Every window reads one covariance source.  From samples it is the band
 Gram, the sample covariance on every vertex pair some window contains,
-formed once per estimate with one product per axis-0 slab of blocks and
-exactly symmetric.  The samples may arrive as consecutive row blocks
-(:class:`RowBlocks`), which the Gram reads one at a time, so a caller
-that makes its rows block by block, such as the scattered-site padding,
-never holds them all; a sample matrix is the one-block case, and the
-full-inverse fallback is the band Gram of a one-block scheme.  The exact
-population covariance
-(``population=True``) is such a source as it stands, so it takes the same
-path; this isolates the deterministic bias of the windowed inversion from
-sampling noise, which is what the bias tests exercise.
+kept as per-slab tiles (:class:`BandTiles`): each axis-0 slab of blocks
+against itself and against the next ``2 * WINDOW_RADIUS`` slabs.
+Consecutive slabs of equal width and reach form one run, whose products
+are one stacked :func:`~gpprec.linalg.sample_covariance` call and one
+batched ``matmul``.  The tiles are summed over consecutive row blocks of
+the samples, and one pass over the row blocks serves several row
+prefixes at once: each block's products are formed once and added into
+every prefix that covers the block, so a caller that pads its rows block
+by block, such as the scattered-site padding, pads them once for all of
+a seed's sample sizes.  A sample matrix is one row block, and the
+full-inverse fallback is the band Gram of a one-block scheme.  An
+estimate writes its dense source from the tiles just before its windows.
+The exact population covariance (``population=True``) is such a source
+as it stands, so it takes the same path; this isolates the deterministic
+bias of the windowed inversion from sampling noise, which is what the
+bias tests exercise.
 
 The source's exact symmetry is checked once per estimate.  Viewed as
 ``source.reshape((p,) * 2d)``, a window's covariance is one box slice, the
@@ -30,7 +36,8 @@ Cholesky factorization of that copy, in place and without re-checking its
 symmetry, and one solve for the ``b**d`` unit columns of its own block;
 the in-band rows of the solve are written back as the box of the radius-1
 rows times the block, and the assembled matrix is symmetrized in place,
-tile by tile.
+tile by tile.  The boxes and unit right-hand sides of a scheme's windows
+are built once per scheme and shared by every estimate that uses it.
 
 Every refusal that needs no data is made by :func:`plan_estimate`
 before any sample is read, so a caller can run it before drawing one.
@@ -41,11 +48,12 @@ that order.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve, lapack
 
 from .errors import InvalidInput, LocalSingular, NotPositiveDefinite
@@ -61,9 +69,9 @@ from .linalg import (
 )
 
 __all__ = [
+    "BandTiles",
     "EstimatorConfig",
     "PrecisionEstimate",
-    "RowBlocks",
     "choose_block_size",
     "estimate_precision",
     "ols_plugin_row",
@@ -110,19 +118,38 @@ class PrecisionEstimate:
 
 
 @dataclass(frozen=True)
-class RowBlocks:
-    """``n`` samples of ``m`` variables, handed out once as consecutive row blocks.
+class BandTiles:
+    """The band Gram of ``n`` samples under ``scheme``, as per-slab tiles.
 
-    ``blocks`` yields ``(rows, m)`` float64 arrays whose rows, in order,
-    are the ``n`` samples; the maker guarantees those shapes.
-    :func:`estimate_precision` reads each block before it takes the next,
-    so a block may be overwritten by the next one, and the samples never
-    have to exist together.
+    ``tiles`` holds one ``(lo, diag, reach)`` triple per run of slabs
+    (:func:`_slab_runs`): the run's first column ``lo``, its ``(k, w, w)``
+    diagonal tiles, each slab's sample covariance, and its ``(k, w, c)``
+    tiles of each slab against the ``c`` columns of its reach.  A scheme of
+    one block (``b = p``) has one slab, whose tile is the whole sample
+    covariance.
     """
 
+    scheme: BlockScheme
     n: int
-    m: int
-    blocks: Iterable[np.ndarray]
+    tiles: tuple
+
+    def dense(self) -> np.ndarray:
+        """The ``m x m`` band Gram: the tiles, the reach tiles mirrored, zeros elsewhere.
+
+        No two tiles or mirrors overlap, so every entry is one summed tile
+        entry and the Gram is exactly symmetric.  In ``d >= 2`` it also
+        holds pairs no window reads.
+        """
+        m = self.scheme.shape.size
+        gram = np.zeros((m, m))
+        for lo, diag, reach in self.tiles:
+            k, w, c = reach.shape
+            for i in range(k):
+                a = lo + i * w
+                gram[a:a + w, a:a + w] = diag[i]
+                gram[a:a + w, a + w:a + w + c] = reach[i]
+                gram[a + w:a + w + c, a:a + w] = reach[i].T
+        return gram
 
 
 def choose_block_size(n: int, kappa: float) -> int:
@@ -134,43 +161,164 @@ def choose_block_size(n: int, kappa: float) -> int:
     return max(1, math.ceil(math.log(n * kappa)))
 
 
-def _band_gram(blocks, n: int, scheme: BlockScheme) -> np.ndarray:
-    """Sample covariance on every vertex pair some radius-2 window contains.
+def _slab_runs(scheme: BlockScheme) -> list:
+    """``(lo, k, w, c)`` of each run of consecutive axis-0 slabs of equal ``(w, c)``.
 
-    ``blocks`` are consecutive row blocks of the ``n`` samples, each read
-    once, in turn, before the next is taken.  Flat order has the last axis
-    fastest, so the blocks of the scheme sharing their first block
-    coordinate (one axis-0 slab) cover one contiguous column range, and
-    every pair some window contains lies in a slab's range continued
-    through the next ``2 * WINDOW_RADIUS`` slabs.  Per row block and slab,
-    the diagonal tile is the row block's :func:`sample_covariance`
-    weighted by its share ``rows / n`` of the samples, and the rest one
-    product divided by ``n``; the sums are mirrored below the diagonal at
-    the end, so the Gram is exactly symmetric.  A single row block of all
-    ``n`` samples has weight 1 and is summed into zeros, both exact, so it
-    gives the plain per-slab covariance bit for bit.  A scheme of one
-    block (``b = p``) has one slab, whose tile is the whole sample
-    covariance.  In ``d >= 2`` the Gram also holds pairs no window reads;
-    all other entries stay zero.
+    Flat order has the last axis fastest, so the blocks of the scheme
+    sharing their first block coordinate (one axis-0 slab) cover one
+    contiguous column range of width ``w``, and every pair some window
+    contains lies in a slab's range continued through its reach, the ``c``
+    columns of the next ``2 * WINDOW_RADIUS`` slabs.  A run's ``k`` slabs
+    start at ``lo``, ``lo + w``, ...; only the last few slabs of a scheme
+    are narrower or reach less far.
     """
     p, b = scheme.shape.p, scheme.b
-    m = scheme.shape.size
-    plane = m // p  # vertices per axis-0 coordinate, p**(d-1)
-    slabs = [
-        tuple(min(k * b, p) * plane for k in (x, x + 1, x + 1 + 2 * WINDOW_RADIUS))
-        for x in range(scheme.S)
-    ]
-    gram = np.zeros((m, m))
+    plane = scheme.shape.size // p  # vertices per axis-0 coordinate, p**(d-1)
+    runs = []
+    for x in range(scheme.S):
+        lo, hi, stop = (min(k * b, p) * plane for k in (x, x + 1, x + 1 + 2 * WINDOW_RADIUS))
+        if runs and runs[-1][2:] == [hi - lo, stop - hi]:
+            runs[-1][1] += 1
+        else:
+            runs.append([lo, 1, hi - lo, stop - hi])
+    return [tuple(run) for run in runs]
+
+
+def _stacked_columns(rows, start, k, step, width):
+    """``(k, len(rows), width)`` view of the columns ``start + i * step`` onward, ``i < k``."""
+    starts = sliding_window_view(rows, width, axis=1)[:, start:start + k * step:step]
+    return np.moveaxis(starts, 1, 0)
+
+
+def _slab_products(rows, runs) -> list:
+    """Per run: its slabs' sample covariances and their raw products with their reach.
+
+    A run's slabs are one stacked view of ``rows`` with the strides of a
+    2-d column slice, so its products are one :func:`sample_covariance`
+    call and one batched ``matmul``, each slab's bit for bit its own 2-d
+    product.
+    """
+    products = []
+    for lo, k, w, c in runs:
+        own = _stacked_columns(rows, lo, k, w, w)
+        reach = _stacked_columns(rows, lo + w, k, w, c)
+        products.append((sample_covariance(own), np.swapaxes(own, 1, 2) @ reach))
+    return products
+
+
+def _band_tiles(blocks, schemes) -> dict:
+    """:class:`BandTiles` of every row prefix ``schemes`` asks for, from one pass over ``blocks``.
+
+    ``schemes`` maps each prefix length ``n`` to its block scheme, all on
+    one lattice.  ``blocks`` are consecutive row blocks of the samples
+    from row 0, each read once, in turn, before the next is taken.  Per
+    row block and scheme, the slab products of the whole block are formed
+    once and added into every prefix that covers the block, weighted by
+    that prefix's share: the diagonal tiles, the block's covariances, by
+    ``rows / n``, and the reach tiles, raw products, by ``1 / n``.  A
+    prefix that ends inside a block adds the products of its own part of
+    it.  So each prefix sums exactly the terms, in the order, of a pass
+    over its own rows in the same blocks.  A single block of all ``n``
+    rows has weight 1 and is summed into zeros, both exact, so it gives
+    the plain per-slab covariance bit for bit.
+    """
+    runs = {scheme: _slab_runs(scheme) for scheme in schemes.values()}
+    sums = {
+        n: [(np.zeros((k, w, w)), np.zeros((k, w, c))) for _, k, w, c in runs[scheme]]
+        for n, scheme in schemes.items()
+    }
+    m = next(iter(runs)).shape.size
+    start = 0
     for rows in blocks:
-        for lo, hi, stop in slabs:
-            own = rows[:, lo:hi]
-            tile = sample_covariance(own)
-            tile *= rows.shape[0] / n
-            gram[lo:hi, lo:hi] += tile
-            gram[lo:hi, hi:stop] += own.T @ rows[:, hi:stop] / n
-    for lo, hi, stop in slabs:
-        gram[hi:stop, lo:hi] = gram[lo:hi, hi:stop].T
-    return gram
+        if rows.shape[1] != m:
+            raise InvalidInput(f"row blocks must have {m} columns, got {rows.shape[1]}")
+        stop = start + rows.shape[0]
+        for scheme, scheme_runs in runs.items():
+            open_sizes = [n for n, s in schemes.items() if s == scheme and n > start]
+            covering = [n for n in open_sizes if n >= stop]
+            if covering:
+                products = _slab_products(rows, scheme_runs)
+                for n in covering:
+                    _add_products(sums[n], products, rows.shape[0], n)
+            for n in open_sizes:
+                if n < stop:
+                    part = _slab_products(rows[:n - start], scheme_runs)
+                    _add_products(sums[n], part, n - start, n)
+        start = stop
+    if start < max(schemes):
+        raise InvalidInput(f"row blocks end after {start} rows, before row {max(schemes)}")
+    return {
+        n: BandTiles(
+            scheme=scheme,
+            n=n,
+            tiles=tuple((run[0], *sum_) for run, sum_ in zip(runs[scheme], sums[n])),
+        )
+        for n, scheme in schemes.items()
+    }
+
+
+def _add_products(sums, products, rows: int, n: int):
+    """Add one row block's slab products, ``rows`` of the ``n`` samples, into ``sums``."""
+    for (diag, reach), (cov, raw) in zip(sums, products):
+        diag += cov * (rows / n)
+        reach += raw / n
+
+
+@dataclass(frozen=True)
+class _Window:
+    """One block's window: its boxes, where its kept rows sit, and its unit columns.
+
+    ``box``, ``block`` and ``near`` are the radius-2, 0 and 1 boxes of
+    block ``j``; ``kept`` is ``near`` as slices of the window's own box.
+    ``unit`` is the read-only ``(size, block size)`` right-hand side of the
+    block's unit columns, shared by windows of equal shape and offset.
+    """
+
+    j: tuple
+    box: tuple
+    block: tuple
+    near: tuple
+    kept: tuple
+    size: int
+    solved_shape: tuple
+    unit: np.ndarray
+
+
+def _within(window, box):
+    """``box``, a box inside ``window``, as slices of the window's own box."""
+    return tuple(slice(s.start - w.start, s.stop - w.start) for w, s in zip(window, box))
+
+
+@functools.lru_cache(maxsize=8)
+def _windows(scheme: BlockScheme) -> tuple:
+    """The :class:`_Window` of every block of ``scheme``, in lexicographic block order.
+
+    Cached per scheme, so the estimates of a run that share a scheme build
+    its windows once.
+    """
+    units = {}
+    windows = []
+    for j in scheme.block_indices():
+        box, block, near = (scheme.box(j, r) for r in (WINDOW_RADIUS, 0, 1))
+        wshape, bshape = (tuple(s.stop - s.start for s in b) for b in (box, block))
+        k, kb = math.prod(wshape), math.prod(bshape)
+        inside = _within(box, block)
+        key = (wshape, tuple((s.start, s.stop) for s in inside))
+        if key not in units:
+            unit = np.zeros(wshape + (kb,))
+            unit[inside] = np.eye(kb).reshape(bshape + (kb,))
+            unit = unit.reshape(k, kb)
+            unit.flags.writeable = False
+            units[key] = unit
+        windows.append(
+            _Window(j, box, block, near, _within(box, near), k, wshape + bshape, units[key])
+        )
+    return tuple(windows)
+
+
+def _scheme(shape: LatticeShape, b: int | None) -> BlockScheme:
+    """The block scheme of width ``b`` on ``shape``; one block for the fallback (``None``)."""
+    return build_scheme(shape.p, shape.p if b is None else b, shape.d)
 
 
 def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | None = None):
@@ -210,17 +358,10 @@ def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | 
         return None
     # Past the fallback, p > log(n * kappa), so the rule's width is at most p.
     b = config.b_override or choose_block_size(n, kappa)
-    scheme = build_scheme(shape.p, b, shape.d)
-    for j in scheme.block_indices():
-        size = math.prod(s.stop - s.start for s in scheme.box(j, WINDOW_RADIUS))
-        if size >= n:
-            raise LocalSingular(j, size, n)
+    for window in _windows(_scheme(shape, b)):
+        if window.size >= n:
+            raise LocalSingular(window.j, window.size, n)
     return b
-
-
-def _within(window, box):
-    """``box``, a box inside ``window``, as slices of the window's own box."""
-    return tuple(slice(s.start - w.start, s.stop - w.start) for w, s in zip(window, box))
 
 
 def estimate_precision(
@@ -231,18 +372,18 @@ def estimate_precision(
 ) -> PrecisionEstimate:
     """Estimate the lattice precision operator from samples.
 
-    ``data`` is an ``(N, p**d)`` sample matrix, a :class:`RowBlocks` of
-    ``N`` such rows, or the exact ``(p**d, p**d)`` covariance when
-    ``population=True`` (population mode requires ``b_override`` and always
-    runs the blockwise route).  A sample matrix is one row block.  When
-    ``p <= log(N * kappa_hint)`` and no ``b_override`` is given, the
-    estimate is the inverse of the full sample covariance, the band Gram
-    of a one-block scheme.  Otherwise the band Gram is formed once, slab
-    by slab and row block by row block (the population covariance serves
-    as it is), each block's window is factored and solved for its own
-    columns, and their in-band rows are assembled and symmetrized in
-    place.  The refusals of :func:`plan_estimate` come before any of this
-    work, so a refused estimate reads no row block.
+    ``data`` is an ``(N, p**d)`` sample matrix, the :class:`BandTiles` of
+    ``N`` such rows under the estimate's own scheme, or the exact ``(p**d,
+    p**d)`` covariance when ``population=True`` (population mode requires
+    ``b_override`` and always runs the blockwise route).  A sample matrix
+    is one row block of its band tiles.  When ``p <= log(N * kappa_hint)``
+    and no ``b_override`` is given, the estimate is the inverse of the
+    full sample covariance, the band Gram of a one-block scheme.
+    Otherwise the band Gram is written from its tiles (the population
+    covariance serves as it is), each block's window is factored and
+    solved for its own columns, and their in-band rows are assembled and
+    symmetrized in place.  The refusals of :func:`plan_estimate` come
+    before any of this work, so a refused estimate forms no tile.
     """
     config = config or EstimatorConfig()
     m = shape.size
@@ -253,51 +394,54 @@ def estimate_precision(
                 f"population covariance must be {(m, m)}, got {data.shape}"
             )
         n_samples = None
-    elif isinstance(data, RowBlocks):
-        if data.m != m:
-            raise InvalidInput(f"samples must have {m} columns for this lattice, got {data.m}")
-        n_samples, blocks = data.n, data.blocks
+    elif isinstance(data, BandTiles):
+        if data.scheme.shape != shape:
+            raise InvalidInput(f"band tiles are for {data.scheme.shape}, not {shape}")
+        n_samples = data.n
     else:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != m:
             raise InvalidInput(
                 f"samples must have {m} columns for this lattice, got shape {data.shape}"
             )
-        n_samples, blocks = data.shape[0], (data,)
+        n_samples = data.shape[0]
     b = plan_estimate(shape, n_samples, config)
-    if b is None:
-        whole = build_scheme(shape.p, shape.p, shape.d)
-        omega = spd_inverse(_band_gram(blocks, n_samples, whole))
-        return PrecisionEstimate(matrix=omega, scheme=None, b=None, path=FALLBACK)
-    scheme = build_scheme(shape.p, b, shape.d)
-    # The matrix every window is sliced from, checked exactly symmetric once
-    # here so that no window is checked again.
+    scheme = _scheme(shape, b)
     if population:
         source = _symmetrize_in_place(np.array(data))
+    elif isinstance(data, BandTiles):
+        if data.scheme != scheme:
+            raise InvalidInput(
+                f"band tiles are for block width {data.scheme.b}, the estimate's is {scheme.b}"
+            )
+        source = data.dense()
     else:
-        source = _band_gram(blocks, n_samples, scheme)
+        source = _band_tiles((data,), {n_samples: scheme})[n_samples].dense()
+    if b is None:
+        return PrecisionEstimate(
+            matrix=spd_inverse(source), scheme=None, b=None, path=FALLBACK
+        )
+    # The matrix every window is sliced from, checked exactly symmetric once
+    # here so that no window is checked again.
     source = _as_square_sym(source)
     # Over the flat-index grid squared, a window's covariance is one box and
     # the B_j columns of its in-band rows are another.
     src = source.reshape((shape.p,) * (2 * shape.d))
     raw = np.zeros((m, m))
     out = raw.reshape(src.shape)
-    for j in scheme.block_indices():
-        window, block, near = (scheme.box(j, r) for r in (WINDOW_RADIUS, 0, 1))
-        wshape, bshape = (tuple(s.stop - s.start for s in box) for box in (window, block))
-        k, kb = math.prod(wshape), math.prod(bshape)
+    for window in _windows(scheme):
+        k = window.size
         # The copy is C-ordered and symmetric, so its transpose is the same
         # matrix in Fortran order, which dpotrf factors in place.
-        cov = np.array(src[window + window]).reshape(k, k).T
+        cov = np.array(src[window.box + window.box]).reshape(k, k).T
         try:
             factor = _gated_factor(cov)
         except NotPositiveDefinite as exc:
-            raise LocalSingular(j, k, n_samples) from exc
-        unit = np.zeros(wshape + (kb,))
-        unit[_within(window, block)] = np.eye(kb).reshape(bshape + (kb,))
-        # dpotrs reports only illegal arguments, which these shapes rule out.
-        cols, _ = lapack.dpotrs(factor, unit.reshape(k, kb), lower=1)
-        out[near + block] = cols.reshape(wshape + bshape)[_within(window, near)]
+            raise LocalSingular(window.j, k, n_samples) from exc
+        # dpotrs reports only illegal arguments, which these shapes rule out;
+        # it solves a copy of the shared unit columns.
+        cols, _ = lapack.dpotrs(factor, window.unit, lower=1)
+        out[window.near + window.block] = cols.reshape(window.solved_shape)[window.kept]
     return PrecisionEstimate(
         matrix=_symmetrize_in_place(raw), scheme=scheme, b=scheme.b, path=BLOCKWISE
     )

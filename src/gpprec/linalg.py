@@ -127,29 +127,31 @@ def sample_covariance(samples) -> np.ndarray:
 
     Parameters
     ----------
-    samples : (N, dim) array
-        N observation vectors.  No mean is subtracted; the observed process
-        is zero-mean by assumption.
+    samples : (..., N, dim) array
+        N observation vectors, or a stack of such sets, each taken on its
+        own.  No mean is subtracted; the observed process is zero-mean by
+        assumption.
 
     Returns
     -------
-    (dim, dim) array
-        ``(1/N) * sum_n z_n z_n^T``, exactly symmetric and positive
-        semidefinite up to roundoff.
+    (..., dim, dim) array
+        ``(1/N) * sum_n z_n z_n^T`` per set, exactly symmetric and positive
+        semidefinite up to roundoff.  A stacked set's covariance is that of
+        the set alone, bit for bit, when its rows have the same strides.
 
     Raises
     ------
     InvalidInput
-        If the sample set is empty or not two-dimensional.
+        If the sample set is empty or has fewer than two dimensions.
     """
     z = np.asarray(samples, dtype=np.float64)
-    if z.ndim != 2:
-        raise InvalidInput(f"samples must be a 2-d array, got shape {z.shape}")
-    n = z.shape[0]
+    if z.ndim < 2:
+        raise InvalidInput(f"samples must be (..., N, dim), got shape {z.shape}")
+    n = z.shape[-2]
     if n < 1:
         raise InvalidInput("sample set is empty")
-    c = z.T @ z / n
-    return 0.5 * (c + c.T)
+    c = np.swapaxes(z, -1, -2) @ z / n
+    return 0.5 * (c + np.swapaxes(c, -1, -2))
 
 
 def cholesky_lower(a) -> np.ndarray:
@@ -227,8 +229,10 @@ def spd_inverse(a) -> np.ndarray:
     inv, info = lapack.dpotri(c, lower=1)
     if info != 0:
         raise NumericalFailure(f"dpotri failed with info={info}")
-    lower = np.tril(inv)
-    return lower + np.tril(inv, -1).T
+    # dpotri leaves the upper triangle of the clean factor zero, so adding
+    # the mirror of the strict lower triangle fills it.  The Fortran-ordered
+    # inverse is summed into C order, the layout callers' products round by.
+    return np.add(inv, np.tril(inv, -1).T, order="C")
 
 
 def _as_symmetric_operand(a):

@@ -13,13 +13,15 @@ explanation.
 Samples on the sites are then padded with independent unit normals on the
 unmatched nodes, the lattice estimator runs on the padded problem, and the
 site block of its output is permuted back.  The estimator reads only
-second moments inside its windows, so :func:`estimate_padded` pads the
-rows one block at a time into one reused buffer and streams them into the
-estimator's band Gram; the padded ``(N, lattice)`` array is never formed.
+second moments inside its windows, so :func:`padded_tiles` pads the rows
+one block at a time into one reused buffer and streams them into the
+estimator's band tiles; the padded ``(N, lattice)`` array is never formed.
 The padding comes from one Philox stream per seed, in row-major order, so
 every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
-whole.
+whole.  So one padded pass to a seed's largest sample size gives the band
+tiles of every smaller size as well, each bit for bit as its own pass
+would (:func:`estimate_padded` takes such tiles in place of samples).
 """
 
 from __future__ import annotations
@@ -33,7 +35,14 @@ from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import CapacityExceeded, InvalidInput, NoMatching
-from .estimator import EstimatorConfig, RowBlocks, estimate_precision
+from .estimator import (
+    BandTiles,
+    EstimatorConfig,
+    _band_tiles,
+    _scheme,
+    estimate_precision,
+    plan_estimate,
+)
 from .lattice import LatticeShape, lattice_points
 
 __all__ = [
@@ -44,6 +53,7 @@ __all__ = [
     "build_target_lattice",
     "perfect_matching",
     "build_embedding",
+    "padded_tiles",
     "estimate_padded",
     "embed_and_estimate",
 ]
@@ -57,11 +67,11 @@ DEFAULT_MAX_VERTICES = 40_000
 # _squared_distances, so every edge is proposed.
 _CANDIDATE_SLACK = 1.0 + 1e-9
 
-# Entries per padded row block that estimate_padded hands the band Gram
+# Entries per padded row block that padded_tiles hands the band tiles
 # (4 MiB of float64): the block, its [site rows | normals] source and one
-# block's normals are all of the padded samples held at once.  The Gram
-# loops over every slab once per block, so on the 795-node scattered-1d
-# chain 4 MiB blocks take half the loop passes of 2 MiB ones.
+# block's normals are all of the padded samples held at once.  Every row
+# prefix is summed in these blocks from row 0, so the block size fixes
+# the arithmetic of every estimate on padded samples.
 _PAD_BLOCK_ELEMENTS = 1 << 19
 
 
@@ -320,6 +330,37 @@ def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int):
         yield block
 
 
+def padded_tiles(
+    samples, embedding: LatticeEmbedding, seed: int, config: EstimatorConfig | None, sizes
+) -> dict:
+    """Band tiles of the padded first ``n`` rows of ``samples``, for each ``n`` in ``sizes``.
+
+    ``samples`` holds one column per site and at least ``max(sizes)``
+    rows.  Each size is planned by :func:`~gpprec.estimator.plan_estimate`
+    on the embedding's lattice under ``config``, so a refused size raises
+    before any row is padded.  Then the rows up to the largest size are
+    padded once, with unit normals on the unmatched nodes drawn from
+    ``seed``, one row block at a time into one reused buffer of about
+    ``_PAD_BLOCK_ELEMENTS`` entries, and each block is added into the
+    tiles of every size before the next block is padded.  The result maps
+    each size to its :class:`~gpprec.estimator.BandTiles`, bit for bit
+    those of a pass over that size's rows alone.
+    """
+    z = np.asarray(samples, dtype=np.float64)
+    nodes = embedding.node_of_site
+    if z.ndim != 2 or z.shape[1] != nodes.size:
+        raise InvalidInput(
+            f"samples must have {nodes.size} columns, one per matched site, got shape {z.shape}"
+        )
+    shape = embedding.shape
+    schemes = {n: _scheme(shape, plan_estimate(shape, n, config)) for n in sizes}
+    if not schemes or max(schemes) > z.shape[0]:
+        raise InvalidInput(
+            f"sizes must be a nonempty list of at most {z.shape[0]} rows, got {list(sizes)}"
+        )
+    return _band_tiles(_padded_blocks(z[:max(schemes)], embedding, seed), schemes)
+
+
 def estimate_padded(
     samples,
     embedding: LatticeEmbedding,
@@ -329,26 +370,25 @@ def estimate_padded(
 ) -> ScatteredEstimate:
     """Site-block precision estimate from site samples padded onto ``embedding``.
 
-    ``samples`` holds one column per site.  Each row is padded with unit
-    normals on the unmatched nodes, drawn from ``seed``, one row block at a
-    time into one reused buffer of about ``_PAD_BLOCK_ELEMENTS`` entries,
-    which the estimator's band Gram reads before the next block is padded;
-    the padded ``(N, lattice)`` array is never formed.  The padding of row
-    ``i`` depends only on ``seed`` and ``i``, so a row prefix of the
-    samples is padded as the prefix of the whole.  The lattice precision
-    is estimated and its site block is permuted back to the original site
-    order.  ``seed`` and ``attempts`` are the padding seed and the matching
+    ``samples`` holds one column per site, or is the
+    :class:`~gpprec.estimator.BandTiles` that :func:`padded_tiles` made of
+    them with the same ``seed`` and ``config``, which lets the sizes of
+    one draw share one padded pass.  Each row is padded with unit normals
+    on the unmatched nodes, drawn from ``seed``; the padded
+    ``(N, lattice)`` array is never formed.  The padding of row ``i``
+    depends only on ``seed`` and ``i``, so a row prefix of the samples is
+    padded as the prefix of the whole.  The lattice precision is estimated
+    and its site block is permuted back to the original site order.
+    ``seed`` and ``attempts`` are the padding seed and the matching
     attempts, kept in the result so runs are reproducible.
     """
-    z = np.asarray(samples, dtype=np.float64)
+    tiles = samples
+    if not isinstance(samples, BandTiles):
+        z = np.asarray(samples, dtype=np.float64)
+        n = z.shape[0] if z.ndim else 0
+        tiles = padded_tiles(z, embedding, seed, config, [n])[n]
+    estimate = estimate_precision(tiles, embedding.shape, config)
     nodes = embedding.node_of_site
-    if z.ndim != 2 or z.shape[1] != nodes.size:
-        raise InvalidInput(
-            f"samples must have {nodes.size} columns, one per matched site, got shape {z.shape}"
-        )
-    shape = embedding.shape
-    rows = RowBlocks(z.shape[0], shape.size, _padded_blocks(z, embedding, seed))
-    estimate = estimate_precision(rows, shape, config)
     return ScatteredEstimate(
         matrix=estimate.matrix[np.ix_(nodes, nodes)],
         embedding=embedding,

@@ -354,13 +354,15 @@ def screening_profile(omega, points, h: float, noise_floor: float = 1e-10) -> Sc
     return ScreeningProfile(bins=bins, values=values, slope=slope, intercept=intercept, r2=r2)
 
 
-def l1_tail_profile(omega, shape: LatticeShape):
+def l1_tail_profile(omega, shape: LatticeShape, norm: float):
     """Worst-row l1 mass beyond each lattice distance, relative to the norm.
 
     Returns ``(k, tail)`` where ``tail[i]`` is
-    ``max_t sum_{|t'-t|_1 >= k[i]} |omega(t,t')| / ||omega||`` for
+    ``max_t sum_{|t'-t|_1 >= k[i]} |omega(t,t')| / norm`` for
     ``k = 1 .. max distance``, computed by binning each row by the
-    cityblock distance and suffix-summing.
+    cityblock distance and suffix-summing.  ``norm`` is ``||omega||_2`` as
+    the caller holds it: a truth's ``omega_norm``, or one
+    :func:`~gpprec.linalg.spectral_norm` solve.
     """
     omega = np.asarray(omega, dtype=np.float64)
     coords = shape.coordinates()
@@ -368,7 +370,6 @@ def l1_tail_profile(omega, shape: LatticeShape):
         raise InvalidInput("omega does not match the lattice size")
     dist = cdist(coords, coords, "cityblock").astype(np.intp)
     max_k = int(dist.max())
-    norm = spectral_norm(omega)
     m = omega.shape[0]
     # Row r's distance k goes to bin r * (max_k + 1) + k; bincount adds
     # each bin's weights in input order, as a sequential sum would.

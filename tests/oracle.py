@@ -10,6 +10,10 @@ assembles its blocks entry by entry.
 :func:`indexed_estimate` is the estimator's window step by index arrays
 instead of boxes, so the two must agree bit for bit.
 
+:func:`band_gram` is the band Gram summed slab by slab, one 2-d product per
+slab and row block, into one dense array: the estimator's band tiles of
+every row prefix must write it bit for bit.
+
 :func:`padded_samples` is the scattered-site padding as whole-array column
 writes, which the streamed padding must match bit for bit.
 """
@@ -111,6 +115,36 @@ def indexed_estimate(source, scheme):
         cols = cho_solve((factor, True), unit, check_finite=False)
         raw[np.ix_(near, block)] = cols[np.searchsorted(w, near)]
     return 0.5 * (raw + raw.T)
+
+
+def band_gram(blocks, n, scheme, radius=2):
+    """Band Gram of the ``n`` rows of ``blocks`` under ``scheme``, one slab at a time.
+
+    ``blocks`` are consecutive row blocks of the samples.  Per row block
+    and axis-0 slab, the diagonal tile is the block's ``sample_covariance``
+    weighted by its share ``rows / n`` and the tile against the next
+    ``2 * radius`` slabs is one product divided by ``n``; each is added into
+    a dense zero array, and the reach tiles are mirrored below the
+    diagonal at the end.
+    """
+    p, b = scheme.shape.p, scheme.b
+    m = scheme.shape.size
+    plane = m // p
+    slabs = [
+        tuple(min(k * b, p) * plane for k in (x, x + 1, x + 1 + 2 * radius))
+        for x in range(scheme.S)
+    ]
+    gram = np.zeros((m, m))
+    for rows in blocks:
+        for lo, hi, stop in slabs:
+            own = rows[:, lo:hi]
+            tile = sample_covariance(own)
+            tile *= rows.shape[0] / n
+            gram[lo:hi, lo:hi] += tile
+            gram[lo:hi, hi:stop] += own.T @ rows[:, hi:stop] / n
+    for lo, hi, stop in slabs:
+        gram[hi:stop, lo:hi] = gram[lo:hi, hi:stop].T
+    return gram
 
 
 def padded_samples(z, embedding, seed):

@@ -404,10 +404,12 @@ class TestOneDrawPerSeed:
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_one_draw_and_padding_per_seed(self, monkeypatch, tmp_path, kind):
-        # One draw per seed; each scattered row pads its own prefix of the
-        # seed's 40-site sample, with the seed's padding stream, as it
-        # estimates.
+        # One draw per seed, and on scattered runs one padded pass per seed:
+        # the seed's 2000-row, 40-site sample padded once, with the seed's
+        # padding stream, into the tiles of both sizes; each row estimates
+        # from its own tiles.
         samples = spy(monkeypatch, "sample")
+        passes = spy(monkeypatch, "padded_tiles")
         padded_rows = spy(monkeypatch, "estimate_padded")
         embeddings = spy(monkeypatch, "build_embedding")
         out = tmp_path / "rows.csv"
@@ -415,8 +417,12 @@ class TestOneDrawPerSeed:
         assert run_cli("estimate", *argv, "--out", str(out)) == 0
         assert [args[1:] for args in samples] == [(2000, 0), (2000, 1)]
         scattered = kind == "scattered"
-        want = [(n, 40, cli._PAD_SEED + seed) for seed in (0, 1) for n in (2000, 1000)]
-        assert [(*args[0].shape, args[3]) for args in padded_rows] == (want if scattered else [])
+        want = [((2000, 40), cli._PAD_SEED + seed, [1000, 2000]) for seed in (0, 1)]
+        assert [(args[0].shape, args[2], args[4]) for args in passes] == (
+            want if scattered else []
+        )
+        want = [(n, cli._PAD_SEED + seed) for seed in (0, 1) for n in (2000, 1000)]
+        assert [(args[0].n, args[3]) for args in padded_rows] == (want if scattered else [])
         assert len(embeddings) == (1 if scattered else 0)
         assert [(row[5], row[6]) for row in csv_rows(out)] == [
             ("1000", "0"), ("1000", "1"), ("2000", "0"), ("2000", "1"),
@@ -448,6 +454,30 @@ class TestOneDrawPerSeed:
         assert run_cli("estimate", *argv, "--out", str(out1)) == 0
         assert run_cli("estimate", *argv, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_scattered_rows_without_width_match_single_size_runs(self, tmp_path):
+        # Without --b the rule gives each N its own width (b = 13 and 14
+        # here), so the seed's one padded pass fills tiles of two schemes.
+        # Every row equals a run at its N alone byte for byte: this truth's
+        # 300-row draw rounds as the prefix of its 1000-row draw.
+        argv = ["--model", "green", "--d", "1", "--p", "40", "--scattered", "--seeds", "0,1"]
+        assert run_cli("estimate", *argv, "--n", "300,1000", "--out", str(tmp_path / "m")) == 0
+        multi = csv_rows(tmp_path / "m")
+        assert sorted({row[7] for row in multi}) == ["13", "14"]
+        for n in (300, 1000):
+            assert run_cli("estimate", *argv, "--n", str(n), "--out", str(tmp_path / "s")) == 0
+            assert [row for row in multi if row[5] == str(n)] == csv_rows(tmp_path / "s")
+
+    def test_size_refused_row_fails_alone(self, tmp_path):
+        # The 10-sample row is refused (LocalSingular) and left out of the
+        # seed's padded pass; the other rows are those of a run without it.
+        argv = ONE_DRAW_CONFIGS["scattered"] + ["--seeds", "0,1"]
+        out, ref = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert run_cli("estimate", *argv, "--n", "10,300,600", "--out", str(out)) == 1
+        assert run_cli("estimate", *argv, "--n", "300,600", "--out", str(ref)) == 0
+        rows = csv_rows(out)
+        assert [(row[5], row[12]) for row in rows[:2]] == [("10", "LocalSingular")] * 2
+        assert rows[2:] == csv_rows(ref)
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_refused_row_draws_nothing(self, monkeypatch, capsys, kind):

@@ -11,8 +11,8 @@ from gpprec.estimator import (
     BLOCKWISE,
     FALLBACK,
     EstimatorConfig,
-    RowBlocks,
-    _band_gram,
+    _band_tiles,
+    _windows,
     choose_block_size,
     WINDOW_RADIUS,
     estimate_precision,
@@ -25,6 +25,7 @@ from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_pre
 from gpprec.matching import measure_cloud
 from oracle import (
     assemble,
+    band_gram,
     block_vertices,
     indexed_estimate,
     near_blocks,
@@ -313,7 +314,7 @@ class TestEstimatePrecision:
         # the band Gram is formed.
         truth = build_lattice_precision(12, 1, 1)
         z = sample(truth, 12, seed=0)
-        monkeypatch.setattr(estimator_module, "_band_gram", None)
+        monkeypatch.setattr(estimator_module, "_band_tiles", None)
         cfg = EstimatorConfig(kappa_hint=truth.kappa, b_override=4)
         with pytest.raises(LocalSingular) as info:
             estimate_precision(z, truth.geometry, cfg)
@@ -470,7 +471,7 @@ class TestWindowOracle:
         assert est.path == BLOCKWISE
         assert np.max(np.abs(est.matrix - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.array_equal(est.matrix, est.matrix.T)
-        gram = _band_gram([z], z.shape[0], scheme)
+        gram = band_gram([z], z.shape[0], scheme)
         assert np.array_equal(est.matrix, indexed_estimate(gram, scheme))
 
     @pytest.mark.parametrize("p, d, s, b", [(11, 1, 1, 3), (12, 2, 2, 2), (5, 3, 1, 2)])
@@ -552,19 +553,13 @@ class TestBandGram:
     def test_windows_match_full_covariance(self, p, d, b):
         z = np.random.Generator(np.random.Philox(key=p + d)).standard_normal((60, p**d))
         scheme = build_scheme(p, b, d)
-        gram = _band_gram([z], z.shape[0], scheme)
+        gram = _band_tiles([z], {z.shape[0]: scheme})[z.shape[0]].dense()
         full = sample_covariance(z)
         tol = 1e-13 * np.max(np.abs(full))
         assert np.array_equal(gram, gram.T)
         for j in scheme.block_indices():
             w = window_vertices(scheme, j)
             assert np.max(np.abs(gram[np.ix_(w, w)] - full[np.ix_(w, w)])) <= tol
-
-
-def unread_blocks():
-    """Row blocks that fail the test if the estimator takes one."""
-    raise AssertionError("a row block was read")
-    yield
 
 
 def reused_buffer_blocks(z, bounds):
@@ -577,11 +572,12 @@ def reused_buffer_blocks(z, bounds):
 
 
 class TestRowBlocks:
-    """Samples handed to estimate_precision as consecutive row blocks."""
+    """Samples read as consecutive row blocks into the band tiles."""
 
     def test_width_other_than_lattice_size_rejected(self):
+        scheme = build_scheme(16, 2, 1)
         with pytest.raises(InvalidInput, match="columns"):
-            estimate_precision(RowBlocks(100, 15, unread_blocks()), LatticeShape(p=16, d=1))
+            _band_tiles([np.zeros((100, 15))], {100: scheme})
 
     @pytest.mark.parametrize(
         "shape, n, cfg, error",
@@ -592,9 +588,13 @@ class TestRowBlocks:
         ],
         ids=["window-of-n", "b-above-p", "fallback-below-m"],
     )
-    def test_refused_estimate_reads_no_block(self, shape, n, cfg, error):
+    def test_refused_estimate_reads_no_block(self, monkeypatch, shape, n, cfg, error):
+        def forbidden(blocks, schemes):
+            raise AssertionError("a row block was read")
+
+        monkeypatch.setattr(estimator_module, "_band_tiles", forbidden)
         with pytest.raises(error):
-            estimate_precision(RowBlocks(n, shape.size, unread_blocks()), shape, cfg)
+            estimate_precision(np.zeros((n, shape.size)), shape, cfg)
 
     @pytest.mark.parametrize(
         "p, d, cfg, path",
@@ -609,12 +609,77 @@ class TestRowBlocks:
         bounds = [0, 1, 300, 301, 777, 1000]
         shape = LatticeShape(p=p, d=d)
         want = estimate_precision(z, shape, cfg)
-        got = estimate_precision(
-            RowBlocks(z.shape[0], shape.size, reused_buffer_blocks(z, bounds)), shape, cfg
-        )
+        scheme = want.scheme or build_scheme(p, p, d)
+        tiles = _band_tiles(reused_buffer_blocks(z, bounds), {1000: scheme})[1000]
+        got = estimate_precision(tiles, shape, cfg)
         assert (got.b, got.path) == (want.b, want.path)
         assert want.path == path
         assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13 * np.max(np.abs(want.matrix))
+
+
+class TestBandTiles:
+    """One pass over row blocks into the tiles of several row prefixes."""
+
+    @pytest.mark.parametrize(
+        "p, d, b",
+        [
+            (23, 1, 3),  # ragged last slab
+            (40, 1, 4),  # 10 slabs: a long run, then the shorter reaches
+            (14, 2, 3),  # ragged, 5 slabs
+            (22, 2, 3),  # the lattice-2d benchmark shape
+            (7, 3, 2),  # ragged, 4 slabs
+            (5, 2, 5),  # one block: the fallback's whole covariance
+        ],
+    )
+    def test_every_prefix_writes_its_own_gram(self, p, d, b):
+        # Blocks of 50 rows.  The prefixes end inside a block (130), on a
+        # block edge (100), below one block (7) and at the last row (200);
+        # each must write the band Gram of a pass over its rows alone.
+        z = np.random.Generator(np.random.Philox(key=p + d)).standard_normal((200, p**d))
+        scheme = build_scheme(p, b, d)
+        sizes = (7, 100, 130, 200)
+        blocks = reused_buffer_blocks(z, range(0, 201, 50))
+        tiles = _band_tiles(blocks, dict.fromkeys(sizes, scheme))
+        for n in sizes:
+            edges = [*range(0, n, 50), n]
+            want = band_gram([z[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], n, scheme)
+            got = tiles[n].dense()
+            assert (tiles[n].n, tiles[n].scheme) == (n, scheme)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_prefixes_of_other_widths_share_the_pass(self):
+        z = np.random.Generator(np.random.Philox(key=3)).standard_normal((90, 30))
+        schemes = {40: build_scheme(30, 2, 1), 90: build_scheme(30, 5, 1)}
+        tiles = _band_tiles(reused_buffer_blocks(z, [0, 25, 50, 75, 90]), schemes)
+        for n, edges in ((40, [0, 25, 40]), (90, [0, 25, 50, 75, 90])):
+            want = band_gram([z[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], n, schemes[n])
+            assert np.array_equal(tiles[n].dense(), want)
+
+    def test_blocks_short_of_a_prefix_rejected(self):
+        with pytest.raises(InvalidInput, match="before row 60"):
+            _band_tiles([np.zeros((50, 12))], {60: build_scheme(12, 3, 1)})
+
+    def test_tiles_of_another_scheme_rejected(self):
+        z = np.random.Generator(np.random.Philox(key=5)).standard_normal((300, 24))
+        shape = LatticeShape(p=24, d=1)
+        tiles = _band_tiles([z], {300: build_scheme(24, 3, 1)})[300]
+        cfg = EstimatorConfig(b_override=3)
+        want = estimate_precision(z, shape, cfg).matrix
+        assert np.array_equal(estimate_precision(tiles, shape, cfg).matrix, want)
+        with pytest.raises(InvalidInput, match="block width 3"):
+            estimate_precision(tiles, shape, EstimatorConfig(b_override=4))
+        with pytest.raises(InvalidInput, match="band tiles are for"):
+            estimate_precision(tiles, LatticeShape(p=25, d=1), cfg)
+
+    def test_windows_built_once_per_scheme(self):
+        # Equal schemes share one window plan.  Its unit columns are
+        # read-only.  Blocks 3..6 of an axis have one window width and block
+        # offset, so the 64 windows take 5 x 5 distinct unit arrays.
+        first = _windows(build_scheme(24, 3, 2))
+        assert _windows(build_scheme(24, 3, 2)) is first
+        assert len(first) == 64
+        assert not any(w.unit.flags.writeable for w in first)
+        assert len({id(w.unit) for w in first}) == 25
 
 
 class TestOlsPluginRow:

@@ -60,6 +60,20 @@ class TestSampleCovariance:
         with pytest.raises(InvalidInput):
             sample_covariance(np.empty((0, 3)))
 
+    def test_vector_rejected(self):
+        with pytest.raises(InvalidInput):
+            sample_covariance(np.ones(3))
+
+    def test_stack_is_each_set_bit_for_bit(self, rng):
+        # Column slabs of one array, stacked as a (k, N, w) view with the
+        # slab's own strides, take one covariance each, as their 2-d calls.
+        z = rng.standard_normal((300, 60))
+        stacked = z.reshape(300, 6, 10).swapaxes(0, 1)
+        got = sample_covariance(stacked)
+        assert got.shape == (6, 10, 10)
+        for i in range(6):
+            assert np.array_equal(got[i], sample_covariance(z[:, 10 * i:10 * i + 10]))
+
 
 class TestCholesky:
     def test_identity(self):
@@ -168,6 +182,7 @@ class TestSpdInverse:
         for a in spd_corpus(rng):
             inv = spd_inverse(a)
             assert np.array_equal(inv, inv.T)
+            assert inv.flags.c_contiguous
             res = np.linalg.norm(a @ inv - np.eye(a.shape[0]), 2)
             assert res <= 1e-10 * np.linalg.cond(a)
 

@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpprec.errors import CapacityExceeded, InvalidInput, NoMatching
-from gpprec.estimator import EstimatorConfig, _band_gram, estimate_precision
+from gpprec import matching as matching_module
+from gpprec.errors import CapacityExceeded, InvalidInput, LocalSingular, NoMatching
+from gpprec.estimator import EstimatorConfig, _band_tiles, estimate_precision
 from gpprec.lattice import LatticeShape, build_scheme, lattice_points
 from gpprec.linalg import spectral_norm, symmetrize
 from gpprec.matching import (
@@ -20,10 +21,11 @@ from gpprec.matching import (
     embed_and_estimate,
     estimate_padded,
     measure_cloud,
+    padded_tiles,
     perfect_matching,
 )
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, l1_tail_profile, log_linear_fit, sample
-from oracle import padded_samples
+from oracle import band_gram, padded_samples
 
 
 def brute_force_maximum(adjacency):
@@ -376,7 +378,7 @@ class TestEmbedAndEstimate:
         nodes = embedding.node_of_site
         padded = np.eye(embedding.shape.size)
         padded[np.ix_(nodes, nodes)] = green.omega
-        ks, tails = l1_tail_profile(padded, embedding.shape)
+        ks, tails = l1_tail_profile(padded, embedding.shape, spectral_norm(padded))
         keep = tails > 1e-12
         slope, _, r2 = log_linear_fit(ks[keep], tails[keep])
         assert slope < 0
@@ -444,20 +446,64 @@ class TestEmbedAndEstimate:
     def test_streamed_band_gram_equals_padded_gram(self, rng, m, d, blocks, extra):
         # N below the block rows, equal to them, and not a multiple of them.
         # Padding block by block into one buffer gives the band Gram of the
-        # padded array to roundoff, and bit for bit when one block holds
-        # every row.
+        # padded array summed in the same row blocks bit for bit, and to
+        # roundoff the Gram of the padded array as one block.
         cloud = measure_cloud(perturbed_grid(m, d, 0.25, seed=3), d)
         embedding, _ = build_embedding(cloud)
         rows = block_rows(embedding)
         n = blocks * rows + extra
         z = rng.standard_normal((n, cloud.m))
         scheme = build_scheme(embedding.shape.p, 2, d)
-        want = _band_gram([padded_samples(z, embedding, 77)], n, scheme)
-        got = _band_gram(_padded_blocks(z, embedding, 77), n, scheme)
+        got = _band_tiles(_padded_blocks(z, embedding, 77), {n: scheme})[n].dense()
+        padded = padded_samples(z, embedding, 77)
+        blocked = band_gram([padded[lo:lo + rows] for lo in range(0, n, rows)], n, scheme)
+        assert np.array_equal(got, blocked)
+        want = band_gram([padded], n, scheme)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(got, got.T)
         if n <= rows:
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("b", [2, None])
+    def test_one_pass_serves_every_prefix(self, rng, b):
+        # Prefixes below one block, on a block edge, inside a later block and
+        # at the last row: each size's tiles from the one pass to the largest
+        # are those of a pass over its own rows.  Without a width, the rule
+        # gives the sizes different widths.
+        cloud = measure_cloud(perturbed_grid(200, 1, 0.25, seed=3), 1)
+        embedding, _ = build_embedding(cloud)
+        rows = block_rows(embedding)
+        sizes = [rows // 2, rows, 2 * rows + 5, 3 * rows + 1]
+        z = rng.standard_normal((sizes[-1], cloud.m))
+        cfg = EstimatorConfig(b_override=b, kappa_hint=1.0)
+        shared = padded_tiles(z, embedding, 77, cfg, sizes)
+        if b is None:
+            assert len({tiles.scheme.b for tiles in shared.values()}) > 1
+        for n in sizes:
+            alone = padded_tiles(z[:n], embedding, 77, cfg, [n])[n]
+            assert (shared[n].n, shared[n].scheme) == (n, alone.scheme)
+            assert np.array_equal(shared[n].dense(), alone.dense())
+            want = estimate_padded(z[:n], embedding, cfg, 77, 1).matrix
+            got = estimate_padded(shared[n], embedding, cfg, 77, 1).matrix
+            assert np.array_equal(got, want)
+
+    def test_refused_size_pads_nothing(self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a refused size padded its rows")
+
+        monkeypatch.setattr(matching_module, "_padded_blocks", forbidden)
+        cloud = measure_cloud(perturbed_grid(16, 2, 0.25, seed=3), 2)
+        embedding, _ = build_embedding(cloud)
+        z = rng.standard_normal((500, cloud.m))
+        with pytest.raises(LocalSingular):
+            padded_tiles(z, embedding, 77, EstimatorConfig(b_override=2), [10, 500])
+
+    @pytest.mark.parametrize("sizes", [[], [200, 501]], ids=["none", "above-the-rows"])
+    def test_sizes_beyond_the_samples_rejected(self, rng, sizes):
+        cloud = measure_cloud(perturbed_grid(16, 2, 0.25, seed=3), 2)
+        embedding, _ = build_embedding(cloud)
+        z = rng.standard_normal((500, cloud.m))
+        with pytest.raises(InvalidInput, match="sizes"):
+            padded_tiles(z, embedding, 77, EstimatorConfig(b_override=1), sizes)
 
     def test_estimate_padded_peak_memory(self, rng):
         # With N far above the lattice size, the padded samples are never

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from gpprec.errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
+from gpprec.errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, NumericalFailure
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec import truth as truth_module
 from gpprec.linalg import cholesky_lower, reverse_cholesky, spectral_norm, symmetrize
@@ -94,7 +94,7 @@ class TestLatticePrecision:
 
     def test_l1_tail_decay(self):
         truth = build_lattice_precision(24, 1, 2)
-        ks, tails = l1_tail_profile(truth.omega, truth.geometry)
+        ks, tails = l1_tail_profile(truth.omega, truth.geometry, truth.omega_norm)
         positive = tails > 0
         slope, _, r2 = log_linear_fit(ks[positive], tails[positive])
         assert slope < 0
@@ -111,9 +111,22 @@ class TestLatticePrecision:
         binned = np.zeros((m, int(dist.max()) + 1))
         np.add.at(binned, (np.repeat(np.arange(m), m), dist.ravel()), np.abs(omega).ravel())
         suffix = np.cumsum(binned[:, ::-1], axis=1)[:, ::-1]
-        ks, tails = l1_tail_profile(omega, truth.geometry)
+        ks, tails = l1_tail_profile(omega, truth.geometry, truth.omega_norm)
         assert np.array_equal(ks, np.arange(1, dist.max() + 1))
-        assert np.array_equal(tails, suffix[:, 1:].max(axis=0) / spectral_norm(omega))
+        assert np.array_equal(tails, suffix[:, 1:].max(axis=0) / truth.omega_norm)
+
+    def test_l1_tail_of_1d_cap_needs_no_lanczos(self, monkeypatch):
+        # The 1-d Dirichlet Laplacian at p = 1024 is refused by a Lanczos
+        # norm (NumericalFailure after 100 restarts); its closed-form norm
+        # serves instead.
+        def refused(a):
+            raise NumericalFailure("Lanczos ran")
+
+        truth = build_lattice_precision(1024, 1, 1)
+        monkeypatch.setattr(truth_module, "spectral_norm", refused)
+        ks, tails = l1_tail_profile(truth.omega, truth.geometry, truth.omega_norm)
+        assert ks[-1] == 1023
+        assert tails[0] == 2.0 * abs(truth.omega[0, 1]) / truth.omega_norm
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityExceeded):
