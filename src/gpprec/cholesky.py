@@ -21,6 +21,10 @@ block of ``U^T`` is ``U.T[level_slice(k), level_slice(l)]`` and the
 precision is ``U @ U.T``.
 
 Estimation plugs per-scale precision estimates into the same formulas.
+A scale that inverts its full sample covariance reads it as the leading
+block of one sample covariance of all the columns, which
+:func:`scale_covariances` can sum from a stream of row blocks, so no
+per-scale Gram and no ``(N, m)`` sample array need be formed.
 A square-root variant replaces ``R_k`` with the symmetric root of
 ``B_k``, trading the entrywise triangular structure for a slightly
 better perturbation constant.  Scales are independent given the
@@ -33,12 +37,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_triangular
+from scipy.linalg import blas, solve, solve_triangular
 
 from .errors import InvalidInput, NotPositiveDefinite
 from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
-from .linalg import reverse_cholesky, sample_covariance, spd_inverse, spd_sqrt, symmetrize
+from .linalg import reverse_cholesky, spd_inverse, spd_sqrt, symmetrize
 from .matching import embed_and_estimate, measure_cloud
 
 __all__ = [
@@ -49,6 +53,8 @@ __all__ = [
     "assemble_U",
     "assemble_U_star",
     "plan_scales",
+    "SampleCovariance",
+    "scale_covariances",
     "estimate_scales",
 ]
 
@@ -222,6 +228,72 @@ def plan_scales(
     return tuple(full)
 
 
+@dataclass(frozen=True)
+class SampleCovariance:
+    """Sample covariance of the first ``n`` rows of samples in maximin order.
+
+    ``matrix`` is ``(1/n) sum_i z_i z_i^T`` over all ``m`` columns, exactly
+    symmetric; the full-inverse scale ``k`` reads its covariance as the
+    leading ``prefix_size(k)`` block.
+    """
+
+    n: int
+    matrix: np.ndarray
+
+
+def _prefix_covariances(blocks, m: int, sizes) -> dict:
+    """Sample covariance of the first ``n`` rows for each ``n`` in ``sizes``, in one pass.
+
+    ``blocks`` are consecutive row blocks of ``m``-column samples from row
+    0, each read once, in turn, before the next is taken.  Each size sums
+    the upper triangle of its rows' Gram with one rank-k update (``dsyrk``)
+    per block it covers, of its part of the block, in block order, so its
+    sum does not depend on the other sizes; the sums are mirrored and
+    divided by ``n`` at the end.
+    """
+    grams = {n: np.zeros((m, m), order="F") for n in sizes}
+    last = max(grams)
+    start = 0
+    for rows in blocks:
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != m:
+            raise InvalidInput(f"sample blocks must have {m} columns, got shape {rows.shape}")
+        for n, gram in grams.items():
+            part = rows[:max(0, n - start)]
+            if part.shape[0]:
+                # part.T is Fortran-ordered, so dsyrk adds part^T part into gram in place.
+                blas.dsyrk(1.0, part.T, beta=1.0, c=gram, overwrite_c=1)
+        start += rows.shape[0]
+        if start >= last:
+            break
+    if start < last:
+        raise InvalidInput(f"sample blocks end after {start} rows, before row {last}")
+    return {n: np.add(gram, np.triu(gram, 1).T) / n for n, gram in grams.items()}
+
+
+def scale_covariances(
+    samples, levels: LevelPartition, config: EstimatorConfig | None, sizes
+) -> dict:
+    """:class:`SampleCovariance` of the first ``n`` rows for each ``n`` in ``sizes``.
+
+    ``samples`` is an array in maximin order or an iterable of consecutive
+    row blocks of one, such as :func:`~gpprec.truth.sample_blocks` yields;
+    it holds at least ``max(sizes)`` rows.  Each size is planned by
+    :func:`plan_scales` without a cloud, so every scale of it inverts its
+    full sample covariance, and a refused size raises before any row is
+    read.  Then the rows up to the largest size are read once, block by
+    block, and each block is added into the covariance of every size that
+    reaches it, so no ``(N, m)`` array need be held.
+    """
+    if not sizes:
+        raise InvalidInput("sizes must be a nonempty list")
+    for n in sizes:
+        plan_scales(levels, n, config)
+    blocks = (samples,) if isinstance(samples, np.ndarray) else samples
+    covariances = _prefix_covariances(blocks, levels.m, sizes)
+    return {n: SampleCovariance(n, cov) for n, cov in covariances.items()}
+
+
 def estimate_scales(
     samples,
     levels: LevelPartition,
@@ -232,33 +304,54 @@ def estimate_scales(
 ) -> ScaleEstimates:
     """Estimate every scale's ingredients from one sample set.
 
-    Columns of ``samples`` must follow the maximin order, so the first
-    ``prefix_size(k)`` columns are the scale-``k`` observation set.  Each
-    scale reuses the same draws at its coarser resolution.  Small scales
-    (or all scales when no cloud is given) invert the full sample
-    covariance of their columns, and larger ones go through the lattice
-    reduction on the sub-cloud (:func:`plan_scales`, whose refusals come
-    before any covariance is formed).  Failures carry the scale index.
+    ``samples`` is an ``(N, m)`` array whose columns follow the maximin
+    order, so the first ``prefix_size(k)`` columns are the scale-``k``
+    observation set, or the :class:`SampleCovariance` of such samples
+    (:func:`scale_covariances`).  Each scale reuses the same draws at its
+    coarser resolution.  Small scales (or all scales when no cloud is
+    given) invert their sample covariance, the leading block of one
+    covariance of the samples, and larger ones go through the lattice
+    reduction on the sub-cloud, which needs the samples themselves
+    (:func:`plan_scales`, whose refusals come before any covariance is
+    formed).  ``d`` defaults to the cloud's dimension; without a cloud it
+    is required, as the scaling ``h^{-kd}`` of every scale depends on it.
+    Failures carry the scale index.
     """
-    z = np.asarray(samples, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != levels.m:
-        raise InvalidInput(
-            f"samples must have {levels.m} columns in maximin order, got shape {z.shape}"
-        )
-    full = plan_scales(levels, z.shape[0], config, cloud)
     if d is None:
-        d = cloud.d if cloud is not None else 1
+        if cloud is None:
+            raise InvalidInput("d is required without a cloud: the scale factors h^(-kd) use it")
+        d = cloud.d
+    if isinstance(samples, SampleCovariance):
+        z, n, covariance = None, samples.n, samples.matrix
+        if covariance.shape != (levels.m, levels.m):
+            raise InvalidInput(
+                f"covariance must be {(levels.m, levels.m)} in maximin order, "
+                f"got {covariance.shape}"
+            )
+    else:
+        z = np.asarray(samples, dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != levels.m:
+            raise InvalidInput(
+                f"samples must have {levels.m} columns in maximin order, got shape {z.shape}"
+            )
+        n = z.shape[0]
+    full = plan_scales(levels, n, config, cloud)
+    if z is None and not all(full):
+        raise InvalidInput("scales through the lattice reduction need the samples")
+    if z is not None and any(full):
+        # Full-inverse scales come first, as their sizes grow with k.
+        lead = levels.prefix_size(sum(full))
+        covariance = _prefix_covariances((z[:, :lead],), lead, [n])[n]
     omegas = []
     for k, full_k in enumerate(full, start=1):
         m_k = levels.prefix_size(k)
-        sub = z[:, :m_k]
         try:
             if full_k:
-                omega_k = spd_inverse(sample_covariance(sub))
+                omega_k = spd_inverse(covariance[:m_k, :m_k])
             else:
                 sub_cloud = measure_cloud(cloud.sites[:m_k], cloud.d)
                 omega_k = embed_and_estimate(
-                    sub, sub_cloud, config, seed=seed + k
+                    z[:, :m_k], sub_cloud, config, seed=seed + k
                 ).matrix
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(

@@ -15,23 +15,29 @@ determinism; the ``bench`` subcommand always times.
 
 The rows of one seed share one draw.  They run in descending N, and a
 row's sample is the first N rows of its seed's draw at the run's largest
-N.  On scattered precision runs the site embedding is built once per run,
-and a seed's scattered rows share one padded pass
-(``matching.padded_tiles``): the first row that passes the data-free
-refusals pads the seed's rows up to the largest size that passes them,
-one row block at a time, into the band tiles of every passing size, and
-each row then estimates from its own tiles (``matching.estimate_padded``).
-Rows ``[0, N)`` of the padding stream are the same at every N, so every
-row's tiles are bit for bit those of a pass over its own rows, and no row
-holds the padded array.  ``simulate`` writes the same sample prefixes.
-The largest-N rows, and every row of a single-N run, equal a run at that
-N alone byte for byte; a smaller-N row matches one to roundoff, as the
-triangular product of the draw over more rows rounds a few rows
-differently.  ``wall_ms`` counts the draw, and on scattered runs the
-seed's padded pass, only in the largest-N row of each seed that passes
-the refusals.  A row that ``estimator.plan_estimate`` (precision rows) or
-``cholesky.plan_scales`` (factor rows) refuses from its sizes alone fails
-before it draws.
+N.  Lattice precision rows read row prefixes of one sample array
+(``truth.sample``).  Scattered precision rows and factor rows hold no
+``(N, sites)`` array: the first row that passes the data-free refusals
+streams the seed's draw up to the largest size that passes them, one row
+block at a time (``truth.sample_blocks``), into the source of every
+passing size, and each row estimates from its own source.  On scattered
+runs, whose site embedding is built once per run, the source is the band
+tiles of the padded rows (``matching.padded_tiles``, then
+``matching.estimate_padded``); on factor runs it is the sample covariance
+in maximin order (``cholesky.scale_covariances``, then
+``cholesky.estimate_scales``).  Rows ``[0, N)`` of the draw and of the
+padding stream are the same at every N, so every row's source is that of
+a pass over its own rows.  ``simulate`` writes the same sample prefixes,
+the stacked blocks; for factor runs it writes the truth and the samples
+in maximin order, with the ordering.  The largest-N rows, and every row
+of a single-N run, equal a run at that N alone byte for byte; a
+smaller-N row matches one to roundoff, as the triangular product of the
+draw block holding its last row, over more rows, rounds a few rows
+differently.  ``wall_ms`` counts the draw, and on scattered and factor
+runs the seed's streamed pass, only in the largest-N row of each seed
+that passes the refusals.  A row that ``estimator.plan_estimate``
+(precision rows) or ``cholesky.plan_scales`` (factor rows) refuses from
+its sizes alone fails before it draws.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -72,7 +78,14 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from . import serialization
-from .cholesky import assemble_U, assemble_U_star, estimate_scales, exact_scales, plan_scales
+from .cholesky import (
+    assemble_U,
+    assemble_U_star,
+    estimate_scales,
+    exact_scales,
+    plan_scales,
+    scale_covariances,
+)
 from .errors import (
     CapacityExceeded,
     InvalidInput,
@@ -92,6 +105,7 @@ from .truth import (
     log_linear_fit,
     matern_covariance,
     sample,
+    sample_blocks,
 )
 from .verify import SUITES, run_suites
 
@@ -242,18 +256,14 @@ def _experiment_id(cfg) -> str:
     return "-".join(tags)
 
 
-def _factor_context(truth, cloud, d, factor):
-    """Level partition, maximin-permuted truth and the exact factor of ``factor``.
+def _maximin_truth(truth, cloud):
+    """The cloud's maximin ordering, its level partition and the truth in that order.
 
-    ``None`` for precision runs, which need none of them.  The permuted
-    truth keeps the truth's ``omega_norm`` and ``kappa``, which a symmetric
-    permutation does not change.  Its ``omega_factor`` is the exact
-    ``cholesky`` factor and feeds the exact scales of ``cholesky-star``.
+    The permuted truth keeps the truth's ``omega_norm`` and ``kappa``,
+    which a symmetric permutation does not change.  Factor rows sample
+    it, so its columns follow the maximin order.
     """
-    if factor == "precision":
-        return None
     order = maximin_order(cloud)
-    levels = assign_levels(order)
     perm = np.ix_(order.perm, order.perm)
     truth_mm = replace(
         truth,
@@ -261,6 +271,19 @@ def _factor_context(truth, cloud, d, factor):
         covariance=None if truth.covariance is None else truth.covariance[perm],
         geometry=cloud,
     )
+    return order, assign_levels(order), truth_mm
+
+
+def _factor_context(truth, cloud, d, factor):
+    """Level partition, maximin-permuted truth and the exact factor of ``factor``.
+
+    ``None`` for precision runs, which need none of them.  The permuted
+    truth's ``omega_factor`` is the exact ``cholesky`` factor and feeds the
+    exact scales of ``cholesky-star``.
+    """
+    if factor == "precision":
+        return None
+    _, levels, truth_mm = _maximin_truth(truth, cloud)
     if factor == "cholesky":
         return levels, truth_mm, truth_mm.omega_factor
     scales = exact_scales(truth_mm.omega, levels, d, factor=truth_mm.omega_factor)
@@ -308,60 +331,81 @@ def _estimator_config(cfg, truth) -> EstimatorConfig:
     return EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
 
 
-def _padding(cfg, truth, embedding):
-    """What a seed's one padded pass needs: ``(lattice, config, sizes)``, or ``None``.
+def _seed_pass(cfg, truth, embedding, factor_ctx):
+    """How a seed's one streamed pass makes its rows' sources: ``(sizes, one_pass)``, or ``None``.
 
-    ``None`` unless the run's rows estimate on a site embedding.  ``sizes``
-    are the run's sample sizes that pass the estimator's data-free
-    refusals on the embedding's lattice; a refused size fails its own row.
+    ``None`` for runs whose rows read sample arrays: lattice precision
+    runs, and scattered runs whose matching was refused.  Scattered rows
+    estimate from the band tiles of their padded rows
+    (``matching.padded_tiles``), factor rows from their sample covariance
+    (``cholesky.scale_covariances``).  ``sizes`` are the run's sample sizes
+    that pass the data-free refusals; a refused size fails its own row.
+    ``one_pass(blocks, seed)`` reads the seed's row blocks up to the
+    largest of them once and maps each size to its row's source.
     """
-    if embedding is None or isinstance(embedding, Exception):
-        return None
-    lattice = embedding[0]
     est_cfg = _estimator_config(cfg, truth)
+    if factor_ctx is not None:
+        levels = factor_ctx[0]
+
+        def plan(n):
+            plan_scales(levels, n, est_cfg)
+
+        def one_pass(blocks, seed):
+            return scale_covariances(blocks, levels, est_cfg, sizes)
+    elif embedding is not None and not isinstance(embedding, Exception):
+        lattice = embedding[0]
+
+        def plan(n):
+            plan_estimate(lattice.shape, n, est_cfg)
+
+        def one_pass(blocks, seed):
+            return padded_tiles(blocks, lattice, _PAD_SEED + seed, est_cfg, sizes)
+    else:
+        return None
     sizes = []
     for n in sorted(set(cfg["n"])):
         try:
-            plan_estimate(lattice.shape, n, est_cfg)
+            plan(n)
         except _ERRORS:
             continue
         sizes.append(n)
-    return lattice, est_cfg, sizes
+    return sizes, one_pass
 
 
 class _SeedDraw:
-    """One seed's sample, and its scattered rows' band tiles, each made once.
+    """One seed's draw, made once, and what each of its rows estimates from.
 
-    The sample is ``sample(truth, N, seed)``, on the lattice or on the
-    sites, drawn at the first sample size asked for.  A seed's rows ask in
-    descending N, so every row reads a row prefix of the one draw.  The
-    Philox stream of ``sample`` fills row-major, so that prefix is the
-    sample at the row's own N to roundoff of its triangular product.
+    Lattice precision rows read row prefixes of ``sample(truth, N, seed)``,
+    drawn at the first sample size asked for.  A seed's rows ask in
+    descending N, so every row reads a prefix of the one draw; the Philox
+    stream of ``sample`` fills row-major, so that prefix is the sample at
+    the row's own N to roundoff of its triangular product.
 
-    ``padding`` is :func:`_padding`'s result.  The first scattered row to
-    ask for its tiles pads the draw once, up to the largest passing size,
-    into the tiles of every passing size (``matching.padded_tiles``).
+    Scattered and factor rows read their own source instead, which the
+    first of them to ask makes for every passing size at once: ``stream``
+    is :func:`_seed_pass`'s result, and its ``one_pass`` reads
+    ``sample_blocks(truth, N, seed)`` at the largest passing N, one row
+    block at a time, so no ``(N, sites)`` array is held.
     """
 
-    def __init__(self, truth, seed, padding=None):
+    def __init__(self, truth, seed, stream=None):
         self._truth = truth
         self.seed = seed
-        self._padding = padding
+        self._stream = stream
         self._data = None
-        self._tiles = None
+        self._sources = None
 
     def rows(self, n):
         if self._data is None:
             self._data = sample(self._truth, n, self.seed)
         return self._data[:n]
 
-    def tiles(self, n):
-        """Band tiles of the padded first ``n`` rows, ``n`` a passing size."""
-        if self._tiles is None:
-            lattice, est_cfg, sizes = self._padding
-            z = self.rows(max(sizes))
-            self._tiles = padded_tiles(z, lattice, _PAD_SEED + self.seed, est_cfg, sizes)
-        return self._tiles[n]
+    def source(self, n):
+        """The streamed pass's source of the row at ``n``, a passing size."""
+        if self._sources is None:
+            sizes, one_pass = self._stream
+            self._sources = one_pass(sample_blocks(self._truth, max(sizes), self.seed), self.seed)
+        return self._sources[n]
 
 
 def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
@@ -388,14 +432,14 @@ def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
                 lattice, attempts = embedding
                 plan_estimate(lattice.shape, n, est_cfg)
                 est = estimate_padded(
-                    draw.tiles(n), lattice, est_cfg, _PAD_SEED + draw.seed, attempts
+                    draw.source(n), lattice, est_cfg, _PAD_SEED + draw.seed, attempts
                 )
             estimate_out, b_used, path = est.matrix, est.b or 0, est.path
             err = spectral_norm(estimate_out - truth.omega) / truth.omega_norm
         else:
             levels, truth_mm, exact = factor_ctx
             plan_scales(levels, n, est_cfg)
-            scales = estimate_scales(draw.rows(n), levels, est_cfg, d=d)
+            scales = estimate_scales(draw.source(n), levels, est_cfg, d=d)
             path = "multiscale"
             assemble = assemble_U if cfg["factor"] == "cholesky" else assemble_U_star
             estimate_out = assemble(scales)
@@ -447,19 +491,19 @@ def _point_rows(cfg):
     """Rows for every (N, seed) pair at ``cfg["p"]``, sorted by N, then seed.
 
     The truth, the factor context and the site embedding are built once
-    per run.  Each seed's rows run in descending N and share one draw, and
-    its scattered rows one padded pass, made by the first row that passes
-    the data-free refusals.
+    per run.  Each seed's rows run in descending N and share one draw;
+    its scattered and factor rows share one streamed pass over it, made by
+    the first row that passes the data-free refusals.
     """
     truth, cloud = _build_truth(cfg)
     factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
     embedding = _site_embedding(cfg, cloud)
-    padding = _padding(cfg, truth, embedding)
+    stream = _seed_pass(cfg, truth, embedding, factor_ctx)
     # Factor rows sample the maximin-permuted truth.
     source = truth if factor_ctx is None else factor_ctx[1]
     rows = []
     for seed in sorted(cfg["seeds"]):
-        draw = _SeedDraw(source, seed, padding)
+        draw = _SeedDraw(source, seed, stream)
         rows.extend(
             _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw)
             for n in sorted(cfg["n"], reverse=True)
@@ -513,6 +557,10 @@ def cmd_simulate(cfg) -> int:
     out_dir = Path(cfg["out"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _experiment_id(cfg)
+    if cfg["factor"] != "precision":
+        # Factor rows sample the truth in maximin order; so do these files.
+        order, levels, truth = _maximin_truth(truth, cloud)
+        (out_dir / f"{stem}-ordering.txt").write_text(serialization.format_ordering(order, levels))
     (out_dir / f"{stem}-truth.txt").write_text(serialization.format_truth(truth))
     if cfg["model"] != "laplacian":
         (out_dir / f"{stem}-sites.txt").write_text(serialization.format_sites(cloud))

@@ -16,6 +16,9 @@ site block of its output is permuted back.  The estimator reads only
 second moments inside its windows, so :func:`padded_tiles` pads the rows
 one block at a time into one reused buffer and streams them into the
 estimator's band tiles; the padded ``(N, lattice)`` array is never formed.
+The site rows may themselves arrive as a stream of row blocks, such as a
+draw from :func:`~gpprec.truth.sample_blocks`, so the ``(N, sites)``
+samples need not be formed either.
 The padding comes from one Philox stream per seed, in row-major order, so
 every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
@@ -27,6 +30,7 @@ would (:func:`estimate_padded` takes such tiles in place of samples).
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -294,20 +298,33 @@ def build_embedding(
             current /= 2.0
 
 
-def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int):
-    """Rows of ``z`` padded onto ``embedding``, one row block at a time.
+def _site_samples(samples, embedding: LatticeEmbedding) -> np.ndarray:
+    """``samples`` as a float64 array of one column per matched site, else ``InvalidInput``."""
+    z = np.asarray(samples, dtype=np.float64)
+    sites = embedding.node_of_site.size
+    if z.ndim != 2 or z.shape[1] != sites:
+        raise InvalidInput(
+            f"samples must have {sites} columns, one per matched site, got shape {z.shape}"
+        )
+    return z
 
-    The unmatched nodes take unit normals in ascending flat order, drawn
-    from one Philox stream keyed by ``seed``.  The stream fills row-major,
-    so the padding equals a single ``(N, n_pad)`` draw bit for bit, however
-    the rows are split, and its first ``n`` rows are the padding of
-    ``z[:n]``.  A block has about ``_PAD_BLOCK_ELEMENTS`` entries.  Its
-    site rows and normals are written side by side into one reused
-    ``[z rows | normals]`` buffer, one column gather of which fills one
-    reused block; the block is yielded once filled, and the next block
-    overwrites it.
+
+def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
+    """The first ``n`` site rows of ``blocks`` padded onto ``embedding``, one row block at a time.
+
+    ``blocks`` are consecutive row blocks of the site samples, of any
+    sizes; each is read once, in turn, before the next is taken.  The
+    unmatched nodes take unit normals in ascending flat order, drawn from
+    one Philox stream keyed by ``seed``.  The stream fills row-major, so
+    the padding equals a single ``(n, n_pad)`` draw bit for bit, and its
+    first rows are the padding of any shorter prefix.  The padded blocks
+    have about ``_PAD_BLOCK_ELEMENTS`` entries, however the incoming rows
+    are split.  Site rows are copied into one reused ``[site rows |
+    normals]`` buffer as they arrive; once it holds a padded block's rows,
+    its normals are drawn beside them and one column gather fills one
+    reused block, which is yielded, and the next block overwrites it.
     """
-    n, m_sites = z.shape
+    m_sites = embedding.node_of_site.size
     m_lattice = embedding.shape.size
     mask = np.ones(m_lattice, dtype=bool)
     mask[embedding.node_of_site] = False
@@ -316,18 +333,28 @@ def _padded_blocks(z: np.ndarray, embedding: LatticeEmbedding, seed: int):
     src[embedding.node_of_site] = np.arange(m_sites)
     src[mask] = m_sites + np.arange(n_pad)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    block_rows = max(1, _PAD_BLOCK_ELEMENTS // m_lattice)
-    staged = np.empty((min(block_rows, n), m_lattice))
+    staged = np.empty((min(max(1, _PAD_BLOCK_ELEMENTS // m_lattice), n), m_lattice))
     padded = np.empty_like(staged)
-    for lo in range(0, n, block_rows):
-        rows = min(block_rows, n - lo)
-        stage, block = staged[:rows], padded[:rows]
-        stage[:, :m_sites] = z[lo:lo + rows]
-        stage[:, m_sites:] = rng.standard_normal((rows, n_pad))
-        # Every index of src is in range, and only mode="raise" makes take
-        # gather into a scratch copy of ``block`` first.
-        stage.take(src, axis=1, out=block, mode="clip")
-        yield block
+    # Rows padded and yielded so far, and site rows staged for the next block.
+    done = filled = 0
+    for rows in blocks:
+        rows = _site_samples(rows, embedding)[:n - done - filled]
+        while rows.shape[0]:
+            target = min(staged.shape[0], n - done)
+            take = min(target - filled, rows.shape[0])
+            staged[filled:filled + take, :m_sites] = rows[:take]
+            rows, filled = rows[take:], filled + take
+            if filled < target:
+                break
+            stage, block = staged[:filled], padded[:filled]
+            stage[:, m_sites:] = rng.standard_normal((filled, n_pad))
+            # Every index of src is in range, and only mode="raise" makes take
+            # gather into a scratch copy of ``block`` first.
+            stage.take(src, axis=1, out=block, mode="clip")
+            yield block
+            done, filled = done + filled, 0
+        if done == n:
+            return
 
 
 def padded_tiles(
@@ -335,30 +362,31 @@ def padded_tiles(
 ) -> dict:
     """Band tiles of the padded first ``n`` rows of ``samples``, for each ``n`` in ``sizes``.
 
-    ``samples`` holds one column per site and at least ``max(sizes)``
-    rows.  Each size is planned by :func:`~gpprec.estimator.plan_estimate`
-    on the embedding's lattice under ``config``, so a refused size raises
-    before any row is padded.  Then the rows up to the largest size are
-    padded once, with unit normals on the unmatched nodes drawn from
+    ``samples`` is an array with one column per site, or an iterable of
+    consecutive row blocks of one, such as
+    :func:`~gpprec.truth.sample_blocks` yields; it holds at least
+    ``max(sizes)`` rows.  Each size is planned by
+    :func:`~gpprec.estimator.plan_estimate` on the embedding's lattice
+    under ``config``, so a refused size raises before any row is read.
+    Then the rows up to the largest size are read once, block by block,
+    and padded once, with unit normals on the unmatched nodes drawn from
     ``seed``, one row block at a time into one reused buffer of about
-    ``_PAD_BLOCK_ELEMENTS`` entries, and each block is added into the
-    tiles of every size before the next block is padded.  The result maps
-    each size to its :class:`~gpprec.estimator.BandTiles`, bit for bit
-    those of a pass over that size's rows alone.
+    ``_PAD_BLOCK_ELEMENTS`` entries; each padded block is added into the
+    tiles of every size before the next is padded.  The result maps each
+    size to its :class:`~gpprec.estimator.BandTiles`, bit for bit those of
+    a pass over that size's rows alone, however the rows arrive in blocks.
     """
-    z = np.asarray(samples, dtype=np.float64)
-    nodes = embedding.node_of_site
-    if z.ndim != 2 or z.shape[1] != nodes.size:
-        raise InvalidInput(
-            f"samples must have {nodes.size} columns, one per matched site, got shape {z.shape}"
-        )
+    blocks, available = samples, math.inf
+    if isinstance(samples, np.ndarray):
+        z = _site_samples(samples, embedding)
+        blocks, available = (z,), z.shape[0]
     shape = embedding.shape
     schemes = {n: _scheme(shape, plan_estimate(shape, n, config)) for n in sizes}
-    if not schemes or max(schemes) > z.shape[0]:
+    if not schemes or max(schemes) > available:
         raise InvalidInput(
-            f"sizes must be a nonempty list of at most {z.shape[0]} rows, got {list(sizes)}"
+            f"sizes must be a nonempty list of at most {available} rows, got {list(sizes)}"
         )
-    return _band_tiles(_padded_blocks(z[:max(schemes)], embedding, seed), schemes)
+    return _band_tiles(_padded_blocks(blocks, embedding, seed, max(schemes)), schemes)
 
 
 def estimate_padded(
@@ -384,9 +412,8 @@ def estimate_padded(
     """
     tiles = samples
     if not isinstance(samples, BandTiles):
-        z = np.asarray(samples, dtype=np.float64)
-        n = z.shape[0] if z.ndim else 0
-        tiles = padded_tiles(z, embedding, seed, config, [n])[n]
+        z = _site_samples(samples, embedding)
+        tiles = padded_tiles(z, embedding, seed, config, [z.shape[0]])[z.shape[0]]
     estimate = estimate_precision(tiles, embedding.shape, config)
     nodes = embedding.node_of_site
     return ScatteredEstimate(

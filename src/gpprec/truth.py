@@ -14,7 +14,10 @@ Three model families are provided at desk scale:
   near the boundary for this family, so no hard guarantee depends on it.
 
 Sampling uses the Philox counter-based generator keyed by a 64-bit seed,
-so experiments are bit-reproducible across platforms.  The normals come
+so experiments are bit-reproducible across platforms.  A draw is made
+one row block at a time, by a block size that depends on the truth's
+dimension alone: :func:`sample_blocks` streams the blocks through one
+buffer, and :func:`sample` stacks them.  The normals come
 from numpy's ziggurat, which consumes a variable number of 64-bit words
 per draw, so a stream cannot be split by counter offsets across workers
 without changing the output; separate seeds give independent streams.
@@ -48,6 +51,7 @@ __all__ = [
     "build_green_restriction",
     "matern_covariance",
     "sample",
+    "sample_blocks",
     "screening_profile",
     "l1_tail_profile",
     "log_linear_fit",
@@ -100,18 +104,20 @@ class GroundTruth:
     def sigma_factor(self) -> np.ndarray:
         """Lower Cholesky factor ``L`` of ``sigma``, computed on first use and kept.
 
-        A truth built from a covariance factors it.  Otherwise ``L`` is
-        ``inv(omega_factor)^T``, one triangular inverse (``dtrtri``): from
-        ``omega = U U^T`` follows ``sigma = U^{-T} U^{-1}``, and ``U^{-T}``
-        is lower triangular with a positive diagonal, so ``sigma`` is
-        never formed.
+        A truth built from a covariance factors it, and ``L`` is stored in
+        Fortran order.  Otherwise ``L`` is ``inv(omega_factor)^T``, one
+        triangular inverse (``dtrtri``): from ``omega = U U^T`` follows
+        ``sigma = U^{-T} U^{-1}``, and ``U^{-T}`` is lower triangular with a
+        positive diagonal, so ``sigma`` is never formed.  It is the
+        transpose of the Fortran-ordered inverse as ``dtrtri`` returns it,
+        so ``L`` is stored in C order and no copy is made.
         """
         if self.covariance is not None:
             return cholesky_lower(self.covariance)
         inverse, info = lapack.dtrtri(self.omega_factor, lower=0)
         if info != 0:
             raise NumericalFailure(f"dtrtri failed with info={info}")
-        return np.asfortranarray(inverse.T)
+        return inverse.T
 
 
 def _check_kappa(kappa: float, what: str) -> float:
@@ -268,26 +274,96 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     return _truth_from_covariance(symmetrize(sigma2 * k), cloud, "matern", params)
 
 
-def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` observations ``z = L g`` with ``L L^T = sigma``.
+# A draw block holds about this many float64 entries (4 MiB), and at least
+# a quarter of the truth's dimension in rows: each block reads the whole
+# m x m factor once in its triangular product, and a factor run's pass adds
+# each block into an m x m Gram, so at the caps (m = 4096) blocks of fewer
+# rows spend much of their time in those per-block passes.
+_DRAW_BLOCK_ELEMENTS = 1 << 19
 
-    ``L`` is ``truth.sigma_factor``, formed once per truth.
-    The ``(n, dim)`` normals ``g`` are multiplied by ``L^T`` in place with
-    the triangular BLAS product ``dtrmm``, so the result is ``g @ L.T`` up
-    to roundoff, C-contiguous, and no second ``(n, dim)`` buffer is made.
-    Deterministic given the seed: the Philox stream is keyed by ``seed``
-    alone, so identical calls return bit-identical arrays.  The stream
-    fills ``g`` row-major, so the first ``n`` rows of ``sample(truth, N,
-    seed)`` are ``sample(truth, n, seed)`` for any ``n <= N``: the normals
-    bit for bit, the product to roundoff, as ``dtrmm`` over ``N`` rows
-    may round a few rows differently from ``dtrmm`` over ``n``.
+
+def _draw_rows(dim: int) -> int:
+    """Rows per block of a draw of ``dim`` variables."""
+    return max(1, _DRAW_BLOCK_ELEMENTS // dim, dim // 4)
+
+
+def _draw(truth: GroundTruth, n: int, seed: int, out: np.ndarray):
+    """The ``n`` rows of a draw, one row block at a time: fill a block, yield it.
+
+    ``out`` holds all ``n`` rows, and each block is its own rows of it, or
+    holds one block's rows, which every block overwrites in turn.  A block
+    is the next rows of the Philox stream keyed by ``seed``, written in
+    place (``standard_normal(out=...)``), times ``L^T`` in place by one
+    triangular BLAS product (``dtrmm``), ``L = truth.sigma_factor``.
+    ``dtrmm`` reads its factor in place only in Fortran order: a C-ordered
+    ``L``, as a lattice truth's is, is the Fortran-ordered upper ``L^T``,
+    which it applies transposed.
     """
+    factor = truth.sigma_factor
+    if factor.flags.f_contiguous:
+        operand, lower, trans_a = factor, 1, 0
+    else:
+        operand, lower, trans_a = factor.T, 0, 1
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    step = _draw_rows(truth.dim)
+    whole = out.shape[0] == n
+    for lo in range(0, n, step):
+        start = lo if whole else 0
+        block = out[start:start + min(step, n - lo)]
+        rng.standard_normal(out=block)
+        # block.T is Fortran-ordered, so dtrmm overwrites block with L block^T.
+        blas.dtrmm(
+            1.0, operand, block.T, side=0, lower=lower, trans_a=trans_a, overwrite_b=1
+        )
+        yield block
+
+
+def _check_count(n: int):
     if n < 1:
         raise InvalidInput(f"sample count must be positive, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    g = rng.standard_normal((n, truth.dim))
-    # g.T is Fortran-ordered, so dtrmm overwrites g with L g^T.
-    return blas.dtrmm(1.0, truth.sigma_factor, g.T, side=0, lower=1, overwrite_b=1).T
+
+
+def sample_blocks(truth: GroundTruth, n: int, seed: int):
+    """The rows of ``sample(truth, n, seed)``, as consecutive row blocks.
+
+    Returns an iterator over C-contiguous ``(rows, dim)`` blocks that
+    stack to :func:`sample`'s array bit for bit.  Every block is written
+    into one buffer of one block's rows, so a block is overwritten by the
+    next: a reader keeps what it needs of a block before it takes the
+    next, and no ``(n, dim)`` array is held.  The rows per block come from
+    ``truth.dim`` alone (about 4 MiB of entries, and at least ``dim / 4``
+    rows).  ``n < 1`` raises ``InvalidInput`` here, before any draw.
+    """
+    _check_count(n)
+    buffer = np.empty((min(_draw_rows(truth.dim), n), truth.dim))
+    return _draw(truth, n, seed, buffer)
+
+
+def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` observations ``z = L g`` with ``L L^T = sigma``, as an ``(n, dim)`` array.
+
+    ``L`` is ``truth.sigma_factor``, formed once per truth.  The rows are
+    drawn in the blocks of :func:`sample_blocks`, each written in place
+    into its rows of the result: the ``(rows, dim)`` normals ``g`` of a
+    block are multiplied by ``L^T`` in place with the triangular BLAS
+    product ``dtrmm``, so the result is ``g @ L.T`` up to roundoff,
+    C-contiguous, and no second ``(n, dim)`` buffer is made.  The result
+    is the stack of ``sample_blocks(truth, n, seed)`` bit for bit.
+
+    Deterministic given the seed: the Philox stream is keyed by ``seed``
+    alone, so identical calls return bit-identical arrays.  The stream
+    fills the rows in order, so the normals of the first ``n`` rows of
+    ``sample(truth, N, seed)`` are those of ``sample(truth, n, seed)`` bit
+    for bit for any ``n <= N``, across block edges.  So are the products,
+    but in the block that holds row ``n - 1`` when ``n`` ends inside it:
+    ``dtrmm`` over that block's rows may round a few rows differently
+    from ``dtrmm`` over its first ``n - lo`` rows.
+    """
+    _check_count(n)
+    out = np.empty((n, truth.dim))
+    for _ in _draw(truth, n, seed, out):
+        pass
+    return out
 
 
 @dataclass(frozen=True)

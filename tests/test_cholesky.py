@@ -14,6 +14,7 @@ from gpprec.cholesky import (
     exact_block_factor,
     exact_scales,
     plan_scales,
+    scale_covariances,
 )
 from gpprec.errors import InvalidInput, NotPositiveDefinite
 from gpprec.estimator import EstimatorConfig
@@ -281,13 +282,14 @@ class TestEstimateCholesky:
         # N = 3 covers scales 1 and 2 (1 and 3 columns); scale 3 has 7 columns,
         # so the rank bound fails it before any scale's covariance is formed.
         formed = []
+        prefix_covariances = cholesky_module._prefix_covariances
 
-        def guarded(samples):
-            formed.append(samples.shape[1])
-            assert samples.shape[1] <= samples.shape[0], "rank-deficient covariance formed"
-            return sample_covariance(samples)
+        def guarded(blocks, m, sizes):
+            formed.append(m)
+            assert m <= min(sizes), "rank-deficient covariance formed"
+            return prefix_covariances(blocks, m, sizes)
 
-        monkeypatch.setattr("gpprec.cholesky.sample_covariance", guarded)
+        monkeypatch.setattr(cholesky_module, "_prefix_covariances", guarded)
         truth, levels = nested_truth(3)
         z = sample(truth, 3, seed=0)
         with pytest.raises(NotPositiveDefinite) as info:
@@ -327,3 +329,73 @@ class TestEstimateCholesky:
         u_hat = assemble_U(scales)
         err = np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2)
         assert err <= 0.3
+
+
+class TestScaleCovariances:
+    """Each size's sample covariance from one pass over a streamed draw."""
+
+    def test_array_is_one_block(self):
+        # The samples as one array are one block, so the scales from their
+        # covariance are those of the samples bit for bit.
+        truth, levels = nested_truth(3)
+        z = sample(truth, 2000, seed=4)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa)
+        covariance = scale_covariances(z, levels, cfg, [2000])[2000]
+        assert covariance.n == 2000
+        assert np.array_equal(covariance.matrix, covariance.matrix.T)
+        from_covariance = estimate_scales(covariance, levels, cfg, d=1)
+        from_samples = estimate_scales(z, levels, cfg, d=1)
+        for a, b in zip(from_covariance.omegas, from_samples.omegas):
+            assert np.array_equal(a, b)
+
+    def test_streamed_sizes(self):
+        # Blocks of any sizes, each overwritten once read: every size's
+        # covariance is its rows' sample covariance to roundoff, exactly
+        # symmetric, and its sum does not depend on the other sizes.
+        truth, levels = nested_truth(3)
+        z = sample(truth, 3000, seed=1)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa)
+
+        def stream():
+            buffer = np.empty((1000, levels.m))
+            for lo in range(0, 3000, 1000):
+                buffer[...] = z[lo:lo + 1000]
+                yield buffer
+                buffer[...] = np.nan
+
+        sizes = [500, 1000, 1200, 3000]
+        shared = scale_covariances(stream(), levels, cfg, sizes)
+        assert np.array_equal(
+            shared[1200].matrix, scale_covariances(stream(), levels, cfg, [1200])[1200].matrix
+        )
+        for n in sizes:
+            got = shared[n].matrix
+            want = sample_covariance(z[:n])
+            assert np.array_equal(got, got.T)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_refused_size_reads_nothing(self):
+        def forbidden():
+            raise AssertionError("a refused size read its rows")
+            yield
+
+        truth, levels = nested_truth(3)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa)
+        with pytest.raises(NotPositiveDefinite):
+            scale_covariances(forbidden(), levels, cfg, [3, 2000])
+        with pytest.raises(InvalidInput, match="end after"):
+            scale_covariances(iter([np.zeros((10, levels.m))]), levels, cfg, [20])
+
+    def test_lattice_scales_need_the_samples(self):
+        truth, levels = nested_truth(4, s=1)
+        z = sample(truth, 2000, seed=5)
+        cfg = EstimatorConfig(kappa_hint=1.0)
+        covariance = scale_covariances(z, levels, cfg, [2000])[2000]
+        with pytest.raises(InvalidInput, match="need the samples"):
+            estimate_scales(covariance, levels, cfg, cloud=truth.geometry)
+
+    def test_d_required_without_cloud(self):
+        truth, levels = nested_truth(2)
+        z = sample(truth, 100, seed=0)
+        with pytest.raises(InvalidInput, match="d is required"):
+            estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa))

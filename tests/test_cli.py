@@ -1,9 +1,11 @@
 """Command-line harness: subcommands, determinism, exit codes, verify suites."""
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,25 +406,36 @@ class TestOneDrawPerSeed:
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_one_draw_and_padding_per_seed(self, monkeypatch, tmp_path, kind):
-        # One draw per seed, and on scattered runs one padded pass per seed:
-        # the seed's 2000-row, 40-site sample padded once, with the seed's
-        # padding stream, into the tiles of both sizes; each row estimates
-        # from its own tiles.
+        # One draw per seed.  Lattice rows read prefixes of one sample
+        # array; scattered and factor rows read one streamed draw, its row
+        # blocks passed on as they come: on scattered runs padded once, with
+        # the seed's padding stream, into the tiles of both sizes, on factor
+        # runs summed once into the covariances of both sizes.  Each row
+        # estimates from its own tiles or covariance.
         samples = spy(monkeypatch, "sample")
+        streams = spy(monkeypatch, "sample_blocks")
         passes = spy(monkeypatch, "padded_tiles")
+        covariances = spy(monkeypatch, "scale_covariances")
         padded_rows = spy(monkeypatch, "estimate_padded")
+        scale_rows = spy(monkeypatch, "estimate_scales")
         embeddings = spy(monkeypatch, "build_embedding")
         out = tmp_path / "rows.csv"
         argv = ONE_DRAW_CONFIGS[kind] + ["--n", "1000,2000", "--seeds", "0,1"]
         assert run_cli("estimate", *argv, "--out", str(out)) == 0
-        assert [args[1:] for args in samples] == [(2000, 0), (2000, 1)]
+        draws = [(2000, 0), (2000, 1)]
+        streamed = kind != "lattice"
+        assert [args[1:] for args in samples] == ([] if streamed else draws)
+        assert [args[1:] for args in streams] == (draws if streamed else [])
+        assert all(inspect.isgenerator(args[0]) for args in passes + covariances)
         scattered = kind == "scattered"
-        want = [((2000, 40), cli._PAD_SEED + seed, [1000, 2000]) for seed in (0, 1)]
-        assert [(args[0].shape, args[2], args[4]) for args in passes] == (
-            want if scattered else []
-        )
+        want = [(cli._PAD_SEED + seed, [1000, 2000]) for seed in (0, 1)]
+        assert [(args[2], args[4]) for args in passes] == (want if scattered else [])
+        want = [[1000, 2000]] * 2 if kind == "factor" else []
+        assert [args[3] for args in covariances] == want
         want = [(n, cli._PAD_SEED + seed) for seed in (0, 1) for n in (2000, 1000)]
         assert [(args[0].n, args[3]) for args in padded_rows] == (want if scattered else [])
+        want = [n for _ in (0, 1) for n in (2000, 1000)] if kind == "factor" else []
+        assert [args[0].n for args in scale_rows] == want
         assert len(embeddings) == (1 if scattered else 0)
         assert [(row[5], row[6]) for row in csv_rows(out)] == [
             ("1000", "0"), ("1000", "1"), ("2000", "0"), ("2000", "1"),
@@ -485,20 +498,21 @@ class TestOneDrawPerSeed:
         # windows of 12 or more vertices, the factor rows for a 7-column
         # scale.  The seed's one draw is made by its 500-sample row.
         small, error = {"factor": ("5", "NotPositiveDefinite")}.get(kind, ("10", "LocalSingular"))
-        samples = spy(monkeypatch, "sample")
+        draws = spy(monkeypatch, "sample_blocks" if kind != "lattice" else "sample")
         argv = ONE_DRAW_CONFIGS[kind] + ["--n", f"{small},500", "--seeds", "0,1", "--timing"]
         assert run_cli("estimate", *argv) == 1
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
         assert [(row[5], row[12]) for row in rows] == [
             (small, error), (small, error), ("500", ""), ("500", ""),
         ]
-        assert [args[1:] for args in samples] == [(500, 0), (500, 1)]
+        assert [args[1:] for args in draws] == [(500, 0), (500, 1)]
 
     def test_data_free_refusals_draw_nothing(self, monkeypatch, capsys):
         def forbidden(*args):
             raise AssertionError("a refused row drew its sample")
 
         monkeypatch.setattr(cli, "sample", forbidden)
+        monkeypatch.setattr(cli, "sample_blocks", forbidden)
         # The fallback route (p = 2 <= log(N * kappa) = log(9)) with fewer
         # samples than variables, then an explicit width above the side.
         assert run_cli("estimate", "--d", "2", "--p", "2", "--n", "3", "--seeds", "0,1") == 1
@@ -517,11 +531,38 @@ class TestOneDrawPerSeed:
 
         monkeypatch.setattr(cli, "build_embedding", refused)
         samples = spy(monkeypatch, "sample")
+        streams = spy(monkeypatch, "sample_blocks")
         argv = ONE_DRAW_CONFIGS["scattered"] + ["--n", "300,600", "--seeds", "0,1"]
         assert run_cli("estimate", *argv) == 1
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split(",")[12] for row in rows] == ["CapacityExceeded"] * 4
-        assert samples == []
+        assert samples == streams == []
+
+
+STREAMED_CONFIGS = {
+    "scattered": ["--model", "matern", "--d", "1", "--p", "200", "--b", "4"],
+    "factor": [
+        "--model", "laplacian", "--d", "1", "--p", "200", "--s", "1", "--factor", "cholesky",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STREAMED_CONFIGS))
+def test_streamed_pass_holds_no_draw(tmp_path, kind):
+    # A 30 000-row seed on 200 sites: its draw would be 48 MB, but the pass
+    # holds a few row blocks of about 4 MiB each (the draw's, and on
+    # scattered runs the padding's), so the traced peak of the whole run
+    # stays below half of one (N, sites) array.
+    n, sites = 30_000, 200
+    argv = STREAMED_CONFIGS[kind] + ["--n", str(n), "--seeds", "0"]
+    tracemalloc.start()
+    try:
+        code = run_cli("estimate", *argv, "--out", str(tmp_path / "rows.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= n * sites * 8 / 2
 
 
 class TestConfigFile:
@@ -645,26 +686,44 @@ class TestSimulate:
 
     def test_sample_files_are_the_rows_estimate_reads(self, tmp_path, monkeypatch):
         # Every file of a seed is a prefix of the seed's one draw at the
-        # largest N, the very array the estimate rows of that seed read.
-        common = [
-            "--model", "laplacian", "--d", "1", "--p", "6", "--s", "1",
-            "--n", "50,120", "--seeds", "3", "--b", "2",
-        ]
+        # largest N, the very rows the estimate rows of that seed read: the
+        # lattice rows' sample array, the row blocks that scattered and
+        # factor rows stream (factor rows in maximin order).
+        for kind in sorted(ONE_DRAW_CONFIGS):
+            with monkeypatch.context() as patch:
+                self._check_sample_files(tmp_path / kind, patch, kind)
+
+    @staticmethod
+    def _check_sample_files(tmp_path, monkeypatch, kind):
+        common = ONE_DRAW_CONFIGS[kind] + ["--n", "50,120", "--seeds", "3"]
         assert run_cli("simulate", *common, "--out", str(tmp_path)) == 0
+        assert (kind == "factor") == any(tmp_path.glob("*-ordering.txt"))
         read = {}
-        estimate = cli.estimate_precision
+        if kind == "lattice":
+            estimate = cli.estimate_precision
 
-        def recording(data, shape, config):
-            read[data.shape[0]] = data
-            return estimate(data, shape, config)
+            def recording(data, shape, config):
+                read[data.shape[0]] = data
+                return estimate(data, shape, config)
 
-        monkeypatch.setattr(cli, "estimate_precision", recording)
+            monkeypatch.setattr(cli, "estimate_precision", recording)
+        else:
+            blocks = cli.sample_blocks
+
+            def recording(truth, n, seed):
+                stream = list(map(np.copy, blocks(truth, n, seed)))
+                read[n] = np.concatenate(stream)
+                return iter(stream)
+
+            monkeypatch.setattr(cli, "sample_blocks", recording)
         assert run_cli("estimate", *common, "--out", str(tmp_path / "rows.csv")) == 0
+        assert sorted(read) == ([50, 120] if kind == "lattice" else [120])
         for n in (50, 120):
             path = next(tmp_path.glob(f"*-samples-n{n}-seed3.txt"))
             stored = ser.parse_samples(path.read_text())
-            assert np.array_equal(stored, read[n])
             assert np.array_equal(stored, read[120][:n])
+            if kind == "lattice":
+                assert np.array_equal(stored, read[n])
 
 
 class TestScalingStudy:

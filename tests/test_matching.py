@@ -61,7 +61,8 @@ def reference_adjacency(sites, positions, radius):
 
 def streamed_padding(z, embedding, seed):
     """The blocks of ``_padded_blocks`` stacked, each copied before the next overwrites it."""
-    return np.concatenate([block.copy() for block in _padded_blocks(z, embedding, seed)])
+    blocks = _padded_blocks((z,), embedding, seed, z.shape[0])
+    return np.concatenate([block.copy() for block in blocks])
 
 
 def block_rows(embedding):
@@ -454,7 +455,7 @@ class TestEmbedAndEstimate:
         n = blocks * rows + extra
         z = rng.standard_normal((n, cloud.m))
         scheme = build_scheme(embedding.shape.p, 2, d)
-        got = _band_tiles(_padded_blocks(z, embedding, 77), {n: scheme})[n].dense()
+        got = _band_tiles(_padded_blocks((z,), embedding, 77, n), {n: scheme})[n].dense()
         padded = padded_samples(z, embedding, 77)
         blocked = band_gram([padded[lo:lo + rows] for lo in range(0, n, rows)], n, scheme)
         assert np.array_equal(got, blocked)
@@ -485,6 +486,41 @@ class TestEmbedAndEstimate:
             want = estimate_padded(z[:n], embedding, cfg, 77, 1).matrix
             got = estimate_padded(shared[n], embedding, cfg, 77, 1).matrix
             assert np.array_equal(got, want)
+
+    def test_tiles_from_any_block_split(self, rng):
+        # Site rows that arrive in blocks of any sizes, each overwritten
+        # once read, are padded in the same padded blocks, so every size's
+        # tiles are those of the rows as one array, bit for bit.
+        cloud = measure_cloud(perturbed_grid(200, 1, 0.25, seed=3), 1)
+        embedding, _ = build_embedding(cloud)
+        rows = block_rows(embedding)
+        sizes = [rows // 2, 2 * rows + 5, 3 * rows + 1]
+        z = rng.standard_normal((sizes[-1] + 10, cloud.m))
+        cfg = EstimatorConfig(b_override=2)
+        want = padded_tiles(z, embedding, 77, cfg, sizes)
+
+        def stream(cuts):
+            buffer = np.empty_like(z)
+            for lo, hi in zip(cuts, cuts[1:]):
+                block = buffer[:hi - lo]
+                block[...] = z[lo:hi]
+                yield block
+                block[...] = np.nan
+
+        for cuts in ([0, 1, 7, rows, rows + 3, 2 * rows + 5, z.shape[0]], [0, z.shape[0]]):
+            got = padded_tiles(stream(cuts), embedding, 77, cfg, sizes)
+            for n in sizes:
+                assert np.array_equal(got[n].dense(), want[n].dense())
+
+    def test_short_or_foreign_stream_rejected(self, rng):
+        cloud = measure_cloud(perturbed_grid(16, 2, 0.25, seed=3), 2)
+        embedding, _ = build_embedding(cloud)
+        z = rng.standard_normal((300, cloud.m))
+        cfg = EstimatorConfig(b_override=1)
+        with pytest.raises(InvalidInput, match="end after"):
+            padded_tiles(iter([z[:100], z[100:150]]), embedding, 77, cfg, [200])
+        with pytest.raises(InvalidInput, match="columns"):
+            padded_tiles(iter([z[:100, :-1]]), embedding, 77, cfg, [100])
 
     def test_refused_size_pads_nothing(self, rng, monkeypatch):
         def forbidden(*args):

@@ -17,6 +17,7 @@ from gpprec.truth import (
     log_linear_fit,
     matern_covariance,
     sample,
+    sample_blocks,
     screening_profile,
 )
 
@@ -336,6 +337,92 @@ class TestSample:
     def test_seeds_differ(self):
         truth = build_lattice_precision(4, 1, 1)
         assert not np.array_equal(sample(truth, 50, seed=3), sample(truth, 50, seed=4))
+
+
+def identity_truth(dim):
+    return truth_module.GroundTruth(
+        omega=np.eye(dim), omega_norm=1.0, kappa=1.0,
+        geometry=LatticeShape(dim, 1), model_tag="identity",
+    )
+
+
+def stacked(blocks):
+    """The blocks of a stream stacked, each copied before the next overwrites it."""
+    return np.concatenate([block.copy() for block in blocks])
+
+
+class TestSampleBlocks:
+    """The streamed draw: blocks of a fixed row count that stack to ``sample``."""
+
+    @pytest.mark.parametrize("n", [1, 1083, 1084, 4000])
+    def test_blocks_stack_to_sample(self, n):
+        # 484 variables give blocks of 1083 rows: one short block, one full
+        # block, a full block and one row, and four blocks.
+        truth = build_lattice_precision(22, 2, 2)
+        assert truth_module._draw_rows(truth.dim) == 1083
+        blocks = sample_blocks(truth, n, seed=7)
+        shapes = []
+        stream = []
+        for block in blocks:
+            assert block.flags.c_contiguous
+            shapes.append(block.shape)
+            stream.append(block.copy())
+        rows = [min(1083, n - lo) for lo in range(0, n, 1083)]
+        assert shapes == [(r, truth.dim) for r in rows]
+        assert np.array_equal(np.concatenate(stream), sample(truth, n, seed=7))
+
+    def test_normals_stable_across_block_edges(self):
+        # 1024 variables give blocks of 512 rows, so 1500 rows cross two
+        # block edges; the identity factor leaves the normals as drawn.
+        truth = identity_truth(1024)
+        assert truth_module._draw_rows(truth.dim) == 512
+        want = np.random.Generator(np.random.Philox(key=9)).standard_normal((1500, 1024))
+        assert np.array_equal(sample(truth, 1500, seed=9), want)
+        assert np.array_equal(stacked(sample_blocks(truth, 1500, seed=9)), want)
+
+    def test_prefix_exact_outside_the_last_block(self):
+        # Rows of whole blocks are bit for bit the same in a longer draw; a
+        # prefix ending inside a block matches it to roundoff.
+        truth = build_lattice_precision(22, 2, 2)
+        big = sample(truth, 3000, seed=5)
+        assert np.array_equal(big[:2166], sample(truth, 2166, seed=5))
+        small = sample(truth, 2000, seed=5)
+        assert np.array_equal(big[:1083], small[:1083])
+        assert np.max(np.abs(big[:2000] - small)) <= 1e-12 * np.max(np.abs(small))
+
+    @pytest.mark.parametrize("dim, rows", [(1, 1 << 19), (500, 1048), (2048, 512), (4096, 1024)])
+    def test_block_rows_rule(self, dim, rows):
+        # About 4 MiB of entries, and at least a quarter of the dimension.
+        assert truth_module._draw_rows(dim) == rows
+
+    def test_nonpositive_count_rejected_at_call(self):
+        with pytest.raises(InvalidInput):
+            sample_blocks(build_lattice_precision(4, 1, 1), 0, seed=0)
+
+    @pytest.mark.parametrize("model", ["laplacian", "matern"])
+    def test_factor_reaches_dtrmm_in_fortran_order(self, monkeypatch, model):
+        # f2py copies a factor in any other order, on every block; the
+        # lattice factor is the dtrtri output as it is, applied transposed.
+        if model == "laplacian":
+            truth = build_lattice_precision(22, 2, 2)
+        else:
+            cloud = measure_cloud(np.linspace(0.05, 0.95, 300), 1)
+            truth = matern_covariance(cloud, nu=1.5, rho=0.3, sigma2=1.0)
+        seen = []
+        dtrmm = truth_module.blas.dtrmm
+
+        def recording(alpha, a, b, **kwargs):
+            seen.append((a.flags.f_contiguous, kwargs["lower"], kwargs["trans_a"]))
+            return dtrmm(alpha, a, b, **kwargs)
+
+        monkeypatch.setattr(truth_module.blas, "dtrmm", recording)
+        n = 2 * truth_module._draw_rows(truth.dim) + 1
+        z = sample(truth, n, seed=4)
+        lower, trans_a = (0, 1) if model == "laplacian" else (1, 0)
+        assert seen == [(True, lower, trans_a)] * 3
+        g = np.random.Generator(np.random.Philox(key=4)).standard_normal((n, truth.dim))
+        reference = g @ truth.sigma_factor.T
+        assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestScreeningProfile:
