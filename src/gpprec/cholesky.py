@@ -20,15 +20,18 @@ columns of level ``k`` are ``levels.level_slice(k)``, so the ``(k, l)``
 block of ``U^T`` is ``U.T[level_slice(k), level_slice(l)]`` and the
 precision is ``U @ U.T``.
 
-Estimation plugs per-scale precision estimates into the same formulas.
-A scale that inverts its full sample covariance reads it as the leading
-block of one sample covariance of all the columns, which
+Every ``omega_k`` is read off one lower-triangular ``W`` with ``W^T W``
+the precision in level order: with ``W_k`` its leading ``n_k x n_k``
+block, the precision of the first ``n_k`` variables is ``W_k^T W_k``.
+``W`` is ``U^T`` for a known precision, and ``inv(L)`` for an estimate,
+with ``L`` the Cholesky factor of the sample covariance shared by the
+scales that invert their full sample covariance.  That covariance is the
+leading block of one sample covariance of all the columns, which
 :func:`scale_covariances` can sum from a stream of row blocks, so no
 per-scale Gram and no ``(N, m)`` sample array need be formed.
 A square-root variant replaces ``R_k`` with the symmetric root of
 ``B_k``, trading the entrywise triangular structure for a slightly
-better perturbation constant.  Scales are independent given the
-samples, so they could be estimated in parallel.
+better perturbation constant.
 """
 
 from __future__ import annotations
@@ -42,7 +45,14 @@ from scipy.linalg import blas, solve, solve_triangular
 from .errors import InvalidInput, NotPositiveDefinite
 from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
-from .linalg import reverse_cholesky, spd_inverse, spd_sqrt, symmetrize
+from .linalg import (
+    cholesky_lower,
+    reverse_cholesky,
+    spd_sqrt,
+    symmetrize,
+    triangular_gram,
+    triangular_inverse,
+)
 from .matching import embed_and_estimate, measure_cloud
 
 __all__ = [
@@ -106,15 +116,27 @@ def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int):
     return block, reverse_cholesky(block)
 
 
+def _at_scale(exc: NotPositiveDefinite, k: int) -> NotPositiveDefinite:
+    """``exc`` restated as the failure of scale ``k``."""
+    return NotPositiveDefinite(f"scale {k}: {exc}", pivot=exc.pivot, scale=k)
+
+
+def _leading_precisions(w, levels: LevelPartition, count: int) -> list:
+    """Precisions ``w_k^T w_k`` of the first ``n_k = prefix_size(k)`` variables, ``k <= count``.
+
+    ``w`` is clean lower triangular with ``w^T w`` the precision in level
+    order, and ``w_k`` its leading ``n_k x n_k`` block.
+    """
+    return [triangular_gram(w[:n, :n]) for n in map(levels.prefix_size, range(1, count + 1))]
+
+
 def _scales_from(levels: LevelPartition, d: int, omegas: list) -> ScaleEstimates:
     gated = []
     for k, omega_k in enumerate(omegas, start=1):
         try:
             gated.append(estimate_B(omega_k, levels, k, d))
         except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                f"scale {k}: {exc}", pivot=exc.pivot, scale=k
-            ) from exc
+            raise _at_scale(exc, k) from exc
     b_blocks, b_roots = zip(*gated)
     return ScaleEstimates(
         levels=levels, d=d, omegas=tuple(omegas), b_blocks=b_blocks, b_roots=b_roots
@@ -125,11 +147,11 @@ def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEst
     """Exact per-scale blocks computed from a known precision.
 
     ``omega`` must be SPD and ordered by the level partition.  ``factor``
-    is its upper-triangular ``U`` with ``omega = U U^T``
+    is its clean upper-triangular ``U`` with ``omega = U U^T``
     (``GroundTruth.omega_factor``); when omitted it is computed here by
     :func:`gpprec.linalg.reverse_cholesky`.  The precision of the first
     ``n_k`` variables is the inverse of their covariance block, which is
-    ``U[:n_k, :n_k] U[:n_k, :n_k]^T`` because ``U^{-1}`` is upper
+    ``U_k U_k^T`` with ``U_k = U[:n_k, :n_k]``, because ``U^{-1}`` is upper
     triangular too; the last scale's is ``omega`` itself.  No inverse is
     formed.
     """
@@ -138,12 +160,8 @@ def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEst
         raise InvalidInput(f"omega must be {(levels.m, levels.m)}, got {omega.shape}")
     if factor is None:
         factor = reverse_cholesky(omega)
-    omegas = []
-    for k in range(1, levels.q):
-        lead = factor[: levels.prefix_size(k), : levels.prefix_size(k)]
-        omegas.append(symmetrize(lead @ lead.T))
-    omegas.append(omega)
-    return _scales_from(levels, d, omegas)
+    omegas = _leading_precisions(factor.T, levels, levels.q - 1)
+    return _scales_from(levels, d, [*omegas, omega])
 
 
 def _assemble(scales: ScaleEstimates, roots, solve_root) -> np.ndarray:
@@ -309,13 +327,17 @@ def estimate_scales(
     observation set, or the :class:`SampleCovariance` of such samples
     (:func:`scale_covariances`).  Each scale reuses the same draws at its
     coarser resolution.  Small scales (or all scales when no cloud is
-    given) invert their sample covariance, the leading block of one
-    covariance of the samples, and larger ones go through the lattice
-    reduction on the sub-cloud, which needs the samples themselves
+    given) invert their sample covariance, and larger ones go through the
+    lattice reduction on the sub-cloud, which needs the samples themselves
     (:func:`plan_scales`, whose refusals come before any covariance is
-    formed).  ``d`` defaults to the cloud's dimension; without a cloud it
-    is required, as the scaling ``h^{-kd}`` of every scale depends on it.
-    Failures carry the scale index.
+    formed).  The small scales come first, and their covariances are the
+    leading blocks of the covariance ``C = L L^T`` of the last one's
+    columns: ``C`` is gated and factored once, ``L`` is inverted once, and
+    scale ``k``'s precision is ``W_k^T W_k`` with ``W_k`` the leading
+    ``m_k x m_k`` block of ``W = inv(L)``.  ``d`` defaults to the cloud's
+    dimension; without a cloud it is required, as the scaling ``h^{-kd}``
+    of every scale depends on it.  Failures carry the scale index; a pivot
+    that fails the gate of ``C`` is charged to its level.
     """
     if d is None:
         if cloud is None:
@@ -338,24 +360,23 @@ def estimate_scales(
     full = plan_scales(levels, n, config, cloud)
     if z is None and not all(full):
         raise InvalidInput("scales through the lattice reduction need the samples")
-    if z is not None and any(full):
-        # Full-inverse scales come first, as their sizes grow with k.
-        lead = levels.prefix_size(sum(full))
-        covariance = _prefix_covariances((z[:, :lead],), lead, [n])[n]
+    # Full-inverse scales come first, as their sizes grow with k.
+    n_full = sum(full)
     omegas = []
-    for k, full_k in enumerate(full, start=1):
-        m_k = levels.prefix_size(k)
+    if n_full:
+        lead = levels.prefix_size(n_full)
+        if z is not None:
+            covariance = _prefix_covariances((z[:, :lead],), lead, [n])[n]
         try:
-            if full_k:
-                omega_k = spd_inverse(covariance[:m_k, :m_k])
-            else:
-                sub_cloud = measure_cloud(cloud.sites[:m_k], cloud.d)
-                omega_k = embed_and_estimate(
-                    z[:, :m_k], sub_cloud, config, seed=seed + k
-                ).matrix
+            w = triangular_inverse(cholesky_lower(covariance[:lead, :lead]), lower=True)
         except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                f"scale {k}: {exc}", pivot=exc.pivot, scale=k
-            ) from exc
-        omegas.append(omega_k)
+            raise _at_scale(exc, int(levels.level_of[exc.pivot])) from exc
+        omegas = _leading_precisions(w, levels, n_full)
+    for k in range(n_full + 1, levels.q + 1):
+        m_k = levels.prefix_size(k)
+        sub_cloud = measure_cloud(cloud.sites[:m_k], cloud.d)
+        try:
+            omegas.append(embed_and_estimate(z[:, :m_k], sub_cloud, config, seed=seed + k).matrix)
+        except NotPositiveDefinite as exc:
+            raise _at_scale(exc, k) from exc
     return _scales_from(levels, d, omegas)

@@ -209,8 +209,9 @@ def _validate_config(cfg):
         raise InvalidInput(f"p must be positive, got {cfg['p']}")
     if cfg["b"] is not None and cfg["b"] < 1:
         raise InvalidInput(f"b must be a positive integer, got {cfg['b']}")
-    if not cfg["n"] or any(n < 1 for n in cfg["n"]):
-        raise InvalidInput(f"n must be a nonempty list of positive sizes, got {cfg['n']}")
+    sizes = cfg["n"]
+    if not sizes or len(set(sizes)) != len(sizes) or min(sizes) < 1:
+        raise InvalidInput(f"n must be a nonempty list of distinct positive sizes, got {sizes}")
     seeds = cfg["seeds"]
     if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
         raise InvalidInput(
@@ -363,7 +364,7 @@ def _seed_pass(cfg, truth, embedding, factor_ctx):
     else:
         return None
     sizes = []
-    for n in sorted(set(cfg["n"])):
+    for n in sorted(cfg["n"]):
         try:
             plan(n)
         except _ERRORS:

@@ -34,10 +34,10 @@ class NotPositiveDefinite(Exception):
 class NumericalFailure(Exception):
     """A numerical kernel failed on an input that passed its gates.
 
-    Raised when ``dpotri`` (:func:`gpprec.linalg.spd_inverse`) or ``dtrtri``
-    (``GroundTruth.sigma_factor``) returns a nonzero ``info``, and when
-    :func:`gpprec.linalg.spectral_norm` gets an ARPACK failure or runs out
-    of Lanczos restarts.
+    Raised when ``dtrtri`` (:func:`gpprec.linalg.triangular_inverse`) or
+    ``dlauum`` (:func:`gpprec.linalg.triangular_gram`) returns a nonzero
+    ``info``, and when :func:`gpprec.linalg.spectral_norm` gets an ARPACK
+    failure or runs out of Lanczos restarts.
     """
 
 

@@ -12,7 +12,11 @@ whose precondition is an exactly symmetric input, guaranteed by its
 caller: :func:`cholesky_lower` checks each input, and the blockwise
 estimator checks its covariance source once per estimate and then factors
 each window, a slice of it, through the gate directly.  Inverses and
-square roots are routed through this gate.  :func:`spectral_norm` takes
+square roots are routed through this gate.  A precision is read off a
+factor by :func:`triangular_inverse` (``dtrtri``) and
+:func:`triangular_gram` (``dlauum``, mirrored): with ``a = L L^T`` and
+``W = inv(L)``, ``W^T W = inv(a)``, and the leading ``n x n`` block of
+``W`` gives ``inv(a[:n, :n])`` the same way.  :func:`spectral_norm` takes
 the one extreme eigenvalue by Lanczos (ARPACK's ``eigsh``), on a dense
 array, a scipy sparse matrix or a ``LinearOperator`` as the caller holds
 it; no function here computes a full eigendecomposition.  The truth
@@ -23,8 +27,9 @@ builders take a condition number as the product of two such norms,
 Every public function here is a pure function of immutable inputs and
 never mutates its arguments, so concurrent read-only use is safe; only
 the private helpers work in place on an array their caller made: the
-gate factors it, and ``_symmetrize_in_place`` symmetrizes it.  Symmetry
-is checked, and symmetrized in place, tile by tile against the mirror
+gate factors it, ``_symmetrize_in_place`` symmetrizes it, and
+``_mirror_lower_in_place`` fills its upper triangle from its lower.
+Symmetry is checked, and made in place, tile by tile against the mirror
 tiles, which reads every entry but never the whole transpose at once.
 """
 
@@ -43,6 +48,8 @@ __all__ = [
     "sample_covariance",
     "cholesky_lower",
     "reverse_cholesky",
+    "triangular_inverse",
+    "triangular_gram",
     "spd_inverse",
     "spectral_norm",
     "spd_sqrt",
@@ -119,6 +126,20 @@ def _symmetrize_in_place(a: np.ndarray) -> np.ndarray:
         tile = 0.5 * (a[r, c] + a[c, r].T)
         a[r, c] = tile
         a[c, r] = tile.T
+    return a
+
+
+def _mirror_lower_in_place(a: np.ndarray) -> np.ndarray:
+    """Fill the zero strict upper triangle of a square array from its lower, tile by tile.
+
+    Every entry becomes what ``a + tril(a, -1).T`` holds, bit for bit, with
+    no temporary larger than a tile.
+    """
+    for r, c in _mirror_tiles(a.shape[0]):
+        lower = a[c, r]
+        tile = lower + (np.tril(lower, -1).T if r == c else 0.0)
+        a[c, r] = tile
+        a[r, c] = tile.T
     return a
 
 
@@ -219,20 +240,47 @@ def reverse_cholesky(a) -> np.ndarray:
     return cholesky_lower(_as_square(a)[::-1, ::-1])[::-1, ::-1]
 
 
+def triangular_inverse(t, lower: bool) -> np.ndarray:
+    """Inverse of a triangular factor with a nonzero diagonal, by ``dtrtri``.
+
+    ``t`` is lower triangular when ``lower`` is true and upper otherwise;
+    only that triangle is read, and the other triangle of the result is
+    that of ``t``, so a clean factor has a clean inverse.  The inverse is
+    returned in Fortran order, as ``dtrtri`` writes it.  Raises
+    ``NumericalFailure`` when ``dtrtri`` returns a nonzero ``info``.
+    """
+    inverse, info = lapack.dtrtri(t, lower=int(lower))
+    if info != 0:
+        raise NumericalFailure(f"dtrtri failed with info={info}")
+    return inverse
+
+
+def triangular_gram(w) -> np.ndarray:
+    """``w^T w`` of a lower-triangular ``w``, exactly symmetric, by ``dlauum``.
+
+    ``w`` is clean, with a zero strict upper triangle, as
+    :func:`cholesky_lower` and :func:`triangular_inverse` leave it.  For an
+    upper-triangular ``u``, ``u u^T`` is ``triangular_gram(u.T)``.  Raises
+    ``NumericalFailure`` when ``dlauum`` returns a nonzero ``info``.
+    """
+    gram, info = lapack.dlauum(w, lower=1)
+    if info != 0:
+        raise NumericalFailure(f"dlauum failed with info={info}")
+    # Once mirrored, the Fortran-ordered product is exactly symmetric, so its
+    # transpose is the same matrix in C order, the layout callers' products
+    # round by.
+    return _mirror_lower_in_place(gram).T
+
+
 def spd_inverse(a) -> np.ndarray:
     """Inverse of an SPD matrix through its Cholesky factorization.
 
-    Returns an exactly symmetric array.  Raises ``NotPositiveDefinite``
-    (propagated from :func:`cholesky_lower`) when ``a`` is not SPD.
+    ``inv(a) = W^T W`` with ``W = inv(L)`` and ``a = L L^T``, the steps of
+    ``dpotri``.  Returns an exactly symmetric array.  Raises
+    ``NotPositiveDefinite`` (propagated from :func:`cholesky_lower`) when
+    ``a`` is not SPD.
     """
-    c = cholesky_lower(a)
-    inv, info = lapack.dpotri(c, lower=1)
-    if info != 0:
-        raise NumericalFailure(f"dpotri failed with info={info}")
-    # dpotri leaves the upper triangle of the clean factor zero, so adding
-    # the mirror of the strict lower triangle fills it.  The Fortran-ordered
-    # inverse is summed into C order, the layout callers' products round by.
-    return np.add(inv, np.tril(inv, -1).T, order="C")
+    return triangular_gram(triangular_inverse(cholesky_lower(a), lower=True))
 
 
 def _as_symmetric_operand(a):

@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas
 from scipy.spatial.distance import cdist
 
-from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, NumericalFailure
+from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
@@ -42,6 +42,8 @@ from .linalg import (
     spd_inverse,
     spectral_norm,
     symmetrize,
+    triangular_gram,
+    triangular_inverse,
 )
 
 __all__ = [
@@ -104,20 +106,20 @@ class GroundTruth:
     def sigma_factor(self) -> np.ndarray:
         """Lower Cholesky factor ``L`` of ``sigma``, computed on first use and kept.
 
-        A truth built from a covariance factors it, and ``L`` is stored in
-        Fortran order.  Otherwise ``L`` is ``inv(omega_factor)^T``, one
-        triangular inverse (``dtrtri``): from ``omega = U U^T`` follows
-        ``sigma = U^{-T} U^{-1}``, and ``U^{-T}`` is lower triangular with a
-        positive diagonal, so ``sigma`` is never formed.  It is the
-        transpose of the Fortran-ordered inverse as ``dtrtri`` returns it,
-        so ``L`` is stored in C order and no copy is made.
+        A Green's or Matern truth keeps here the factor of its covariance
+        that its ``omega`` was read off at build, in Fortran order; one
+        derived by ``dataclasses.replace`` factors its own ``covariance``
+        on first use.  Otherwise ``L`` is
+        ``inv(omega_factor)^T``, one triangular inverse
+        (:func:`gpprec.linalg.triangular_inverse`): from ``omega = U U^T``
+        follows ``sigma = U^{-T} U^{-1}``, and ``U^{-T}`` is lower
+        triangular with a positive diagonal, so ``sigma`` is never formed.
+        It is the transpose of the Fortran-ordered inverse, so ``L`` is
+        stored in C order and no copy is made.
         """
         if self.covariance is not None:
             return cholesky_lower(self.covariance)
-        inverse, info = lapack.dtrtri(self.omega_factor, lower=0)
-        if info != 0:
-            raise NumericalFailure(f"dtrtri failed with info={info}")
-        return inverse.T
+        return triangular_inverse(self.omega_factor, lower=False).T
 
 
 def _check_kappa(kappa: float, what: str) -> float:
@@ -134,15 +136,19 @@ def _check_kappa(kappa: float, what: str) -> float:
 
 
 def _truth_from_covariance(sigma, geometry, model_tag: str, params: dict) -> GroundTruth:
-    """Truth whose ``omega`` is ``spd_inverse(sigma)``, with its norm and ``kappa``.
+    """Truth whose ``omega`` is ``inv(sigma)``, with its norm and ``kappa``.
 
-    For SPD ``omega``, ``kappa = ||omega||_2 ||sigma||_2``: two Lanczos
-    solves (:func:`gpprec.linalg.spectral_norm`), each for the top of one
+    ``sigma = L L^T`` is factored once, ``omega`` is ``W^T W`` with
+    ``W = inv(L)``, bit for bit ``spd_inverse(sigma)``, and ``L`` is kept
+    as the truth's ``sigma_factor``.  For SPD ``omega``,
+    ``kappa = ||omega||_2 ||sigma||_2``: two Lanczos solves
+    (:func:`gpprec.linalg.spectral_norm`), each for the top of one
     spectrum, and no full eigendecomposition.
     """
-    omega = spd_inverse(sigma)
+    factor = cholesky_lower(sigma)
+    omega = triangular_gram(triangular_inverse(factor, lower=True))
     omega_norm = spectral_norm(omega)
-    return GroundTruth(
+    truth = GroundTruth(
         omega=omega,
         omega_norm=omega_norm,
         kappa=_check_kappa(omega_norm * spectral_norm(sigma), f"{model_tag} truth"),
@@ -151,6 +157,11 @@ def _truth_from_covariance(sigma, geometry, model_tag: str, params: dict) -> Gro
         params=params,
         covariance=sigma,
     )
+    # A cached property reads the instance __dict__ first.  A field would be
+    # copied by dataclasses.replace into a permuted truth, whose covariance
+    # it does not factor.
+    truth.__dict__["sigma_factor"] = factor
+    return truth
 
 
 def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:

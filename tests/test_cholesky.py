@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gpprec import cholesky as cholesky_module
+from gpprec import linalg as linalg_module
 from gpprec.cholesky import (
     assemble_U,
     assemble_U_star,
@@ -14,6 +15,7 @@ from gpprec.cholesky import (
     exact_block_factor,
     exact_scales,
     plan_scales,
+    SampleCovariance,
     scale_covariances,
 )
 from gpprec.errors import InvalidInput, NotPositiveDefinite
@@ -218,12 +220,50 @@ class TestEstimateCholesky:
         assert spectral_norm(symmetrize(u @ u.T - direct)) <= 1e-10 * spectral_norm(direct)
 
     def test_population_mode_recovers_exact_factor(self):
-        # Exact covariance in, exact factor out: the per-scale estimates
-        # coincide with the exact scales when each scale sees the truth.
+        # Exact covariance in, exact factor out: the estimated scales read
+        # off the factor of sigma coincide with the exact scales (to 4.4e-16
+        # of the largest entry).
         truth, levels = nested_truth(3)
         exact = exact_block_factor(truth.omega, levels, d=1)
-        scales = exact_scales(truth.omega, levels, d=1)
-        np.testing.assert_allclose(assemble_U(scales), exact, atol=1e-12)
+        scales = estimate_scales(SampleCovariance(10**6, truth.sigma), levels, d=1)
+        u = assemble_U(scales)
+        assert np.max(np.abs(u - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_full_scales_read_off_one_factor(self, monkeypatch):
+        # One gated factorization of the lead covariance and one triangular
+        # inverse serve every full-inverse scale; the finest scale's omega
+        # is spd_inverse of that covariance bit for bit.
+        factored, inverted, inverses = [], [], []
+
+        def counting(log, fn):
+            def spy(a, *args, **kwargs):
+                log.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(
+            cholesky_module, "cholesky_lower", counting(factored, cholesky_lower)
+        )
+        monkeypatch.setattr(
+            cholesky_module,
+            "triangular_inverse",
+            counting(inverted, cholesky_module.triangular_inverse),
+        )
+        monkeypatch.setattr(linalg_module, "spd_inverse", counting(inverses, spd_inverse))
+        truth, levels = nested_truth(3)
+        z = sample(truth, 2000, seed=4)
+        covariance = scale_covariances(z, levels, None, [2000])[2000]
+        scales = estimate_scales(covariance, levels, d=1)
+        assert levels.q == 3
+        assert factored == [(levels.m, levels.m)]
+        assert inverted == [(levels.m, levels.m)]
+        assert inverses == []
+        assert np.array_equal(scales.omegas[-1], spd_inverse(covariance.matrix))
+        for k, omega_k in enumerate(scales.omegas, start=1):
+            m_k = levels.prefix_size(k)
+            want = spd_inverse(covariance.matrix[:m_k, :m_k])
+            assert np.array_equal(omega_k, omega_k.T)
+            assert np.max(np.abs(omega_k - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_estimated_factor_error_tracks_precision_error(self):
         # Seeds 0..19 at N=8000 realize median factor error 0.028 against
@@ -277,6 +317,19 @@ class TestEstimateCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
         assert info.value.scale is not None
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rank_deficiency_charged_to_its_level(self, k):
+        # A repeated column of level k makes the one factorization of the
+        # covariance fail at that column's pivot, which lies in level k.
+        truth, levels = nested_truth(3)
+        z = sample(truth, 2000, seed=0)
+        cols = levels.level_slice(k)
+        z[:, cols.stop - 1] = z[:, cols.start]
+        with pytest.raises(NotPositiveDefinite) as info:
+            estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
+        assert info.value.scale == k
+        assert info.value.pivot == cols.stop - 1
 
     def test_rank_bound_fails_before_covariance(self, monkeypatch):
         # N = 3 covers scales 1 and 2 (1 and 3 columns); scale 3 has 7 columns,

@@ -267,6 +267,15 @@ class TestEstimate:
         assert inverses == []
         assert factorizations == [(36, 36)]
 
+    def test_maximin_truth_factors_its_own_covariance(self):
+        # A Matern truth keeps its build's factor of sigma; the permuted truth
+        # that dataclasses.replace makes must factor its own covariance.
+        truth, cloud = cli._build_truth({"model": "matern", "d": 2, "p": 4, "s": 1})
+        assert np.array_equal(truth.sigma_factor, cholesky_lower(truth.covariance))
+        _, _, truth_mm = cli._maximin_truth(truth, cloud)
+        assert not np.array_equal(truth_mm.covariance, truth.covariance)
+        assert np.array_equal(truth_mm.sigma_factor, cholesky_lower(truth_mm.covariance))
+
     @pytest.mark.parametrize(
         "argv",
         [("--d", "1", "--p", "1"), ("--d", "1", "--p", "2"),
@@ -351,8 +360,9 @@ class TestEstimate:
             (["estimate", "--b", "0"], "b must be a positive integer, got 0"),
             (["estimate", "--model", "matern", "--d", "2", "--b", "-1"], "b must be"),
             (["scaling-study", "--p-list", "8,8"], "p_list must be"),
+            (["estimate", "--n", "200,200"], "n must be"),
         ],
-        ids=[f"argv{i}" for i in range(6)],
+        ids=[f"argv{i}" for i in range(7)],
     )
     def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv, message):
         def forbidden(cfg):
@@ -619,6 +629,16 @@ class TestConfigFile:
         cfg.write_text("p=6\nseeds=-1\n")
         assert run_cli("estimate", "--config", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("error: seeds must be")
+
+    def test_repeated_sizes_in_file_rejected(self, tmp_path, capsys, monkeypatch):
+        def forbidden(cfg):
+            raise AssertionError("truth built for an invalid configuration")
+
+        monkeypatch.setattr(cli, "_build_truth", forbidden)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=6\nn=200,200\n")
+        assert run_cli("estimate", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: n must be")
 
     def test_file_run_matches_flag_run(self, tmp_path):
         flags = [

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from gpprec import linalg
@@ -189,6 +190,18 @@ class TestSpdInverse:
     def test_not_spd_propagates(self):
         with pytest.raises(NotPositiveDefinite):
             spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("m", [7, 100, 484])
+    def test_equals_dpotri(self, rng, m):
+        # dpotri is dtrtri then dlauum, which spd_inverse runs one by one.
+        x = rng.standard_normal((m + 20, m))
+        a = symmetrize(x.T @ x / m)
+        inv, info = lapack.dpotri(cholesky_lower(a), lower=1)
+        assert info == 0
+        want = np.add(inv, np.tril(inv, -1).T, order="C")
+        got = spd_inverse(a)
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous
 
 
 class TestSpectralNorm:

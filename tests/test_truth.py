@@ -1,5 +1,6 @@
 """Ground-truth models: construction, sampling, and structural diagnostics."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from gpprec.errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, NumericalFailure
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec import truth as truth_module
-from gpprec.linalg import cholesky_lower, reverse_cholesky, spectral_norm, symmetrize
+from gpprec.linalg import (
+    cholesky_lower,
+    reverse_cholesky,
+    spd_inverse,
+    spectral_norm,
+    symmetrize,
+)
 from gpprec.matching import measure_cloud
 from gpprec.truth import (
     build_green_restriction,
@@ -178,6 +185,26 @@ class TestCovarianceTruthNorms:
         w = np.linalg.eigvalsh(truth.omega)
         assert truth.kappa == pytest.approx(w[-1] / w[0], rel=1e-7)
         assert truth.omega_norm == spectral_norm(truth.omega)
+
+    @pytest.mark.parametrize("name", sorted(COVARIANCE_TRUTHS))
+    def test_sigma_factored_once(self, monkeypatch, name):
+        # omega is read off the build's one factor of sigma, which the truth
+        # keeps for sampling: its first draw is the one made from a fresh
+        # cholesky_lower(covariance) bit for bit.
+        calls = []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return cholesky_lower(a)
+
+        monkeypatch.setattr(truth_module, "cholesky_lower", counting)
+        truth = COVARIANCE_TRUTHS[name]()
+        assert calls == [(truth.dim, truth.dim)]
+        first = sample(truth, 50, seed=2)
+        assert len(calls) == 1
+        assert np.array_equal(truth.omega, spd_inverse(truth.covariance))
+        assert np.array_equal(first, sample(dataclasses.replace(truth), 50, seed=2))
+        assert len(calls) == 2
 
     def test_ill_conditioned_covariance_rejected(self):
         # Every Cholesky pivot of this covariance passes, but kappa is
