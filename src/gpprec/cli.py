@@ -13,16 +13,24 @@ truth's inverse and norms round differently, and Green's and Matern
 timing is opt-in (``--timing``), because measured times would break that
 determinism; the ``bench`` subcommand always times.
 
+Every route runs through one row loop.  ``_route`` builds the run's
+estimator once per run (the factor context of factor runs, the site
+embedding of scattered runs) as three steps: ``plan(n)`` makes the
+data-free refusals of size ``n`` (``estimator.plan_estimate`` for
+precision rows, ``cholesky.plan_scales`` for factor rows, and a refused
+matching refuses every size); ``one_pass(seed, sizes)`` draws a seed once
+and maps each passing size to its rows' source; ``estimate`` makes a row's
+estimate and error from its source.  Every size is planned once per run,
+before any draw, and a refused size fails its rows without drawing.
+
 The rows of one seed share one draw.  They run in descending N, and a
-row's sample is the first N rows of its seed's draw at the run's largest
-N.  Lattice precision rows read row prefixes of one sample array
-(``truth.sample``).  Scattered precision rows and factor rows hold no
-``(N, sites)`` array: the first row that passes the data-free refusals
-streams the seed's draw up to the largest size that passes them, one row
-block at a time (``truth.sample_blocks``), into the source of every
-passing size, and each row estimates from its own source.  On scattered
-runs, whose site embedding is built once per run, the source is the band
-tiles of the padded rows (``matching.padded_tiles``, then
+row's sample is the first N rows of its seed's draw at the largest
+passing N, made by the seed's first passing row.  Lattice precision rows
+read row prefixes of one sample array (``truth.sample``).  Scattered
+precision rows and factor rows hold no ``(N, sites)`` array: the pass
+streams the draw one row block at a time (``truth.sample_blocks``) into
+the source of every passing size.  On scattered runs the source is the
+band tiles of the padded rows (``matching.padded_tiles``, then
 ``matching.estimate_padded``); on factor runs it is the sample covariance
 in maximin order (``cholesky.scale_covariances``, then
 ``cholesky.estimate_scales``).  Rows ``[0, N)`` of the draw and of the
@@ -33,11 +41,9 @@ in maximin order, with the ordering.  The largest-N rows, and every row
 of a single-N run, equal a run at that N alone byte for byte; a
 smaller-N row matches one to roundoff, as the triangular product of the
 draw block holding its last row, over more rows, rounds a few rows
-differently.  ``wall_ms`` counts the draw, and on scattered and factor
-runs the seed's streamed pass, only in the largest-N row of each seed
-that passes the refusals.  A row that ``estimator.plan_estimate``
-(precision rows) or ``cholesky.plan_scales`` (factor rows) refuses from
-its sizes alone fails before it draws.
+differently.  ``wall_ms`` counts a row's estimate and error, and the
+seed's pass in the seed's first passing row; the plan, made once per
+run, is in no row's time.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -100,6 +106,8 @@ from .lattice import lattice_points
 from .linalg import spectral_norm
 from .matching import build_embedding, estimate_padded, measure_cloud, padded_tiles
 from .truth import (
+    MAX_VERTICES,
+    _check_capacity,
     build_green_restriction,
     build_lattice_precision,
     log_linear_fit,
@@ -217,6 +225,9 @@ def _validate_config(cfg):
         raise InvalidInput(
             f"seeds must be a nonempty list of distinct nonnegative values, got {seeds}"
         )
+    if max(seeds) + _PAD_SEED >= 2**128:
+        # A seed and its padding seed each key a Philox stream, whose keys are 128-bit.
+        raise InvalidInput(f"seeds must be below 2**128 - {_PAD_SEED}, got {max(seeds)}")
     if not 0.0 < cfg["c1"] < 1.0:
         raise InvalidInput(f"c1 must lie in (0, 1), got {cfg['c1']}")
     p_list = cfg.get("p_list")
@@ -236,14 +247,20 @@ def _jittered_grid(p: int, d: int, snap_fine_m: int | None):
 
 
 def _build_truth(cfg):
-    """Ground truth plus the site cloud used for scattered or factor runs."""
+    """Ground truth plus the site cloud used for scattered or factor runs.
+
+    Green's truth is built on a fine grid of ``fine_m**d`` nodes and
+    Matern's on the ``p**d`` sites; either above ``MAX_VERTICES`` raises
+    ``CapacityExceeded`` before the site cloud is built.
+    """
     model, d, p, s = cfg["model"], cfg["d"], cfg["p"], cfg["s"]
     if model == "laplacian":
         truth = build_lattice_precision(p, d, s)
         cloud = measure_cloud(lattice_points(truth.geometry), d)
         return truth, cloud
+    fine_m = 4 * (p + 1) - 1
+    _check_capacity((fine_m if model == "green" else p) ** d, MAX_VERTICES)
     if model == "green":
-        fine_m = 4 * (p + 1) - 1
         cloud = measure_cloud(_jittered_grid(p, d, snap_fine_m=fine_m), d)
         return build_green_restriction(fine_m, d, s, cloud), cloud
     cloud = measure_cloud(_jittered_grid(p, d, snap_fine_m=None), d)
@@ -278,12 +295,10 @@ def _maximin_truth(truth, cloud):
 def _factor_context(truth, cloud, d, factor):
     """Level partition, maximin-permuted truth and the exact factor of ``factor``.
 
-    ``None`` for precision runs, which need none of them.  The permuted
-    truth's ``omega_factor`` is the exact ``cholesky`` factor and feeds the
-    exact scales of ``cholesky-star``.
+    ``factor`` is ``cholesky`` or ``cholesky-star``.  The permuted truth's
+    ``omega_factor`` is the exact ``cholesky`` factor and feeds the exact
+    scales of ``cholesky-star``.
     """
-    if factor == "precision":
-        return None
     _, levels, truth_mm = _maximin_truth(truth, cloud)
     if factor == "cholesky":
         return levels, truth_mm, truth_mm.omega_factor
@@ -313,164 +328,82 @@ def _on_sites(cfg) -> bool:
     return cfg["scattered"] or cfg["model"] != "laplacian"
 
 
-def _site_embedding(cfg, cloud):
-    """``build_embedding`` of the run's sites, or the error that refused it.
+def _route(cfg, truth, cloud):
+    """The run's estimator as three steps, ``(plan, one_pass, estimate)``.
 
-    ``None`` for runs that estimate on no embedding: lattice precision runs
-    and factor runs.  A refused matching is returned, not raised, so every
-    row records it, as a row failure, in its ``error`` column.
+    ``plan(n)`` makes the data-free refusals of the rows at size ``n``.
+    ``one_pass(seed, sizes)`` draws ``seed`` once, up to the largest of
+    ``sizes``, and maps each size to its rows' source: row prefixes of one
+    sample array on lattice precision runs, the band tiles of the padded
+    rows on scattered runs, and the sample covariance in maximin order on
+    factor runs; the last two stream the draw.  ``estimate(source, seed)``
+    returns ``(estimate, b, path, rel_spectral_error)``.  The factor
+    context and the site embedding are built here, once per run; a refused
+    matching refuses every size.
     """
-    if cfg["factor"] != "precision" or not _on_sites(cfg):
-        return None
-    try:
-        return build_embedding(cloud, c1=cfg["c1"])
-    except _ERRORS as exc:
-        return exc
-
-
-def _estimator_config(cfg, truth) -> EstimatorConfig:
-    return EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
-
-
-def _seed_pass(cfg, truth, embedding, factor_ctx):
-    """How a seed's one streamed pass makes its rows' sources: ``(sizes, one_pass)``, or ``None``.
-
-    ``None`` for runs whose rows read sample arrays: lattice precision
-    runs, and scattered runs whose matching was refused.  Scattered rows
-    estimate from the band tiles of their padded rows
-    (``matching.padded_tiles``), factor rows from their sample covariance
-    (``cholesky.scale_covariances``).  ``sizes`` are the run's sample sizes
-    that pass the data-free refusals; a refused size fails its own row.
-    ``one_pass(blocks, seed)`` reads the seed's row blocks up to the
-    largest of them once and maps each size to its row's source.
-    """
-    est_cfg = _estimator_config(cfg, truth)
-    if factor_ctx is not None:
-        levels = factor_ctx[0]
+    est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
+    factor = cfg["factor"]
+    if factor != "precision":
+        levels, truth_mm, exact = _factor_context(truth, cloud, cfg["d"], factor)
+        assemble = assemble_U if factor == "cholesky" else assemble_U_star
 
         def plan(n):
             plan_scales(levels, n, est_cfg)
 
-        def one_pass(blocks, seed):
+        def one_pass(seed, sizes):
+            # Factor rows sample the maximin-permuted truth.
+            blocks = sample_blocks(truth_mm, max(sizes), seed)
             return scale_covariances(blocks, levels, est_cfg, sizes)
-    elif embedding is not None and not isinstance(embedding, Exception):
-        lattice = embedding[0]
 
-        def plan(n):
-            plan_estimate(lattice.shape, n, est_cfg)
+        def estimate(source, seed):
+            u_hat = assemble(estimate_scales(source, levels, est_cfg, d=cfg["d"]))
+            return u_hat, 0, "multiscale", _factor_error(u_hat, exact, truth_mm)
 
-        def one_pass(blocks, seed):
-            return padded_tiles(blocks, lattice, _PAD_SEED + seed, est_cfg, sizes)
+        return plan, one_pass, estimate
+    if not _on_sites(cfg):
+        shape = truth.geometry
+
+        def one_pass(seed, sizes):
+            z = sample(truth, max(sizes), seed)
+            return {n: z[:n] for n in sizes}
+
+        def fit(source, seed):
+            return estimate_precision(source, shape, est_cfg)
     else:
-        return None
-    sizes = []
-    for n in sorted(cfg["n"]):
         try:
-            plan(n)
-        except _ERRORS:
-            continue
-        sizes.append(n)
-    return sizes, one_pass
+            lattice, attempts = build_embedding(cloud, c1=cfg["c1"])
+        except _ERRORS as exc:
+            refused = exc
+
+            def plan(n):
+                raise refused
+
+            return plan, None, None
+        shape = lattice.shape
+
+        def one_pass(seed, sizes):
+            blocks = sample_blocks(truth, max(sizes), seed)
+            return padded_tiles(blocks, lattice, _PAD_SEED + seed, est_cfg, sizes)
+
+        def fit(source, seed):
+            return estimate_padded(source, lattice, est_cfg, _PAD_SEED + seed, attempts)
+
+    def plan(n):
+        plan_estimate(shape, n, est_cfg)
+
+    def estimate(source, seed):
+        est = fit(source, seed)
+        err = spectral_norm(est.matrix - truth.omega) / truth.omega_norm
+        return est.matrix, est.b or 0, est.path, err
+
+    return plan, one_pass, estimate
 
 
-class _SeedDraw:
-    """One seed's draw, made once, and what each of its rows estimates from.
-
-    Lattice precision rows read row prefixes of ``sample(truth, N, seed)``,
-    drawn at the first sample size asked for.  A seed's rows ask in
-    descending N, so every row reads a prefix of the one draw; the Philox
-    stream of ``sample`` fills row-major, so that prefix is the sample at
-    the row's own N to roundoff of its triangular product.
-
-    Scattered and factor rows read their own source instead, which the
-    first of them to ask makes for every passing size at once: ``stream``
-    is :func:`_seed_pass`'s result, and its ``one_pass`` reads
-    ``sample_blocks(truth, N, seed)`` at the largest passing N, one row
-    block at a time, so no ``(N, sites)`` array is held.
-    """
-
-    def __init__(self, truth, seed, stream=None):
-        self._truth = truth
-        self.seed = seed
-        self._stream = stream
-        self._data = None
-        self._sources = None
-
-    def rows(self, n):
-        if self._data is None:
-            self._data = sample(self._truth, n, self.seed)
-        return self._data[:n]
-
-    def source(self, n):
-        """The streamed pass's source of the row at ``n``, a passing size."""
-        if self._sources is None:
-            sizes, one_pass = self._stream
-            self._sources = one_pass(sample_blocks(self._truth, max(sizes), self.seed), self.seed)
-        return self._sources[n]
-
-
-def _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw):
-    """One (configuration point, seed) evaluation; returns a ResultRow.
-
-    ``draw`` is the seed's :class:`_SeedDraw`.  A row runs its estimator's
-    data-free refusals (:func:`plan_estimate` for precision rows,
-    :func:`plan_scales` for factor rows) before it reads ``draw``, so a
-    refused row draws nothing.
-    """
-    d = cfg["d"]
-    est_cfg = _estimator_config(cfg, truth)
-    started = time.perf_counter()
-    b_used, path = 0, ""
-    estimate_out = None
-    try:
-        if cfg["factor"] == "precision":
-            if isinstance(embedding, Exception):
-                raise embedding
-            if embedding is None:
-                plan_estimate(truth.geometry, n, est_cfg)
-                est = estimate_precision(draw.rows(n), truth.geometry, est_cfg)
-            else:
-                lattice, attempts = embedding
-                plan_estimate(lattice.shape, n, est_cfg)
-                est = estimate_padded(
-                    draw.source(n), lattice, est_cfg, _PAD_SEED + draw.seed, attempts
-                )
-            estimate_out, b_used, path = est.matrix, est.b or 0, est.path
-            err = spectral_norm(estimate_out - truth.omega) / truth.omega_norm
-        else:
-            levels, truth_mm, exact = factor_ctx
-            plan_scales(levels, n, est_cfg)
-            scales = estimate_scales(draw.source(n), levels, est_cfg, d=d)
-            path = "multiscale"
-            assemble = assemble_U if cfg["factor"] == "cholesky" else assemble_U_star
-            estimate_out = assemble(scales)
-            err = _factor_error(estimate_out, exact, truth_mm)
-        error = ""
-    except _ERRORS as exc:
-        err = float("nan")
-        error = type(exc).__name__
-    wall_ms = (time.perf_counter() - started) * 1000.0 if cfg["timing"] else 0.0
-    if cfg["save_estimates"] and estimate_out is not None:
-        est_dir = Path(cfg["save_estimates"])
-        est_dir.mkdir(parents=True, exist_ok=True)
-        name = f"{_experiment_id(cfg)}-n{n}-seed{draw.seed}-estimate.txt"
-        (est_dir / name).write_text(serialization.format_matrix(estimate_out))
-    p_or_m = cloud.m if _on_sites(cfg) else cfg["p"]
-    return ResultRow(
-        experiment_id=_experiment_id(cfg),
-        model_tag=truth.model_tag,
-        d=d,
-        p_or_m=p_or_m,
-        s=cfg["s"],
-        n=n,
-        seed=draw.seed,
-        b=int(b_used),
-        path=path,
-        rel_spectral_error=float(err),
-        kappa=float(truth.kappa),
-        wall_ms=wall_ms,
-        error=error,
-    )
+def _save_estimate(cfg, n, seed, matrix):
+    est_dir = Path(cfg["save_estimates"])
+    est_dir.mkdir(parents=True, exist_ok=True)
+    name = f"{_experiment_id(cfg)}-n{n}-seed{seed}-estimate.txt"
+    (est_dir / name).write_text(serialization.format_matrix(matrix))
 
 
 def _emit(lines, out):
@@ -491,24 +424,42 @@ def _rows_csv(rows, extra=()):
 def _point_rows(cfg):
     """Rows for every (N, seed) pair at ``cfg["p"]``, sorted by N, then seed.
 
-    The truth, the factor context and the site embedding are built once
-    per run.  Each seed's rows run in descending N and share one draw;
-    its scattered and factor rows share one streamed pass over it, made by
-    the first row that passes the data-free refusals.
+    The truth and its route are built once per run, and every size is
+    planned once: a refused size fails its rows before any draw.  Each
+    seed's rows run in descending N; the first that passes makes the
+    seed's one pass, and every passing row estimates from its source in it.
     """
     truth, cloud = _build_truth(cfg)
-    factor_ctx = _factor_context(truth, cloud, cfg["d"], cfg["factor"])
-    embedding = _site_embedding(cfg, cloud)
-    stream = _seed_pass(cfg, truth, embedding, factor_ctx)
-    # Factor rows sample the maximin-permuted truth.
-    source = truth if factor_ctx is None else factor_ctx[1]
+    plan, one_pass, estimate = _route(cfg, truth, cloud)
+    refused = {}
+    for n in cfg["n"]:
+        try:
+            plan(n)
+        except _ERRORS as exc:
+            refused[n] = type(exc).__name__
+    sizes = [n for n in sorted(cfg["n"]) if n not in refused]
+    p_or_m = cloud.m if _on_sites(cfg) else cfg["p"]
     rows = []
     for seed in sorted(cfg["seeds"]):
-        draw = _SeedDraw(source, seed, stream)
-        rows.extend(
-            _run_point(cfg, truth, cloud, factor_ctx, embedding, n, draw)
-            for n in sorted(cfg["n"], reverse=True)
-        )
+        sources = None
+        for n in sorted(cfg["n"], reverse=True):
+            started = time.perf_counter()
+            matrix, b, path, err = None, 0, "", float("nan")
+            error = refused.get(n, "")
+            if not error:
+                try:
+                    if sources is None:
+                        sources = one_pass(seed, sizes)
+                    matrix, b, path, err = estimate(sources[n], seed)
+                except _ERRORS as exc:
+                    error = type(exc).__name__
+            wall_ms = (time.perf_counter() - started) * 1000.0 if cfg["timing"] else 0.0
+            if cfg["save_estimates"] and matrix is not None:
+                _save_estimate(cfg, n, seed, matrix)
+            rows.append(ResultRow(
+                _experiment_id(cfg), truth.model_tag, cfg["d"], p_or_m, cfg["s"], n, seed,
+                int(b), path, float(err), float(truth.kappa), wall_ms, error,
+            ))
     return sorted(rows, key=lambda row: (row.n, row.seed))
 
 

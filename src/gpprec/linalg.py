@@ -75,6 +75,18 @@ _LANCZOS_MAX_RESTARTS = 100
 _LANCZOS_START_KEY = 0x6770707265632D6C
 
 
+def _philox(seed) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, which must lie in its key range ``[0, 2**128)``.
+
+    A seed outside it raises ``InvalidInput``; numpy would raise a
+    ``ValueError`` instead.
+    """
+    key = int(seed)
+    if not 0 <= key < 1 << 128:
+        raise InvalidInput(f"seed must lie in [0, 2**128), got {seed}")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _as_square(a, name="matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -326,7 +338,7 @@ def spectral_norm(a) -> float:
     if not isinstance(a, LinearOperator):
         if not (a.count_nonzero() if sparse.issparse(a) else a.any()):
             return 0.0
-    v0 = np.random.Generator(np.random.Philox(key=_LANCZOS_START_KEY)).standard_normal(n)
+    v0 = _philox(_LANCZOS_START_KEY).standard_normal(n)
     try:
         top = eigsh(
             a, k=1, which="LM", tol=0, v0=v0, maxiter=_LANCZOS_MAX_RESTARTS,

@@ -48,6 +48,7 @@ from .estimator import (
     plan_estimate,
 )
 from .lattice import LatticeShape, lattice_points
+from .linalg import _philox
 
 __all__ = [
     "SiteCloud",
@@ -332,7 +333,7 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     src = np.empty(m_lattice, dtype=np.intp)
     src[embedding.node_of_site] = np.arange(m_sites)
     src[mask] = m_sites + np.arange(n_pad)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = _philox(seed)
     staged = np.empty((min(max(1, _PAD_BLOCK_ELEMENTS // m_lattice), n), m_lattice))
     padded = np.empty_like(staged)
     # Rows padded and yielded so far, and site rows staged for the next block.
@@ -375,6 +376,8 @@ def padded_tiles(
     tiles of every size before the next is padded.  The result maps each
     size to its :class:`~gpprec.estimator.BandTiles`, bit for bit those of
     a pass over that size's rows alone, however the rows arrive in blocks.
+    A seed outside ``[0, 2**128)`` raises ``InvalidInput`` before any row
+    is read.
     """
     blocks, available = samples, math.inf
     if isinstance(samples, np.ndarray):

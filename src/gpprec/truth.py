@@ -13,8 +13,8 @@ Three model families are provided at desk scale:
   smoothness values.  Included for realism; the screening decay weakens
   near the boundary for this family, so no hard guarantee depends on it.
 
-Sampling uses the Philox counter-based generator keyed by a 64-bit seed,
-so experiments are bit-reproducible across platforms.  A draw is made
+Sampling uses the Philox counter-based generator keyed by a seed in
+``[0, 2**128)``, so experiments are bit-reproducible across platforms.  A draw is made
 one row block at a time, by a block size that depends on the truth's
 dimension alone: :func:`sample_blocks` streams the blocks through one
 buffer, and :func:`sample` stacks them.  The normals come
@@ -37,6 +37,7 @@ from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
+    _philox,
     cholesky_lower,
     reverse_cholesky,
     spd_inverse,
@@ -266,12 +267,15 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
 
     This family corresponds to whole-space models; conditional correlations
     decay more slowly near the boundary, so it is tagged as a demo model.
+    A cloud of more than ``MAX_VERTICES`` sites raises ``CapacityExceeded``
+    before any distance is taken.
     """
     if nu not in _MATERN_NUS:
         raise InvalidInput(f"nu must be one of {_MATERN_NUS}, got {nu}")
     if rho <= 0 or sigma2 <= 0:
         raise InvalidInput("rho and sigma2 must be positive")
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
+    _check_capacity(sites.shape[0], MAX_VERTICES)
     r = cdist(sites, sites)
     if nu == 0.5:
         k = np.exp(-r / rho)
@@ -298,12 +302,12 @@ def _draw_rows(dim: int) -> int:
     return max(1, _DRAW_BLOCK_ELEMENTS // dim, dim // 4)
 
 
-def _draw(truth: GroundTruth, n: int, seed: int, out: np.ndarray):
+def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray):
     """The ``n`` rows of a draw, one row block at a time: fill a block, yield it.
 
     ``out`` holds all ``n`` rows, and each block is its own rows of it, or
     holds one block's rows, which every block overwrites in turn.  A block
-    is the next rows of the Philox stream keyed by ``seed``, written in
+    is the next rows of ``rng``, the seed's Philox stream, written in
     place (``standard_normal(out=...)``), times ``L^T`` in place by one
     triangular BLAS product (``dtrmm``), ``L = truth.sigma_factor``.
     ``dtrmm`` reads its factor in place only in Fortran order: a C-ordered
@@ -315,7 +319,6 @@ def _draw(truth: GroundTruth, n: int, seed: int, out: np.ndarray):
         operand, lower, trans_a = factor, 1, 0
     else:
         operand, lower, trans_a = factor.T, 0, 1
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     step = _draw_rows(truth.dim)
     whole = out.shape[0] == n
     for lo in range(0, n, step):
@@ -343,11 +346,12 @@ def sample_blocks(truth: GroundTruth, n: int, seed: int):
     next: a reader keeps what it needs of a block before it takes the
     next, and no ``(n, dim)`` array is held.  The rows per block come from
     ``truth.dim`` alone (about 4 MiB of entries, and at least ``dim / 4``
-    rows).  ``n < 1`` raises ``InvalidInput`` here, before any draw.
+    rows).  ``n < 1``, or a seed outside ``[0, 2**128)``, raises
+    ``InvalidInput`` here, before any draw.
     """
     _check_count(n)
     buffer = np.empty((min(_draw_rows(truth.dim), n), truth.dim))
-    return _draw(truth, n, seed, buffer)
+    return _draw(truth, n, _philox(seed), buffer)
 
 
 def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
@@ -368,11 +372,12 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     for bit for any ``n <= N``, across block edges.  So are the products,
     but in the block that holds row ``n - 1`` when ``n`` ends inside it:
     ``dtrmm`` over that block's rows may round a few rows differently
-    from ``dtrmm`` over its first ``n - lo`` rows.
+    from ``dtrmm`` over its first ``n - lo`` rows.  ``n < 1``, or a seed
+    outside ``[0, 2**128)``, raises ``InvalidInput``.
     """
     _check_count(n)
     out = np.empty((n, truth.dim))
-    for _ in _draw(truth, n, seed, out):
+    for _ in _draw(truth, n, _philox(seed), out):
         pass
     return out
 

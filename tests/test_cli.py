@@ -361,8 +361,13 @@ class TestEstimate:
             (["estimate", "--model", "matern", "--d", "2", "--b", "-1"], "b must be"),
             (["scaling-study", "--p-list", "8,8"], "p_list must be"),
             (["estimate", "--n", "200,200"], "n must be"),
+            # Philox keys lie in [0, 2**128): a seed above it, and one whose
+            # padding seed, seed + _PAD_SEED, is above it.
+            (["estimate", "--seeds", str(2**128)], "seeds must be"),
+            (["estimate", "--scattered", "--seeds", str(2**128 - 1)], "seeds must be"),
+            (["simulate", "--seeds", f"0,{2**128 - cli._PAD_SEED}"], "seeds must be"),
         ],
-        ids=[f"argv{i}" for i in range(7)],
+        ids=[f"argv{i}" for i in range(10)],
     )
     def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv, message):
         def forbidden(cfg):
@@ -371,6 +376,32 @@ class TestEstimate:
         monkeypatch.setattr(cli, "_build_truth", forbidden)
         assert run_cli(*argv, "--p", "6") == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_largest_seed_runs(self, tmp_path):
+        # Its padding seed is 2**128 - 1, the largest Philox key.
+        seed = str(2**128 - 1 - cli._PAD_SEED)
+        argv = ONE_DRAW_CONFIGS["scattered"] + ["--n", "300", "--seeds", seed]
+        assert run_cli("estimate", *argv, "--out", str(tmp_path / "rows.csv")) == 0
+        assert csv_rows(tmp_path / "rows.csv")[0][6] == seed
+
+    @pytest.mark.parametrize(
+        "argv, vertices",
+        [
+            (["--model", "matern", "--d", "2", "--p", "70"], 70**2),
+            # Green's truth is built on the fine grid of side 4 (p + 1) - 1.
+            (["--model", "green", "--d", "2", "--p", "300"], 1203**2),
+            (["--model", "green", "--d", "1", "--p", "1024", "--scattered"], 4099),
+        ],
+    )
+    def test_oversized_truth_refused_before_sites(self, monkeypatch, capsys, argv, vertices):
+        def forbidden(p, d, snap_fine_m):
+            raise AssertionError("site cloud built for a truth above the cap")
+
+        monkeypatch.setattr(cli, "_jittered_grid", forbidden)
+        assert run_cli("estimate", *argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: problem has {vertices} vertices, above the cap of 4096\n"
+        )
 
     def test_row_error_recorded_and_nonzero_exit(self, capsys):
         # N far below the variable count breaks every scale of the factor
@@ -450,6 +481,14 @@ class TestOneDrawPerSeed:
         assert [(row[5], row[6]) for row in csv_rows(out)] == [
             ("1000", "0"), ("1000", "1"), ("2000", "0"), ("2000", "1"),
         ]
+
+    @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
+    def test_each_size_planned_once_per_run(self, monkeypatch, capsys, kind):
+        # The data-free refusals are made once per size, not once per row.
+        plans = [spy(monkeypatch, "plan_estimate"), spy(monkeypatch, "plan_scales")]
+        argv = ONE_DRAW_CONFIGS[kind] + ["--n", "1000,2000", "--seeds", "0,1"]
+        assert run_cli("estimate", *argv) == 0
+        assert sorted(args[1] for args in plans[0] + plans[1]) == [1000, 2000]
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_rows_match_single_size_runs(self, tmp_path, kind):

@@ -1,16 +1,19 @@
 """Every import and every private module-level name in the package is used by the package.
 
-The package exports exactly what its re-exported modules export, and every
-exported name exists.
+The package exports exactly what its re-exported modules export, every
+exported name exists, and README names every command-line option.
 """
 
+import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import gpprec
+from gpprec import cli
 
 PACKAGE = Path(gpprec.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -104,3 +107,18 @@ def test_every_exported_name_exists(path):
     name = "gpprec" if path.name == "__init__.py" else f"gpprec.{path.stem}"
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_readme_names_every_cli_option():
+    # Every option of every subcommand is documented, as `--name` in README.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    assert sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme)) == []

@@ -16,7 +16,8 @@ from gpprec.linalg import (
     spectral_norm,
     symmetrize,
 )
-from gpprec.matching import measure_cloud
+from gpprec.estimator import EstimatorConfig
+from gpprec.matching import build_embedding, measure_cloud, padded_tiles
 from gpprec.truth import (
     build_green_restriction,
     build_lattice_precision,
@@ -205,6 +206,16 @@ class TestCovarianceTruthNorms:
         assert np.array_equal(truth.omega, spd_inverse(truth.covariance))
         assert np.array_equal(first, sample(dataclasses.replace(truth), 50, seed=2))
         assert len(calls) == 2
+
+    def test_matern_above_cap_refused_before_distances(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("distances taken for a cloud above the cap")
+
+        monkeypatch.setattr(truth_module, "cdist", forbidden)
+        m = truth_module.MAX_VERTICES + 1
+        cloud = measure_cloud((np.arange(m) + 0.5) / m, 1)
+        with pytest.raises(CapacityExceeded, match=f"{m} vertices"):
+            matern_covariance(cloud, nu=1.5, rho=0.3, sigma2=1.0)
 
     def test_ill_conditioned_covariance_rejected(self):
         # Every Cholesky pivot of this covariance passes, but kappa is
@@ -425,6 +436,19 @@ class TestSampleBlocks:
     def test_nonpositive_count_rejected_at_call(self):
         with pytest.raises(InvalidInput):
             sample_blocks(build_lattice_precision(4, 1, 1), 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_range_rejected_at_call(self, seed):
+        # Philox keys lie in [0, 2**128); numpy raises ValueError outside it.
+        truth = build_lattice_precision(4, 1, 1)
+        with pytest.raises(InvalidInput, match="seed must lie in"):
+            sample(truth, 3, seed)
+        with pytest.raises(InvalidInput, match="seed must lie in"):
+            sample_blocks(truth, 3, seed)
+        embedding, _ = build_embedding(measure_cloud((np.arange(4) + 0.5) / 4, 1), c1=0.5)
+        with pytest.raises(InvalidInput, match="seed must lie in"):
+            padded_tiles(np.zeros((50, 4)), embedding, seed, EstimatorConfig(b_override=1), [50])
+        assert sample(truth, 3, 2**128 - 1).shape == (3, 4)
 
     @pytest.mark.parametrize("model", ["laplacian", "matern"])
     def test_factor_reaches_dtrmm_in_fortran_order(self, monkeypatch, model):
