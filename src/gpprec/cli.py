@@ -30,20 +30,22 @@ read row prefixes of one sample array (``truth.sample``).  Scattered
 precision rows and factor rows hold no ``(N, sites)`` array: the pass
 streams the draw one row block at a time (``truth.sample_blocks``) into
 the source of every passing size.  On scattered runs the source is the
-band tiles of the padded rows (``matching.padded_tiles``, then
-``matching.estimate_padded``); on factor runs it is the sample covariance
-in maximin order (``cholesky.scale_covariances``, then
-``cholesky.estimate_scales``).  Rows ``[0, N)`` of the draw and of the
-padding stream are the same at every N, so every row's source is that of
-a pass over its own rows.  ``simulate`` writes the same sample prefixes,
-the stacked blocks; for factor runs it writes the truth and the samples
-in maximin order, with the ordering.  The largest-N rows, and every row
-of a single-N run, equal a run at that N alone byte for byte; a
-smaller-N row matches one to roundoff, as the triangular product of the
-draw block holding its last row, over more rows, rounds a few rows
-differently.  ``wall_ms`` counts a row's estimate and error, and the
-seed's pass in the seed's first passing row; the plan, made once per
-run, is in no row's time.
+band tiles of the padded rows (``matching.padded_tiles``); on factor
+runs it is the sample covariance in maximin order
+(``cholesky.scale_covariances``, then ``cholesky.estimate_scales``).
+Lattice and scattered precision rows take one estimate step,
+``estimator.estimate_precision`` on their source; a scattered row keeps
+the site block of its padded lattice's estimate.  Rows ``[0, N)`` of the
+draw and of the padding stream are the same at every N, so every row's
+source is that of a pass over its own rows.  ``simulate`` writes the
+same sample prefixes, the stacked blocks; for factor runs it writes the
+truth and the samples in maximin order, with the ordering.  The
+largest-N rows, and every row of a single-N run, equal a run at that N
+alone byte for byte; a smaller-N row matches one to roundoff, as the
+triangular product of the draw block holding its last row, over more
+rows, rounds a few rows differently.  ``wall_ms`` counts a row's
+estimate and error, and the seed's pass in the seed's first passing row;
+the plan, made once per run, is in no row's time.
 
 CSV schema (version 1): one comment line ``# gpprec-csv v1``, a header
 row, then one row per (configuration point, seed) with the columns
@@ -104,7 +106,7 @@ from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
 from .linalg import spectral_norm
-from .matching import build_embedding, estimate_padded, measure_cloud, padded_tiles
+from .matching import build_embedding, measure_cloud, padded_tiles
 from .truth import (
     MAX_VERTICES,
     _check_capacity,
@@ -230,6 +232,9 @@ def _validate_config(cfg):
         raise InvalidInput(f"seeds must be below 2**128 - {_PAD_SEED}, got {max(seeds)}")
     if not 0.0 < cfg["c1"] < 1.0:
         raise InvalidInput(f"c1 must lie in (0, 1), got {cfg['c1']}")
+    if cfg["scattered"] and cfg["factor"] != "precision":
+        # Factor rows are estimated on the cloud in maximin order, never padded.
+        raise InvalidInput(f"--scattered applies to precision rows, not --factor {cfg['factor']}")
     p_list = cfg.get("p_list")
     if p_list and (len(set(p_list)) != len(p_list) or min(p_list) < 1):
         raise InvalidInput(f"p_list must be a list of distinct positive sides, got {p_list}")
@@ -336,10 +341,12 @@ def _route(cfg, truth, cloud):
     ``sizes``, and maps each size to its rows' source: row prefixes of one
     sample array on lattice precision runs, the band tiles of the padded
     rows on scattered runs, and the sample covariance in maximin order on
-    factor runs; the last two stream the draw.  ``estimate(source, seed)``
-    returns ``(estimate, b, path, rel_spectral_error)``.  The factor
-    context and the site embedding are built here, once per run; a refused
-    matching refuses every size.
+    factor runs; the last two stream the draw.  ``estimate(source)``
+    returns ``(estimate, b, path, rel_spectral_error)``.  Lattice and
+    scattered precision rows share one estimate: ``estimate_precision`` on
+    the source, then, when the variables are sites, the site block.  The
+    factor context and the site embedding are built here, once per run; a
+    refused matching refuses every size.
     """
     est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
     factor = cfg["factor"]
@@ -355,23 +362,21 @@ def _route(cfg, truth, cloud):
             blocks = sample_blocks(truth_mm, max(sizes), seed)
             return scale_covariances(blocks, levels, est_cfg, sizes)
 
-        def estimate(source, seed):
+        def estimate(source):
             u_hat = assemble(estimate_scales(source, levels, est_cfg, d=cfg["d"]))
             return u_hat, 0, "multiscale", _factor_error(u_hat, exact, truth_mm)
 
         return plan, one_pass, estimate
+    # A lattice row's variables are all its nodes, a scattered row's the matched ones.
     if not _on_sites(cfg):
-        shape = truth.geometry
+        shape, site_block = truth.geometry, np.s_[:]
 
         def one_pass(seed, sizes):
             z = sample(truth, max(sizes), seed)
             return {n: z[:n] for n in sizes}
-
-        def fit(source, seed):
-            return estimate_precision(source, shape, est_cfg)
     else:
         try:
-            lattice, attempts = build_embedding(cloud, c1=cfg["c1"])
+            lattice, _ = build_embedding(cloud, c1=cfg["c1"])
         except _ERRORS as exc:
             refused = exc
 
@@ -379,22 +384,21 @@ def _route(cfg, truth, cloud):
                 raise refused
 
             return plan, None, None
-        shape = lattice.shape
+        nodes = lattice.node_of_site
+        shape, site_block = lattice.shape, np.ix_(nodes, nodes)
 
         def one_pass(seed, sizes):
             blocks = sample_blocks(truth, max(sizes), seed)
             return padded_tiles(blocks, lattice, _PAD_SEED + seed, est_cfg, sizes)
 
-        def fit(source, seed):
-            return estimate_padded(source, lattice, est_cfg, _PAD_SEED + seed, attempts)
-
     def plan(n):
         plan_estimate(shape, n, est_cfg)
 
-    def estimate(source, seed):
-        est = fit(source, seed)
-        err = spectral_norm(est.matrix - truth.omega) / truth.omega_norm
-        return est.matrix, est.b or 0, est.path, err
+    def estimate(source):
+        est = estimate_precision(source, shape, est_cfg)
+        matrix = est.matrix[site_block]
+        err = spectral_norm(matrix - truth.omega) / truth.omega_norm
+        return matrix, est.b or 0, est.path, err
 
     return plan, one_pass, estimate
 
@@ -450,7 +454,7 @@ def _point_rows(cfg):
                 try:
                     if sources is None:
                         sources = one_pass(seed, sizes)
-                    matrix, b, path, err = estimate(sources[n], seed)
+                    matrix, b, path, err = estimate(sources[n])
                 except _ERRORS as exc:
                     error = type(exc).__name__
             wall_ms = (time.perf_counter() - started) * 1000.0 if cfg["timing"] else 0.0

@@ -101,8 +101,8 @@ class EstimatorConfig:
     kappa_hint: float | None = None
 
     def __post_init__(self):
-        if self.kappa_hint is not None and self.kappa_hint < 1.0:
-            raise InvalidInput(f"kappa_hint must be at least 1, got {self.kappa_hint}")
+        if self.kappa_hint is not None and not 1.0 <= self.kappa_hint < math.inf:
+            raise InvalidInput(f"kappa_hint must be finite and at least 1, got {self.kappa_hint}")
         if self.b_override is not None and self.b_override < 1:
             raise InvalidInput(f"b_override must be at least 1, got {self.b_override}")
 
@@ -156,8 +156,8 @@ def choose_block_size(n: int, kappa: float) -> int:
     """Block width ``ceil(log(n * kappa))``, floored at 1."""
     if n < 1:
         raise InvalidInput(f"sample count must be positive, got {n}")
-    if kappa < 1.0:
-        raise InvalidInput(f"kappa must be at least 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise InvalidInput(f"kappa must be finite and at least 1, got {kappa}")
     return max(1, math.ceil(math.log(n * kappa)))
 
 

@@ -68,10 +68,13 @@ def maximin_order(cloud) -> MaximinOrdering:
 class LevelPartition:
     """Contiguous grouping of the maximin order into dyadic scales.
 
-    Level ``k`` holds the positions whose selection distance lies in
-    ``(scale0 * 2^-k, scale0 * 2^-(k-1)]`` where ``scale0 = ell[0]``.
-    ``offsets`` has length ``q + 1``; level ``k`` (1-based) is the slice
-    ``offsets[k-1]:offsets[k]`` of the ordering.
+    Each level holds the positions whose selection distance lies in one
+    dyadic band ``(scale0 * 2^-j, scale0 * 2^-(j-1)]``, ``scale0 =
+    ell[0]``, and the nonempty bands are the levels ``1..q`` in order, so
+    no level is empty: level ``k`` is band ``k`` unless a distance drops
+    4x or more in one step, skipping a band.  ``offsets`` has length
+    ``q + 1``; level ``k`` (1-based) is the slice ``offsets[k-1]:offsets[k]``
+    of the ordering.
     """
 
     q: int
@@ -110,10 +113,10 @@ class LevelPartition:
 def assign_levels(ordering: MaximinOrdering) -> LevelPartition:
     """Group the ordering into levels by halving distance thresholds.
 
-    Position ``i`` lands at level ``floor(log2(scale0 / ell[i])) + 1``
-    clamped to ``[1, q]``, with ``q`` set by the final (smallest) distance.
-    The first position is always level 1 and levels are contiguous because
-    the distances are nonincreasing.
+    Position ``i`` lands in band ``floor(log2(scale0 / ell[i])) + 1``, and
+    the nonempty bands, in order, are the levels.  The first position is
+    always level 1 and levels are contiguous because the distances are
+    nonincreasing.
     """
     ell = ordering.ell
     if ell.size == 0:
@@ -127,6 +130,7 @@ def assign_levels(ordering: MaximinOrdering) -> LevelPartition:
     level_of = np.clip(raw, 1, q)
     if np.any(np.diff(level_of) < 0):
         raise InvalidInput("levels are not contiguous; ell must be nonincreasing")
-    counts = np.bincount(level_of, minlength=q + 1)[1:]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return LevelPartition(q=q, offsets=offsets, level_of=level_of)
+    # A distance that drops 4x or more in one step skips a dyadic band, which
+    # would leave its level empty; the nonempty bands are numbered in order.
+    counts = np.bincount(level_of)[1:]
+    return LevelPartition.from_sizes(counts[counts > 0])

@@ -11,11 +11,15 @@ it is not site-perfect, the raised error carries a Hall violator as an
 explanation.
 
 Samples on the sites are then padded with independent unit normals on the
-unmatched nodes, the lattice estimator runs on the padded problem, and the
-site block of its output is permuted back.  The estimator reads only
-second moments inside its windows, so :func:`padded_tiles` pads the rows
-one block at a time into one reused buffer and streams them into the
-estimator's band tiles; the padded ``(N, lattice)`` array is never formed.
+unmatched nodes, and the padded rows are lattice rows: their estimate is
+:func:`~gpprec.estimator.estimate_precision` on the embedding's lattice,
+and its site block ``matrix[np.ix_(nodes, nodes)]``, with ``nodes =
+node_of_site``, is the estimate in the cloud's site order
+(:func:`embed_and_estimate` makes all of it in one call).  The estimator
+reads only second moments inside its windows, so :func:`padded_tiles`
+pads the rows one block at a time into one reused buffer and streams them
+into the estimator's band tiles; the padded ``(N, lattice)`` array is
+never formed.
 The site rows may themselves arrive as a stream of row blocks, such as a
 draw from :func:`~gpprec.truth.sample_blocks`, so the ``(N, sites)``
 samples need not be formed either.
@@ -24,7 +28,8 @@ every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
 whole.  So one padded pass to a seed's largest sample size gives the band
 tiles of every smaller size as well, each bit for bit as its own pass
-would (:func:`estimate_padded` takes such tiles in place of samples).
+would; :func:`~gpprec.estimator.estimate_precision` takes such tiles in
+place of samples.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -40,8 +45,8 @@ from scipy.spatial import cKDTree
 
 from .errors import CapacityExceeded, InvalidInput, NoMatching
 from .estimator import (
-    BandTiles,
     EstimatorConfig,
+    PrecisionEstimate,
     _band_tiles,
     _scheme,
     estimate_precision,
@@ -53,13 +58,11 @@ from .linalg import _philox
 __all__ = [
     "SiteCloud",
     "LatticeEmbedding",
-    "ScatteredEstimate",
     "measure_cloud",
     "build_target_lattice",
     "perfect_matching",
     "build_embedding",
     "padded_tiles",
-    "estimate_padded",
     "embed_and_estimate",
 ]
 
@@ -108,18 +111,6 @@ class LatticeEmbedding:
     node_of_site: np.ndarray
     displacement: float
     c1: float
-
-
-@dataclass(frozen=True)
-class ScatteredEstimate:
-    """Precision estimate over the original site order, plus reproducibility metadata."""
-
-    matrix: np.ndarray
-    embedding: LatticeEmbedding
-    b: int | None
-    path: str
-    seed: int
-    attempts: int
 
 
 def _boundary_distance(sites: np.ndarray) -> np.ndarray:
@@ -392,61 +383,32 @@ def padded_tiles(
     return _band_tiles(_padded_blocks(blocks, embedding, seed, max(schemes)), schemes)
 
 
-def estimate_padded(
-    samples,
-    embedding: LatticeEmbedding,
-    config: EstimatorConfig | None,
-    seed: int,
-    attempts: int,
-) -> ScatteredEstimate:
-    """Site-block precision estimate from site samples padded onto ``embedding``.
-
-    ``samples`` holds one column per site, or is the
-    :class:`~gpprec.estimator.BandTiles` that :func:`padded_tiles` made of
-    them with the same ``seed`` and ``config``, which lets the sizes of
-    one draw share one padded pass.  Each row is padded with unit normals
-    on the unmatched nodes, drawn from ``seed``; the padded
-    ``(N, lattice)`` array is never formed.  The padding of row ``i``
-    depends only on ``seed`` and ``i``, so a row prefix of the samples is
-    padded as the prefix of the whole.  The lattice precision is estimated
-    and its site block is permuted back to the original site order.
-    ``seed`` and ``attempts`` are the padding seed and the matching
-    attempts, kept in the result so runs are reproducible.
-    """
-    tiles = samples
-    if not isinstance(samples, BandTiles):
-        z = _site_samples(samples, embedding)
-        tiles = padded_tiles(z, embedding, seed, config, [z.shape[0]])[z.shape[0]]
-    estimate = estimate_precision(tiles, embedding.shape, config)
-    nodes = embedding.node_of_site
-    return ScatteredEstimate(
-        matrix=estimate.matrix[np.ix_(nodes, nodes)],
-        embedding=embedding,
-        b=estimate.b,
-        path=estimate.path,
-        seed=seed,
-        attempts=attempts,
-    )
-
-
 def embed_and_estimate(
     samples,
     cloud: SiteCloud,
     config: EstimatorConfig | None = None,
     seed: int = 0,
     c1: float = DEFAULT_C1,
-) -> ScatteredEstimate:
+) -> PrecisionEstimate:
     """Precision estimate on scattered sites through the lattice reduction.
 
-    Matches the cloud into a lattice (:func:`build_embedding`) and
-    estimates the site block (:func:`estimate_padded`), which pads each
-    observation with independent unit normals on the unmatched lattice
-    nodes, drawn from ``seed``, as it streams the rows to the estimator.
+    Matches the cloud into a lattice (:func:`build_embedding`), pads each
+    observation with independent unit normals on the unmatched nodes,
+    drawn from ``seed``, as it streams the rows into the band tiles
+    (:func:`padded_tiles`), estimates the lattice precision
+    (:func:`~gpprec.estimator.estimate_precision`) and keeps its site
+    block, in the cloud's site order.  The ``scheme``, ``b`` and ``path``
+    are those of the padded lattice's estimate.
     """
     z = np.asarray(samples, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != cloud.m:
         raise InvalidInput(
             f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
         )
-    embedding, attempts = build_embedding(cloud, c1=c1)
-    return estimate_padded(z, embedding, config, seed=seed, attempts=attempts)
+    embedding, _ = build_embedding(cloud, c1=c1)
+    n = z.shape[0]
+    estimate = estimate_precision(
+        padded_tiles(z, embedding, seed, config, [n])[n], embedding.shape, config
+    )
+    nodes = embedding.node_of_site
+    return replace(estimate, matrix=estimate.matrix[np.ix_(nodes, nodes)])

@@ -143,16 +143,13 @@ def parse_ordering(text: str):
         raise InvalidInput(f"ordering indices must be a permutation of 0..{m - 1}")
     if not (np.all(ell > 0) and np.all(np.diff(ell) <= 0)):
         raise InvalidInput("selection distances must be positive and nonincreasing")
-    # assign_levels puts the first position at level 1 and the last at q;
-    # a level in between is empty where a distance halves twice in one step.
+    # assign_levels numbers the nonempty dyadic bands 1..q in order, from
+    # level 1 at the first position to q at the last; from_sizes refuses a
+    # level left empty in between.
     if level_of[0] != 1 or level_of[-1] != q or np.any(np.diff(level_of) < 0):
         raise InvalidInput(f"levels must be nondecreasing from 1 at the first position to {q}")
-    counts = np.bincount(level_of, minlength=q + 1)[1:]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return (
-        MaximinOrdering(perm=perm, ell=ell),
-        LevelPartition(q=q, offsets=offsets, level_of=level_of),
-    )
+    levels = LevelPartition.from_sizes(np.bincount(level_of)[1:])
+    return MaximinOrdering(perm=perm, ell=ell), levels
 
 
 def format_factor(u, levels: LevelPartition, d: int) -> str:

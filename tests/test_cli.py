@@ -366,8 +366,11 @@ class TestEstimate:
             (["estimate", "--seeds", str(2**128)], "seeds must be"),
             (["estimate", "--scattered", "--seeds", str(2**128 - 1)], "seeds must be"),
             (["simulate", "--seeds", f"0,{2**128 - cli._PAD_SEED}"], "seeds must be"),
+            # Factor rows never pad, so they cannot honour --scattered.
+            (["estimate", "--factor", "cholesky", "--scattered"], "--scattered applies"),
+            (["simulate", "--factor", "cholesky-star", "--scattered"], "--scattered applies"),
         ],
-        ids=[f"argv{i}" for i in range(10)],
+        ids=[f"argv{i}" for i in range(12)],
     )
     def test_negative_seed_rejected_before_truth(self, monkeypatch, capsys, argv, message):
         def forbidden(cfg):
@@ -415,6 +418,20 @@ class TestEstimate:
         assert row[12] == "NotPositiveDefinite"
         assert row[9] == "nan"
 
+    @pytest.mark.parametrize("factor", ["cholesky", "cholesky-star"])
+    def test_factor_rows_run_where_a_dyadic_band_is_skipped(self, capsys, factor):
+        # The three jittered Matern sites' selection distances skip a dyadic
+        # band.  The skipped band gets no level, so every scale has sites and
+        # both factor routes run.
+        code = run_cli(
+            "estimate", "--factor", factor, "--model", "matern", "--d", "1", "--p", "3",
+            "--n", "100", "--seeds", "0,1",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(row[8], row[12]) for row in rows] == [("multiscale", "")] * 2
+        assert all(0.0 < float(row[9]) < 1.0 for row in rows)
+
 
 def spy(monkeypatch, name):
     """Record the positional arguments of every call of ``cli.<name>``."""
@@ -457,7 +474,7 @@ class TestOneDrawPerSeed:
         streams = spy(monkeypatch, "sample_blocks")
         passes = spy(monkeypatch, "padded_tiles")
         covariances = spy(monkeypatch, "scale_covariances")
-        padded_rows = spy(monkeypatch, "estimate_padded")
+        precision_rows = spy(monkeypatch, "estimate_precision")
         scale_rows = spy(monkeypatch, "estimate_scales")
         embeddings = spy(monkeypatch, "build_embedding")
         out = tmp_path / "rows.csv"
@@ -473,8 +490,11 @@ class TestOneDrawPerSeed:
         assert [(args[2], args[4]) for args in passes] == (want if scattered else [])
         want = [[1000, 2000]] * 2 if kind == "factor" else []
         assert [args[3] for args in covariances] == want
-        want = [(n, cli._PAD_SEED + seed) for seed in (0, 1) for n in (2000, 1000)]
-        assert [(args[0].n, args[3]) for args in padded_rows] == (want if scattered else [])
+        # Lattice rows estimate from prefixes of the sample array, scattered
+        # rows from their padded tiles.
+        read = [len(args[0]) if kind == "lattice" else args[0].n for args in precision_rows]
+        want = [n for _ in (0, 1) for n in (2000, 1000)] if kind != "factor" else []
+        assert read == want
         want = [n for _ in (0, 1) for n in (2000, 1000)] if kind == "factor" else []
         assert [args[0].n for args in scale_rows] == want
         assert len(embeddings) == (1 if scattered else 0)

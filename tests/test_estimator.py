@@ -72,6 +72,15 @@ class TestChooseBlockSize:
         with pytest.raises(InvalidInput):
             choose_block_size(10, 0.5)
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf"), 0.5])
+    def test_rejects_kappa_not_finite_or_below_one(self, kappa):
+        # A NaN or infinite kappa has no width ceil(log(n * kappa)), so it
+        # is refused as bad input, not left to math.ceil to raise.
+        with pytest.raises(InvalidInput, match="finite and at least 1"):
+            choose_block_size(10, kappa)
+        with pytest.raises(InvalidInput, match="finite and at least 1"):
+            EstimatorConfig(kappa_hint=kappa)
+
 
 class TestLocalEstimate:
     """Local window blocks: the oracle's population blocks against the truth."""

@@ -80,6 +80,18 @@ class TestAssignLevels:
         np.testing.assert_array_equal(levels.level_of, [1, 1, 2, 3])
         np.testing.assert_array_equal(levels.sizes(), [2, 1, 1])
 
+    def test_skipped_band_leaves_no_empty_level(self):
+        # ell = (0.5, 0.1): the distance drops 5x, past the band (0.125,
+        # 0.25], so the two nonempty bands are levels 1 and 2, not 1 and 3
+        # with an empty level 2.
+        from gpprec.hierarchy import MaximinOrdering
+
+        ordering = MaximinOrdering(perm=np.arange(2), ell=np.array([0.5, 0.1]))
+        levels = assign_levels(ordering)
+        assert levels.q == 2
+        np.testing.assert_array_equal(levels.level_of, [1, 2])
+        np.testing.assert_array_equal(levels.sizes(), [1, 1])
+
     def test_dyadic_levels(self):
         cloud = dyadic_cloud(4)
         levels = assign_levels(maximin_order(cloud))

@@ -122,3 +122,95 @@ def test_readme_names_every_cli_option():
     }
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     assert sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme)) == []
+
+
+# Stale references: every name the docs give the package must still exist.
+PACKAGE_MODULES = sorted(p.stem for p in MODULES if p.stem not in ("__init__", "__main__"))
+ROLE = re.compile(r":(?:func|class|meth):`~?([\w.]+)`")
+SPAN = re.compile(r"`+([^`]+)`+")
+# ``module.name``, ``gpprec.module.name`` or ``gpprec.module``, maybe with call arguments.
+DOTTED = re.compile(
+    r"(?:gpprec\.)?(%s)((?:\.\w+)+)(?:\(.*\))?|gpprec\.(\w+)" % "|".join(PACKAGE_MODULES)
+)
+README = (PACKAGE.parents[1] / "README.md").read_text()
+
+
+def resolves(module_name, dotted):
+    """Whether the attribute path ``dotted`` exists on the module ``module_name``."""
+    target = importlib.import_module(module_name)
+    for part in dotted.split("."):
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def docstrings():
+    """``(module name, docstring, parameter names)`` of every docstring in the package."""
+    for path in MODULES:
+        if path.name == "__main__.py":
+            continue  # importing it would run the command line
+        module = "gpprec" if path.name == "__init__.py" else f"gpprec.{path.stem}"
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    params = set()
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+                    yield module, doc, params
+
+
+def dotted_literals(text, params=frozenset()):
+    """``(module name, attribute path)`` of each backquoted package reference in ``text``.
+
+    A bare ``truth.dim`` whose head is one of ``params`` names an
+    argument's attribute, not a module's, and is skipped.
+    """
+    for span in SPAN.finditer(text):
+        literal = span.group(1).strip()
+        match = DOTTED.fullmatch(literal)
+        if match is None:
+            continue
+        if match.group(3):
+            yield "gpprec", match.group(3)
+        elif literal.startswith("gpprec.") or match.group(1) not in params:
+            yield f"gpprec.{match.group(1)}", match.group(2)[1:]
+
+
+def test_docstring_roles_name_existing_attributes():
+    # A role's target is absolute (``gpprec.truth.sample_blocks``) or
+    # relative to the module whose docstring holds it.
+    stale = []
+    for module, doc, _ in docstrings():
+        for target in ROLE.findall(doc):
+            home, path = module, target
+            if target.startswith("gpprec."):
+                head, _, path = target[len("gpprec."):].partition(".")
+                home = f"gpprec.{head}"
+            if not resolves(home, path):
+                stale.append(f"{module}: {target}")
+    assert stale == []
+
+
+def test_module_name_literals_name_existing_attributes():
+    # ``matching.padded_tiles`` in README or a docstring names a function
+    # that exists, so a deleted function leaves no such reference behind.
+    literals = [("README", ref) for ref in dotted_literals(README)]
+    assert literals, "README names no module.name; the pattern has gone stale"
+    literals += [(m, ref) for m, doc, params in docstrings() for ref in dotted_literals(doc, params)]
+    stale = [
+        f"{where}: {module}.{path}"
+        for where, (module, path) in literals
+        if not resolves(module, path)
+    ]
+    assert stale == []
+
+
+def test_readme_names_only_what_the_package_holds():
+    # A backquoted snake_case name in README (a function, a field, a
+    # config key or a suite) is a word of the package's source, so a
+    # deleted function's bare name cannot linger there.
+    words = set(re.findall(r"\w+", "\n".join(path.read_text() for path in MODULES)))
+    names = set(re.findall(r"`([a-z]\w*_\w*)(?:\([^`]*\))?`", README))
+    assert sorted(names - words) == []

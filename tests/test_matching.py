@@ -19,7 +19,6 @@ from gpprec.matching import (
     build_embedding,
     build_target_lattice,
     embed_and_estimate,
-    estimate_padded,
     measure_cloud,
     padded_tiles,
     perfect_matching,
@@ -299,22 +298,23 @@ class TestEmbedAndEstimate:
         # Seeds 40..44 realize errors of at most 0.16 at N=3000.
         assert max(errs) <= 0.3
 
-    def test_embed_and_estimate_is_pad_then_estimate_padded(self, rng):
-        # embed_and_estimate is build_embedding, then estimate_padded on the
-        # same site samples.  300 padded rows fit one row block, so the
-        # streamed estimate is also the estimate of the padded array the
-        # oracle writes column by column, bit for bit.
+    def test_embed_and_estimate_is_site_block_of_padded_tiles(self, rng):
+        # embed_and_estimate is build_embedding, then estimate_precision on
+        # the padded tiles of the same site samples, then the site block.
+        # 300 padded rows fit one row block, so the streamed estimate is
+        # also the estimate of the padded array the oracle writes column by
+        # column, bit for bit.
         cloud = measure_cloud(perturbed_grid(30, 1, 0.25, seed=3), 1)
         z = rng.standard_normal((300, cloud.m))
         cfg = EstimatorConfig(b_override=3)
         got = embed_and_estimate(z, cloud, cfg, seed=9)
-        embedding, attempts = build_embedding(cloud)
+        embedding, _ = build_embedding(cloud)
         assert 300 <= block_rows(embedding)
-        want = estimate_padded(z, embedding, cfg, 9, attempts)
-        assert np.array_equal(got.matrix, want.matrix)
-        assert (got.b, got.path, got.seed, got.attempts) == (3, "blockwise", 9, attempts)
-        assert np.array_equal(got.embedding.node_of_site, want.embedding.node_of_site)
         nodes = embedding.node_of_site
+        tiles = padded_tiles(z, embedding, 9, cfg, [300])[300]
+        want = estimate_precision(tiles, embedding.shape, cfg)
+        assert np.array_equal(got.matrix, want.matrix[np.ix_(nodes, nodes)])
+        assert (got.scheme, got.b, got.path) == (want.scheme, 3, "blockwise")
         padded = estimate_precision(padded_samples(z, embedding, 9), embedding.shape, cfg)
         assert np.array_equal(got.matrix, padded.matrix[np.ix_(nodes, nodes)])
 
@@ -483,8 +483,9 @@ class TestEmbedAndEstimate:
             alone = padded_tiles(z[:n], embedding, 77, cfg, [n])[n]
             assert (shared[n].n, shared[n].scheme) == (n, alone.scheme)
             assert np.array_equal(shared[n].dense(), alone.dense())
-            want = estimate_padded(z[:n], embedding, cfg, 77, 1).matrix
-            got = estimate_padded(shared[n], embedding, cfg, 77, 1).matrix
+            nodes = np.ix_(embedding.node_of_site, embedding.node_of_site)
+            want = embed_and_estimate(z[:n], cloud, cfg, seed=77).matrix
+            got = estimate_precision(shared[n], embedding.shape, cfg).matrix[nodes]
             assert np.array_equal(got, want)
 
     def test_tiles_from_any_block_split(self, rng):
@@ -541,19 +542,21 @@ class TestEmbedAndEstimate:
         with pytest.raises(InvalidInput, match="sizes"):
             padded_tiles(z, embedding, 77, EstimatorConfig(b_override=1), sizes)
 
-    def test_estimate_padded_peak_memory(self, rng):
+    def test_padded_estimate_peak_memory(self, rng):
         # With N far above the lattice size, the padded samples are never
-        # held: the traced peak stays within four lattice-square arrays, the
-        # two block buffers and one block's normals, well under the padded
-        # array's N * m * 8 bytes.
+        # held while the padded tiles are filled and estimated: the traced
+        # peak stays within four lattice-square arrays, the two block
+        # buffers and one block's normals, well under the padded array's
+        # N * m * 8 bytes.
         cloud = measure_cloud(perturbed_grid(100, 1, 0.25, seed=3), 1)
-        embedding, attempts = build_embedding(cloud)
+        embedding, _ = build_embedding(cloud)
         m_lattice = embedding.shape.size
         z = rng.standard_normal((30_000, cloud.m))
         cfg = EstimatorConfig(b_override=4)
         tracemalloc.start()
         try:
-            estimate_padded(z, embedding, cfg, 77, attempts)
+            tiles = padded_tiles(z, embedding, 77, cfg, [z.shape[0]])[z.shape[0]]
+            estimate_precision(tiles, embedding.shape, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -149,6 +149,7 @@ class TestMalformedText:
             pytest.param(ser.parse_ordering, "2 1\n0 1 0.25\n1 1 0.5\n", id="distances-increase"),
             pytest.param(ser.parse_ordering, "1 3\n0 1 0.5\n", id="empty-last-level"),
             pytest.param(ser.parse_ordering, "2 2\n0 2 0.5\n1 2 0.25\n", id="empty-first-level"),
+            pytest.param(ser.parse_ordering, "2 3\n0 1 0.5\n1 3 0.1\n", id="empty-middle-level"),
             pytest.param(ser.parse_ordering, "0 1\n", id="empty-ordering"),
         ],
     )
