@@ -37,6 +37,7 @@ better perturbation constant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,11 +229,12 @@ def plan_scales(
     log(n * kappa_hint)``, and otherwise goes through the lattice reduction
     on its sub-cloud.  The refusals need no data, so a caller can run this
     before drawing; :func:`estimate_scales` runs it first.  Raises
-    ``InvalidInput`` for ``n < 1`` and ``NotPositiveDefinite``, carrying
-    the scale, at the first full-inverse scale with ``n < m_k``.
+    ``InvalidInput`` when ``n`` is not an integer of at least 1, and
+    ``NotPositiveDefinite``, carrying the scale, at the first full-inverse
+    scale with ``n < m_k``.
     """
-    if n < 1:
-        raise InvalidInput(f"sample count must be positive, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInput(f"sample count must be a positive integer, got {n!r}")
     config = config or EstimatorConfig()
     kappa = config.kappa_hint if config.kappa_hint is not None else float(levels.m)
     full = []

@@ -46,7 +46,8 @@ class LocalSingular(Exception):
 
     :func:`gpprec.estimator.plan_estimate` raises it without data for a
     window of at least N vertices.  Carries the block index, the window
-    size, and the sample count (None in population-covariance mode).
+    size, and the sample count of the band tiles the window was read from
+    (None for the tiles of a covariance, which carry no sample count).
     """
 
     def __init__(self, block, window_size, n_samples):

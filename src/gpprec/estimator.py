@@ -10,10 +10,12 @@ Blocks and windows are boxes of the flat-index grid
 (:meth:`gpprec.lattice.BlockScheme.box`), so a window's vertices are its
 box read in C order and its block and radius-1 rows are boxes inside it.
 
-Every window reads one covariance source.  From samples it is the band
-Gram, the sample covariance on every vertex pair some window contains,
-kept as per-slab tiles (:class:`BandTiles`): each axis-0 slab of blocks
-against itself and against the next ``2 * WINDOW_RADIUS`` slabs.
+Every window reads one covariance source, the band Gram, kept as per-slab
+tiles (:class:`BandTiles`): each axis-0 slab of blocks against itself and
+against the next ``2 * WINDOW_RADIUS`` slabs, which hold every vertex pair
+some window contains.  The tiles carry the block width they were planned
+for, so an estimate reads its route from them.  From samples the tiles
+hold the sample covariance.
 Consecutive slabs of equal width and reach form one run, whose products
 are one stacked :func:`~gpprec.linalg.sample_covariance` call and one
 batched ``matmul``.  The tiles are summed over consecutive row blocks of
@@ -21,13 +23,13 @@ the samples, and one pass over the row blocks serves several row
 prefixes at once: each block's products are formed once and added into
 every prefix that covers the block, so a caller that pads its rows block
 by block, such as the scattered-site padding, pads them once for all of
-a seed's sample sizes.  A sample matrix is one row block, and the
-full-inverse fallback is the band Gram of a one-block scheme.  An
-estimate writes its dense source from the tiles just before its windows.
-The exact population covariance (``population=True``) is such a source
-as it stands, so it takes the same path; this isolates the deterministic
-bias of the windowed inversion from sampling noise, which is what the
-bias tests exercise.
+a seed's sample sizes.  A sample matrix is one row block of its tiles,
+and the full-inverse fallback is the band Gram of a one-block scheme.
+The exact covariance is sliced into tiles too
+(:meth:`BandTiles.from_covariance`), so it takes the same path; this
+isolates the deterministic bias of the windowed inversion from sampling
+noise, which is what the bias tests exercise.  An estimate writes its
+dense source from the tiles just before its windows.
 
 The source's exact symmetry is checked once per estimate.  Viewed as
 ``source.reshape((p,) * 2d)``, a window's covariance is one box slice, the
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +106,14 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kappa_hint is not None and not 1.0 <= self.kappa_hint < math.inf:
             raise InvalidInput(f"kappa_hint must be finite and at least 1, got {self.kappa_hint}")
-        if self.b_override is not None and self.b_override < 1:
-            raise InvalidInput(f"b_override must be at least 1, got {self.b_override}")
+        if self.b_override is not None:
+            _check_positive_int(self.b_override, "b_override")
+
+
+def _check_positive_int(value, name: str):
+    """Refuse ``value`` with ``InvalidInput`` unless it is an integer, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,11 @@ class PrecisionEstimate:
 
 @dataclass(frozen=True)
 class BandTiles:
-    """The band Gram of ``n`` samples under ``scheme``, as per-slab tiles.
+    """The band Gram of ``n`` samples on ``shape`` at block width ``b``, as per-slab tiles.
 
+    ``b`` is the width :func:`plan_estimate` chose, ``None`` for the
+    full-inverse fallback, whose scheme is one block; ``n`` is ``None`` for
+    the tiles of a covariance (:meth:`BandTiles.from_covariance`).
     ``tiles`` holds one ``(lo, diag, reach)`` triple per run of slabs
     (:func:`_slab_runs`): the run's first column ``lo``, its ``(k, w, w)``
     diagonal tiles, each slab's sample covariance, and its ``(k, w, c)``
@@ -129,9 +141,39 @@ class BandTiles:
     covariance.
     """
 
-    scheme: BlockScheme
-    n: int
+    shape: LatticeShape
+    b: int | None
+    n: int | None
     tiles: tuple
+
+    @property
+    def scheme(self) -> BlockScheme:
+        """The block scheme of width ``b`` on ``shape``; one block for the fallback."""
+        return _scheme(self.shape, self.b)
+
+    @classmethod
+    def from_covariance(cls, sigma, shape: LatticeShape, b: int | None) -> "BandTiles":
+        """The band of the exact ``(p**d, p**d)`` covariance ``sigma`` at block width ``b``.
+
+        ``sigma`` is symmetrized, ``(sigma + sigma.T) / 2``, and the tiles
+        are sliced from it; windows read only pairs inside the band, so an
+        estimate from them is the windowed inverse of the symmetrized
+        ``sigma`` itself; at ``b = None`` the estimate is its full inverse.
+        A ``b`` that is not an integer from 1 to ``p`` raises
+        ``InvalidInput``.
+        """
+        if b is not None:
+            _check_positive_int(b, "block width")
+        m = shape.size
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if sigma.shape != (m, m):
+            raise InvalidInput(f"covariance must be {(m, m)}, got {sigma.shape}")
+        sym = _symmetrize_in_place(np.array(sigma))
+        tiles = []
+        for lo, k, w, c in _slab_runs(_scheme(shape, b)):
+            rows = np.stack([sym[a:a + w, a:a + w + c] for a in range(lo, lo + k * w, w)])
+            tiles.append((lo, rows[:, :, :w], rows[:, :, w:]))
+        return cls(shape=shape, b=b, n=None, tiles=tuple(tiles))
 
     def dense(self) -> np.ndarray:
         """The ``m x m`` band Gram: the tiles, the reach tiles mirrored, zeros elsewhere.
@@ -140,7 +182,7 @@ class BandTiles:
         entry and the Gram is exactly symmetric.  In ``d >= 2`` it also
         holds pairs no window reads.
         """
-        m = self.scheme.shape.size
+        m = self.shape.size
         gram = np.zeros((m, m))
         for lo, diag, reach in self.tiles:
             k, w, c = reach.shape
@@ -206,54 +248,56 @@ def _slab_products(rows, runs) -> list:
     return products
 
 
-def _band_tiles(blocks, schemes) -> dict:
-    """:class:`BandTiles` of every row prefix ``schemes`` asks for, from one pass over ``blocks``.
+def _band_tiles(blocks, shape: LatticeShape, plans) -> dict:
+    """:class:`BandTiles` of every row prefix ``plans`` asks for, from one pass over ``blocks``.
 
-    ``schemes`` maps each prefix length ``n`` to its block scheme, all on
-    one lattice.  ``blocks`` are consecutive row blocks of the samples
-    from row 0, each read once, in turn, before the next is taken.  Per
-    row block and scheme, the slab products of the whole block are formed
-    once and added into every prefix that covers the block, weighted by
-    that prefix's share: the diagonal tiles, the block's covariances, by
-    ``rows / n``, and the reach tiles, raw products, by ``1 / n``.  A
-    prefix that ends inside a block adds the products of its own part of
-    it.  So each prefix sums exactly the terms, in the order, of a pass
-    over its own rows in the same blocks.  A single block of all ``n``
-    rows has weight 1 and is summed into zeros, both exact, so it gives
-    the plain per-slab covariance bit for bit.
+    ``plans`` maps each prefix length ``n`` to its planned block width on
+    ``shape`` (:func:`plan_estimate`), ``None`` for the fallback.
+    ``blocks`` are consecutive row blocks of the samples from row 0, each
+    read once, in turn, before the next is taken.  Per row block and
+    width, the slab products of the whole block are formed once and added
+    into every prefix that covers the block, weighted by that prefix's
+    share: the diagonal tiles, the block's covariances, by ``rows / n``,
+    and the reach tiles, raw products, by ``1 / n``.  A prefix that ends
+    inside a block adds the products of its own part of it.  So each
+    prefix sums exactly the terms, in the order, of a pass over its own
+    rows in the same blocks.  A single block of all ``n`` rows has weight
+    1 and is summed into zeros, both exact, so it gives the plain
+    per-slab covariance bit for bit.
     """
-    runs = {scheme: _slab_runs(scheme) for scheme in schemes.values()}
+    runs = {b: _slab_runs(_scheme(shape, b)) for b in plans.values()}
     sums = {
-        n: [(np.zeros((k, w, w)), np.zeros((k, w, c))) for _, k, w, c in runs[scheme]]
-        for n, scheme in schemes.items()
+        n: [(np.zeros((k, w, w)), np.zeros((k, w, c))) for _, k, w, c in runs[b]]
+        for n, b in plans.items()
     }
-    m = next(iter(runs)).shape.size
+    m = shape.size
     start = 0
     for rows in blocks:
         if rows.shape[1] != m:
             raise InvalidInput(f"row blocks must have {m} columns, got {rows.shape[1]}")
         stop = start + rows.shape[0]
-        for scheme, scheme_runs in runs.items():
-            open_sizes = [n for n, s in schemes.items() if s == scheme and n > start]
+        for b, b_runs in runs.items():
+            open_sizes = [n for n, nb in plans.items() if nb == b and n > start]
             covering = [n for n in open_sizes if n >= stop]
             if covering:
-                products = _slab_products(rows, scheme_runs)
+                products = _slab_products(rows, b_runs)
                 for n in covering:
                     _add_products(sums[n], products, rows.shape[0], n)
             for n in open_sizes:
                 if n < stop:
-                    part = _slab_products(rows[:n - start], scheme_runs)
+                    part = _slab_products(rows[:n - start], b_runs)
                     _add_products(sums[n], part, n - start, n)
         start = stop
-    if start < max(schemes):
-        raise InvalidInput(f"row blocks end after {start} rows, before row {max(schemes)}")
+    if start < max(plans):
+        raise InvalidInput(f"row blocks end after {start} rows, before row {max(plans)}")
     return {
         n: BandTiles(
-            scheme=scheme,
+            shape=shape,
+            b=b,
             n=n,
-            tiles=tuple((run[0], *sum_) for run, sum_ in zip(runs[scheme], sums[n])),
+            tiles=tuple((run[0], *sum_) for run, sum_ in zip(runs[b], sums[n])),
         )
-        for n, scheme in schemes.items()
+        for n, b in plans.items()
     }
 
 
@@ -321,15 +365,15 @@ def _scheme(shape: LatticeShape, b: int | None) -> BlockScheme:
     return build_scheme(shape.p, shape.p if b is None else b, shape.d)
 
 
-def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | None = None):
+def plan_estimate(shape: LatticeShape, n: int, config: EstimatorConfig | None = None):
     """Block width of an estimate from ``n`` samples on ``shape``; ``None`` for the fallback.
 
     Makes every refusal that needs no data, so a caller can run it before
-    drawing the samples; :func:`estimate_precision` runs it first.  Raises
+    drawing the samples; :func:`estimate_precision` runs it first on a
+    sample matrix.  Raises
 
     * ``InvalidInput`` when ``b_override`` exceeds the side ``p``, or when
-      ``n`` (``None`` for a population covariance) is below 1 or, for a
-      population covariance, no ``b_override`` is given;
+      ``n`` is not an integer of at least 1;
     * ``NotPositiveDefinite`` when the route is the fallback (``p <=
       log(n * kappa_hint)`` and no ``b_override``) and ``n < p**d``, as
       ``n`` samples cannot span ``p**d`` variables;
@@ -337,7 +381,6 @@ def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | 
       radius-2 window holds at least ``n`` vertices: ``n`` samples give
       rank at most ``n``, and at ``n = |w|`` the covariance is full rank
       but so ill-conditioned that the pivot gate passes a useless inverse.
-      A population covariance is not checked.
     """
     config = config or EstimatorConfig()
     m = shape.size
@@ -345,12 +388,7 @@ def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | 
         raise InvalidInput(
             f"b_override={config.b_override} exceeds the lattice side {shape.p}"
         )
-    if n is None:
-        if config.b_override is None:
-            raise InvalidInput("population mode requires b_override")
-        return config.b_override
-    if n < 1:
-        raise InvalidInput(f"sample count must be positive, got {n}")
+    _check_positive_int(n, "sample count")
     kappa = config.kappa_hint if config.kappa_hint is not None else float(m)
     if config.b_override is None and shape.p <= math.log(n * kappa):
         if n < m:
@@ -365,70 +403,47 @@ def plan_estimate(shape: LatticeShape, n: int | None, config: EstimatorConfig | 
 
 
 def estimate_precision(
-    data,
-    shape: LatticeShape,
-    config: EstimatorConfig | None = None,
-    population: bool = False,
+    data, shape: LatticeShape, config: EstimatorConfig | None = None
 ) -> PrecisionEstimate:
-    """Estimate the lattice precision operator from samples.
+    """Estimate the lattice precision operator from samples or their band tiles.
 
-    ``data`` is an ``(N, p**d)`` sample matrix, the :class:`BandTiles` of
-    ``N`` such rows under the estimate's own scheme, or the exact ``(p**d,
-    p**d)`` covariance when ``population=True`` (population mode requires
-    ``b_override`` and always runs the blockwise route).  A sample matrix
-    is one row block of its band tiles.  When ``p <= log(N * kappa_hint)``
-    and no ``b_override`` is given, the estimate is the inverse of the
-    full sample covariance, the band Gram of a one-block scheme.
-    Otherwise the band Gram is written from its tiles (the population
-    covariance serves as it is), each block's window is factored and
-    solved for its own columns, and their in-band rows are assembled and
-    symmetrized in place.  The refusals of :func:`plan_estimate` come
-    before any of this work, so a refused estimate forms no tile.
+    ``data`` is an ``(N, p**d)`` sample matrix or :class:`BandTiles` on
+    ``shape``.  A sample matrix is planned under ``config``
+    (:func:`plan_estimate`, whose refusals come before any tile is formed)
+    and read as one row block of its tiles; tiles carry their own width,
+    so ``config`` is not read for them.  At the fallback width ``None``
+    the estimate is the inverse of the full sample covariance, the band
+    Gram of a one-block scheme.  Otherwise the band Gram is written from
+    its tiles, each block's window is factored and solved for its own
+    columns, and their in-band rows are assembled and symmetrized in
+    place.
     """
-    config = config or EstimatorConfig()
     m = shape.size
-    if population:
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != (m, m):
-            raise InvalidInput(
-                f"population covariance must be {(m, m)}, got {data.shape}"
-            )
-        n_samples = None
-    elif isinstance(data, BandTiles):
-        if data.scheme.shape != shape:
-            raise InvalidInput(f"band tiles are for {data.scheme.shape}, not {shape}")
-        n_samples = data.n
+    if isinstance(data, BandTiles):
+        if data.shape != shape:
+            raise InvalidInput(f"band tiles are for {data.shape}, not {shape}")
+        tiles = data
     else:
         data = np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != m:
             raise InvalidInput(
                 f"samples must have {m} columns for this lattice, got shape {data.shape}"
             )
-        n_samples = data.shape[0]
-    b = plan_estimate(shape, n_samples, config)
-    scheme = _scheme(shape, b)
-    if population:
-        source = _symmetrize_in_place(np.array(data))
-    elif isinstance(data, BandTiles):
-        if data.scheme != scheme:
-            raise InvalidInput(
-                f"band tiles are for block width {data.scheme.b}, the estimate's is {scheme.b}"
-            )
-        source = data.dense()
-    else:
-        source = _band_tiles((data,), {n_samples: scheme})[n_samples].dense()
-    if b is None:
+        n = data.shape[0]
+        tiles = _band_tiles((data,), shape, {n: plan_estimate(shape, n, config)})[n]
+    if tiles.b is None:
         return PrecisionEstimate(
-            matrix=spd_inverse(source), scheme=None, b=None, path=FALLBACK
+            matrix=spd_inverse(tiles.dense()), scheme=None, b=None, path=FALLBACK
         )
     # The matrix every window is sliced from, checked exactly symmetric once
     # here so that no window is checked again.
-    source = _as_square_sym(source)
+    source = _as_square_sym(tiles.dense())
     # Over the flat-index grid squared, a window's covariance is one box and
     # the B_j columns of its in-band rows are another.
     src = source.reshape((shape.p,) * (2 * shape.d))
     raw = np.zeros((m, m))
     out = raw.reshape(src.shape)
+    scheme = tiles.scheme
     for window in _windows(scheme):
         k = window.size
         # The copy is C-ordered and symmetric, so its transpose is the same
@@ -437,13 +452,13 @@ def estimate_precision(
         try:
             factor = _gated_factor(cov)
         except NotPositiveDefinite as exc:
-            raise LocalSingular(window.j, k, n_samples) from exc
+            raise LocalSingular(window.j, k, tiles.n) from exc
         # dpotrs reports only illegal arguments, which these shapes rule out;
         # it solves a copy of the shared unit columns.
         cols, _ = lapack.dpotrs(factor, window.unit, lower=1)
         out[window.near + window.block] = cols.reshape(window.solved_shape)[window.kept]
     return PrecisionEstimate(
-        matrix=_symmetrize_in_place(raw), scheme=scheme, b=scheme.b, path=BLOCKWISE
+        matrix=_symmetrize_in_place(raw), scheme=scheme, b=tiles.b, path=BLOCKWISE
     )
 
 

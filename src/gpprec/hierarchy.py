@@ -114,23 +114,22 @@ def assign_levels(ordering: MaximinOrdering) -> LevelPartition:
     """Group the ordering into levels by halving distance thresholds.
 
     Position ``i`` lands in band ``floor(log2(scale0 / ell[i])) + 1``, and
-    the nonempty bands, in order, are the levels.  The first position is
-    always level 1 and levels are contiguous because the distances are
-    nonincreasing.
+    the nonempty bands, in order, are the levels.  Distances that increase
+    anywhere raise ``InvalidInput``; as they are nonincreasing, the first
+    position is band 1 and the bands never decrease, so levels are
+    contiguous.
     """
     ell = ordering.ell
     if ell.size == 0:
         raise InvalidInput("ordering is empty")
-    if np.any(ell <= 0):
-        raise InvalidInput("selection distances must be positive")
+    if not np.all((ell > 0) & (ell < np.inf)):
+        raise InvalidInput("selection distances must be finite and positive")
+    if np.any(np.diff(ell) > 0):
+        raise InvalidInput("selection distances must be nonincreasing")
     scale0 = float(ell[0])
     # The epsilon absorbs representation error when ratios are exact powers.
-    raw = np.floor(np.log2(scale0 / ell) + 1e-9).astype(np.int64) + 1
-    q = max(1, int(raw[-1]))
-    level_of = np.clip(raw, 1, q)
-    if np.any(np.diff(level_of) < 0):
-        raise InvalidInput("levels are not contiguous; ell must be nonincreasing")
+    band = np.floor(np.log2(scale0 / ell) + 1e-9).astype(np.int64) + 1
     # A distance that drops 4x or more in one step skips a dyadic band, which
     # would leave its level empty; the nonempty bands are numbered in order.
-    counts = np.bincount(level_of)[1:]
+    counts = np.bincount(band)[1:]
     return LevelPartition.from_sizes(counts[counts > 0])

@@ -28,8 +28,8 @@ every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
 whole.  So one padded pass to a seed's largest sample size gives the band
 tiles of every smaller size as well, each bit for bit as its own pass
-would; :func:`~gpprec.estimator.estimate_precision` takes such tiles in
-place of samples.
+would.  Each size's tiles carry the block width planned for it, and
+:func:`~gpprec.estimator.estimate_precision` reads its route from them.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .estimator import (
     EstimatorConfig,
     PrecisionEstimate,
     _band_tiles,
-    _scheme,
     estimate_precision,
     plan_estimate,
 )
@@ -365,8 +364,9 @@ def padded_tiles(
     ``seed``, one row block at a time into one reused buffer of about
     ``_PAD_BLOCK_ELEMENTS`` entries; each padded block is added into the
     tiles of every size before the next is padded.  The result maps each
-    size to its :class:`~gpprec.estimator.BandTiles`, bit for bit those of
-    a pass over that size's rows alone, however the rows arrive in blocks.
+    size to its :class:`~gpprec.estimator.BandTiles`, which carry the
+    size's planned width, bit for bit those of a pass over that size's
+    rows alone, however the rows arrive in blocks.
     A seed outside ``[0, 2**128)`` raises ``InvalidInput`` before any row
     is read.
     """
@@ -375,12 +375,12 @@ def padded_tiles(
         z = _site_samples(samples, embedding)
         blocks, available = (z,), z.shape[0]
     shape = embedding.shape
-    schemes = {n: _scheme(shape, plan_estimate(shape, n, config)) for n in sizes}
-    if not schemes or max(schemes) > available:
+    plans = {n: plan_estimate(shape, n, config) for n in sizes}
+    if not plans or max(plans) > available:
         raise InvalidInput(
             f"sizes must be a nonempty list of at most {available} rows, got {list(sizes)}"
         )
-    return _band_tiles(_padded_blocks(blocks, embedding, seed, max(schemes)), schemes)
+    return _band_tiles(_padded_blocks(blocks, embedding, seed, max(plans)), shape, plans)
 
 
 def embed_and_estimate(
@@ -408,7 +408,7 @@ def embed_and_estimate(
     embedding, _ = build_embedding(cloud, c1=c1)
     n = z.shape[0]
     estimate = estimate_precision(
-        padded_tiles(z, embedding, seed, config, [n])[n], embedding.shape, config
+        padded_tiles(z, embedding, seed, config, [n])[n], embedding.shape
     )
     nodes = embedding.node_of_site
     return replace(estimate, matrix=estimate.matrix[np.ix_(nodes, nodes)])

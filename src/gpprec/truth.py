@@ -26,6 +26,7 @@ without changing the output; separate seeds give independent streams.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -333,8 +334,8 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray)
 
 
 def _check_count(n: int):
-    if n < 1:
-        raise InvalidInput(f"sample count must be positive, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInput(f"sample count must be a positive integer, got {n!r}")
 
 
 def sample_blocks(truth: GroundTruth, n: int, seed: int):
@@ -346,8 +347,8 @@ def sample_blocks(truth: GroundTruth, n: int, seed: int):
     next: a reader keeps what it needs of a block before it takes the
     next, and no ``(n, dim)`` array is held.  The rows per block come from
     ``truth.dim`` alone (about 4 MiB of entries, and at least ``dim / 4``
-    rows).  ``n < 1``, or a seed outside ``[0, 2**128)``, raises
-    ``InvalidInput`` here, before any draw.
+    rows).  An ``n`` that is not an integer of at least 1, or a seed
+    outside ``[0, 2**128)``, raises ``InvalidInput`` here, before any draw.
     """
     _check_count(n)
     buffer = np.empty((min(_draw_rows(truth.dim), n), truth.dim))
@@ -372,8 +373,9 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     for bit for any ``n <= N``, across block edges.  So are the products,
     but in the block that holds row ``n - 1`` when ``n`` ends inside it:
     ``dtrmm`` over that block's rows may round a few rows differently
-    from ``dtrmm`` over its first ``n - lo`` rows.  ``n < 1``, or a seed
-    outside ``[0, 2**128)``, raises ``InvalidInput``.
+    from ``dtrmm`` over its first ``n - lo`` rows.  An ``n`` that is not an
+    integer of at least 1, or a seed outside ``[0, 2**128)``, raises
+    ``InvalidInput``.
     """
     _check_count(n)
     out = np.empty((n, truth.dim))

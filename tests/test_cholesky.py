@@ -366,6 +366,15 @@ class TestEstimateCholesky:
         with pytest.raises(InvalidInput):
             plan_scales(levels, 0, cfg)
 
+    @pytest.mark.parametrize("n", [None, 100.5, 100.0, True])
+    def test_non_integer_size_refused(self, n):
+        truth, levels = nested_truth(3)
+        cfg = EstimatorConfig(kappa_hint=truth.kappa)
+        with pytest.raises(InvalidInput, match="positive integer"):
+            plan_scales(levels, n, cfg)
+        with pytest.raises(InvalidInput, match="positive integer"):
+            scale_covariances(np.zeros((200, levels.m)), levels, cfg, [n])
+
     def test_scattered_route_for_large_scales(self):
         # With a small kappa hint, the finer scales exceed the full-inverse
         # threshold and run through the lattice reduction on the sub-cloud;

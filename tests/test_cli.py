@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gpprec import cli
+from gpprec import estimator as estimator_module
 from gpprec import serialization as ser
 from gpprec import truth as truth_module
 from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
@@ -509,6 +510,24 @@ class TestOneDrawPerSeed:
         argv = ONE_DRAW_CONFIGS[kind] + ["--n", "1000,2000", "--seeds", "0,1"]
         assert run_cli("estimate", *argv) == 0
         assert sorted(args[1] for args in plans[0] + plans[1]) == [1000, 2000]
+
+    def test_scattered_tiles_are_not_planned_again(self, monkeypatch, capsys):
+        # The CLI plans each size once per run and padded_tiles once per
+        # seed's pass; the estimates read the width their tiles carry, so
+        # the run makes 2 + 3 * 2 plans.
+        calls = []
+        original = estimator_module.plan_estimate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gpprec" and vars(module).get("plan_estimate") is original:
+                monkeypatch.setattr(module, "plan_estimate", counting)
+        argv = ["--d", "1", "--p", "40", "--s", "1", "--b", "3", "--scattered"]
+        assert run_cli("estimate", *argv, "--n", "200,400", "--seeds", "0,1,2") == 0
+        assert sorted(calls) == [200] * 4 + [400] * 4
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_rows_match_single_size_runs(self, tmp_path, kind):

@@ -10,6 +10,7 @@ from gpprec.errors import InvalidInput, LocalSingular, NotPositiveDefinite
 from gpprec.estimator import (
     BLOCKWISE,
     FALLBACK,
+    BandTiles,
     EstimatorConfig,
     _band_tiles,
     _windows,
@@ -222,9 +223,7 @@ class TestEstimatePrecision:
     def test_population_banded_truth_recovered(self, rng):
         scheme, omega = banded_block_truth(12, 2, rng)
         sigma = spd_inverse(omega)
-        est = estimate_precision(
-            sigma, scheme.shape, EstimatorConfig(b_override=2), population=True
-        )
+        est = estimate_precision(BandTiles.from_covariance(sigma, scheme.shape, 2), scheme.shape)
         assert est.path == BLOCKWISE
         assert spectral_norm(symmetrize(est.matrix - omega)) <= 1e-9 * spectral_norm(omega)
 
@@ -294,18 +293,10 @@ class TestEstimatePrecision:
         assert np.all(est.matrix[~in_band] == 0.0)
         assert np.array_equal(est.matrix, est.matrix.T)
 
-    def test_population_mode_requires_b(self):
-        truth = build_lattice_precision(8, 1, 1)
-        with pytest.raises(InvalidInput):
-            estimate_precision(truth.sigma, truth.geometry, population=True)
-
     def test_oversized_b_override_rejected(self):
         truth = build_lattice_precision(8, 1, 1)
         with pytest.raises(InvalidInput):
-            estimate_precision(
-                truth.sigma, truth.geometry,
-                EstimatorConfig(b_override=9), population=True,
-            )
+            BandTiles.from_covariance(truth.sigma, truth.geometry, 9)
 
     def test_blockwise_undersampling_carries_block_id(self):
         truth = build_lattice_precision(30, 1, 1)
@@ -354,9 +345,8 @@ class TestEstimatePrecision:
         # two blocks put the first omitted pairs at distance 5, so the
         # windowed inverse is exact on every in-band block.
         truth = build_lattice_precision(12, 2, 2)
-        est = estimate_precision(
-            truth.sigma, truth.geometry, EstimatorConfig(b_override=2), population=True
-        )
+        tiles = BandTiles.from_covariance(truth.sigma, truth.geometry, 2)
+        est = estimate_precision(tiles, truth.geometry)
         assert est.path == BLOCKWISE
         in_band = np.zeros_like(truth.omega, dtype=bool)
         scheme = est.scheme
@@ -426,7 +416,6 @@ class TestPlanEstimate:
         shape = LatticeShape(3, 1)
         assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0)) is None
         assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0, b_override=1)) == 1
-        assert plan_estimate(shape, None, EstimatorConfig(b_override=2)) == 2
         wide = LatticeShape(200, 1)
         assert plan_estimate(wide, 1000, EstimatorConfig(kappa_hint=10.0)) == math.ceil(
             math.log(1000 * 10.0)
@@ -446,6 +435,22 @@ class TestPlanEstimate:
     def test_refusals(self, shape, n, cfg, error):
         with pytest.raises(error):
             plan_estimate(shape, n, cfg)
+
+    @pytest.mark.parametrize("n", [None, 2.5, 100.0, np.float64(100.0), True, "100"])
+    def test_non_integer_size_refused(self, n):
+        with pytest.raises(InvalidInput, match="sample count must be a positive integer"):
+            plan_estimate(LatticeShape(8, 1), n, EstimatorConfig(b_override=2))
+        with pytest.raises(InvalidInput, match="sample count must be a positive integer"):
+            plan_estimate(LatticeShape(8, 1), n)
+
+    @pytest.mark.parametrize("b", [2.5, 2.0, True, np.float64(2.0), "2"])
+    def test_non_integer_width_refused(self, b):
+        with pytest.raises(InvalidInput, match="b_override must be a positive integer"):
+            EstimatorConfig(b_override=b)
+
+    def test_numpy_integers_accepted(self):
+        cfg = EstimatorConfig(b_override=np.int64(2))
+        assert plan_estimate(LatticeShape(8, 1), np.int32(100), cfg) == 2
 
     def test_zero_rows_refused_as_invalid(self):
         with pytest.raises(InvalidInput):
@@ -487,7 +492,7 @@ class TestWindowOracle:
     def test_population(self, p, d, s, b):
         truth = build_lattice_precision(p, d, s)
         est = estimate_precision(
-            truth.sigma, truth.geometry, EstimatorConfig(b_override=b), population=True
+            BandTiles.from_covariance(truth.sigma, truth.geometry, b), truth.geometry
         )
         scheme = build_scheme(p, b, d)
         want = reference_estimate(truth.sigma, scheme, population=True)
@@ -538,9 +543,9 @@ class TestWindowGate:
         # sit in block 5 (b = 4, p = 24), first held by block 3's window.
         sigma = np.eye(24)
         sigma[16, 17] = sigma[17, 16] = 1.0 - 1e-14
-        cfg = EstimatorConfig(b_override=4)
+        shape = LatticeShape(p=24, d=1)
         with pytest.raises(LocalSingular) as info:
-            estimate_precision(sigma, LatticeShape(p=24, d=1), cfg, population=True)
+            estimate_precision(BandTiles.from_covariance(sigma, shape, 4), shape)
         assert (info.value.block, info.value.window_size, info.value.n_samples) == ((3,), 20, None)
         assert "at or below the tolerance" in str(info.value.__cause__)
 
@@ -562,7 +567,7 @@ class TestBandGram:
     def test_windows_match_full_covariance(self, p, d, b):
         z = np.random.Generator(np.random.Philox(key=p + d)).standard_normal((60, p**d))
         scheme = build_scheme(p, b, d)
-        gram = _band_tiles([z], {z.shape[0]: scheme})[z.shape[0]].dense()
+        gram = _band_tiles([z], scheme.shape, {z.shape[0]: b})[z.shape[0]].dense()
         full = sample_covariance(z)
         tol = 1e-13 * np.max(np.abs(full))
         assert np.array_equal(gram, gram.T)
@@ -584,9 +589,8 @@ class TestRowBlocks:
     """Samples read as consecutive row blocks into the band tiles."""
 
     def test_width_other_than_lattice_size_rejected(self):
-        scheme = build_scheme(16, 2, 1)
         with pytest.raises(InvalidInput, match="columns"):
-            _band_tiles([np.zeros((100, 15))], {100: scheme})
+            _band_tiles([np.zeros((100, 15))], LatticeShape(p=16, d=1), {100: 2})
 
     @pytest.mark.parametrize(
         "shape, n, cfg, error",
@@ -598,7 +602,7 @@ class TestRowBlocks:
         ids=["window-of-n", "b-above-p", "fallback-below-m"],
     )
     def test_refused_estimate_reads_no_block(self, monkeypatch, shape, n, cfg, error):
-        def forbidden(blocks, schemes):
+        def forbidden(blocks, shape, plans):
             raise AssertionError("a row block was read")
 
         monkeypatch.setattr(estimator_module, "_band_tiles", forbidden)
@@ -618,8 +622,7 @@ class TestRowBlocks:
         bounds = [0, 1, 300, 301, 777, 1000]
         shape = LatticeShape(p=p, d=d)
         want = estimate_precision(z, shape, cfg)
-        scheme = want.scheme or build_scheme(p, p, d)
-        tiles = _band_tiles(reused_buffer_blocks(z, bounds), {1000: scheme})[1000]
+        tiles = _band_tiles(reused_buffer_blocks(z, bounds), shape, {1000: want.b})[1000]
         got = estimate_precision(tiles, shape, cfg)
         assert (got.b, got.path) == (want.b, want.path)
         assert want.path == path
@@ -648,7 +651,7 @@ class TestBandTiles:
         scheme = build_scheme(p, b, d)
         sizes = (7, 100, 130, 200)
         blocks = reused_buffer_blocks(z, range(0, 201, 50))
-        tiles = _band_tiles(blocks, dict.fromkeys(sizes, scheme))
+        tiles = _band_tiles(blocks, scheme.shape, dict.fromkeys(sizes, b))
         for n in sizes:
             edges = [*range(0, n, 50), n]
             want = band_gram([z[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], n, scheme)
@@ -658,27 +661,57 @@ class TestBandTiles:
 
     def test_prefixes_of_other_widths_share_the_pass(self):
         z = np.random.Generator(np.random.Philox(key=3)).standard_normal((90, 30))
-        schemes = {40: build_scheme(30, 2, 1), 90: build_scheme(30, 5, 1)}
-        tiles = _band_tiles(reused_buffer_blocks(z, [0, 25, 50, 75, 90]), schemes)
+        plans = {40: 2, 90: 5}
+        tiles = _band_tiles(
+            reused_buffer_blocks(z, [0, 25, 50, 75, 90]), LatticeShape(p=30, d=1), plans
+        )
         for n, edges in ((40, [0, 25, 40]), (90, [0, 25, 50, 75, 90])):
-            want = band_gram([z[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], n, schemes[n])
+            scheme = build_scheme(30, plans[n], 1)
+            want = band_gram([z[lo:hi] for lo, hi in zip(edges[:-1], edges[1:])], n, scheme)
             assert np.array_equal(tiles[n].dense(), want)
 
     def test_blocks_short_of_a_prefix_rejected(self):
         with pytest.raises(InvalidInput, match="before row 60"):
-            _band_tiles([np.zeros((50, 12))], {60: build_scheme(12, 3, 1)})
+            _band_tiles([np.zeros((50, 12))], LatticeShape(p=12, d=1), {60: 3})
 
     def test_tiles_of_another_scheme_rejected(self):
         z = np.random.Generator(np.random.Philox(key=5)).standard_normal((300, 24))
         shape = LatticeShape(p=24, d=1)
-        tiles = _band_tiles([z], {300: build_scheme(24, 3, 1)})[300]
+        tiles = _band_tiles([z], shape, {300: 3})[300]
         cfg = EstimatorConfig(b_override=3)
         want = estimate_precision(z, shape, cfg).matrix
         assert np.array_equal(estimate_precision(tiles, shape, cfg).matrix, want)
-        with pytest.raises(InvalidInput, match="block width 3"):
-            estimate_precision(tiles, shape, EstimatorConfig(b_override=4))
+        # Tiles carry their width, so another config does not replan them.
+        assert estimate_precision(tiles, shape, EstimatorConfig(b_override=4)).b == 3
         with pytest.raises(InvalidInput, match="band tiles are for"):
             estimate_precision(tiles, LatticeShape(p=25, d=1), cfg)
+
+    def test_estimate_on_tiles_plans_nothing(self, monkeypatch):
+        z = np.random.Generator(np.random.Philox(key=6)).standard_normal((300, 24))
+        shape = LatticeShape(p=24, d=1)
+        want = estimate_precision(z, shape, EstimatorConfig(b_override=3))
+        fallback = estimate_precision(z, shape, EstimatorConfig(kappa_hint=1e12))
+        sigma = sample_covariance(z)
+
+        def forbidden(*args):
+            raise AssertionError("band tiles were planned again")
+
+        monkeypatch.setattr(estimator_module, "plan_estimate", forbidden)
+        for b, est in ((3, want), (None, fallback)):
+            got = estimate_precision(_band_tiles([z], shape, {300: b})[300], shape)
+            assert (got.b, got.path) == (est.b, est.path)
+            assert np.array_equal(got.matrix, est.matrix)
+        exact = estimate_precision(BandTiles.from_covariance(sigma, shape, 3), shape)
+        assert (exact.b, exact.path) == (3, BLOCKWISE)
+
+    @pytest.mark.parametrize("b", [0, 25, 2.5, True])
+    def test_covariance_width_outside_lattice_refused(self, b):
+        with pytest.raises(InvalidInput):
+            BandTiles.from_covariance(np.eye(24), LatticeShape(p=24, d=1), b)
+
+    def test_covariance_of_another_size_refused(self):
+        with pytest.raises(InvalidInput, match="covariance must be"):
+            BandTiles.from_covariance(np.eye(23), LatticeShape(p=24, d=1), 3)
 
     def test_windows_built_once_per_scheme(self):
         # Equal schemes share one window plan.  Its unit columns are

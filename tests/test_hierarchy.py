@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gpprec.errors import InvalidInput
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec.matching import measure_cloud
@@ -91,6 +92,24 @@ class TestAssignLevels:
         assert levels.q == 2
         np.testing.assert_array_equal(levels.level_of, [1, 2])
         np.testing.assert_array_equal(levels.sizes(), [1, 1])
+
+    def test_increasing_distances_refused(self):
+        # Clipping once lifted the band 0 of the larger distance into level 1,
+        # which returned levels [1, 1, 2] for this ordering.
+        from gpprec.hierarchy import MaximinOrdering
+
+        ordering = MaximinOrdering(perm=np.arange(3), ell=np.array([1.0, 2.0, 0.4]))
+        with pytest.raises(InvalidInput, match="nonincreasing"):
+            assign_levels(ordering)
+
+    @pytest.mark.parametrize("ell", [[1.0, np.nan], [np.inf, 1.0], [1.0, 0.0]])
+    def test_distances_not_finite_and_positive_refused(self, ell):
+        # A NaN or infinite distance has no dyadic band.
+        from gpprec.hierarchy import MaximinOrdering
+
+        ordering = MaximinOrdering(perm=np.arange(2), ell=np.array(ell))
+        with pytest.raises(InvalidInput, match="finite and positive"):
+            assign_levels(ordering)
 
     def test_dyadic_levels(self):
         cloud = dyadic_cloud(4)

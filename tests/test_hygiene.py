@@ -214,3 +214,31 @@ def test_readme_names_only_what_the_package_holds():
     words = set(re.findall(r"\w+", "\n".join(path.read_text() for path in MODULES)))
     names = set(re.findall(r"`([a-z]\w*_\w*)(?:\([^`]*\))?`", README))
     assert sorted(names - words) == []
+
+
+# Every private name one module of the package imports from another, as
+# ``importer<-module._name``: each is a coupling past a module's public API.
+PRIVATE_IMPORTS = {
+    "cli<-truth._check_capacity",
+    "estimator<-linalg._as_square_sym",
+    "estimator<-linalg._gated_factor",
+    "estimator<-linalg._symmetrize_in_place",
+    "matching<-estimator._band_tiles",
+    "matching<-linalg._philox",
+    "truth<-linalg._philox",
+}
+
+
+def test_cross_module_private_imports_are_listed():
+    # A new ``from .module import _name`` fails until it is listed, and an
+    # entry whose import is gone fails until it is dropped.
+    found = {
+        f"{path.stem}<-{node.module}.{alias.name}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert sorted(found - PRIVATE_IMPORTS) == []
+    assert sorted(PRIVATE_IMPORTS - found) == []

@@ -455,7 +455,8 @@ class TestEmbedAndEstimate:
         n = blocks * rows + extra
         z = rng.standard_normal((n, cloud.m))
         scheme = build_scheme(embedding.shape.p, 2, d)
-        got = _band_tiles(_padded_blocks((z,), embedding, 77, n), {n: scheme})[n].dense()
+        got = _band_tiles(_padded_blocks((z,), embedding, 77, n), embedding.shape, {n: 2})
+        got = got[n].dense()
         padded = padded_samples(z, embedding, 77)
         blocked = band_gram([padded[lo:lo + rows] for lo in range(0, n, rows)], n, scheme)
         assert np.array_equal(got, blocked)

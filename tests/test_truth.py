@@ -437,6 +437,18 @@ class TestSampleBlocks:
         with pytest.raises(InvalidInput):
             sample_blocks(build_lattice_precision(4, 1, 1), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, None])
+    def test_non_integer_count_rejected_at_call(self, n):
+        truth = build_lattice_precision(4, 1, 1)
+        with pytest.raises(InvalidInput, match="positive integer"):
+            sample(truth, n, seed=0)
+        with pytest.raises(InvalidInput, match="positive integer"):
+            sample_blocks(truth, n, seed=0)
+        embedding, _ = build_embedding(measure_cloud((np.arange(4) + 0.5) / 4, 1), c1=0.5)
+        with pytest.raises(InvalidInput, match="positive integer"):
+            padded_tiles(np.zeros((50, 4)), embedding, 0, EstimatorConfig(b_override=1), [n])
+        assert sample(truth, np.int64(3), seed=0).shape == (3, 4)
+
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_key_range_rejected_at_call(self, seed):
         # Philox keys lie in [0, 2**128); numpy raises ValueError outside it.
