@@ -37,13 +37,12 @@ better perturbation constant.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas, solve, solve_triangular
 
-from .errors import InvalidInput, NotPositiveDefinite
+from .errors import InvalidInput, NotPositiveDefinite, _check_integer
 from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
 from .linalg import (
@@ -233,8 +232,7 @@ def plan_scales(
     ``NotPositiveDefinite``, carrying the scale, at the first full-inverse
     scale with ``n < m_k``.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidInput(f"sample count must be a positive integer, got {n!r}")
+    _check_integer(n, "sample count")
     config = config or EstimatorConfig()
     kappa = config.kappa_hint if config.kappa_hint is not None else float(levels.m)
     full = []
@@ -291,9 +289,7 @@ def _prefix_covariances(blocks, m: int, sizes) -> dict:
     return {n: np.add(gram, np.triu(gram, 1).T) / n for n, gram in grams.items()}
 
 
-def scale_covariances(
-    samples, levels: LevelPartition, config: EstimatorConfig | None, sizes
-) -> dict:
+def scale_covariances(samples, levels: LevelPartition, sizes) -> dict:
     """:class:`SampleCovariance` of the first ``n`` rows for each ``n`` in ``sizes``.
 
     ``samples`` is an array in maximin order or an iterable of consecutive
@@ -308,7 +304,7 @@ def scale_covariances(
     if not sizes:
         raise InvalidInput("sizes must be a nonempty list")
     for n in sizes:
-        plan_scales(levels, n, config)
+        plan_scales(levels, n)
     blocks = (samples,) if isinstance(samples, np.ndarray) else samples
     covariances = _prefix_covariances(blocks, levels.m, sizes)
     return {n: SampleCovariance(n, cov) for n, cov in covariances.items()}

@@ -108,7 +108,6 @@ from .lattice import lattice_points
 from .linalg import spectral_norm
 from .matching import build_embedding, measure_cloud, padded_tiles
 from .truth import (
-    MAX_VERTICES,
     _check_capacity,
     build_green_restriction,
     build_lattice_precision,
@@ -255,8 +254,8 @@ def _build_truth(cfg):
     """Ground truth plus the site cloud used for scattered or factor runs.
 
     Green's truth is built on a fine grid of ``fine_m**d`` nodes and
-    Matern's on the ``p**d`` sites; either above ``MAX_VERTICES`` raises
-    ``CapacityExceeded`` before the site cloud is built.
+    Matern's on the ``p**d`` sites; either above ``truth.MAX_VERTICES``
+    raises ``CapacityExceeded`` before the site cloud is built.
     """
     model, d, p, s = cfg["model"], cfg["d"], cfg["p"], cfg["s"]
     if model == "laplacian":
@@ -264,7 +263,7 @@ def _build_truth(cfg):
         cloud = measure_cloud(lattice_points(truth.geometry), d)
         return truth, cloud
     fine_m = 4 * (p + 1) - 1
-    _check_capacity((fine_m if model == "green" else p) ** d, MAX_VERTICES)
+    _check_capacity((fine_m if model == "green" else p) ** d)
     if model == "green":
         cloud = measure_cloud(_jittered_grid(p, d, snap_fine_m=fine_m), d)
         return build_green_restriction(fine_m, d, s, cloud), cloud
@@ -346,27 +345,30 @@ def _route(cfg, truth, cloud):
     scattered precision rows share one estimate: ``estimate_precision`` on
     the source, then, when the variables are sites, the site block.  The
     factor context and the site embedding are built here, once per run; a
-    refused matching refuses every size.
+    refused matching refuses every size.  Factor rows plan and estimate
+    without a cloud, so every scale inverts its full sample covariance and
+    neither ``--b`` nor ``kappa`` enters them; precision rows read both
+    through one ``EstimatorConfig``.
     """
-    est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
     factor = cfg["factor"]
     if factor != "precision":
         levels, truth_mm, exact = _factor_context(truth, cloud, cfg["d"], factor)
         assemble = assemble_U if factor == "cholesky" else assemble_U_star
 
         def plan(n):
-            plan_scales(levels, n, est_cfg)
+            plan_scales(levels, n)
 
         def one_pass(seed, sizes):
             # Factor rows sample the maximin-permuted truth.
             blocks = sample_blocks(truth_mm, max(sizes), seed)
-            return scale_covariances(blocks, levels, est_cfg, sizes)
+            return scale_covariances(blocks, levels, sizes)
 
         def estimate(source):
-            u_hat = assemble(estimate_scales(source, levels, est_cfg, d=cfg["d"]))
+            u_hat = assemble(estimate_scales(source, levels, d=cfg["d"]))
             return u_hat, 0, "multiscale", _factor_error(u_hat, exact, truth_mm)
 
         return plan, one_pass, estimate
+    est_cfg = EstimatorConfig(b_override=cfg["b"], kappa_hint=truth.kappa)
     # A lattice row's variables are all its nodes, a scattered row's the matched ones.
     if not _on_sites(cfg):
         shape, site_block = truth.geometry, np.s_[:]

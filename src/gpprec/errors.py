@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
+
+import numbers
 
 __all__ = [
     "InvalidInput",
@@ -79,3 +81,19 @@ class NoMatching(Exception):
 
 class CapacityExceeded(Exception):
     """A requested problem size exceeds the configured cap."""
+
+
+def _check_integer(value, name: str, minimum: int = 1, bits: int | None = None):
+    """Refuse ``value`` with ``InvalidInput`` unless it is an integer in ``[minimum, 2**bits)``.
+
+    Python and numpy integers pass; bools, floats, strings and ``None`` do
+    not.  Without ``bits`` there is no upper bound, and the message asks
+    for a positive integer: counts and widths keep ``minimum`` at 1, and
+    only seeds, which start at 0, pass ``bits``.
+    """
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integer and minimum <= value and (bits is None or int(value) < 1 << bits):
+        return
+    if bits is None:
+        raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
+    raise InvalidInput(f"{name} must lie in [{minimum}, 2**{bits}), got {value!r}")

@@ -52,14 +52,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve, lapack
 
-from .errors import InvalidInput, LocalSingular, NotPositiveDefinite
+from .errors import InvalidInput, LocalSingular, NotPositiveDefinite, _check_integer
 from .lattice import BlockScheme, LatticeShape, build_scheme
 from .linalg import (
     _as_square_sym,
@@ -107,13 +106,7 @@ class EstimatorConfig:
         if self.kappa_hint is not None and not 1.0 <= self.kappa_hint < math.inf:
             raise InvalidInput(f"kappa_hint must be finite and at least 1, got {self.kappa_hint}")
         if self.b_override is not None:
-            _check_positive_int(self.b_override, "b_override")
-
-
-def _check_positive_int(value, name: str):
-    """Refuse ``value`` with ``InvalidInput`` unless it is an integer, not a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
+            _check_integer(self.b_override, "b_override")
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class BandTiles:
         ``InvalidInput``.
         """
         if b is not None:
-            _check_positive_int(b, "block width")
+            _check_integer(b, "block width")
         m = shape.size
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.shape != (m, m):
@@ -388,7 +381,7 @@ def plan_estimate(shape: LatticeShape, n: int, config: EstimatorConfig | None = 
         raise InvalidInput(
             f"b_override={config.b_override} exceeds the lattice side {shape.p}"
         )
-    _check_positive_int(n, "sample count")
+    _check_integer(n, "sample count")
     kappa = config.kappa_hint if config.kappa_hint is not None else float(m)
     if config.b_override is None and shape.p <= math.log(n * kappa):
         if n < m:

@@ -83,10 +83,15 @@ class LevelPartition:
 
     @classmethod
     def from_sizes(cls, sizes) -> "LevelPartition":
-        """Partition with the given level sizes, independent of any cloud."""
-        sizes = np.asarray(sizes, dtype=np.int64)
-        if sizes.size < 1 or np.any(sizes < 1):
-            raise InvalidInput(f"level sizes must be positive, got {sizes}")
+        """Partition with the given level sizes, independent of any cloud.
+
+        The sizes must be positive integers; a float or bool array raises
+        ``InvalidInput`` rather than being truncated.
+        """
+        sizes = np.asarray(sizes)
+        if not np.issubdtype(sizes.dtype, np.integer) or sizes.size < 1 or np.any(sizes < 1):
+            raise InvalidInput(f"level sizes must be positive integers, got {sizes}")
+        sizes = sizes.astype(np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         level_of = np.repeat(np.arange(1, sizes.size + 1), sizes)
         return cls(q=int(sizes.size), offsets=offsets, level_of=level_of)

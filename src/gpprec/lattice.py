@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _check_integer
 
 __all__ = [
     "LatticeShape",
@@ -31,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeShape:
-    """Side length ``p`` and dimension ``d`` of the lattice ``{1..p}^d``."""
+    """Side length ``p`` and dimension ``d`` of the lattice ``{1..p}^d``.
+
+    Both are integers (numpy integers included); a bool, a float, a ``p``
+    below 1 or a ``d`` outside 1, 2, 3 raises ``InvalidInput``.
+    """
 
     p: int
     d: int
@@ -39,8 +43,8 @@ class LatticeShape:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise InvalidInput(f"d must be 1, 2 or 3, got {self.d}")
-        if self.p < 1:
-            raise InvalidInput(f"p must be at least 1, got {self.p}")
+        _check_integer(self.d, "d")
+        _check_integer(self.p, "p")
 
     @property
     def size(self) -> int:
@@ -91,8 +95,12 @@ class BlockScheme:
 
 
 def build_scheme(p: int, b: int, d: int) -> BlockScheme:
-    """Partition ``{1..p}^d`` into blocks of width ``b``, ``S = ceil(p / b)`` per axis."""
+    """Partition ``{1..p}^d`` into blocks of width ``b``, ``S = ceil(p / b)`` per axis.
+
+    A ``b`` that is not an integer in ``1..p`` raises ``InvalidInput``.
+    """
     shape = LatticeShape(p=p, d=d)
-    if not 1 <= b <= p:
+    _check_integer(b, "block width")
+    if b > p:
         raise InvalidInput(f"block width must satisfy 1 <= b <= p, got b={b}, p={p}")
     return BlockScheme(shape=shape, b=b, S=-(-p // b))

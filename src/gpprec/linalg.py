@@ -40,7 +40,7 @@ from scipy import sparse
 from scipy.linalg import lapack, sqrtm
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .errors import InvalidInput, NotPositiveDefinite, NumericalFailure
+from .errors import InvalidInput, NotPositiveDefinite, NumericalFailure, _check_integer
 
 __all__ = [
     "SPD_PIVOT_RTOL",
@@ -76,15 +76,14 @@ _LANCZOS_START_KEY = 0x6770707265632D6C
 
 
 def _philox(seed) -> np.random.Generator:
-    """The Philox generator keyed by ``seed``, which must lie in its key range ``[0, 2**128)``.
+    """The Philox generator keyed by ``seed``, an integer in its key range ``[0, 2**128)``.
 
-    A seed outside it raises ``InvalidInput``; numpy would raise a
-    ``ValueError`` instead.
+    Any other seed, a bool, float or string included, raises
+    ``InvalidInput``; numpy would raise a ``ValueError`` or take the
+    float's integer part.
     """
-    key = int(seed)
-    if not 0 <= key < 1 << 128:
-        raise InvalidInput(f"seed must lie in [0, 2**128), got {seed}")
-    return np.random.Generator(np.random.Philox(key=key))
+    _check_integer(seed, "seed", minimum=0, bits=128)
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def _as_square(a, name="matrix") -> np.ndarray:

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import CapacityExceeded, InvalidInput, NoMatching
+from .errors import CapacityExceeded, InvalidInput, NoMatching, _check_integer
 from .estimator import (
     EstimatorConfig,
     PrecisionEstimate,
@@ -66,8 +65,9 @@ __all__ = [
 ]
 
 DEFAULT_C1 = 0.5
-DEFAULT_RETRIES = 3
-DEFAULT_MAX_VERTICES = 40_000
+# Halvings of c1 that build_embedding tries after its first matching fails.
+MATCHING_RETRIES = 3
+MAX_LATTICE_VERTICES = 40_000
 
 # Relative margin of the k-d tree's candidate radius over the edge rule's,
 # far above the few ulps by which the tree's distances can differ from
@@ -103,13 +103,14 @@ class LatticeEmbedding:
     ``node_of_site[i]`` is the flat index of the node matched to site
     ``i``.  ``displacement`` is the largest site-to-node distance over the
     matching, the square root of the edge rule's squared distance, so it
-    is at most the matching radius.
+    is at most the matching radius.  The sizing constant that built the
+    lattice is not kept: :func:`build_embedding` returns its attempt
+    count, from which the final ``c1`` follows.
     """
 
     shape: LatticeShape
     node_of_site: np.ndarray
     displacement: float
-    c1: float
 
 
 def _boundary_distance(sites: np.ndarray) -> np.ndarray:
@@ -131,6 +132,7 @@ def measure_cloud(sites, d: int | None = None) -> SiteCloud:
         sites = sites[:, None]
     if d is None:
         d = sites.shape[1]
+    _check_integer(d, "d")
     if sites.ndim != 2 or sites.shape[1] != d:
         raise InvalidInput(f"sites must be (M, {d}), got shape {sites.shape}")
     if d not in (1, 2, 3):
@@ -157,21 +159,20 @@ def measure_cloud(sites, d: int | None = None) -> SiteCloud:
     return SiteCloud(d=d, sites=sites, h=h, delta=delta)
 
 
-def build_target_lattice(
-    cloud: SiteCloud, c1: float, max_vertices: int = DEFAULT_MAX_VERTICES
-):
+def build_target_lattice(cloud: SiteCloud, c1: float):
     """Lattice sized so its nodes are denser than the cloud's fill distance.
 
     Returns the shape with ``p = ceil(1 / (c1 * h))``; this guarantees the
-    node spacing ``1/(p+1)`` is below ``h``.
+    node spacing ``1/(p+1)`` is below ``h``.  A lattice of more than
+    ``MAX_LATTICE_VERTICES`` nodes raises ``CapacityExceeded``.
     """
     if not 0.0 < c1 < 1.0:
         raise InvalidInput(f"c1 must lie in (0, 1), got {c1}")
     p = int(np.ceil(1.0 / (c1 * cloud.h)))
     shape = LatticeShape(p=p, d=cloud.d)
-    if shape.size > max_vertices:
+    if shape.size > MAX_LATTICE_VERTICES:
         raise CapacityExceeded(
-            f"target lattice has {shape.size} nodes, above the cap of {max_vertices}"
+            f"target lattice has {shape.size} nodes, above the cap of {MAX_LATTICE_VERTICES}"
         )
     return shape
 
@@ -206,35 +207,32 @@ def _candidate_graph(cloud: SiteCloud, positions: np.ndarray, radius: float) -> 
 
 
 def _hall_witness(graph: csr_matrix, node_of_site: np.ndarray):
-    """Sites reachable from the unmatched ones by alternating paths.
+    """Sites reachable from the unmatched ones by alternating paths, and their candidate nodes.
 
-    ``node_of_site[i]`` is the node matched to site ``i``, or -1.  The
-    returned sites have fewer candidate nodes between them than sites,
-    which certifies that no site-perfect matching exists.
+    ``node_of_site[i]`` is the node matched to site ``i``, or -1.  Site
+    ``i`` steps to the site matched to each of its candidate nodes, and a
+    root vertex steps to every unmatched site; the sites a breadth-first
+    search reaches from the root have fewer candidate nodes between them
+    than sites, which certifies that no site-perfect matching exists.
+    Both lists are sorted.
     """
+    from scipy.sparse.csgraph import breadth_first_order
+
+    m = graph.shape[0]
     site_of_node = np.full(graph.shape[1], -1, dtype=np.int64)
     matched = np.flatnonzero(node_of_site >= 0)
     site_of_node[node_of_site[matched]] = matched
-    frontier = np.flatnonzero(node_of_site < 0).tolist()
-    seen_sites = set(frontier)
-    seen_nodes = set()
-    queue = deque(frontier)
-    while queue:
-        i = queue.popleft()
-        for t in graph.indices[graph.indptr[i]:graph.indptr[i + 1]].tolist():
-            if t in seen_nodes:
-                continue
-            seen_nodes.add(t)
-            other = int(site_of_node[t])
-            if other >= 0 and other not in seen_sites:
-                seen_sites.add(other)
-                queue.append(other)
-    return sorted(seen_sites), sorted(seen_nodes)
+    site = np.repeat(np.arange(m), np.diff(graph.indptr))
+    other = site_of_node[graph.indices]
+    unmatched = np.flatnonzero(node_of_site < 0)
+    tail = np.concatenate([site[other >= 0], np.full(unmatched.size, m)])
+    head = np.concatenate([other[other >= 0], unmatched])
+    steps = csr_matrix((np.ones(tail.size, dtype=np.int8), (tail, head)), shape=(m + 1, m + 1))
+    sites = np.sort(breadth_first_order(steps, m, return_predecessors=False)[1:])
+    return sites.tolist(), np.unique(graph[sites].indices).tolist()
 
 
-def perfect_matching(
-    cloud: SiteCloud, shape: LatticeShape, radius: float, c1: float = DEFAULT_C1
-) -> LatticeEmbedding:
+def perfect_matching(cloud: SiteCloud, shape: LatticeShape, radius: float) -> LatticeEmbedding:
     """Match every site to a distinct lattice node within ``radius``.
 
     Candidate nodes come from a k-d tree over the lattice, and scipy's
@@ -256,35 +254,28 @@ def perfect_matching(
     displacement = float(
         np.sqrt(np.max(_squared_distances(cloud.sites, positions[node_of_site])))
     )
-    return LatticeEmbedding(
-        shape=shape,
-        node_of_site=node_of_site,
-        displacement=displacement,
-        c1=c1,
-    )
+    return LatticeEmbedding(shape=shape, node_of_site=node_of_site, displacement=displacement)
 
 
-def build_embedding(
-    cloud: SiteCloud,
-    c1: float = DEFAULT_C1,
-    retries: int = DEFAULT_RETRIES,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> tuple[LatticeEmbedding, int]:
+def build_embedding(cloud: SiteCloud, c1: float = DEFAULT_C1) -> tuple[LatticeEmbedding, int]:
     """Build a lattice embedding, halving ``c1`` on matching failure.
 
-    Returns the embedding and the number of attempts used.  Halving ``c1``
-    enlarges the lattice, which eventually admits a matching; after
-    ``retries`` extra attempts the last ``NoMatching`` is re-raised.
+    Returns the embedding and the number of attempts used, so the lattice
+    was sized with ``c1 / 2**(attempts - 1)``.  Halving ``c1`` enlarges the
+    lattice, which eventually admits a matching; after
+    ``MATCHING_RETRIES`` halvings the last ``NoMatching`` is re-raised,
+    and a lattice above ``MAX_LATTICE_VERTICES`` nodes raises
+    ``CapacityExceeded``.
     """
     attempts = 0
     current = c1
     while True:
         attempts += 1
-        shape = build_target_lattice(cloud, current, max_vertices=max_vertices)
+        shape = build_target_lattice(cloud, current)
         try:
-            return perfect_matching(cloud, shape, cloud.h, c1=current), attempts
+            return perfect_matching(cloud, shape, cloud.h), attempts
         except NoMatching:
-            if attempts > retries:
+            if attempts > MATCHING_RETRIES:
                 raise
             current /= 2.0
 
@@ -384,18 +375,15 @@ def padded_tiles(
 
 
 def embed_and_estimate(
-    samples,
-    cloud: SiteCloud,
-    config: EstimatorConfig | None = None,
-    seed: int = 0,
-    c1: float = DEFAULT_C1,
+    samples, cloud: SiteCloud, config: EstimatorConfig | None = None, seed: int = 0
 ) -> PrecisionEstimate:
     """Precision estimate on scattered sites through the lattice reduction.
 
-    Matches the cloud into a lattice (:func:`build_embedding`), pads each
-    observation with independent unit normals on the unmatched nodes,
-    drawn from ``seed``, as it streams the rows into the band tiles
-    (:func:`padded_tiles`), estimates the lattice precision
+    Matches the cloud into a lattice (:func:`build_embedding` from
+    ``DEFAULT_C1``, with its retries), pads each observation with
+    independent unit normals on the unmatched nodes, drawn from ``seed``,
+    as it streams the rows into the band tiles (:func:`padded_tiles`),
+    estimates the lattice precision
     (:func:`~gpprec.estimator.estimate_precision`) and keeps its site
     block, in the cloud's site order.  The ``scheme``, ``b`` and ``path``
     are those of the padded lattice's estimate.
@@ -405,7 +393,7 @@ def embed_and_estimate(
         raise InvalidInput(
             f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
         )
-    embedding, _ = build_embedding(cloud, c1=c1)
+    embedding, _ = build_embedding(cloud)
     n = z.shape[0]
     estimate = estimate_precision(
         padded_tiles(z, embedding, seed, config, [n])[n], embedding.shape

@@ -26,7 +26,6 @@ without changing the output; separate seeds give independent streams.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from scipy import sparse
 from scipy.linalg import blas
 from scipy.spatial.distance import cdist
 
-from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite
+from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, _check_integer
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
@@ -176,16 +175,14 @@ def _laplacian_csr(p: int, d: int) -> sparse.csr_matrix:
     return ((p + 1) ** 2 * functools.reduce(sparse.kronsum, [one_dim] * d)).tocsr()
 
 
-def _check_capacity(n_vertices: int, max_vertices: int):
-    if n_vertices > max_vertices:
+def _check_capacity(n_vertices: int):
+    if n_vertices > MAX_VERTICES:
         raise CapacityExceeded(
-            f"problem has {n_vertices} vertices, above the cap of {max_vertices}"
+            f"problem has {n_vertices} vertices, above the cap of {MAX_VERTICES}"
         )
 
 
-def build_lattice_precision(
-    p: int, d: int, s: int, max_vertices: int = MAX_VERTICES
-) -> GroundTruth:
+def build_lattice_precision(p: int, d: int, s: int) -> GroundTruth:
     """Lattice precision ``omega = h^d A^s`` with ``A`` the Dirichlet Laplacian.
 
     ``h = 1/(p+1)`` is the mesh width.  The theory's regime is ``s > d/2``;
@@ -198,12 +195,12 @@ def build_lattice_precision(
     and its extreme ratio is ``cot^2(pi / (2(p+1)))`` to the power ``s``,
     in every dimension ``d``.  A truth whose ``kappa`` is at or above
     ``1 / SPD_PIVOT_RTOL`` raises ``NotPositiveDefinite``, as Green's and
-    Matern truths do.  ``sigma`` is not formed here.
+    Matern truths do.  ``sigma`` is not formed here.  A lattice of more
+    than ``MAX_VERTICES`` nodes raises ``CapacityExceeded``.
     """
-    if s < 1:
-        raise InvalidInput(f"s must be a positive integer, got {s}")
+    _check_integer(s, "s")
     shape = LatticeShape(p=p, d=d)
-    _check_capacity(shape.size, max_vertices)
+    _check_capacity(shape.size)
     kappa = _check_kappa(
         float(np.tan(np.pi / (2 * (p + 1))) ** (-2 * s)),
         f"lattice precision (p={p}, d={d}, s={s})",
@@ -228,21 +225,17 @@ def build_lattice_precision(
     )
 
 
-def build_green_restriction(
-    fine_m: int,
-    d: int,
-    s: int,
-    cloud,
-    max_vertices: int = MAX_VERTICES,
-) -> GroundTruth:
+def build_green_restriction(fine_m: int, d: int, s: int, cloud) -> GroundTruth:
     """Green's matrix of the fine-grid operator restricted to site nodes.
 
     Every site of ``cloud`` must lie on a node ``t/(fine_m+1)``, ``t`` in
     ``{1..fine_m}^d``; other sites raise ``InvalidInput``.  The fine grid
     should oversample the sites by a factor of at least 4 for the
-    restriction to approximate the continuum Green's function well.
+    restriction to approximate the continuum Green's function well.  A
+    fine grid of more than ``MAX_VERTICES`` nodes raises
+    ``CapacityExceeded``.
     """
-    fine = build_lattice_precision(fine_m, d, s, max_vertices=max_vertices)
+    fine = build_lattice_precision(fine_m, d, s)
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
     if sites.shape[1] != d:
         raise InvalidInput(f"sites must have {d} coordinates, got shape {sites.shape}")
@@ -276,7 +269,7 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     if rho <= 0 or sigma2 <= 0:
         raise InvalidInput("rho and sigma2 must be positive")
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
-    _check_capacity(sites.shape[0], MAX_VERTICES)
+    _check_capacity(sites.shape[0])
     r = cdist(sites, sites)
     if nu == 0.5:
         k = np.exp(-r / rho)
@@ -333,11 +326,6 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray)
         yield block
 
 
-def _check_count(n: int):
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidInput(f"sample count must be a positive integer, got {n!r}")
-
-
 def sample_blocks(truth: GroundTruth, n: int, seed: int):
     """The rows of ``sample(truth, n, seed)``, as consecutive row blocks.
 
@@ -350,7 +338,7 @@ def sample_blocks(truth: GroundTruth, n: int, seed: int):
     rows).  An ``n`` that is not an integer of at least 1, or a seed
     outside ``[0, 2**128)``, raises ``InvalidInput`` here, before any draw.
     """
-    _check_count(n)
+    _check_integer(n, "sample count")
     buffer = np.empty((min(_draw_rows(truth.dim), n), truth.dim))
     return _draw(truth, n, _philox(seed), buffer)
 
@@ -377,7 +365,7 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     integer of at least 1, or a seed outside ``[0, 2**128)``, raises
     ``InvalidInput``.
     """
-    _check_count(n)
+    _check_integer(n, "sample count")
     out = np.empty((n, truth.dim))
     for _ in _draw(truth, n, _philox(seed), out):
         pass
@@ -415,15 +403,19 @@ def log_linear_fit(x, y):
     return float(slope), float(intercept), float(r2)
 
 
-def screening_profile(omega, points, h: float, noise_floor: float = 1e-10) -> ScreeningProfile:
+# Normalized correlations cannot be resolved much below kappa * eps in
+# float64, so screening bins at or below this are roundoff, not signal.
+_SCREENING_NOISE_FLOOR = 1e-10
+
+
+def screening_profile(omega, points, h: float) -> ScreeningProfile:
     """Decay of normalized conditional correlations with distance.
 
     Off-diagonal pairs are binned by ``ceil(|x_i - x_j| / h)`` and the
     maximum of ``|omega_ij| / sqrt(omega_ii omega_jj)`` is recorded per
-    bin, together with a log-linear fit.  Bins below ``noise_floor`` are
-    reported but excluded from the fit; normalized correlations cannot be
-    resolved much below ``kappa * eps`` in float64, and such bins are
-    roundoff, not signal.
+    bin, together with a log-linear fit.  Bins at or below
+    ``_SCREENING_NOISE_FLOOR`` (1e-10) are reported but excluded from the
+    fit, as roundoff.
     """
     omega = np.asarray(omega, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -443,7 +435,7 @@ def screening_profile(omega, points, h: float, noise_floor: float = 1e-10) -> Sc
     values = np.zeros(n_bins)
     np.maximum.at(values, bins_all - 1, normalized[iu])
     bins = np.arange(1, n_bins + 1)
-    fit_values = np.where(values > noise_floor, values, 0.0)
+    fit_values = np.where(values > _SCREENING_NOISE_FLOOR, values, 0.0)
     slope, intercept, r2 = log_linear_fit(bins, fit_values)
     return ScreeningProfile(bins=bins, values=values, slope=slope, intercept=intercept, r2=r2)
 

@@ -252,7 +252,7 @@ class TestEstimateCholesky:
         monkeypatch.setattr(linalg_module, "spd_inverse", counting(inverses, spd_inverse))
         truth, levels = nested_truth(3)
         z = sample(truth, 2000, seed=4)
-        covariance = scale_covariances(z, levels, None, [2000])[2000]
+        covariance = scale_covariances(z, levels, [2000])[2000]
         scales = estimate_scales(covariance, levels, d=1)
         assert levels.q == 3
         assert factored == [(levels.m, levels.m)]
@@ -373,7 +373,7 @@ class TestEstimateCholesky:
         with pytest.raises(InvalidInput, match="positive integer"):
             plan_scales(levels, n, cfg)
         with pytest.raises(InvalidInput, match="positive integer"):
-            scale_covariances(np.zeros((200, levels.m)), levels, cfg, [n])
+            scale_covariances(np.zeros((200, levels.m)), levels, [n])
 
     def test_scattered_route_for_large_scales(self):
         # With a small kappa hint, the finer scales exceed the full-inverse
@@ -402,7 +402,7 @@ class TestScaleCovariances:
         truth, levels = nested_truth(3)
         z = sample(truth, 2000, seed=4)
         cfg = EstimatorConfig(kappa_hint=truth.kappa)
-        covariance = scale_covariances(z, levels, cfg, [2000])[2000]
+        covariance = scale_covariances(z, levels, [2000])[2000]
         assert covariance.n == 2000
         assert np.array_equal(covariance.matrix, covariance.matrix.T)
         from_covariance = estimate_scales(covariance, levels, cfg, d=1)
@@ -416,7 +416,6 @@ class TestScaleCovariances:
         # symmetric, and its sum does not depend on the other sizes.
         truth, levels = nested_truth(3)
         z = sample(truth, 3000, seed=1)
-        cfg = EstimatorConfig(kappa_hint=truth.kappa)
 
         def stream():
             buffer = np.empty((1000, levels.m))
@@ -426,9 +425,9 @@ class TestScaleCovariances:
                 buffer[...] = np.nan
 
         sizes = [500, 1000, 1200, 3000]
-        shared = scale_covariances(stream(), levels, cfg, sizes)
+        shared = scale_covariances(stream(), levels, sizes)
         assert np.array_equal(
-            shared[1200].matrix, scale_covariances(stream(), levels, cfg, [1200])[1200].matrix
+            shared[1200].matrix, scale_covariances(stream(), levels, [1200])[1200].matrix
         )
         for n in sizes:
             got = shared[n].matrix
@@ -441,18 +440,17 @@ class TestScaleCovariances:
             raise AssertionError("a refused size read its rows")
             yield
 
-        truth, levels = nested_truth(3)
-        cfg = EstimatorConfig(kappa_hint=truth.kappa)
+        _, levels = nested_truth(3)
         with pytest.raises(NotPositiveDefinite):
-            scale_covariances(forbidden(), levels, cfg, [3, 2000])
+            scale_covariances(forbidden(), levels, [3, 2000])
         with pytest.raises(InvalidInput, match="end after"):
-            scale_covariances(iter([np.zeros((10, levels.m))]), levels, cfg, [20])
+            scale_covariances(iter([np.zeros((10, levels.m))]), levels, [20])
 
     def test_lattice_scales_need_the_samples(self):
         truth, levels = nested_truth(4, s=1)
         z = sample(truth, 2000, seed=5)
         cfg = EstimatorConfig(kappa_hint=1.0)
-        covariance = scale_covariances(z, levels, cfg, [2000])[2000]
+        covariance = scale_covariances(z, levels, [2000])[2000]
         with pytest.raises(InvalidInput, match="need the samples"):
             estimate_scales(covariance, levels, cfg, cloud=truth.geometry)
 

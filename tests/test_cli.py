@@ -166,6 +166,23 @@ class TestEstimate:
         recomputed = np.linalg.norm(u_hat - exact, 2) / np.linalg.norm(exact, 2)
         assert abs(recomputed - emitted) <= 1e-10 * recomputed
 
+    @pytest.mark.parametrize("factor", ["cholesky", "cholesky-star"])
+    def test_factor_rows_do_not_read_block_width(self, tmp_path, factor):
+        # Factor rows invert every scale's full sample covariance, so --b is
+        # accepted but not read, and their b column reads 0.  A factor route
+        # that runs the lattice-reduction scales will change this.
+        rows = []
+        for width in ([], ["--b", "3"]):
+            out = tmp_path / f"rows{len(width)}.csv"
+            code = run_cli(
+                "estimate", "--model", "laplacian", "--d", "2", "--p", "6", "--s", "1",
+                "--n", "400,800", "--seeds", "0,1", "--factor", factor, *width, "--out", str(out),
+            )
+            assert code == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
+        assert {row[7] for row in csv_rows(tmp_path / "rows2.csv")} == {"0"}
+
     @pytest.mark.parametrize(
         "factor,unused", [("cholesky", "assemble_U_star"), ("cholesky-star", "assemble_U")]
     )
@@ -490,7 +507,7 @@ class TestOneDrawPerSeed:
         want = [(cli._PAD_SEED + seed, [1000, 2000]) for seed in (0, 1)]
         assert [(args[2], args[4]) for args in passes] == (want if scattered else [])
         want = [[1000, 2000]] * 2 if kind == "factor" else []
-        assert [args[3] for args in covariances] == want
+        assert [args[2] for args in covariances] == want
         # Lattice rows estimate from prefixes of the sample array, scattered
         # rows from their padded tiles.
         read = [len(args[0]) if kind == "lattice" else args[0].n for args in precision_rows]

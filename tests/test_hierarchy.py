@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpprec.errors import InvalidInput
-from gpprec.hierarchy import assign_levels, maximin_order
+from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
 from gpprec.lattice import LatticeShape, lattice_points
 from gpprec.matching import measure_cloud
 
@@ -50,6 +50,19 @@ class TestMaximinOrder:
         ordering = maximin_order(cloud)
         assert cloud.sites[ordering.perm[0], 0] == pytest.approx(0.5)
         np.testing.assert_allclose(np.unique(ordering.ell), [0.125, 0.25, 0.5])
+
+
+class TestLevelPartition:
+    @pytest.mark.parametrize("sizes", [[2.5, 1], [2.0, 1], [True, True], []])
+    def test_non_integer_or_empty_sizes_refused(self, sizes):
+        # The int64 cast would truncate [2.5, 1] to [2, 1].
+        with pytest.raises(InvalidInput):
+            LevelPartition.from_sizes(sizes)
+
+    def test_numpy_integer_sizes_accepted(self):
+        levels = LevelPartition.from_sizes(np.array([2, 1], dtype=np.int32))
+        assert levels.q == 2
+        np.testing.assert_array_equal(levels.sizes(), [2, 1])
 
 
 class TestAssignLevels:

@@ -219,12 +219,18 @@ def test_readme_names_only_what_the_package_holds():
 # Every private name one module of the package imports from another, as
 # ``importer<-module._name``: each is a coupling past a module's public API.
 PRIVATE_IMPORTS = {
+    "cholesky<-errors._check_integer",
     "cli<-truth._check_capacity",
+    "estimator<-errors._check_integer",
     "estimator<-linalg._as_square_sym",
     "estimator<-linalg._gated_factor",
     "estimator<-linalg._symmetrize_in_place",
+    "lattice<-errors._check_integer",
+    "linalg<-errors._check_integer",
+    "matching<-errors._check_integer",
     "matching<-estimator._band_tiles",
     "matching<-linalg._philox",
+    "truth<-errors._check_integer",
     "truth<-linalg._philox",
 }
 
@@ -242,3 +248,81 @@ def test_cross_module_private_imports_are_listed():
     }
     assert sorted(found - PRIVATE_IMPORTS) == []
     assert sorted(PRIVATE_IMPORTS - found) == []
+
+
+# Defaulted parameters that no call in the package or the demos sets, as
+# ``module.function: parameter``, each with its reason.
+UNSET_DEFAULTS = {
+    # The lattice-reduction scales of the paper's estimator, which no CLI
+    # route runs yet.
+    "cholesky.estimate_scales: cloud",
+    "cholesky.estimate_scales: seed",
+    # Tests and embedding programs pass their own argument list.
+    "cli.main: argv",
+    # Set through functools.partial by run_suites.
+    "verify.suite_symmetry: inject_asymmetry",
+}
+
+
+def defaulted_parameters(tree):
+    """``(callee name, parameter, position)`` of every parameter with a default.
+
+    A method is called by its own name, ``__init__`` by its class's, and
+    ``position`` counts the arguments a call passes by position, so a
+    method's ``self`` is not counted; keyword-only parameters have
+    position ``None``.
+    """
+    owners = {
+        id(method): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+    }
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        owner = owners.get(id(function))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in function.decorator_list)
+        shift = 1 if owner and not static else 0
+        name = owner if function.name == "__init__" else function.name
+        args = function.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield name, arg.arg, index - shift
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_set():
+    # A default that only the default itself ever supplies is a setting
+    # with one value: it should be a constant.  A parameter passes when some
+    # call in the package or the demos passes it, by keyword or position.
+    callers = MODULES + sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+    calls = {}
+    for path in callers:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def is_set(function, parameter, position):
+        for call in calls.get(function, ()):
+            if any(k.arg in (parameter, None) for k in call.keywords):
+                return True
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            if position is not None and (starred or len(call.args) > position):
+                return True
+        return False
+
+    unset = {
+        f"{path.stem}.{function}: {parameter}"
+        for path in MODULES
+        for function, parameter, position in defaulted_parameters(parse(path))
+        if not is_set(function, parameter, position)
+    }
+    assert sorted(unset - UNSET_DEFAULTS) == []
+    assert sorted(UNSET_DEFAULTS - unset) == []

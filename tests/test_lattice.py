@@ -41,12 +41,31 @@ class TestLatticeShape:
         with pytest.raises(InvalidInput):
             LatticeShape(p=3, d=4)
 
+    @pytest.mark.parametrize(
+        "p, d", [(2.5, 1), (4, 2.0), (True, 1), (4.0, 1), ("3", 1), (3, True), (None, 1)]
+    )
+    def test_non_integer_side_or_dimension_refused(self, p, d):
+        # A float side or dimension would give a float size: 2.5, or 16.0 for 4 ** 2.0.
+        with pytest.raises(InvalidInput):
+            LatticeShape(p=p, d=d)
+
+    def test_numpy_integers_accepted(self):
+        shape = LatticeShape(p=np.int64(4), d=np.int32(2))
+        assert shape.size == 16
+        assert build_scheme(np.int64(10), np.int16(3), np.uint8(1)).S == 4
+
     def test_positions(self):
         shape = LatticeShape(p=3, d=1)
         np.testing.assert_allclose(lattice_points(shape).ravel(), [0.25, 0.5, 0.75])
 
 
 class TestBuildScheme:
+    @pytest.mark.parametrize("b", [2.5, 3.0, True, None, 0, 11])
+    def test_width_outside_one_to_p_refused(self, b):
+        # b = 2.5 would give S = 4.0.
+        with pytest.raises(InvalidInput):
+            build_scheme(10, b, 1)
+
     def test_short_last_interval(self):
         scheme = build_scheme(p=5, b=2, d=1)
         assert scheme.S == 3

@@ -103,6 +103,12 @@ class TestMeasureCloud:
         with pytest.raises(InvalidInput):
             measure_cloud(np.array([0.0, 0.5]), 1)
 
+    @pytest.mark.parametrize("sites, d", [([[0.2, 0.3], [0.6, 0.7]], 2.0), ([0.2, 0.6], True)])
+    def test_non_integer_dimension_refused(self, sites, d):
+        # Either would fail with an untyped TypeError where the dimension is used.
+        with pytest.raises(InvalidInput, match="d must be a positive integer"):
+            measure_cloud(np.array(sites), d)
+
     @pytest.mark.parametrize("d, m", [(1, 37), (2, 50), (3, 40)])
     def test_matches_dense_distance_reference(self, rng, d, m):
         # All-pairs distance tables, the same arithmetic per pair as the
@@ -152,10 +158,11 @@ class TestBuildTargetLattice:
             shape = build_target_lattice(cloud, c1)
             assert 1.0 / (shape.p + 1) < cloud.h
 
-    def test_capacity_cap(self):
+    def test_capacity_cap(self, monkeypatch):
         cloud = measure_cloud(perturbed_grid(49, 2, 0.2, seed=5), 2)
-        with pytest.raises(CapacityExceeded):
-            build_target_lattice(cloud, 0.5, max_vertices=10)
+        monkeypatch.setattr(matching_module, "MAX_LATTICE_VERTICES", 10)
+        with pytest.raises(CapacityExceeded, match="above the cap of 10"):
+            build_target_lattice(cloud, 0.5)
 
 
 class TestPerfectMatching:
@@ -420,7 +427,6 @@ class TestEmbedAndEstimate:
                 shape=shape,
                 node_of_site=rng.permutation(shape.size),
                 displacement=0.0,
-                c1=0.5,
             )
         nodes = embedding.node_of_site
         assert (nodes.size < embedding.shape.size) == bool(m)
@@ -567,22 +573,24 @@ class TestEmbedAndEstimate:
         assert peak <= bound
 
     def test_retries_halve_c1(self):
-        # A small lattice with one undersized retry budget surfaces the
-        # matching failure; a larger budget succeeds by growing the lattice.
+        # Within the MATCHING_RETRIES budget, halving c1 grows the lattice
+        # until three close sites match.
         sites = np.array([0.47, 0.5, 0.53])
         cloud = measure_cloud(sites, 1)
-        embedding, attempts = build_embedding(cloud, c1=0.99, retries=3)
+        embedding, attempts = build_embedding(cloud, c1=0.99)
         assert attempts >= 1
         assert embedding.displacement <= cloud.h
 
-    def test_clustered_cloud_fails_without_retries_then_succeeds(self):
+    def test_clustered_cloud_fails_without_retries_then_succeeds(self, monkeypatch):
         # Five sites in a 4e-4 cluster compete for the three nodes of the
         # first lattice; halving the sizing constant eventually separates
         # them.
         sites = 0.5 + np.arange(5) * 1e-4
         cloud = measure_cloud(sites, 1)
-        with pytest.raises(NoMatching):
-            build_embedding(cloud, c1=0.9, retries=0)
-        embedding, attempts = build_embedding(cloud, c1=0.9, retries=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(matching_module, "MATCHING_RETRIES", 0)
+            with pytest.raises(NoMatching):
+                build_embedding(cloud, c1=0.9)
+        embedding, attempts = build_embedding(cloud, c1=0.9)
         assert attempts > 1
         assert embedding.displacement <= cloud.h

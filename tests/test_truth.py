@@ -462,6 +462,33 @@ class TestSampleBlocks:
             padded_tiles(np.zeros((50, 4)), embedding, seed, EstimatorConfig(b_override=1), [50])
         assert sample(truth, 3, 2**128 - 1).shape == (3, 4)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "3", None])
+    def test_non_integer_seed_rejected_at_call(self, seed):
+        # int(seed) would key 2.5 as seed 2, and take True and "3".
+        truth = build_lattice_precision(4, 1, 1)
+        with pytest.raises(InvalidInput, match="seed must lie in"):
+            sample(truth, 5, seed)
+        with pytest.raises(InvalidInput, match="seed must lie in"):
+            sample_blocks(truth, 5, seed)
+        embedding, _ = build_embedding(measure_cloud((np.arange(4) + 0.5) / 4, 1), c1=0.5)
+        with pytest.raises(InvalidInput, match="seed must lie in"):
+            padded_tiles(np.zeros((50, 4)), embedding, seed, EstimatorConfig(b_override=1), [50])
+
+    def test_numpy_integer_seed_accepted(self):
+        truth = build_lattice_precision(4, 1, 1)
+        assert np.array_equal(sample(truth, 5, np.uint64(2)), sample(truth, 5, 2))
+
+    @pytest.mark.parametrize("p, d, s", [(2.5, 1, 1), (4, 2.0, 1), (4, 1, 1.5), (4, 1, True)])
+    def test_non_integer_lattice_truth_refused(self, p, d, s):
+        # Each would fail later with an untyped TypeError, or build from a bool power.
+        with pytest.raises(InvalidInput):
+            build_lattice_precision(p, d, s)
+
+    def test_numpy_integer_lattice_truth_accepted(self):
+        want = build_lattice_precision(4, 2, 1)
+        got = build_lattice_precision(np.int64(4), np.int32(2), np.int8(1))
+        assert np.array_equal(got.omega, want.omega)
+
     @pytest.mark.parametrize("model", ["laplacian", "matern"])
     def test_factor_reaches_dtrmm_in_fortran_order(self, monkeypatch, model):
         # f2py copies a factor in any other order, on every block; the
