@@ -1,4 +1,4 @@
-"""Experiment command line: simulate, estimate, scaling-study, verify, bench.
+"""Experiment command line: simulate, estimate, scaling-study, verify.
 
 Configuration comes from optional ``key=value`` lines in a ``--config``
 file, overridden by command-line flags.  A key is a flag name with ``_``
@@ -11,7 +11,7 @@ byte-identical files at a fixed BLAS thread count: under another count the
 truth's inverse and norms round differently, and Green's and Matern
 ``kappa`` move by about 1e-8 relative between 1 and 2 threads.  Wall-clock
 timing is opt-in (``--timing``), because measured times would break that
-determinism; the ``bench`` subcommand always times.
+determinism.
 
 Every route runs through one row loop.  ``_route`` builds the run's
 estimator once per run (the factor context of factor runs, the site
@@ -578,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "write ground truth and sample files"),
         ("estimate", "run the estimator over the configured grid and emit CSV"),
         ("scaling-study", "grid over p and N with median errors and fitted slopes"),
-        ("bench", "estimate with --timing always on"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
@@ -612,8 +611,6 @@ def main(argv=None) -> int:
             return cmd_estimate(cfg)
         if args.command == "scaling-study":
             return cmd_scaling_study(cfg)
-        if args.command == "bench":
-            return cmd_estimate(dict(cfg, timing=True))
     except _ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

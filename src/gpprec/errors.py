@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one integer rule."""
+"""Exception types shared across the package, and its integer and real-number rules."""
 
 import numbers
 
@@ -97,3 +97,8 @@ def _check_integer(value, name: str, minimum: int = 1, bits: int | None = None):
     if bits is None:
         raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
     raise InvalidInput(f"{name} must lie in [{minimum}, 2**{bits}), got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: Python and numpy integers and floats, not bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -58,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve, lapack
 
-from .errors import InvalidInput, LocalSingular, NotPositiveDefinite, _check_integer
+from .errors import InvalidInput, LocalSingular, NotPositiveDefinite, _check_integer, _is_real
 from .lattice import BlockScheme, LatticeShape, build_scheme
 from .linalg import (
     _as_square_sym,
@@ -74,7 +74,6 @@ __all__ = [
     "BandTiles",
     "EstimatorConfig",
     "PrecisionEstimate",
-    "choose_block_size",
     "estimate_precision",
     "ols_plugin_row",
     "plan_estimate",
@@ -92,19 +91,21 @@ WINDOW_RADIUS = 2
 class EstimatorConfig:
     """Tuning knobs for :func:`estimate_precision`.
 
-    ``kappa_hint`` enters the block-width rule ``b = ceil(log(N * kappa))``;
+    ``kappa_hint`` enters the block-width rule ``b = ceil(log(N * kappa))``,
+    floored at 1, and must be a real number in ``[1, inf)``, not a bool;
     pass the exact condition number when the truth is known, otherwise it
-    defaults to the variable count ``p**d`` at the call site.  ``b_override``
-    bypasses the rule and the small-lattice fallback: with it set, the
-    estimate is always blockwise at that width.
+    defaults to the variable count ``p**d`` at the call site.
+    ``b_override`` bypasses the rule and the small-lattice fallback: with
+    it set, the estimate is always blockwise at that width.
     """
 
     b_override: int | None = None
     kappa_hint: float | None = None
 
     def __post_init__(self):
-        if self.kappa_hint is not None and not 1.0 <= self.kappa_hint < math.inf:
-            raise InvalidInput(f"kappa_hint must be finite and at least 1, got {self.kappa_hint}")
+        kappa = self.kappa_hint
+        if kappa is not None and not (_is_real(kappa) and 1.0 <= kappa < math.inf):
+            raise InvalidInput(f"kappa_hint must be finite and at least 1, got {kappa!r}")
         if self.b_override is not None:
             _check_integer(self.b_override, "b_override")
 
@@ -185,15 +186,6 @@ class BandTiles:
                 gram[a:a + w, a + w:a + w + c] = reach[i]
                 gram[a + w:a + w + c, a:a + w] = reach[i].T
         return gram
-
-
-def choose_block_size(n: int, kappa: float) -> int:
-    """Block width ``ceil(log(n * kappa))``, floored at 1."""
-    if n < 1:
-        raise InvalidInput(f"sample count must be positive, got {n}")
-    if not 1.0 <= kappa < math.inf:
-        raise InvalidInput(f"kappa must be finite and at least 1, got {kappa}")
-    return max(1, math.ceil(math.log(n * kappa)))
 
 
 def _slab_runs(scheme: BlockScheme) -> list:
@@ -361,9 +353,11 @@ def _scheme(shape: LatticeShape, b: int | None) -> BlockScheme:
 def plan_estimate(shape: LatticeShape, n: int, config: EstimatorConfig | None = None):
     """Block width of an estimate from ``n`` samples on ``shape``; ``None`` for the fallback.
 
-    Makes every refusal that needs no data, so a caller can run it before
-    drawing the samples; :func:`estimate_precision` runs it first on a
-    sample matrix.  Raises
+    The width is ``b_override`` if set, else ``ceil(log(n * kappa_hint))``
+    floored at 1, with ``kappa_hint`` defaulting to ``p**d``.  Makes every
+    refusal that needs no data, so a caller can run it before drawing the
+    samples; :func:`estimate_precision` runs it first on a sample matrix.
+    Raises
 
     * ``InvalidInput`` when ``b_override`` exceeds the side ``p``, or when
       ``n`` is not an integer of at least 1;
@@ -387,8 +381,9 @@ def plan_estimate(shape: LatticeShape, n: int, config: EstimatorConfig | None = 
         if n < m:
             raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
         return None
-    # Past the fallback, p > log(n * kappa), so the rule's width is at most p.
-    b = config.b_override or choose_block_size(n, kappa)
+    # Past the fallback, p > log(n * kappa), so the rule's width is at most
+    # p; the floor keeps n = kappa = 1 a LocalSingular, not a width of 0.
+    b = config.b_override or max(1, math.ceil(math.log(n * kappa)))
     for window in _windows(_scheme(shape, b)):
         if window.size >= n:
             raise LocalSingular(window.j, window.size, n)

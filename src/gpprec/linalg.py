@@ -3,7 +3,9 @@
 Matrices are plain float64 ``numpy.ndarray`` objects.  Functions returning
 symmetric matrices always return *exactly* symmetric arrays (both triangles
 bitwise equal), and symmetric inputs are required to be exactly symmetric;
-use :func:`symmetrize` first when a matrix was assembled entrywise.
+use :func:`symmetrize` first when a matrix was assembled entrywise.  A
+dense square input with a NaN or infinite entry raises ``InvalidInput``
+before its symmetry is checked, as no symmetrizing or factoring mends it.
 
 Positive definiteness is decided by the Cholesky pivot rule: a pivot is
 rejected when it is at most ``SPD_PIVOT_RTOL`` times the largest diagonal
@@ -92,6 +94,8 @@ def _as_square(a, name="matrix") -> np.ndarray:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] < 1:
         raise InvalidInput(f"{name} must have dimension at least 1")
+    if not np.isfinite(a).all():
+        raise InvalidInput(f"{name} must be finite")
     return a
 
 
@@ -316,9 +320,9 @@ def spectral_norm(a) -> float:
 
     ``a`` is a dense array, a scipy sparse matrix or a ``LinearOperator``,
     and is used as it is held: a sparse matrix is not densified and a dense
-    one is not sparsified.  Arrays must be exactly symmetric
-    (``InvalidInput`` otherwise); for a ``LinearOperator`` the caller
-    guarantees symmetry, which cannot be checked here.
+    one is not sparsified.  Arrays must be exactly symmetric, and a dense
+    one finite (``InvalidInput`` otherwise); for a ``LinearOperator`` the
+    caller guarantees symmetry, which cannot be checked here.
 
     The norm is the extreme eigenvalue found by Lanczos (``eigsh`` with
     ``k=1``, ``which="LM"``, ``tol=0``, so converged to machine precision)

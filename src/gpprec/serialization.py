@@ -1,14 +1,13 @@
-"""Plain-text serialization of matrices, clouds, orderings, and factors.
+"""Plain-text serialization of matrices, samples, clouds, orderings, and truths.
 
 All formats are line-oriented ASCII with values printed to 17 significant
 digits, enough for exact float64 round trips.  Metadata lines start with
 ``#`` and hold ``key=value`` pairs.  The parsers raise ``InvalidInput`` for
 text that does not hold what its header declares: no data lines, a line
 with the wrong number of values or a non-numeric one, a line count that
-disagrees with the header, a factor block missing or given twice, or an
-ordering that is no permutation, has distances that are not positive and
-nonincreasing, or has levels that do not run from 1 at its first
-position to ``q`` at its last.
+disagrees with the header, or an ordering that is no permutation, has
+distances that are not positive and nonincreasing, or has levels that do
+not run from 1 at its first position to ``q`` at its last.
 """
 
 from __future__ import annotations
@@ -22,16 +21,12 @@ from .matching import SiteCloud, measure_cloud
 __all__ = [
     "format_matrix",
     "parse_matrix",
-    "save_matrix",
-    "load_matrix",
     "format_samples",
     "parse_samples",
     "format_sites",
     "parse_sites",
     "format_ordering",
     "parse_ordering",
-    "format_factor",
-    "parse_factor",
     "format_truth",
     "parse_truth",
 ]
@@ -82,16 +77,6 @@ def parse_matrix(text: str) -> np.ndarray:
     lines = _lines(text)
     (dim,) = _values(lines[0], (int,), "matrix header")
     return _table(lines[1:], dim, dim, "matrix")
-
-
-def save_matrix(path, a):
-    with open(path, "w") as fh:
-        fh.write(format_matrix(a))
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        return parse_matrix(fh.read())
 
 
 def format_samples(z) -> str:
@@ -150,56 +135,6 @@ def parse_ordering(text: str):
         raise InvalidInput(f"levels must be nondecreasing from 1 at the first position to {q}")
     levels = LevelPartition.from_sizes(np.bincount(level_of)[1:])
     return MaximinOrdering(perm=perm, ell=ell), levels
-
-
-def format_factor(u, levels: LevelPartition, d: int) -> str:
-    """Dense factor ``U`` as ``M q d``, level sizes, then ``(k, l)`` blocks.
-
-    The blocks are those of ``U^T`` with ``l <= k``, row-major.
-    """
-    ut = np.asarray(u, dtype=np.float64).T
-    if ut.shape != (levels.m, levels.m):
-        raise InvalidInput(f"factor must be {(levels.m, levels.m)}, got {ut.shape}")
-    lines = [f"{levels.m} {levels.q} {d}"]
-    lines.append(" ".join(str(int(s)) for s in levels.sizes()))
-    for k in range(1, levels.q + 1):
-        for l in range(1, k + 1):
-            block = ut[levels.level_slice(k), levels.level_slice(l)]
-            lines.append(f"{k} {l} {block.shape[0]} {block.shape[1]}")
-            lines.extend(_rows(block))
-    return "\n".join(lines) + "\n"
-
-
-def parse_factor(text: str):
-    """Inverse of :func:`format_factor`: ``(u, levels, d)``."""
-    lines = _lines(text)
-    m, q, d = _values(lines[0], (int, int, int), "factor header")
-    if len(lines) < 2:
-        raise InvalidInput("factor text has no level sizes line")
-    sizes = np.array(_values(lines[1], (int,) * q, "level sizes"), dtype=np.int64)
-    if int(sizes.sum()) != m:
-        raise InvalidInput("level sizes disagree with the header")
-    levels = LevelPartition.from_sizes(sizes)
-    ut = np.zeros((m, m))
-    seen = set()
-    pos = 2
-    while pos < len(lines):
-        k, l, rows, cols = _values(lines[pos], (int, int, int, int), "block header")
-        pos += 1
-        if not 1 <= l <= k <= q:
-            raise InvalidInput(f"block ({k}, {l}) is not in the lower block triangle")
-        if (k, l) in seen:
-            raise InvalidInput(f"block ({k}, {l}) appears twice")
-        seen.add((k, l))
-        block = _table(lines[pos:pos + rows], rows, cols, f"block ({k}, {l})")
-        target = ut[levels.level_slice(k), levels.level_slice(l)]
-        if block.shape != target.shape:
-            raise InvalidInput(f"block ({k}, {l}) does not match its declared shape")
-        pos += rows
-        target[...] = block
-    if len(seen) != q * (q + 1) // 2:
-        raise InvalidInput(f"factor text holds {len(seen)} of the {q * (q + 1) // 2} blocks")
-    return ut.T, levels, d
 
 
 def format_truth(truth) -> str:

@@ -33,7 +33,7 @@ from scipy import sparse
 from scipy.linalg import blas
 from scipy.spatial.distance import cdist
 
-from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, _check_integer
+from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, _check_integer, _is_real
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
@@ -262,12 +262,15 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     This family corresponds to whole-space models; conditional correlations
     decay more slowly near the boundary, so it is tagged as a demo model.
     A cloud of more than ``MAX_VERTICES`` sites raises ``CapacityExceeded``
-    before any distance is taken.
+    before any distance is taken.  ``rho`` and ``sigma2`` must be finite,
+    positive real numbers, not bools; any other value raises
+    ``InvalidInput`` naming the parameter.
     """
     if nu not in _MATERN_NUS:
         raise InvalidInput(f"nu must be one of {_MATERN_NUS}, got {nu}")
-    if rho <= 0 or sigma2 <= 0:
-        raise InvalidInput("rho and sigma2 must be positive")
+    for name, value in (("rho", rho), ("sigma2", sigma2)):
+        if not (_is_real(value) and 0.0 < value < np.inf):
+            raise InvalidInput(f"{name} must be a finite, positive real number, got {value!r}")
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
     _check_capacity(sites.shape[0])
     r = cdist(sites, sites)

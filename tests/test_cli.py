@@ -109,7 +109,7 @@ class TestEstimate:
         assert run_cli("simulate", *argv_common, "--out", str(sim_dir)) == 0
         emitted = float(out.read_text().splitlines()[2].split(",")[9])
         _, _, omega = ser.parse_truth(next(sim_dir.glob("*-truth.txt")).read_text())
-        estimate = ser.load_matrix(next(est_dir.glob("*seed3-estimate.txt")))
+        estimate = ser.parse_matrix(next(est_dir.glob("*seed3-estimate.txt")).read_text())
         recomputed = spectral_norm(symmetrize(estimate - omega)) / spectral_norm(omega)
         assert abs(recomputed - emitted) <= 1e-12
 
@@ -157,7 +157,7 @@ class TestEstimate:
         )
         assert code == 0
         emitted = float(out.read_text().splitlines()[2].split(",")[9])
-        u_hat = ser.load_matrix(next(est_dir.glob("*seed3-estimate.txt")))
+        u_hat = ser.parse_matrix(next(est_dir.glob("*seed3-estimate.txt")).read_text())
         truth = truth_module.build_lattice_precision(24, 1, 1)
         order = maximin_order(measure_cloud(lattice_points(truth.geometry), 1))
         levels = assign_levels(order)
@@ -910,10 +910,10 @@ class TestVerify:
         assert lines[2].startswith("symmetry,1,")
 
 
-class TestBench:
-    def test_bench_times_rows(self, capsys):
+class TestTiming:
+    def test_timing_fills_wall_ms(self, capsys):
         code = run_cli(
-            "bench", "--model", "laplacian", "--d", "1", "--p", "10", "--s", "1",
+            "estimate", "--timing", "--model", "laplacian", "--d", "1", "--p", "10", "--s", "1",
             "--n", "300", "--seeds", "0",
         )
         assert code == 0

@@ -14,7 +14,6 @@ from gpprec.estimator import (
     EstimatorConfig,
     _band_tiles,
     _windows,
-    choose_block_size,
     WINDOW_RADIUS,
     estimate_precision,
     ols_plugin_row,
@@ -58,29 +57,45 @@ def dense_lattice_truth(p=40, s=2):
 
 
 class TestChooseBlockSize:
+    """The width rule ``b = ceil(log(N * kappa))``, floored at 1, as plan_estimate applies it."""
+
     def test_floor_at_one(self):
-        assert choose_block_size(1, 1.0) == 1
+        # log(1 * 1) = 0: the floor makes b = 1, whose one-vertex windows
+        # are under-sampled by N = 1, rather than a width of 0.
+        with pytest.raises(LocalSingular):
+            plan_estimate(LatticeShape(64, 1), 1, EstimatorConfig(kappa_hint=1.0))
 
     def test_log_twenty(self):
-        assert choose_block_size(20, 1.0) == 3
+        assert plan_estimate(LatticeShape(64, 1), 20, EstimatorConfig(kappa_hint=1.0)) == 3
 
     def test_log_ten_thousand(self):
-        assert choose_block_size(100, 100.0) == 10
+        assert plan_estimate(LatticeShape(64, 1), 100, EstimatorConfig(kappa_hint=100.0)) == 10
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInput):
-            choose_block_size(0, 1.0)
+            plan_estimate(LatticeShape(64, 1), 0, EstimatorConfig(kappa_hint=1.0))
         with pytest.raises(InvalidInput):
-            choose_block_size(10, 0.5)
+            EstimatorConfig(kappa_hint=0.5)
 
     @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), -float("inf"), 0.5])
     def test_rejects_kappa_not_finite_or_below_one(self, kappa):
         # A NaN or infinite kappa has no width ceil(log(n * kappa)), so it
         # is refused as bad input, not left to math.ceil to raise.
         with pytest.raises(InvalidInput, match="finite and at least 1"):
-            choose_block_size(10, kappa)
-        with pytest.raises(InvalidInput, match="finite and at least 1"):
             EstimatorConfig(kappa_hint=kappa)
+
+    @pytest.mark.parametrize(
+        "kappa", ["5", True, np.True_, 2 + 0j], ids=["str", "bool", "numpy-bool", "complex"]
+    )
+    def test_rejects_kappa_not_real(self, kappa):
+        # A string has no order against 1, and a bool is an int to Python:
+        # both are refused by type, not left to a TypeError or taken as 1.
+        with pytest.raises(InvalidInput, match="kappa_hint"):
+            EstimatorConfig(kappa_hint=kappa)
+
+    @pytest.mark.parametrize("kappa", [np.float64(100.0), np.float32(100.0), np.int64(100), 100])
+    def test_numpy_and_integer_kappa_accepted(self, kappa):
+        assert plan_estimate(LatticeShape(64, 1), 100, EstimatorConfig(kappa_hint=kappa)) == 10
 
 
 class TestLocalEstimate:

@@ -1,13 +1,19 @@
 """Every import and every private module-level name in the package is used by the package.
 
-The package exports exactly what its re-exported modules export, every
-exported name exists, and README names every command-line option.
+Every public function has a use in the package or the demos.  The
+package exports exactly what its re-exported modules export, every
+exported name exists, README names every command-line option, and
+``python -m gpprec``, README and the ``cli`` docstring name the same
+subcommands.
 """
 
 import argparse
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,7 @@ from gpprec import cli
 
 PACKAGE = Path(gpprec.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+DEMOS = sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
 
 
 def parse(path):
@@ -87,6 +94,39 @@ def test_every_private_module_level_name_is_used():
     assert unused == []
 
 
+# Public functions that nothing in the package or the demos calls, as
+# ``module.function``, each with its reason.
+UNCALLED_PUBLIC = {
+    # Each reads a file `simulate` writes; the tests check the CLI's
+    # output through them.
+    "serialization.parse_ordering",
+    "serialization.parse_samples",
+    "serialization.parse_sites",
+    "serialization.parse_truth",
+}
+
+
+def test_every_public_function_has_a_program_use():
+    # A public module-level function must be named somewhere in the package
+    # outside its own def, or in a demo; a SUITES entry names its suite.
+    # The names in ``__all__`` are strings, so exporting is not a use.
+    trees = {path: parse(path) for path in MODULES + DEMOS}
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = node.name if isinstance(node, ast.FunctionDef) else None
+            used.update(name for name in used_names(node) if name != own)
+    uncalled = {
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in used
+    }
+    assert sorted(uncalled - UNCALLED_PUBLIC) == []
+    assert sorted(UNCALLED_PUBLIC - uncalled) == []
+
+
 REEXPORTED = (
     "cholesky", "errors", "estimator", "hierarchy", "lattice", "linalg", "matching", "truth",
 )
@@ -122,6 +162,26 @@ def test_readme_names_every_cli_option():
     }
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     assert sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme)) == []
+
+
+def test_subcommands_agree_across_entry_point_readme_and_docstring():
+    # ``python -m gpprec`` runs __main__, which no in-process test imports.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "gpprec", "--help"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stderr
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    expected = set(commands.choices)
+    assert expected == {"simulate", "estimate", "scaling-study", "verify"}
+    listed = re.search(r"\{([\w,-]+)\}", run.stdout).group(1)
+    assert set(listed.split(",")) == expected
+    bullets = set(re.findall(r"^\* `([a-z-]+)`:", README, flags=re.M))
+    assert bullets == expected
+    summary = cli.__doc__.splitlines()[0].partition(":")[2]
+    assert {word.strip(" .") for word in summary.split(",")} == expected
 
 
 # Stale references: every name the docs give the package must still exist.
@@ -222,6 +282,7 @@ PRIVATE_IMPORTS = {
     "cholesky<-errors._check_integer",
     "cli<-truth._check_capacity",
     "estimator<-errors._check_integer",
+    "estimator<-errors._is_real",
     "estimator<-linalg._as_square_sym",
     "estimator<-linalg._gated_factor",
     "estimator<-linalg._symmetrize_in_place",
@@ -231,6 +292,7 @@ PRIVATE_IMPORTS = {
     "matching<-estimator._band_tiles",
     "matching<-linalg._philox",
     "truth<-errors._check_integer",
+    "truth<-errors._is_real",
     "truth<-linalg._philox",
 }
 
@@ -300,7 +362,7 @@ def test_every_defaulted_parameter_is_set():
     # A default that only the default itself ever supplies is a setting
     # with one value: it should be a constant.  A parameter passes when some
     # call in the package or the demos passes it, by keyword or position.
-    callers = MODULES + sorted((PACKAGE.parents[1] / "demos").glob("*.py"))
+    callers = MODULES + DEMOS
     calls = {}
     for path in callers:
         for node in ast.walk(parse(path)):

@@ -106,6 +106,19 @@ class TestCholesky:
             cholesky_lower(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("function", [cholesky_lower, spd_inverse, spectral_norm])
+@pytest.mark.parametrize(
+    "entry, value", [((0, 1), np.nan), ((0, 0), np.inf)], ids=["nan-off-diagonal", "inf-diagonal"]
+)
+def test_non_finite_matrix_refused(function, entry, value):
+    # Neither symmetrizing nor a pivot gate can mend a NaN or infinite
+    # entry, so it is refused before either is reached.
+    a = np.eye(3) * 2.0
+    a[entry] = a[entry[::-1]] = value
+    with pytest.raises(InvalidInput, match="must be finite"):
+        function(a)
+
+
 class TestTiledSymmetry:
     """Symmetry is checked, and made in place, tile by tile against the mirrors."""
 

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from gpprec import serialization as ser
-from gpprec.cholesky import exact_block_factor
 from gpprec.errors import InvalidInput
-from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
+from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.matching import measure_cloud
 from gpprec.truth import build_lattice_precision
-from gpprec.verify import random_spd
 
 
 class TestMatrixFormat:
@@ -18,12 +16,6 @@ class TestMatrixFormat:
         text = ser.format_matrix(a)
         assert text.splitlines()[0] == "5"
         np.testing.assert_array_equal(ser.parse_matrix(text), a)
-
-    def test_file_round_trip(self, rng, tmp_path):
-        a = rng.standard_normal((4, 4))
-        path = tmp_path / "m.txt"
-        ser.save_matrix(path, a)
-        np.testing.assert_array_equal(ser.load_matrix(path), a)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
@@ -63,49 +55,6 @@ class TestOrderingFormat:
         np.testing.assert_array_equal(back_lev.level_of, levels.level_of)
 
 
-class TestFactorFormat:
-    def test_round_trip(self, rng):
-        levels = LevelPartition.from_sizes([2, 3, 2])
-        omega = random_spd(rng, 7, 40.0)
-        u = exact_block_factor(omega, levels, d=2)
-        back, back_levels, back_d = ser.parse_factor(ser.format_factor(u, levels, 2))
-        assert back_d == 2
-        assert back_levels.q == 3
-        np.testing.assert_array_equal(back_levels.offsets, levels.offsets)
-        np.testing.assert_array_equal(back, u)
-
-    def test_golden_text(self):
-        omega = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        levels = LevelPartition.from_sizes([1, 2])
-        u = exact_block_factor(omega, levels, d=1)
-        text = ser.format_factor(u, levels, 1)
-        assert text == (
-            "3 2 1\n"
-            "1 2\n"
-            "1 1 1 1\n"
-            "1.8973665961010278\n"
-            "2 1 2 1\n"
-            "0.63245553203367588\n"
-            "0\n"
-            "2 2 2 2\n"
-            "1.5811388300841898 0\n"
-            "0.70710678118654746 1.4142135623730951\n"
-        )
-        back, _, _ = ser.parse_factor(text)
-        np.testing.assert_array_equal(back, u)
-
-    @pytest.mark.parametrize(
-        "block_line", ["1 2 1 2", "3 1 1 1", "2 1 1 1"], ids=["above", "outside", "shape"]
-    )
-    def test_misplaced_block_rejected(self, block_line):
-        # Each block is well formed by its own dims; level sizes are 1 and 2,
-        # so a 1 x 1 block (2, 1) would otherwise broadcast into a 2 x 1 slot.
-        rows, cols = (int(v) for v in block_line.split()[2:])
-        text = "3 2 1\n1 2\n" + block_line + "\n" + (" ".join(["1"] * cols) + "\n") * rows
-        with pytest.raises(InvalidInput):
-            ser.parse_factor(text)
-
-
 class TestMalformedText:
     @pytest.mark.parametrize(
         "parse, text",
@@ -113,8 +62,6 @@ class TestMalformedText:
             pytest.param(ser.parse_matrix, "", id="empty"),
             pytest.param(ser.parse_samples, "# seed=5\n\n", id="metadata-only"),
             pytest.param(ser.parse_samples, "2\n1 2\n3 4\n", id="short-header"),
-            pytest.param(ser.parse_factor, "3 2\n1 2\n", id="short-factor-header"),
-            pytest.param(ser.parse_factor, "3 2 1\n", id="no-level-sizes"),
             pytest.param(ser.parse_samples, "2 2\n1 2\n3\n", id="ragged-row"),
             pytest.param(ser.parse_sites, "1 2\n0.2\n0.4 0.6\n", id="ragged-site"),
             pytest.param(ser.parse_matrix, "2\n1 x\n3 4\n", id="non-numeric-entry"),
@@ -127,20 +74,6 @@ class TestMalformedText:
             pytest.param(ser.parse_ordering, "1 1\n0 1 0.5\n1 1 0.25\n", id="more-ordering-rows"),
             pytest.param(ser.parse_ordering, "2 1\n0 1 0.5\n1 2 0.25\n", id="level-above-q"),
             pytest.param(ser.parse_ordering, "2 2\n0 2 0.5\n1 1 0.25\n", id="levels-decrease"),
-            pytest.param(ser.parse_factor, "3 2 1\n1 2\n1 1 1 1\n", id="block-without-rows"),
-            pytest.param(
-                ser.parse_factor, "3 2 1\n1 2\n1 1 1 1\n2\n2 2 2 2\n1 0\n", id="truncated-block"
-            ),
-            pytest.param(ser.parse_factor, "3 2 1\n1 2\n1 1 1\n2\n", id="short-block-header"),
-            pytest.param(ser.parse_factor, "3 2 1\n1 2\n", id="no-blocks"),
-            pytest.param(
-                ser.parse_factor,
-                "3 2 1\n1 2\n1 1 1 1\n2\n2 2 2 2\n1 0\n0 1\n",
-                id="missing-block",
-            ),
-            pytest.param(
-                ser.parse_factor, "1 1 1\n1\n1 1 1 1\n2\n1 1 1 1\n3\n", id="repeated-block"
-            ),
             pytest.param(ser.parse_ordering, "2 1\n5 1 0.5\n5 1 -1\n", id="index-out-of-range"),
             pytest.param(ser.parse_ordering, "2 1\n1 1 0.5\n1 1 0.25\n", id="repeated-index"),
             pytest.param(ser.parse_ordering, "2 1\n0 1 0.5\n1 1 -1\n", id="negative-distance"),

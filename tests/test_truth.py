@@ -299,6 +299,20 @@ class TestMatern:
         with pytest.raises(NotPositiveDefinite):
             matern_covariance(tight, nu=1.5, rho=0.3, sigma2=1.0)
 
+    @pytest.mark.parametrize("name", ["rho", "sigma2"])
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -1.0, float("nan"), float("inf"), "0.3", True, np.True_, None],
+        ids=["zero", "negative", "nan", "inf", "str", "bool", "numpy-bool", "none"],
+    )
+    def test_bad_parameter_refused_by_name(self, cloud, name, value):
+        # Each is refused by name before any distance is taken: a NaN rho
+        # would otherwise fail the symmetry check and an infinite sigma2 the
+        # pivot gate, neither of which names the parameter.
+        params = {"rho": 0.3, "sigma2": 1.0, name: value}
+        with pytest.raises(InvalidInput, match=f"^{name} must be a finite, positive real number"):
+            matern_covariance(cloud, nu=1.5, **params)
+
 
 class TestSample:
     def test_identity_returns_raw_normals(self):
