@@ -15,7 +15,6 @@ import dataclasses
 import numpy as np
 
 from gpprec import (
-    EstimatorConfig,
     assemble_U,
     assemble_U_star,
     assign_levels,
@@ -50,11 +49,10 @@ print(f"\nexact factor reconstructs the precision to {rec_err:.2e}")
 ordered_truth = dataclasses.replace(truth, omega=omega, geometry=cloud)
 exact_star = assemble_U_star(scales)
 
-config = EstimatorConfig(kappa_hint=truth.kappa)
 print("\nestimated factors from N samples (seed 0):")
 for n in (2000, 8000):
     z = sample(ordered_truth, n, seed=0)
-    est = estimate_scales(z, levels, config, d=1)
+    est = estimate_scales(z, levels, d=1)
     u_hat = assemble_U(est)
     star_hat = assemble_U_star(est)
     err_u = np.linalg.norm(u_hat - exact_u, 2) / np.linalg.norm(exact_u, 2)

@@ -69,14 +69,18 @@ maximin-permuted truth, as ``sqrt(||D D^T||_2 / ||omega||_2)`` with
 ``||U||_2^2 = ||omega||_2``.  ``D D^T`` is applied as ``x -> D (D^T x)``
 and never formed.
 
-Estimator failures are recorded in the final ``error`` column (the row's
+Every failure is a ``gpprec.errors.GpprecError``.  A row's failure is
+recorded by class name in the final ``error`` column (the row's
 ``rel_spectral_error`` is ``nan``) and the run continues; the exit code is
-zero only when every row succeeded.
+zero only when every row succeeded.  Every other refusal stops the run
+with its message on stderr and exit code 2; output paths are checked
+before any truth is built or any suite runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import astuple, dataclass, replace
@@ -94,14 +98,7 @@ from .cholesky import (
     plan_scales,
     scale_covariances,
 )
-from .errors import (
-    CapacityExceeded,
-    InvalidInput,
-    LocalSingular,
-    NoMatching,
-    NotPositiveDefinite,
-    NumericalFailure,
-)
+from .errors import GpprecError, InvalidInput
 from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
@@ -140,16 +137,6 @@ CSV_COLUMNS = (
 # Site clouds are derived from this base so that --seeds only affects sampling.
 _SITE_SEED = 1000003
 _PAD_SEED = 7000003
-
-_ERRORS = (
-    InvalidInput,
-    NotPositiveDefinite,
-    NumericalFailure,
-    LocalSingular,
-    NoMatching,
-    CapacityExceeded,
-)
-
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -237,6 +224,29 @@ def _validate_config(cfg):
     p_list = cfg.get("p_list")
     if p_list and (len(set(p_list)) != len(p_list) or min(p_list) < 1):
         raise InvalidInput(f"p_list must be a list of distinct positive sides, got {p_list}")
+    _check_output(cfg["out"], "--out", directory=cfg["command"] == "simulate")
+    _check_output(cfg["save_estimates"], "--save-estimates", directory=True)
+
+
+def _check_output(path, flag, directory=False):
+    """Refuse with ``InvalidInput`` an output ``path`` that the run could not write.
+
+    A file must not be a directory, and its directory must exist; a
+    directory must exist, or be creatable under its nearest existing
+    ancestor, which must be a directory.  The existing path written to,
+    or the directory it would be made in, must be writable.  Runs check
+    their outputs before they build or compute anything; no path, no check.
+    """
+    if not path:
+        return
+    target = Path(path)
+    home = target if directory or target.exists() else target.parent
+    while directory and not home.exists() and home != home.parent:
+        home = home.parent
+    # Only an existing output file is written into without being a directory.
+    if home.is_dir() != (directory or home != target) or not os.access(home, os.W_OK):
+        kind = "directory" if directory else "file in an existing directory"
+        raise InvalidInput(f"{flag} must name a writable {kind}, got {path}")
 
 
 def _jittered_grid(p: int, d: int, snap_fine_m: int | None):
@@ -379,7 +389,7 @@ def _route(cfg, truth, cloud):
     else:
         try:
             lattice, _ = build_embedding(cloud, c1=cfg["c1"])
-        except _ERRORS as exc:
+        except GpprecError as exc:
             refused = exc
 
             def plan(n):
@@ -441,7 +451,7 @@ def _point_rows(cfg):
     for n in cfg["n"]:
         try:
             plan(n)
-        except _ERRORS as exc:
+        except GpprecError as exc:
             refused[n] = type(exc).__name__
     sizes = [n for n in sorted(cfg["n"]) if n not in refused]
     p_or_m = cloud.m if _on_sites(cfg) else cfg["p"]
@@ -457,7 +467,7 @@ def _point_rows(cfg):
                     if sources is None:
                         sources = one_pass(seed, sizes)
                     matrix, b, path, err = estimate(sources[n])
-                except _ERRORS as exc:
+                except GpprecError as exc:
                     error = type(exc).__name__
             wall_ms = (time.perf_counter() - started) * 1000.0 if cfg["timing"] else 0.0
             if cfg["save_estimates"] and matrix is not None:
@@ -534,8 +544,9 @@ def cmd_simulate(cfg) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_output(args.out, "--out")
     names = args.suite or None
-    results = run_suites(names, inject_asymmetry=args.inject_asymmetry)
+    results = run_suites(names)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -586,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the property suites")
     pv.add_argument("--suite", action="append", choices=sorted(SUITES),
                     help="run only this suite (repeatable)")
-    pv.add_argument("--inject-asymmetry", action="store_true",
-                    help="negative control: corrupt an estimate before the symmetry check")
     pv.add_argument("--out", help="also write suite results as CSV")
     return parser
 
@@ -611,7 +620,7 @@ def main(argv=None) -> int:
             return cmd_estimate(cfg)
         if args.command == "scaling-study":
             return cmd_scaling_study(cfg)
-    except _ERRORS as exc:
+    except GpprecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     raise AssertionError(f"unhandled command {args.command}")

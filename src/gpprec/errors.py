@@ -1,8 +1,16 @@
-"""Exception types shared across the package, and its integer and real-number rules."""
+"""Exception types shared across the package, and its integer and real-number rules.
+
+Every exception the package raises on purpose is a ``GpprecError``, so
+one ``except GpprecError`` catches each refusal and failure.  The command
+line prints one that stops a run on stderr and exits 2; one that fails an
+estimate row is recorded by class name in the row's ``error`` cell.
+``InvalidInput`` is also a ``ValueError``.
+"""
 
 import numbers
 
 __all__ = [
+    "GpprecError",
     "InvalidInput",
     "NotPositiveDefinite",
     "NumericalFailure",
@@ -12,11 +20,15 @@ __all__ = [
 ]
 
 
-class InvalidInput(ValueError):
+class GpprecError(Exception):
+    """Base of every exception in this module."""
+
+
+class InvalidInput(GpprecError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class NotPositiveDefinite(Exception):
+class NotPositiveDefinite(GpprecError):
     """A matrix expected to be SPD failed its Cholesky pivot test.
 
     Attributes
@@ -33,7 +45,7 @@ class NotPositiveDefinite(Exception):
         self.scale = scale
 
 
-class NumericalFailure(Exception):
+class NumericalFailure(GpprecError):
     """A numerical kernel failed on an input that passed its gates.
 
     Raised when ``dtrtri`` (:func:`gpprec.linalg.triangular_inverse`) or
@@ -43,7 +55,7 @@ class NumericalFailure(Exception):
     """
 
 
-class LocalSingular(Exception):
+class LocalSingular(GpprecError):
     """A local window covariance failed the Cholesky pivot gate, or would.
 
     :func:`gpprec.estimator.plan_estimate` raises it without data for a
@@ -62,7 +74,7 @@ class LocalSingular(Exception):
         self.n_samples = n_samples
 
 
-class NoMatching(Exception):
+class NoMatching(GpprecError):
     """No site-perfect matching exists within the given radius.
 
     ``witness_sites`` and ``witness_nodes`` form a Hall violator: a set of
@@ -79,7 +91,7 @@ class NoMatching(Exception):
         self.witness_nodes = witness_nodes
 
 
-class CapacityExceeded(Exception):
+class CapacityExceeded(GpprecError):
     """A requested problem size exceeds the configured cap."""
 
 

@@ -301,8 +301,8 @@ def spd_inverse(a) -> np.ndarray:
 def _as_symmetric_operand(a):
     """``a`` as :func:`spectral_norm` hands it to ``eigsh``, after its checks.
 
-    Dense and sparse arrays must be exactly symmetric; a ``LinearOperator``
-    is taken as symmetric on the caller's word.
+    Dense and sparse arrays must be finite and exactly symmetric; a
+    ``LinearOperator`` is taken as symmetric on the caller's word.
     """
     if not (isinstance(a, LinearOperator) or sparse.issparse(a)):
         return _as_square_sym(a)
@@ -310,6 +310,9 @@ def _as_symmetric_operand(a):
         raise InvalidInput(f"matrix must be square and nonempty, got shape {a.shape}")
     if isinstance(a, LinearOperator):
         return a
+    # Every sparse format lists its stored entries as COO data; lil and dok have no array of them.
+    if not np.isfinite(a.tocoo().data).all():
+        raise InvalidInput("matrix must be finite")
     if (a != a.T).nnz:
         raise InvalidInput("matrix must be exactly symmetric; call symmetrize() first")
     return a.astype(np.float64, copy=False)
@@ -320,8 +323,8 @@ def spectral_norm(a) -> float:
 
     ``a`` is a dense array, a scipy sparse matrix or a ``LinearOperator``,
     and is used as it is held: a sparse matrix is not densified and a dense
-    one is not sparsified.  Arrays must be exactly symmetric, and a dense
-    one finite (``InvalidInput`` otherwise); for a ``LinearOperator`` the
+    one is not sparsified.  Arrays must be finite and exactly symmetric
+    (``InvalidInput`` otherwise); for a ``LinearOperator`` the
     caller guarantees symmetry, which cannot be checked here.
 
     The norm is the extreme eigenvalue found by Lanczos (``eigsh`` with
@@ -394,7 +397,8 @@ def block_inverse_schur(sigma, split: int):
     """
     sigma = _as_square_sym(sigma, "sigma")
     n = sigma.shape[0]
-    if not isinstance(split, (int, np.integer)) or not 1 <= split < n:
+    _check_integer(split, "split")
+    if not split < n:
         raise InvalidInput(f"split must satisfy 1 <= split < {n}, got {split}")
     m = int(split)
     s11 = sigma[:m, :m]

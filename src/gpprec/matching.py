@@ -117,7 +117,7 @@ def _boundary_distance(sites: np.ndarray) -> np.ndarray:
     return np.minimum(sites, 1.0 - sites).min(axis=1)
 
 
-def measure_cloud(sites, d: int | None = None) -> SiteCloud:
+def measure_cloud(sites, d: int) -> SiteCloud:
     """Measure fill distance and homogeneity of a site cloud.
 
     The fill distance is the maximum over a regular evaluation grid of
@@ -130,8 +130,6 @@ def measure_cloud(sites, d: int | None = None) -> SiteCloud:
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim == 1:
         sites = sites[:, None]
-    if d is None:
-        d = sites.shape[1]
     _check_integer(d, "d")
     if sites.ndim != 2 or sites.shape[1] != d:
         raise InvalidInput(f"sites must be (M, {d}), got shape {sites.shape}")
@@ -243,8 +241,8 @@ def perfect_matching(cloud: SiteCloud, shape: LatticeShape, radius: float) -> La
     # Imported here so lattice-only runs never load scipy.sparse.csgraph (~3 MB RSS).
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    if not radius > 0:
-        raise InvalidInput(f"radius must be positive, got {radius}")
+    if not 0 < radius < np.inf:
+        raise InvalidInput(f"radius must be finite and positive, got {radius}")
     positions = lattice_points(shape)
     graph = _candidate_graph(cloud, positions, radius)
     node_of_site = maximum_bipartite_matching(graph, perm_type="column").astype(np.int64)

@@ -426,8 +426,8 @@ def screening_profile(omega, points, h: float) -> ScreeningProfile:
         points = points[:, None]
     if points.shape[0] != omega.shape[0]:
         raise InvalidInput("points and omega disagree on the number of variables")
-    if h <= 0:
-        raise InvalidInput("h must be positive")
+    if not 0 < h < np.inf:
+        raise InvalidInput(f"h must be finite and positive, got {h}")
     diag = np.diag(omega)
     normalized = np.abs(omega) / np.sqrt(np.outer(diag, diag))
     dist = cdist(points, points)

@@ -15,6 +15,7 @@ from gpprec import cli
 from gpprec import estimator as estimator_module
 from gpprec import serialization as ser
 from gpprec import truth as truth_module
+from gpprec import verify as verify_module
 from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, ResultRow, main
 from gpprec.errors import CapacityExceeded, NumericalFailure
@@ -887,9 +888,25 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
-    def test_injected_asymmetry_fails(self, capsys):
-        assert run_cli("verify", "--suite", "symmetry", "--inject-asymmetry") == 1
+    def test_injected_asymmetry_fails(self, monkeypatch, capsys):
+        # Negative control: the symmetry suite fails an asymmetric estimate.
+        exact = verify_module.estimate_precision
+
+        def asymmetric(*args, **kwargs):
+            est = exact(*args, **kwargs)
+            matrix = est.matrix.copy()
+            matrix[0, 1] += 1.0
+            return dataclasses.replace(est, matrix=matrix)
+
+        monkeypatch.setattr(verify_module, "estimate_precision", asymmetric)
+        assert run_cli("verify", "--suite", "symmetry") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_injection_option_is_unknown(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli("verify", "--inject-asymmetry")
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --inject-asymmetry" in capsys.readouterr().err
 
     def test_suite_filter(self, capsys):
         assert run_cli("verify", "--suite", "ols") == 0
@@ -908,6 +925,59 @@ class TestVerify:
         lines = out.read_text().splitlines()
         assert lines[1] == "suite,passed,detail"
         assert lines[2].startswith("symmetry,1,")
+
+
+class TestOutputPaths:
+    """An output path the run cannot write is refused before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--out", "{tmp}/missing/rows.csv"],
+            ["estimate", "--out", "{tmp}"],
+            ["estimate", "--out", "{tmp}/file/rows.csv"],
+            ["scaling-study", "--out", "{tmp}/missing/rows.csv"],
+            ["scaling-study", "--out", "{tmp}"],
+            ["estimate", "--save-estimates", "{tmp}/file"],
+            ["scaling-study", "--save-estimates", "{tmp}/file/estimates"],
+            ["simulate", "--out", "{tmp}/file"],
+            ["simulate", "--out", "{tmp}/file/truth"],
+        ],
+        ids=[f"argv{i}" for i in range(9)],
+    )
+    def test_refused_before_truth(self, monkeypatch, tmp_path, capsys, argv):
+        def forbidden(cfg):
+            raise AssertionError("truth built for an unwritable output")
+
+        monkeypatch.setattr(cli, "_build_truth", forbidden)
+        (tmp_path / "file").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run_cli(*argv, "--p", "6", "--n", "200") == 2
+        assert capsys.readouterr().err.startswith(f"error: {argv[1]} must name a writable ")
+
+    @pytest.mark.parametrize("name", ["missing/suites.csv", "."])
+    def test_verify_refused_before_suites(self, monkeypatch, tmp_path, capsys, name):
+        def forbidden(names):
+            raise AssertionError("suites run for an unwritable output")
+
+        monkeypatch.setattr(cli, "run_suites", forbidden)
+        assert run_cli("verify", "--out", str(tmp_path / name)) == 2
+        assert capsys.readouterr().err.startswith("error: --out must name a writable file")
+
+    def test_unwritable_directory_refused(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert run_cli("estimate", "--p", "6", "--out", str(tmp_path / "rows.csv")) == 2
+        assert "--out must name a writable file" in capsys.readouterr().err
+
+    def test_existing_file_and_new_directories_accepted(self, tmp_path):
+        out, saved = tmp_path / "rows.csv", tmp_path / "a" / "b"
+        out.write_text("stale\n")
+        argv = ["--d", "1", "--p", "6", "--n", "200"]
+        assert run_cli("estimate", *argv, "--out", str(out), "--save-estimates", str(saved)) == 0
+        assert out.read_text().startswith(cli.CSV_SCHEMA)
+        assert len(list(saved.iterdir())) == 1
+        assert run_cli("simulate", *argv, "--out", str(tmp_path / "c" / "d")) == 0
+        assert (tmp_path / "c" / "d").is_dir()
 
 
 class TestTiming:

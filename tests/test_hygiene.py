@@ -4,7 +4,7 @@ Every public function has a use in the package or the demos.  The
 package exports exactly what its re-exported modules export, every
 exported name exists, README names every command-line option, and
 ``python -m gpprec``, README and the ``cli`` docstring name the same
-subcommands.
+subcommands.  Every package error is a ``GpprecError``, caught as one.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import gpprec
-from gpprec import cli
+from gpprec import cli, errors
 
 PACKAGE = Path(gpprec.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -316,13 +316,12 @@ def test_cross_module_private_imports_are_listed():
 # ``module.function: parameter``, each with its reason.
 UNSET_DEFAULTS = {
     # The lattice-reduction scales of the paper's estimator, which no CLI
-    # route runs yet.
+    # route runs yet; only they read the config.
     "cholesky.estimate_scales: cloud",
+    "cholesky.estimate_scales: config",
     "cholesky.estimate_scales: seed",
     # Tests and embedding programs pass their own argument list.
     "cli.main: argv",
-    # Set through functools.partial by run_suites.
-    "verify.suite_symmetry: inject_asymmetry",
 }
 
 
@@ -388,3 +387,39 @@ def test_every_defaulted_parameter_is_set():
     }
     assert sorted(unset - UNSET_DEFAULTS) == []
     assert sorted(UNSET_DEFAULTS - unset) == []
+
+
+def test_every_package_error_is_a_gpprec_error():
+    for name in errors.__all__:
+        assert issubclass(getattr(errors, name), errors.GpprecError), name
+    assert issubclass(errors.InvalidInput, ValueError)
+
+
+def names_package_error(node):
+    return getattr(node, "id", getattr(node, "attr", None)) in errors.__all__
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_except_names_a_tuple_of_package_errors(path):
+    # ``except GpprecError`` catches every package error, and a new error
+    # class joins it; a tuple of the classes, written out or bound to a
+    # name, misses each class added after it.
+    tree = parse(path)
+    tuples = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+        and any(names_package_error(element) for element in node.value.elts)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    handlers = [
+        ast.unparse(node.type)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and (
+            isinstance(node.type, ast.Name) and node.type.id in tuples
+            or isinstance(node.type, ast.Tuple)
+            and any(names_package_error(element) for element in node.type.elts)
+        )
+    ]
+    assert handlers == []

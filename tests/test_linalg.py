@@ -106,7 +106,18 @@ class TestCholesky:
             cholesky_lower(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("function", [cholesky_lower, spd_inverse, spectral_norm])
+def csr_spectral_norm(a):
+    return spectral_norm(sparse.csr_matrix(a))
+
+
+def lil_spectral_norm(a):
+    # A format with no array of its stored entries.
+    return spectral_norm(sparse.lil_matrix(a))
+
+
+@pytest.mark.parametrize(
+    "function", [cholesky_lower, spd_inverse, spectral_norm, csr_spectral_norm, lil_spectral_norm]
+)
 @pytest.mark.parametrize(
     "entry, value", [((0, 1), np.nan), ((0, 0), np.inf)], ids=["nan-off-diagonal", "inf-diagonal"]
 )
@@ -345,6 +356,12 @@ class TestBlockInverseSchur:
     def test_invalid_split(self):
         with pytest.raises(InvalidInput):
             block_inverse_schur(np.eye(3), 3)
+
+    @pytest.mark.parametrize("split", [True, 1.0, "1"])
+    def test_non_integer_split_refused(self, split):
+        # True used to pass as split 1.
+        with pytest.raises(InvalidInput, match="split must be a positive integer"):
+            block_inverse_schur(np.eye(3), split)
 
 
 class TestPerturbationBounds:

@@ -191,6 +191,13 @@ class TestPerfectMatching:
         assert info.value.witness_sites == [0, 1]
         assert info.value.witness_nodes == [1]
 
+    @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
+    def test_non_finite_or_zero_radius_refused(self, radius):
+        # An infinite radius would make every node a candidate of every site.
+        cloud = measure_cloud(np.array([0.3, 0.6]), 1)
+        with pytest.raises(InvalidInput, match="radius must be finite and positive"):
+            perfect_matching(cloud, LatticeShape(p=3, d=1), radius)
+
     def test_matching_respects_radius(self, rng):
         for seed in range(5):
             sites = perturbed_grid(16, 2, 0.3, seed=seed)

@@ -550,6 +550,14 @@ class TestScreeningProfile:
         assert prof.r2 >= 0.9
 
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0])
+    def test_non_finite_or_zero_bin_width_refused(self, h):
+        # A NaN width used to give one bin and a RuntimeWarning.
+        pts = np.linspace(0.2, 0.8, 5)
+        with pytest.raises(InvalidInput, match="h must be finite and positive"):
+            screening_profile(np.eye(5), pts, h=h)
+
+
 class TestLogLinearFit:
     def test_exact_line(self):
         x = np.arange(1, 6, dtype=float)
