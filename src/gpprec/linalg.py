@@ -33,9 +33,19 @@ gate factors it, ``_symmetrize_in_place`` symmetrizes it, and
 ``_mirror_lower_in_place`` fills its upper triangle from its lower.
 Symmetry is checked, and made in place, tile by tile against the mirror
 tiles, which reads every entry but never the whole transpose at once.
+
+The package's one thread of its own lives here: ``_normals_ahead``
+queues a Philox fill, ``standard_normal(out=...)``, on a single worker
+that runs nothing else, so a draw's next normals are made while its
+caller multiplies or pads the last ones.  The one worker fills each
+stream in the order its fills were queued, so every draw is bit for bit
+what fills in the caller would give.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 from scipy import sparse
@@ -86,6 +96,36 @@ def _philox(seed) -> np.random.Generator:
     """
     _check_integer(seed, "seed", minimum=0, bits=128)
     return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+def _start_fills():
+    """Make the fill thread's executor, ``_FILLS``; its worker starts at the first fill.
+
+    numpy's ``standard_normal(out=...)`` releases the GIL while it writes,
+    so a fill overlaps the caller's BLAS and numpy work on a second core.
+    One worker keeps each stream's fills in queue order.
+    """
+    global _FILLS
+    _FILLS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="gpprec-philox")
+
+
+_start_fills()
+# A forked child has no worker thread, and the executor it inherits would
+# queue fills that no thread runs.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_fills)
+
+
+def _normals_ahead(rng: np.random.Generator, out: np.ndarray) -> Future:
+    """Queue ``rng.standard_normal(out=out)`` on the fill thread; its ``Future`` yields ``out``.
+
+    The caller leaves ``rng`` and ``out`` alone until the future is done.
+    Fills run one at a time in the order queued, so fills of one
+    generator queued in order draw its stream in that order, bit for bit
+    as calls in the caller would.  A fill that raises re-raises from the
+    future's ``result()``.
+    """
+    return _FILLS.submit(rng.standard_normal, out=out)
 
 
 def _as_square(a, name="matrix") -> np.ndarray:

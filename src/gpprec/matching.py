@@ -26,23 +26,27 @@ samples need not be formed either.
 The padding comes from one Philox stream per seed, in row-major order, so
 every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
-whole.  So one padded pass to a seed's largest sample size gives the band
-tiles of every smaller size as well, each bit for bit as its own pass
-would.  Each size's tiles carry the block width planned for it, and
-:func:`~gpprec.estimator.estimate_precision` reads its route from them.
+whole.  The stream's next block is filled on the package's one fill
+thread while the current block is read, which leaves its order, and so
+every padded row, unchanged.  So one padded pass to a seed's largest
+sample size gives the band tiles of every smaller size as well, each bit
+for bit as its own pass would.  Each size's tiles carry the block width
+planned for it, and :func:`~gpprec.estimator.estimate_precision` reads
+its route from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import CapacityExceeded, InvalidInput, NoMatching, _check_integer
+from .errors import CapacityExceeded, InvalidInput, NoMatching, _check_integer, _is_real
 from .estimator import (
     EstimatorConfig,
     PrecisionEstimate,
@@ -51,7 +55,7 @@ from .estimator import (
     plan_estimate,
 )
 from .lattice import LatticeShape, lattice_points
-from .linalg import _philox
+from .linalg import _normals_ahead, _philox
 
 __all__ = [
     "SiteCloud",
@@ -236,13 +240,14 @@ def perfect_matching(cloud: SiteCloud, shape: LatticeShape, radius: float) -> La
     Candidate nodes come from a k-d tree over the lattice, and scipy's
     Hopcroft-Karp ``maximum_bipartite_matching`` matches sites to them.
     Raises ``NoMatching`` with a Hall violator when some site stays
-    unmatched.
+    unmatched.  A ``radius`` that is not a finite, positive real number (a
+    bool or a string included) raises ``InvalidInput``.
     """
     # Imported here so lattice-only runs never load scipy.sparse.csgraph (~3 MB RSS).
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    if not 0 < radius < np.inf:
-        raise InvalidInput(f"radius must be finite and positive, got {radius}")
+    if not (_is_real(radius) and 0 < radius < np.inf):
+        raise InvalidInput(f"radius must be finite and positive, got {radius!r}")
     positions = lattice_points(shape)
     graph = _candidate_graph(cloud, positions, radius)
     node_of_site = maximum_bipartite_matching(graph, perm_type="column").astype(np.int64)
@@ -301,8 +306,14 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     have about ``_PAD_BLOCK_ELEMENTS`` entries, however the incoming rows
     are split.  Site rows are copied into one reused ``[site rows |
     normals]`` buffer as they arrive; once it holds a padded block's rows,
-    its normals are drawn beside them and one column gather fills one
+    its normals are copied in beside them and one column gather fills one
     reused block, which is yielded, and the next block overwrites it.
+    The normals are filled into one reused block of normals on the fill
+    thread (``linalg._normals_ahead``): the first block's when the pass
+    starts, and each next block's as soon as the last ones are copied, so
+    they are drawn while this block is gathered and read and the next
+    site rows arrive.  A pass closed early cancels its queued fill, or
+    waits for the running one.
     """
     m_sites = embedding.node_of_site.size
     m_lattice = embedding.shape.size
@@ -313,28 +324,40 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     src[embedding.node_of_site] = np.arange(m_sites)
     src[mask] = m_sites + np.arange(n_pad)
     rng = _philox(seed)
-    staged = np.empty((min(max(1, _PAD_BLOCK_ELEMENTS // m_lattice), n), m_lattice))
+    step = min(max(1, _PAD_BLOCK_ELEMENTS // m_lattice), n)
+    staged = np.empty((step, m_lattice))
     padded = np.empty_like(staged)
+    normals = np.empty((step, n_pad))
+    # The fill of the next padded block's normals, queued on the fill thread.
+    pending = _normals_ahead(rng, normals)
     # Rows padded and yielded so far, and site rows staged for the next block.
     done = filled = 0
-    for rows in blocks:
-        rows = _site_samples(rows, embedding)[:n - done - filled]
-        while rows.shape[0]:
-            target = min(staged.shape[0], n - done)
-            take = min(target - filled, rows.shape[0])
-            staged[filled:filled + take, :m_sites] = rows[:take]
-            rows, filled = rows[take:], filled + take
-            if filled < target:
-                break
-            stage, block = staged[:filled], padded[:filled]
-            stage[:, m_sites:] = rng.standard_normal((filled, n_pad))
-            # Every index of src is in range, and only mode="raise" makes take
-            # gather into a scratch copy of ``block`` first.
-            stage.take(src, axis=1, out=block, mode="clip")
-            yield block
-            done, filled = done + filled, 0
-        if done == n:
-            return
+    try:
+        for rows in blocks:
+            rows = _site_samples(rows, embedding)[:n - done - filled]
+            while rows.shape[0]:
+                target = min(step, n - done)
+                take = min(target - filled, rows.shape[0])
+                staged[filled:filled + take, :m_sites] = rows[:take]
+                rows, filled = rows[take:], filled + take
+                if filled < target:
+                    break
+                stage, block = staged[:filled], padded[:filled]
+                stage[:, m_sites:] = pending.result()
+                ahead = min(step, n - done - filled)
+                if ahead:
+                    pending = _normals_ahead(rng, normals[:ahead])
+                # Every index of src is in range, and only mode="raise" makes take
+                # gather into a scratch copy of ``block`` first.
+                stage.take(src, axis=1, out=block, mode="clip")
+                yield block
+                done, filled = done + filled, 0
+            if done == n:
+                return
+    finally:
+        # A pass left early, by an error or its reader, leaves no fill queued.
+        pending.cancel()
+        wait((pending,))
 
 
 def padded_tiles(

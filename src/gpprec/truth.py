@@ -21,11 +21,16 @@ buffer, and :func:`sample` stacks them.  The normals come
 from numpy's ziggurat, which consumes a variable number of 64-bit words
 per draw, so a stream cannot be split by counter offsets across workers
 without changing the output; separate seeds give independent streams.
+So a stream is filled by one thread, in order: :func:`sample` queues
+every block's normals at once on the package's single fill thread
+(``linalg._normals_ahead``), and multiplies each block while the next
+are filled, with the same result bit for bit as filling them itself.
 """
 
 from __future__ import annotations
 
 import functools
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +42,7 @@ from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, _check_
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
+    _normals_ahead,
     _philox,
     cholesky_lower,
     reverse_cholesky,
@@ -307,6 +313,10 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray)
     is the next rows of ``rng``, the seed's Philox stream, written in
     place (``standard_normal(out=...)``), times ``L^T`` in place by one
     triangular BLAS product (``dtrmm``), ``L = truth.sigma_factor``.
+    When ``out`` holds the whole draw, every block's fill is queued up
+    front on the fill thread (``linalg._normals_ahead``), in row order,
+    and each block waits for its own, so the next blocks are filled while
+    this one is multiplied; a one-block buffer is filled in place here.
     ``dtrmm`` reads its factor in place only in Fortran order: a C-ordered
     ``L``, as a lattice truth's is, is the Fortran-ordered upper ``L^T``,
     which it applies transposed.
@@ -318,15 +328,24 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray)
         operand, lower, trans_a = factor.T, 0, 1
     step = _draw_rows(truth.dim)
     whole = out.shape[0] == n
-    for lo in range(0, n, step):
-        start = lo if whole else 0
-        block = out[start:start + min(step, n - lo)]
-        rng.standard_normal(out=block)
-        # block.T is Fortran-ordered, so dtrmm overwrites block with L block^T.
-        blas.dtrmm(
-            1.0, operand, block.T, side=0, lower=lower, trans_a=trans_a, overwrite_b=1
-        )
-        yield block
+    starts = range(0, n, step)
+    fills = [_normals_ahead(rng, out[lo:lo + step]) for lo in starts] if whole else []
+    try:
+        for k, lo in enumerate(starts):
+            if whole:
+                block = fills[k].result()
+            else:
+                block = rng.standard_normal(out=out[:min(step, n - lo)])
+            # block.T is Fortran-ordered, so dtrmm overwrites block with L block^T.
+            blas.dtrmm(
+                1.0, operand, block.T, side=0, lower=lower, trans_a=trans_a, overwrite_b=1
+            )
+            yield block
+    finally:
+        # A draw left early, by an error or its reader, leaves no fill queued.
+        for fill in fills:
+            fill.cancel()
+        wait(fills)
 
 
 def sample_blocks(truth: GroundTruth, n: int, seed: int):
@@ -354,8 +373,11 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     into its rows of the result: the ``(rows, dim)`` normals ``g`` of a
     block are multiplied by ``L^T`` in place with the triangular BLAS
     product ``dtrmm``, so the result is ``g @ L.T`` up to roundoff,
-    C-contiguous, and no second ``(n, dim)`` buffer is made.  The result
-    is the stack of ``sample_blocks(truth, n, seed)`` bit for bit.
+    C-contiguous, and no second ``(n, dim)`` buffer is made.  Every
+    block's normals are queued up front on the fill thread, in row order,
+    so a block is multiplied while the later ones are filled.  The result
+    is the stack of ``sample_blocks(truth, n, seed)`` bit for bit, whose
+    one-block buffer is filled in the caller's thread.
 
     Deterministic given the seed: the Philox stream is keyed by ``seed``
     alone, so identical calls return bit-identical arrays.  The stream
@@ -418,7 +440,8 @@ def screening_profile(omega, points, h: float) -> ScreeningProfile:
     maximum of ``|omega_ij| / sqrt(omega_ii omega_jj)`` is recorded per
     bin, together with a log-linear fit.  Bins at or below
     ``_SCREENING_NOISE_FLOOR`` (1e-10) are reported but excluded from the
-    fit, as roundoff.
+    fit, as roundoff.  An ``h`` that is not a finite, positive real number
+    (a bool or a string included) raises ``InvalidInput``.
     """
     omega = np.asarray(omega, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -426,8 +449,8 @@ def screening_profile(omega, points, h: float) -> ScreeningProfile:
         points = points[:, None]
     if points.shape[0] != omega.shape[0]:
         raise InvalidInput("points and omega disagree on the number of variables")
-    if not 0 < h < np.inf:
-        raise InvalidInput(f"h must be finite and positive, got {h}")
+    if not (_is_real(h) and 0 < h < np.inf):
+        raise InvalidInput(f"h must be finite and positive, got {h!r}")
     diag = np.diag(omega)
     normalized = np.abs(omega) / np.sqrt(np.outer(diag, diag))
     dist = cdist(points, points)

@@ -289,10 +289,13 @@ PRIVATE_IMPORTS = {
     "lattice<-errors._check_integer",
     "linalg<-errors._check_integer",
     "matching<-errors._check_integer",
+    "matching<-errors._is_real",
     "matching<-estimator._band_tiles",
+    "matching<-linalg._normals_ahead",
     "matching<-linalg._philox",
     "truth<-errors._check_integer",
     "truth<-errors._is_real",
+    "truth<-linalg._normals_ahead",
     "truth<-linalg._philox",
 }
 

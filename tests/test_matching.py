@@ -1,6 +1,8 @@
 """Scattered-site measurement, lattice matching, and the embedding estimator."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from gpprec import matching as matching_module
 from gpprec.errors import CapacityExceeded, InvalidInput, LocalSingular, NoMatching
 from gpprec.estimator import EstimatorConfig, _band_tiles, estimate_precision
 from gpprec.lattice import LatticeShape, build_scheme, lattice_points
-from gpprec.linalg import spectral_norm, symmetrize
+from gpprec.linalg import _normals_ahead, spectral_norm, symmetrize
 from gpprec.matching import (
     _PAD_BLOCK_ELEMENTS,
     LatticeEmbedding,
@@ -194,6 +196,13 @@ class TestPerfectMatching:
     @pytest.mark.parametrize("radius", [np.inf, np.nan, 0.0])
     def test_non_finite_or_zero_radius_refused(self, radius):
         # An infinite radius would make every node a candidate of every site.
+        cloud = measure_cloud(np.array([0.3, 0.6]), 1)
+        with pytest.raises(InvalidInput, match="radius must be finite and positive"):
+            perfect_matching(cloud, LatticeShape(p=3, d=1), radius)
+
+    @pytest.mark.parametrize("radius", ["0.5", True])
+    def test_non_real_radius_refused(self, radius):
+        # A string is not compared with 0, and a bool is not taken as 1.
         cloud = measure_cloud(np.array([0.3, 0.6]), 1)
         with pytest.raises(InvalidInput, match="radius must be finite and positive"):
             perfect_matching(cloud, LatticeShape(p=3, d=1), radius)
@@ -454,6 +463,47 @@ class TestEmbedAndEstimate:
         padded = streamed_padding(z, embedding, 77)
         for n in sorted({1, extra, rows, big - 1, big}):
             assert np.array_equal(padded[:n], streamed_padding(z[:n], embedding, 77))
+
+    def test_early_close_leaves_the_fill_thread_idle(self, rng, monkeypatch):
+        # The first block is yielded with the second block's fill queued;
+        # closing the pass there cancels that fill or waits for it, so no
+        # fill runs after close returns.
+        cloud = measure_cloud(perturbed_grid(100, 1, 0.25, seed=3), 1)
+        embedding, _ = build_embedding(cloud)
+        n = 3 * block_rows(embedding)
+        z = rng.standard_normal((n, cloud.m))
+        fills = []
+
+        class Counting:
+            def __init__(self, generator):
+                self.generator = generator
+                self.started = self.finished = 0
+
+            def standard_normal(self, out):
+                self.started += 1
+                # Slow enough that close finds the next fill queued or running.
+                time.sleep(0.1)
+                self.generator.standard_normal(out=out)
+                self.finished += 1
+                return out
+
+        def counting_philox(seed):
+            fills.append(Counting(np.random.Generator(np.random.Philox(key=seed))))
+            return fills[-1]
+
+        monkeypatch.setattr(matching_module, "_philox", counting_philox)
+        before = threading.active_count()
+        blocks = _padded_blocks((z,), embedding, 77, n)
+        first = next(blocks).copy()
+        blocks.close()
+        (counter,) = fills
+        started = counter.started
+        assert started == counter.finished and started in (1, 2)
+        # A fill queued behind any left over runs only after it.
+        _normals_ahead(np.random.Generator(np.random.Philox(key=0)), np.empty(1)).result(60)
+        assert counter.started == counter.finished == started
+        assert threading.active_count() <= before + 1
+        assert np.array_equal(first, padded_samples(z, embedding, 77)[:first.shape[0]])
 
     @pytest.mark.parametrize("m, d", [(9, 1), (16, 2)])
     @pytest.mark.parametrize("blocks, extra", [(0, 40), (1, 0), (2, 7)])

@@ -1,13 +1,19 @@
 """Ground-truth models: construction, sampling, and structural diagnostics."""
 
 import dataclasses
+import os
+import signal
+import sys
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from gpprec.errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, NumericalFailure
 from gpprec.lattice import LatticeShape, lattice_points
+from gpprec import matching as matching_module
 from gpprec import truth as truth_module
 from gpprec.linalg import (
     cholesky_lower,
@@ -529,6 +535,117 @@ class TestSampleBlocks:
         assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
+class _FailingGenerator:
+    """A generator whose every fill raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def standard_normal(self, *args, **kwargs):
+        raise self.error
+
+
+class TestFillThread:
+    """Normals filled ahead on the package's one fill thread."""
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        # Three draw blocks of 1083 rows, and four padded blocks of the
+        # lattice the 300 sites embed in.
+        truth = build_lattice_precision(22, 2, 2)
+        embedding, _ = build_embedding(measure_cloud(np.linspace(0.05, 0.95, 300), 1))
+        z = np.random.Generator(np.random.Philox(key=2)).standard_normal((2500, 300))
+        return truth, embedding, z
+
+    @staticmethod
+    def pad(embedding, z, seed=9):
+        tiles = padded_tiles(z, embedding, seed, EstimatorConfig(b_override=2), [1000, 2500])
+        return {n: t.dense() for n, t in tiles.items()}
+
+    def test_threads_match_sequential_results(self, draws):
+        # Two threads sample while two pad, more threads than cores, all
+        # queueing fills on the one worker: each stream is still filled
+        # in order.
+        truth, embedding, z = draws
+        calls = {
+            "sample-11": lambda: sample(truth, 3000, seed=11),
+            "sample-12": lambda: sample(truth, 3000, seed=12),
+            "tiles-9": lambda: self.pad(embedding, z, 9),
+            "tiles-10": lambda: self.pad(embedding, z, 10),
+        }
+        want = {name: call() for name, call in calls.items()}
+        got = {}
+        start = threading.Barrier(len(calls))
+
+        def run(name):
+            start.wait()
+            got[name] = calls[name]()
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        fill_threads = [t for t in threading.enumerate() if t.name.startswith("gpprec-philox")]
+        assert len(fill_threads) == 1
+        assert got.keys() == want.keys()
+        assert np.array_equal(got["sample-11"], want["sample-11"])
+        assert np.array_equal(got["sample-12"], want["sample-12"])
+        for name in ("tiles-9", "tiles-10"):
+            assert got[name].keys() == want[name].keys()
+            for n, tiles in want[name].items():
+                assert np.array_equal(got[name][n], tiles)
+
+    def test_failing_fill_raises_in_the_caller(self, draws, monkeypatch):
+        truth, embedding, z = draws
+        want_sample = sample(truth, 3000, seed=11)
+        want_tiles = self.pad(embedding, z)
+        error = RuntimeError("fill failed")
+        with monkeypatch.context() as patch:
+            for module in (truth_module, matching_module):
+                patch.setattr(module, "_philox", lambda seed: _FailingGenerator(error))
+            with pytest.raises(RuntimeError) as raised:
+                sample(truth, 3000, seed=11)
+            assert raised.value is error
+            with pytest.raises(RuntimeError) as raised:
+                self.pad(embedding, z)
+            assert raised.value is error
+        assert np.array_equal(sample(truth, 3000, seed=11), want_sample)
+        got_tiles = self.pad(embedding, z)
+        for n, tiles in want_tiles.items():
+            assert np.array_equal(got_tiles[n], tiles)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+    def test_forked_child_draws(self):
+        # The child inherits no worker thread; it starts its own.
+        truth = build_lattice_precision(22, 2, 2)
+        want = sample(truth, 3000, seed=11)
+        with warnings.catch_warnings():
+            # Python 3.12 warns on a fork of a process with threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(sample(truth, 3000, seed=11), want) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's draw did not finish within 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
 class TestScreeningProfile:
     def test_diagonal_precision_is_all_zero(self):
         pts = np.linspace(0.2, 0.8, 5)
@@ -553,6 +670,13 @@ class TestScreeningProfile:
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0])
     def test_non_finite_or_zero_bin_width_refused(self, h):
         # A NaN width used to give one bin and a RuntimeWarning.
+        pts = np.linspace(0.2, 0.8, 5)
+        with pytest.raises(InvalidInput, match="h must be finite and positive"):
+            screening_profile(np.eye(5), pts, h=h)
+
+    @pytest.mark.parametrize("h", ["0.1", True])
+    def test_non_real_bin_width_refused(self, h):
+        # A string is not compared with 0, and a bool is not taken as 1.
         pts = np.linspace(0.2, 0.8, 5)
         with pytest.raises(InvalidInput, match="h must be finite and positive"):
             screening_profile(np.eye(5), pts, h=h)
