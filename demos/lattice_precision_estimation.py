@@ -17,13 +17,11 @@ from gpprec import (
     estimate_precision,
     sample,
     spectral_norm,
-    symmetrize,
 )
 
 truth = build_lattice_precision(p=40, d=1, s=1)
 print(f"lattice truth: {truth.dim} variables, condition number {truth.kappa:.0f}")
 
-norm = spectral_norm(truth.omega)
 config = EstimatorConfig(kappa_hint=truth.kappa, b_override=4)
 
 print("\nrelative spectral error of the blockwise estimate, 5 seeds each:")
@@ -33,7 +31,7 @@ for n in (250, 1000, 4000):
     for seed in range(5):
         z = sample(truth, n, seed=seed)
         est = estimate_precision(z, truth.geometry, config)
-        errs.append(spectral_norm(symmetrize(est.matrix - truth.omega)) / norm)
+        errs.append(spectral_norm(est.matrix - truth.omega) / truth.omega_norm)
     print(f"{n:>6}  {np.median(errs):>12.4f}")
 
 print("\nQuadrupling N roughly halves the error, the square-root rate.")
@@ -43,7 +41,7 @@ z = sample(truth, n_small, seed=0)
 est = estimate_precision(
     z, truth.geometry, EstimatorConfig(kappa_hint=truth.kappa, b_override=3)
 )
-err = spectral_norm(symmetrize(est.matrix - truth.omega)) / norm
+err = spectral_norm(est.matrix - truth.omega) / truth.omega_norm
 print(
     f"\nWith N={n_small} samples for {truth.dim} variables the full sample"
     f" covariance is singular\nand cannot be inverted at all; the blockwise"

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, solve, solve_triangular
 
-from .errors import InvalidInput, NotPositiveDefinite, _check_integer
+from .errors import InvalidInput, NotPositiveDefinite, _check_dimension, _check_integer
 from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
 from .linalg import (
@@ -103,8 +103,10 @@ def estimate_B(omega_k_hat, levels: LevelPartition, k: int, d: int):
     indexed by the first ``k`` levels in level order.  The factorization
     is the SPD gate: it raises ``NotPositiveDefinite`` when the scaled
     block is not SPD, which signals an insufficient sample size at this
-    scale.
+    scale.  A ``d`` that is not the integer 1, 2 or 3 raises
+    ``InvalidInput``.
     """
+    _check_dimension(d)
     omega_k_hat = np.asarray(omega_k_hat, dtype=np.float64)
     expected = levels.prefix_size(k)
     if omega_k_hat.shape != (expected, expected):
@@ -153,8 +155,10 @@ def exact_scales(omega, levels: LevelPartition, d: int, factor=None) -> ScaleEst
     ``n_k`` variables is the inverse of their covariance block, which is
     ``U_k U_k^T`` with ``U_k = U[:n_k, :n_k]``, because ``U^{-1}`` is upper
     triangular too; the last scale's is ``omega`` itself.  No inverse is
-    formed.
+    formed.  A ``d`` that is not the integer 1, 2 or 3 raises
+    ``InvalidInput`` before any factorization.
     """
+    _check_dimension(d)
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (levels.m, levels.m):
         raise InvalidInput(f"omega must be {(levels.m, levels.m)}, got {omega.shape}")
@@ -334,13 +338,16 @@ def estimate_scales(
     scale ``k``'s precision is ``W_k^T W_k`` with ``W_k`` the leading
     ``m_k x m_k`` block of ``W = inv(L)``.  ``d`` defaults to the cloud's
     dimension; without a cloud it is required, as the scaling ``h^{-kd}``
-    of every scale depends on it.  Failures carry the scale index; a pivot
-    that fails the gate of ``C`` is charged to its level.
+    of every scale depends on it, and one that is not the integer 1, 2 or
+    3 raises ``InvalidInput`` before any factorization.  Failures carry
+    the scale index; a pivot that fails the gate of ``C`` is charged to
+    its level.
     """
     if d is None:
         if cloud is None:
             raise InvalidInput("d is required without a cloud: the scale factors h^(-kd) use it")
         d = cloud.d
+    _check_dimension(d)
     if isinstance(samples, SampleCovariance):
         z, n, covariance = None, samples.n, samples.matrix
         if covariance.shape != (levels.m, levels.m):

@@ -53,6 +53,11 @@ row, then one row per (configuration point, seed) with the columns
     experiment_id, model_tag, d, p_or_M, s, N, seed, b, path,
     rel_spectral_error, kappa, wall_ms, error
 
+``b`` is a precision row's block width, an integer in ``1..p``.  At
+``p`` the scheme is one block and the estimate is the inverse of the full
+sample covariance, with ``path`` ``fallback_full_inverse``; a narrower
+width's ``path`` is ``blockwise``.  Factor rows report ``b`` 0 and
+``path`` ``multiscale``, and a failed row ``b`` 0 and an empty ``path``.
 ``rel_spectral_error`` is the relative spectral-norm error of the row's
 estimate.  Every norm in it but the truth's is one Lanczos solve for the
 extreme eigenvalue (``linalg.spectral_norm``), from a fixed start vector,
@@ -103,7 +108,7 @@ from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
 from .lattice import lattice_points
 from .linalg import spectral_norm
-from .matching import build_embedding, measure_cloud, padded_tiles
+from .matching import DEFAULT_C1, build_embedding, measure_cloud, padded_tiles
 from .truth import (
     _check_capacity,
     build_green_restriction,
@@ -353,7 +358,8 @@ def _route(cfg, truth, cloud):
     factor runs; the last two stream the draw.  ``estimate(source)``
     returns ``(estimate, b, path, rel_spectral_error)``.  Lattice and
     scattered precision rows share one estimate: ``estimate_precision`` on
-    the source, then, when the variables are sites, the site block.  The
+    the source, then, when the variables are sites, the site block; the
+    row's ``b`` and ``path`` are the estimate's, read off its scheme.  The
     factor context and the site embedding are built here, once per run; a
     refused matching refuses every size.  Factor rows plan and estimate
     without a cloud, so every scale inverts its full sample covariance and
@@ -410,7 +416,7 @@ def _route(cfg, truth, cloud):
         est = estimate_precision(source, shape, est_cfg)
         matrix = est.matrix[site_block]
         err = spectral_norm(matrix - truth.omega) / truth.omega_norm
-        return matrix, est.b or 0, est.path, err
+        return matrix, est.b, est.path, err
 
     return plan, one_pass, estimate
 
@@ -569,7 +575,7 @@ def _add_common(parser):
     parser.add_argument("--n", type=_parse_int_list, default=[1000],
                         help="comma list of sample sizes")
     parser.add_argument("--seeds", type=_parse_int_list, default=[0], help="comma list of seeds")
-    parser.add_argument("--c1", type=float, default=0.5)
+    parser.add_argument("--c1", type=float, default=DEFAULT_C1)
     parser.add_argument("--b", type=int, help="fixed block width override")
     parser.add_argument("--factor", choices=("precision", "cholesky", "cholesky-star"),
                         default="precision")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer and real-number rules.
+"""Exception types shared across the package, and its integer, dimension and real-number rules.
 
 Every exception the package raises on purpose is a ``GpprecError``, so
 one ``except GpprecError`` catches each refusal and failure.  The command
@@ -109,6 +109,15 @@ def _check_integer(value, name: str, minimum: int = 1, bits: int | None = None):
     if bits is None:
         raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
     raise InvalidInput(f"{name} must lie in [{minimum}, 2**{bits}), got {value!r}")
+
+
+def _check_dimension(d):
+    """Refuse with ``InvalidInput`` a dimension ``d`` that is not the integer 1, 2 or 3.
+
+    Python and numpy integers pass; bools, floats and strings do not.
+    """
+    if not (isinstance(d, numbers.Integral) and not isinstance(d, bool) and 1 <= d <= 3):
+        raise InvalidInput(f"d must be a positive integer up to 3, got {d!r}")
 
 
 def _is_real(value) -> bool:

@@ -3,8 +3,9 @@
 The estimator partitions the lattice into blocks of width ``b`` and, for
 each block, takes the columns of that block in the inverse of the
 covariance restricted to its radius-2 window; the in-band rows of those
-columns are assembled and the result is symmetrized.  Small problems fall
-back to inverting the full sample covariance.
+columns are assembled and the result is symmetrized.  At width ``p`` the
+scheme is one block whose window is the whole lattice, so the estimate is
+the inverse of the full sample covariance, which is taken directly.
 
 Blocks and windows are boxes of the flat-index grid
 (:meth:`gpprec.lattice.BlockScheme.box`), so a window's vertices are its
@@ -24,7 +25,7 @@ prefixes at once: each block's products are formed once and added into
 every prefix that covers the block, so a caller that pads its rows block
 by block, such as the scattered-site padding, pads them once for all of
 a seed's sample sizes.  A sample matrix is one row block of its tiles,
-and the full-inverse fallback is the band Gram of a one-block scheme.
+and the one tile of a one-block scheme is the whole sample covariance.
 The exact covariance is sliced into tiles too
 (:meth:`BandTiles.from_covariance`), so it takes the same path; this
 isolates the deterministic bias of the windowed inversion from sampling
@@ -39,7 +40,8 @@ symmetry, and one solve for the ``b**d`` unit columns of its own block;
 the in-band rows of the solve are written back as the box of the radius-1
 rows times the block, and the assembled matrix is symmetrized in place,
 tile by tile.  The boxes and unit right-hand sides of a scheme's windows
-are built once per scheme and shared by every estimate that uses it.
+are built once per scheme and shared by every estimate that uses it; a
+one-block scheme, inverted whole, builds none.
 
 Every refusal that needs no data is made by :func:`plan_estimate`
 before any sample is read, so a caller can run it before drawing one.
@@ -92,11 +94,11 @@ class EstimatorConfig:
     """Tuning knobs for :func:`estimate_precision`.
 
     ``kappa_hint`` enters the block-width rule ``b = ceil(log(N * kappa))``,
-    floored at 1, and must be a real number in ``[1, inf)``, not a bool;
-    pass the exact condition number when the truth is known, otherwise it
-    defaults to the variable count ``p**d`` at the call site.
-    ``b_override`` bypasses the rule and the small-lattice fallback: with
-    it set, the estimate is always blockwise at that width.
+    clamped to ``1..p``, and must be a real number in ``[1, inf)``, not a
+    bool; pass the exact condition number when the truth is known,
+    otherwise it defaults to the variable count ``p**d`` at the call site.
+    ``b_override`` replaces the rule's width; at ``p`` the estimate is the
+    full inverse, as it is wherever the rule reaches ``p``.
     """
 
     b_override: int | None = None
@@ -112,59 +114,69 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class PrecisionEstimate:
-    """Symmetric precision estimate plus the route that produced it."""
+    """Symmetric precision estimate and the block scheme that produced it.
+
+    ``b`` and ``path`` are read off the scheme: a scheme of one block
+    (``b = p``) is the full inverse, ``fallback_full_inverse``, and any
+    other is ``blockwise``.
+    """
 
     matrix: np.ndarray
-    scheme: BlockScheme | None
-    b: int | None
-    path: str
+    scheme: BlockScheme
+
+    @property
+    def b(self) -> int:
+        return self.scheme.b
+
+    @property
+    def path(self) -> str:
+        return FALLBACK if self.scheme.S == 1 else BLOCKWISE
 
 
 @dataclass(frozen=True)
 class BandTiles:
     """The band Gram of ``n`` samples on ``shape`` at block width ``b``, as per-slab tiles.
 
-    ``b`` is the width :func:`plan_estimate` chose, ``None`` for the
-    full-inverse fallback, whose scheme is one block; ``n`` is ``None`` for
-    the tiles of a covariance (:meth:`BandTiles.from_covariance`).
+    ``b`` is the width :func:`plan_estimate` chose, an integer in
+    ``1..p``; ``n`` is ``None`` for the tiles of a covariance
+    (:meth:`BandTiles.from_covariance`).
     ``tiles`` holds one ``(lo, diag, reach)`` triple per run of slabs
     (:func:`_slab_runs`): the run's first column ``lo``, its ``(k, w, w)``
     diagonal tiles, each slab's sample covariance, and its ``(k, w, c)``
     tiles of each slab against the ``c`` columns of its reach.  A scheme of
     one block (``b = p``) has one slab, whose tile is the whole sample
-    covariance.
+    covariance, and its estimate is that tile's inverse.
     """
 
     shape: LatticeShape
-    b: int | None
+    b: int
     n: int | None
     tiles: tuple
 
     @property
     def scheme(self) -> BlockScheme:
-        """The block scheme of width ``b`` on ``shape``; one block for the fallback."""
-        return _scheme(self.shape, self.b)
+        """The block scheme of width ``b`` on ``shape``."""
+        return build_scheme(self.shape.p, self.b, self.shape.d)
 
     @classmethod
-    def from_covariance(cls, sigma, shape: LatticeShape, b: int | None) -> "BandTiles":
+    def from_covariance(cls, sigma, shape: LatticeShape, b: int) -> "BandTiles":
         """The band of the exact ``(p**d, p**d)`` covariance ``sigma`` at block width ``b``.
 
         ``sigma`` is symmetrized, ``(sigma + sigma.T) / 2``, and the tiles
         are sliced from it; windows read only pairs inside the band, so an
         estimate from them is the windowed inverse of the symmetrized
-        ``sigma`` itself; at ``b = None`` the estimate is its full inverse.
+        ``sigma`` itself; at ``b = p`` the estimate is its full inverse.
         A ``b`` that is not an integer from 1 to ``p`` raises
         ``InvalidInput``.
         """
-        if b is not None:
-            _check_integer(b, "block width")
+        scheme = build_scheme(shape.p, b, shape.d)
         m = shape.size
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.shape != (m, m):
             raise InvalidInput(f"covariance must be {(m, m)}, got {sigma.shape}")
         sym = _symmetrize_in_place(np.array(sigma))
         tiles = []
-        for lo, k, w, c in _slab_runs(_scheme(shape, b)):
+        for lo, k, w, c in _slab_runs(scheme):
             rows = np.stack([sym[a:a + w, a:a + w + c] for a in range(lo, lo + k * w, w)])
             tiles.append((lo, rows[:, :, :w], rows[:, :, w:]))
         return cls(shape=shape, b=b, n=None, tiles=tuple(tiles))
@@ -237,7 +249,7 @@ def _band_tiles(blocks, shape: LatticeShape, plans) -> dict:
     """:class:`BandTiles` of every row prefix ``plans`` asks for, from one pass over ``blocks``.
 
     ``plans`` maps each prefix length ``n`` to its planned block width on
-    ``shape`` (:func:`plan_estimate`), ``None`` for the fallback.
+    ``shape`` (:func:`plan_estimate`).
     ``blocks`` are consecutive row blocks of the samples from row 0, each
     read once, in turn, before the next is taken.  Per row block and
     width, the slab products of the whole block are formed once and added
@@ -250,7 +262,7 @@ def _band_tiles(blocks, shape: LatticeShape, plans) -> dict:
     1 and is summed into zeros, both exact, so it gives the plain
     per-slab covariance bit for bit.
     """
-    runs = {b: _slab_runs(_scheme(shape, b)) for b in plans.values()}
+    runs = {b: _slab_runs(build_scheme(shape.p, b, shape.d)) for b in plans.values()}
     sums = {
         n: [(np.zeros((k, w, w)), np.zeros((k, w, c))) for _, k, w, c in runs[b]]
         for n, b in plans.items()
@@ -345,48 +357,39 @@ def _windows(scheme: BlockScheme) -> tuple:
     return tuple(windows)
 
 
-def _scheme(shape: LatticeShape, b: int | None) -> BlockScheme:
-    """The block scheme of width ``b`` on ``shape``; one block for the fallback (``None``)."""
-    return build_scheme(shape.p, shape.p if b is None else b, shape.d)
-
-
-def plan_estimate(shape: LatticeShape, n: int, config: EstimatorConfig | None = None):
-    """Block width of an estimate from ``n`` samples on ``shape``; ``None`` for the fallback.
+def plan_estimate(shape: LatticeShape, n: int, config: EstimatorConfig | None = None) -> int:
+    """Block width of an estimate from ``n`` samples on ``shape``, an integer in ``1..p``.
 
     The width is ``b_override`` if set, else ``ceil(log(n * kappa_hint))``
-    floored at 1, with ``kappa_hint`` defaulting to ``p**d``.  Makes every
-    refusal that needs no data, so a caller can run it before drawing the
-    samples; :func:`estimate_precision` runs it first on a sample matrix.
-    Raises
+    clamped to ``1..p``, with ``kappa_hint`` defaulting to ``p**d``.  At
+    width ``p`` the scheme is one block, and the estimate is the inverse
+    of the full sample covariance.  Makes every refusal that needs no
+    data, so a caller can run it before drawing the samples;
+    :func:`estimate_precision` runs it first on a sample matrix.  Raises
 
     * ``InvalidInput`` when ``b_override`` exceeds the side ``p``, or when
       ``n`` is not an integer of at least 1;
-    * ``NotPositiveDefinite`` when the route is the fallback (``p <=
-      log(n * kappa_hint)`` and no ``b_override``) and ``n < p**d``, as
-      ``n`` samples cannot span ``p**d`` variables;
     * ``LocalSingular`` for the first block, in lexicographic order, whose
-      radius-2 window holds at least ``n`` vertices: ``n`` samples give
-      rank at most ``n``, and at ``n = |w|`` the covariance is full rank
-      but so ill-conditioned that the pivot gate passes a useless inverse.
+      radius-2 window holds at least ``n`` vertices, one block's window,
+      the whole lattice, included: ``n`` samples give rank at most ``n``,
+      and at ``n = |w|`` the covariance is full rank but so
+      ill-conditioned that the pivot gate passes a useless inverse.
     """
     config = config or EstimatorConfig()
-    m = shape.size
     if config.b_override is not None and config.b_override > shape.p:
         raise InvalidInput(
             f"b_override={config.b_override} exceeds the lattice side {shape.p}"
         )
     _check_integer(n, "sample count")
-    kappa = config.kappa_hint if config.kappa_hint is not None else float(m)
-    if config.b_override is None and shape.p <= math.log(n * kappa):
-        if n < m:
-            raise NotPositiveDefinite(f"{n} samples cannot span {m} variables")
-        return None
-    # Past the fallback, p > log(n * kappa), so the rule's width is at most
-    # p; the floor keeps n = kappa = 1 a LocalSingular, not a width of 0.
-    b = config.b_override or max(1, math.ceil(math.log(n * kappa)))
-    for window in _windows(_scheme(shape, b)):
-        if window.size >= n:
-            raise LocalSingular(window.j, window.size, n)
+    kappa = config.kappa_hint if config.kappa_hint is not None else float(shape.size)
+    # The floor keeps n = kappa = 1 a LocalSingular, not a width of 0.
+    b = config.b_override or min(shape.p, max(1, math.ceil(math.log(n * kappa))))
+    scheme = build_scheme(shape.p, b, shape.d)
+    # The boxes alone size the windows, so planning builds no unit columns.
+    for j in scheme.block_indices():
+        size = math.prod(s.stop - s.start for s in scheme.box(j, WINDOW_RADIUS))
+        if size >= n:
+            raise LocalSingular(j, size, n)
     return b
 
 
@@ -399,11 +402,12 @@ def estimate_precision(
     ``shape``.  A sample matrix is planned under ``config``
     (:func:`plan_estimate`, whose refusals come before any tile is formed)
     and read as one row block of its tiles; tiles carry their own width,
-    so ``config`` is not read for them.  At the fallback width ``None``
-    the estimate is the inverse of the full sample covariance, the band
-    Gram of a one-block scheme.  Otherwise the band Gram is written from
-    its tiles, each block's window is factored and solved for its own
-    columns, and their in-band rows are assembled and symmetrized in
+    so ``config`` is not read for them.  When the tiles' scheme is one
+    block, whatever set the width, the estimate is the inverse of the
+    full sample covariance, the tiles' band Gram; a pivot failure there
+    raises ``NotPositiveDefinite``.  Otherwise the band Gram is written
+    from its tiles, each block's window is factored and solved for its
+    own columns, and their in-band rows are assembled and symmetrized in
     place.
     """
     m = shape.size
@@ -419,10 +423,9 @@ def estimate_precision(
             )
         n = data.shape[0]
         tiles = _band_tiles((data,), shape, {n: plan_estimate(shape, n, config)})[n]
-    if tiles.b is None:
-        return PrecisionEstimate(
-            matrix=spd_inverse(tiles.dense()), scheme=None, b=None, path=FALLBACK
-        )
+    scheme = tiles.scheme
+    if scheme.S == 1:
+        return PrecisionEstimate(spd_inverse(tiles.dense()), scheme)
     # The matrix every window is sliced from, checked exactly symmetric once
     # here so that no window is checked again.
     source = _as_square_sym(tiles.dense())
@@ -431,7 +434,6 @@ def estimate_precision(
     src = source.reshape((shape.p,) * (2 * shape.d))
     raw = np.zeros((m, m))
     out = raw.reshape(src.shape)
-    scheme = tiles.scheme
     for window in _windows(scheme):
         k = window.size
         # The copy is C-ordered and symmetric, so its transpose is the same
@@ -445,9 +447,7 @@ def estimate_precision(
         # it solves a copy of the shared unit columns.
         cols, _ = lapack.dpotrs(factor, window.unit, lower=1)
         out[window.near + window.block] = cols.reshape(window.solved_shape)[window.kept]
-    return PrecisionEstimate(
-        matrix=_symmetrize_in_place(raw), scheme=scheme, b=tiles.b, path=BLOCKWISE
-    )
+    return PrecisionEstimate(_symmetrize_in_place(raw), scheme)
 
 
 def ols_plugin_row(samples, i: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, _check_integer
+from .errors import InvalidInput, _check_dimension, _check_integer
 
 __all__ = [
     "LatticeShape",
@@ -41,9 +41,7 @@ class LatticeShape:
     d: int
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise InvalidInput(f"d must be 1, 2 or 3, got {self.d}")
-        _check_integer(self.d, "d")
+        _check_dimension(self.d)
         _check_integer(self.p, "p")
 
     @property

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
-from .errors import CapacityExceeded, InvalidInput, NoMatching, _check_integer, _is_real
+from .errors import CapacityExceeded, InvalidInput, NoMatching, _check_dimension, _is_real
 from .estimator import (
     EstimatorConfig,
     PrecisionEstimate,
@@ -134,11 +134,9 @@ def measure_cloud(sites, d: int) -> SiteCloud:
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim == 1:
         sites = sites[:, None]
-    _check_integer(d, "d")
+    _check_dimension(d)
     if sites.ndim != 2 or sites.shape[1] != d:
         raise InvalidInput(f"sites must be (M, {d}), got shape {sites.shape}")
-    if d not in (1, 2, 3):
-        raise InvalidInput(f"d must be 1, 2 or 3, got {d}")
     m = sites.shape[0]
     if m < 1:
         raise InvalidInput("site cloud is empty")
@@ -168,8 +166,8 @@ def build_target_lattice(cloud: SiteCloud, c1: float):
     node spacing ``1/(p+1)`` is below ``h``.  A lattice of more than
     ``MAX_LATTICE_VERTICES`` nodes raises ``CapacityExceeded``.
     """
-    if not 0.0 < c1 < 1.0:
-        raise InvalidInput(f"c1 must lie in (0, 1), got {c1}")
+    if not (_is_real(c1) and 0.0 < c1 < 1.0):
+        raise InvalidInput(f"c1 must be a real number in (0, 1), got {c1!r}")
     p = int(np.ceil(1.0 / (c1 * cloud.h)))
     shape = LatticeShape(p=p, d=cloud.d)
     if shape.size > MAX_LATTICE_VERTICES:

@@ -474,8 +474,12 @@ def l1_tail_profile(omega, shape: LatticeShape, norm: float):
     ``k = 1 .. max distance``, computed by binning each row by the
     cityblock distance and suffix-summing.  ``norm`` is ``||omega||_2`` as
     the caller holds it: a truth's ``omega_norm``, or one
-    :func:`~gpprec.linalg.spectral_norm` solve.
+    :func:`~gpprec.linalg.spectral_norm` solve.  A ``norm`` that is not a
+    finite, positive real number (a bool or a string included) raises
+    ``InvalidInput``.
     """
+    if not (_is_real(norm) and 0 < norm < np.inf):
+        raise InvalidInput(f"norm must be finite and positive, got {norm!r}")
     omega = np.asarray(omega, dtype=np.float64)
     coords = shape.coordinates()
     if coords.shape[0] != omega.shape[0]:

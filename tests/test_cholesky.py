@@ -137,6 +137,37 @@ class TestEstimateB:
             estimate_B(bad, levels, 2, d=1)
 
 
+@pytest.mark.parametrize("d", [True, 1.5, 2.0, "2", 0, 4])
+class TestDimensionRefused:
+    """Every block is scaled by ``h^{-kd}``, so only the integers 1, 2 and 3 pass.
+
+    Each refusal comes before any factorization.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_factorization(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a factorization ran")
+
+        monkeypatch.setattr(cholesky_module, "cholesky_lower", forbidden)
+        monkeypatch.setattr(cholesky_module, "reverse_cholesky", forbidden)
+
+    def test_estimate_B(self, d):
+        with pytest.raises(InvalidInput, match="d must be a positive integer up to 3"):
+            estimate_B(np.eye(3), LevelPartition.from_sizes([3]), 1, d=d)
+
+    def test_exact_scales(self, d):
+        truth, levels = nested_truth(3)
+        with pytest.raises(InvalidInput, match="d must be a positive integer up to 3"):
+            exact_scales(truth.omega, levels, d=d)
+
+    def test_estimate_scales(self, d):
+        truth, levels = nested_truth(3)
+        z = sample(truth, 200, seed=0)
+        with pytest.raises(InvalidInput, match="d must be a positive integer up to 3"):
+            estimate_scales(z, levels, d=d)
+
+
 class TestAssembly:
     def test_exact_scales_round_trip(self, rng):
         levels = LevelPartition.from_sizes([2, 3, 4])

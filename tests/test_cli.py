@@ -72,6 +72,17 @@ class TestEstimate:
         rows = capsys.readouterr().out.splitlines()
         assert rows[2].split(",")[8] == "fallback_full_inverse"
 
+    def test_full_inverse_row_reports_the_side(self, capsys):
+        # The rule's width clamps to p = 2, and --b 2 sets it: either way the
+        # one block is the full inverse, and the row reports b = p.
+        argv = ["--d", "1", "--p", "2", "--s", "1", "--n", "300", "--seeds", "0"]
+        assert run_cli("estimate", *argv) == 0
+        rule = capsys.readouterr().out
+        assert run_cli("estimate", *argv, "--b", "2") == 0
+        assert capsys.readouterr().out == rule
+        row = rule.splitlines()[2].split(",")
+        assert (row[7], row[8], row[12]) == ("2", "fallback_full_inverse", "")
+
     def test_block_width_skips_fallback(self, capsys):
         # The same lattice as above, but an explicit --b runs blockwise.
         code = run_cli(
@@ -619,11 +630,12 @@ class TestOneDrawPerSeed:
 
         monkeypatch.setattr(cli, "sample", forbidden)
         monkeypatch.setattr(cli, "sample_blocks", forbidden)
-        # The fallback route (p = 2 <= log(N * kappa) = log(9)) with fewer
-        # samples than variables, then an explicit width above the side.
+        # The one-block width (log(N * kappa) = log(9) clamps to p = 2), whose
+        # window of 4 vertices outnumbers the samples, then an explicit width
+        # above the side.
         assert run_cli("estimate", "--d", "2", "--p", "2", "--n", "3", "--seeds", "0,1") == 1
         errors = [line.split(",")[12] for line in capsys.readouterr().out.splitlines()[2:]]
-        assert errors == ["NotPositiveDefinite", "NotPositiveDefinite"]
+        assert errors == ["LocalSingular", "LocalSingular"]
         assert run_cli("estimate", "--p", "4", "--b", "5", "--n", "50") == 1
         assert capsys.readouterr().out.splitlines()[2].split(",")[12] == "InvalidInput"
         # A factor row with fewer samples than the columns of a scale.

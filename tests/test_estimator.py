@@ -1,6 +1,7 @@
 """Blockwise lattice estimator: window bias, assembly, routes, regression view."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ def dense_lattice_truth(p=40, s=2):
 
 
 class TestChooseBlockSize:
-    """The width rule ``b = ceil(log(N * kappa))``, floored at 1, as plan_estimate applies it."""
+    """The width rule ``b = ceil(log(N * kappa))`` clamped to ``1..p``, in plan_estimate."""
 
     def test_floor_at_one(self):
         # log(1 * 1) = 0: the floor makes b = 1, whose one-vertex windows
@@ -264,12 +265,13 @@ class TestEstimatePrecision:
         assert 1.6 <= medians[1000] / medians[4000] <= 2.6
 
     def test_fallback_with_too_few_samples_fails(self):
-        # kappa_hint=50 puts p=3 under the fallback threshold at N=2, and
-        # the rank-2 sample covariance cannot be inverted.
+        # kappa_hint=50 clamps the width to p=3 at N=2, one block whose
+        # window of 3 vertices the rank-2 sample covariance cannot span.
         truth = build_lattice_precision(3, 1, 1)
         z = sample(truth, 2, seed=0)
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(LocalSingular) as info:
             estimate_precision(z, truth.geometry, EstimatorConfig(kappa_hint=50.0))
+        assert (info.value.block, info.value.window_size, info.value.n_samples) == ((1,), 3, 2)
 
     def test_fallback_rank_bound_fails_before_covariance(self, monkeypatch):
         def forbidden(samples):
@@ -278,12 +280,12 @@ class TestEstimatePrecision:
         monkeypatch.setattr("gpprec.estimator.sample_covariance", forbidden)
         truth = build_lattice_precision(3, 1, 1)
         z = sample(truth, 2, seed=0)
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(LocalSingular):
             estimate_precision(z, truth.geometry, EstimatorConfig(kappa_hint=50.0))
 
     def test_b_override_skips_fallback(self):
-        # kappa_hint=50 puts p=3 under the fallback threshold at N=500; an
-        # explicit width runs blockwise at that width all the same.
+        # kappa_hint=50 clamps the rule's width to p=3 at N=500; an explicit
+        # narrower width runs blockwise at that width all the same.
         truth = build_lattice_precision(3, 1, 1)
         z = sample(truth, 500, seed=0)
         est = estimate_precision(
@@ -291,6 +293,29 @@ class TestEstimatePrecision:
         )
         assert est.path == BLOCKWISE
         assert est.b == 1
+
+    def test_full_width_is_one_route_whatever_sets_it(self, monkeypatch):
+        # The rule clamps log(500 * kappa) to the side p = 4, and b_override=4
+        # sets the same one-block scheme: both invert the full sample
+        # covariance, bit for bit, and build no window.
+        def forbidden(scheme):
+            raise AssertionError("windows built for a one-block scheme")
+
+        monkeypatch.setattr(estimator_module, "_windows", forbidden)
+        truth = build_lattice_precision(4, 2, 1)
+        z = sample(truth, 500, seed=3)
+        rule = estimate_precision(z, truth.geometry, EstimatorConfig(kappa_hint=truth.kappa))
+        full = estimate_precision(z, truth.geometry, EstimatorConfig(b_override=4))
+        assert (rule.b, rule.path) == (full.b, full.path) == (4, FALLBACK)
+        assert np.array_equal(rule.matrix, full.matrix)
+        assert np.array_equal(full.matrix, spd_inverse(sample_covariance(z)))
+
+    def test_one_block_pivot_failure_is_not_positive_definite(self):
+        # The tiles of a covariance carry no sample count, so no plan refuses
+        # a singular one; its full inverse fails the pivot gate.
+        shape = LatticeShape(p=3, d=1)
+        with pytest.raises(NotPositiveDefinite):
+            estimate_precision(BandTiles.from_covariance(np.ones((3, 3)), shape, 3), shape)
 
     def test_blockwise_support_band(self):
         truth = build_lattice_precision(30, 1, 1)
@@ -428,18 +453,37 @@ class TestPlanEstimate:
             assert all(type(x) is int for x in info.value.block)
 
     def test_routes(self):
+        # log(500 * 50) = 10.1 clamps to the side: the one-block width 3.
         shape = LatticeShape(3, 1)
-        assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0)) is None
+        assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0)) == 3
         assert plan_estimate(shape, 500, EstimatorConfig(kappa_hint=50.0, b_override=1)) == 1
         wide = LatticeShape(200, 1)
         assert plan_estimate(wide, 1000, EstimatorConfig(kappa_hint=10.0)) == math.ceil(
             math.log(1000 * 10.0)
         )
 
+    @pytest.mark.parametrize("kappa", [1.0, 50.0, 1e12])
+    @pytest.mark.parametrize("n", [26, 100, 10**6])
+    def test_every_accepted_size_plans_an_integer_width(self, n, kappa):
+        b = plan_estimate(LatticeShape(5, 2), n, EstimatorConfig(kappa_hint=kappa))
+        assert type(b) is int and 1 <= b <= 5
+
+    def test_one_block_plan_builds_no_unit(self):
+        # The one block's window is all 4096 vertices; its unit right-hand
+        # side alone would take 134 MB.
+        tracemalloc.start()
+        try:
+            b = plan_estimate(LatticeShape(64, 2), 5000, EstimatorConfig(b_override=64))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert b == 64
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "shape,n,cfg,error",
         [
-            (LatticeShape(3, 1), 2, EstimatorConfig(kappa_hint=50.0), NotPositiveDefinite),
+            (LatticeShape(3, 1), 2, EstimatorConfig(kappa_hint=50.0), LocalSingular),
             (LatticeShape(8, 1), 100, EstimatorConfig(b_override=9), InvalidInput),
             (LatticeShape(8, 1), None, EstimatorConfig(b_override=9), InvalidInput),
             (LatticeShape(8, 1), None, EstimatorConfig(), InvalidInput),
@@ -612,7 +656,7 @@ class TestRowBlocks:
         [
             (LatticeShape(p=16, d=1), 10, EstimatorConfig(b_override=2), LocalSingular),
             (LatticeShape(p=16, d=1), 100, EstimatorConfig(b_override=17), InvalidInput),
-            (LatticeShape(p=4, d=2), 12, None, NotPositiveDefinite),
+            (LatticeShape(p=4, d=2), 12, None, LocalSingular),
         ],
         ids=["window-of-n", "b-above-p", "fallback-below-m"],
     )
@@ -706,13 +750,14 @@ class TestBandTiles:
         shape = LatticeShape(p=24, d=1)
         want = estimate_precision(z, shape, EstimatorConfig(b_override=3))
         fallback = estimate_precision(z, shape, EstimatorConfig(kappa_hint=1e12))
+        assert (fallback.b, fallback.path) == (24, FALLBACK)
         sigma = sample_covariance(z)
 
         def forbidden(*args):
             raise AssertionError("band tiles were planned again")
 
         monkeypatch.setattr(estimator_module, "plan_estimate", forbidden)
-        for b, est in ((3, want), (None, fallback)):
+        for b, est in ((3, want), (24, fallback)):
             got = estimate_precision(_band_tiles([z], shape, {300: b})[300], shape)
             assert (got.b, got.path) == (est.b, est.path)
             assert np.array_equal(got.matrix, est.matrix)

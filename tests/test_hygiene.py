@@ -279,6 +279,7 @@ def test_readme_names_only_what_the_package_holds():
 # Every private name one module of the package imports from another, as
 # ``importer<-module._name``: each is a coupling past a module's public API.
 PRIVATE_IMPORTS = {
+    "cholesky<-errors._check_dimension",
     "cholesky<-errors._check_integer",
     "cli<-truth._check_capacity",
     "estimator<-errors._check_integer",
@@ -286,9 +287,10 @@ PRIVATE_IMPORTS = {
     "estimator<-linalg._as_square_sym",
     "estimator<-linalg._gated_factor",
     "estimator<-linalg._symmetrize_in_place",
+    "lattice<-errors._check_dimension",
     "lattice<-errors._check_integer",
     "linalg<-errors._check_integer",
-    "matching<-errors._check_integer",
+    "matching<-errors._check_dimension",
     "matching<-errors._is_real",
     "matching<-estimator._band_tiles",
     "matching<-linalg._normals_ahead",

@@ -42,7 +42,9 @@ class TestLatticeShape:
             LatticeShape(p=3, d=4)
 
     @pytest.mark.parametrize(
-        "p, d", [(2.5, 1), (4, 2.0), (True, 1), (4.0, 1), ("3", 1), (3, True), (None, 1)]
+        "p, d",
+        [(2.5, 1), (4, 2.0), (True, 1), (4.0, 1), ("3", 1), (3, True), (None, 1), (3, "2"),
+         (3, 0), (3, 1.5)],
     )
     def test_non_integer_side_or_dimension_refused(self, p, d):
         # A float side or dimension would give a float size: 2.5, or 16.0 for 4 ** 2.0.

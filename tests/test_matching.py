@@ -105,9 +105,19 @@ class TestMeasureCloud:
         with pytest.raises(InvalidInput):
             measure_cloud(np.array([0.0, 0.5]), 1)
 
-    @pytest.mark.parametrize("sites, d", [([[0.2, 0.3], [0.6, 0.7]], 2.0), ([0.2, 0.6], True)])
+    @pytest.mark.parametrize(
+        "sites, d",
+        [
+            ([[0.2, 0.3], [0.6, 0.7]], 2.0),
+            ([0.2, 0.6], True),
+            ([[0.2, 0.3], [0.6, 0.7]], "2"),
+            ([0.2, 0.6], 0),
+            ([[0.2, 0.3, 0.4, 0.5]], 4),
+        ],
+    )
     def test_non_integer_dimension_refused(self, sites, d):
-        # Either would fail with an untyped TypeError where the dimension is used.
+        # Each would fail with an untyped TypeError where the dimension is
+        # used, or scale the lattice by a dimension the package has no rule for.
         with pytest.raises(InvalidInput, match="d must be a positive integer"):
             measure_cloud(np.array(sites), d)
 
@@ -159,6 +169,16 @@ class TestBuildTargetLattice:
         for c1 in (0.9, 0.5, 0.3):
             shape = build_target_lattice(cloud, c1)
             assert 1.0 / (shape.p + 1) < cloud.h
+
+    @pytest.mark.parametrize("c1", ["0.5", None, True, float("nan"), 0.0, 1.0])
+    def test_c1_not_a_real_in_the_unit_interval_refused(self, c1):
+        # A string or None has no order against 0, so it raised an untyped
+        # TypeError; a bool is not taken as 1.
+        cloud = measure_cloud(perturbed_grid(9, 1, 0.2, seed=5), 1)
+        with pytest.raises(InvalidInput, match="c1 must be a real number in"):
+            build_target_lattice(cloud, c1)
+        with pytest.raises(InvalidInput, match="c1 must be a real number in"):
+            build_embedding(cloud, c1=c1)
 
     def test_capacity_cap(self, monkeypatch):
         cloud = measure_cloud(perturbed_grid(49, 2, 0.2, seed=5), 2)

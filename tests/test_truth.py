@@ -143,6 +143,14 @@ class TestLatticePrecision:
         assert ks[-1] == 1023
         assert tails[0] == 2.0 * abs(truth.omega[0, 1]) / truth.omega_norm
 
+    @pytest.mark.parametrize("norm", [0.0, -1.0, np.nan, np.inf, "1.0", True])
+    def test_l1_tail_norm_not_finite_and_positive_refused(self, norm):
+        # A zero norm divided by zero with a RuntimeWarning, a negative or
+        # NaN one gave meaningless tails, and a string raised a TypeError.
+        truth = build_lattice_precision(6, 1, 1)
+        with pytest.raises(InvalidInput, match="norm must be finite and positive"):
+            l1_tail_profile(truth.omega, truth.geometry, norm)
+
     def test_capacity_cap(self):
         with pytest.raises(CapacityExceeded):
             build_lattice_precision(17, 3, 1)
