@@ -27,7 +27,9 @@ block, the precision of the first ``n_k`` variables is ``W_k^T W_k``.
 with ``L`` the Cholesky factor of the sample covariance shared by the
 scales that invert their full sample covariance.  That covariance is the
 leading block of one sample covariance of all the columns, which
-:func:`scale_covariances` can sum from a stream of row blocks, so no
+:func:`scale_covariances` can sum from a stream of row blocks, read by
+the package's one reader of sample rows,
+:func:`~gpprec.linalg._row_parts`, up to the largest sample size, so no
 per-scale Gram and no ``(N, m)`` sample array need be formed.
 A square-root variant replaces ``R_k`` with the symmetric root of
 ``B_k``, trading the entrywise triangular structure for a slightly
@@ -46,6 +48,8 @@ from .errors import InvalidInput, NotPositiveDefinite, _check_dimension, _check_
 from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
 from .linalg import (
+    _as_rows,
+    _row_parts,
     cholesky_lower,
     reverse_cholesky,
     spd_sqrt,
@@ -234,7 +238,10 @@ def plan_scales(
     before drawing; :func:`estimate_scales` runs it first.  Raises
     ``InvalidInput`` when ``n`` is not an integer of at least 1, and
     ``NotPositiveDefinite``, carrying the scale, at the first full-inverse
-    scale with ``n < m_k``.
+    scale with ``n <= m_k``: ``n`` samples give rank at most ``n``, and at
+    ``n = m_k`` the covariance is full rank but so ill-conditioned that
+    the pivot gate passes a useless inverse, the rule the one-block
+    precision estimate keeps (:func:`~gpprec.estimator.plan_estimate`).
     """
     _check_integer(n, "sample count")
     config = config or EstimatorConfig()
@@ -243,10 +250,9 @@ def plan_scales(
     for k in range(1, levels.q + 1):
         m_k = levels.prefix_size(k)
         full.append(cloud is None or m_k <= math.log(n * kappa))
-        if full[-1] and n < m_k:
-            raise NotPositiveDefinite(
-                f"scale {k}: {n} samples cannot span {m_k} variables", scale=k
-            )
+        if full[-1] and n <= m_k:
+            reason = "cannot span" if n < m_k else "leave no usable inverse of"
+            raise NotPositiveDefinite(f"scale {k}: {n} samples {reason} {m_k} variables", scale=k)
     return tuple(full)
 
 
@@ -263,33 +269,21 @@ class SampleCovariance:
     matrix: np.ndarray
 
 
-def _prefix_covariances(blocks, m: int, sizes) -> dict:
+def _prefix_covariances(samples, m: int, sizes) -> dict:
     """Sample covariance of the first ``n`` rows for each ``n`` in ``sizes``, in one pass.
 
-    ``blocks`` are consecutive row blocks of ``m``-column samples from row
-    0, each read once, in turn, before the next is taken.  Each size sums
-    the upper triangle of its rows' Gram with one rank-k update (``dsyrk``)
-    per block it covers, of its part of the block, in block order, so its
-    sum does not depend on the other sizes; the sums are mirrored and
-    divided by ``n`` at the end.
+    ``samples`` are ``m``-column samples, read by
+    :func:`~gpprec.linalg._row_parts`, which stops at the largest size.
+    Each size sums the upper triangle of its rows' Gram with one rank-k
+    update (``dsyrk``) per part it takes, in block order, so its sum does
+    not depend on the other sizes; the sums are mirrored and divided by
+    ``n`` at the end.
     """
     grams = {n: np.zeros((m, m), order="F") for n in sizes}
-    last = max(grams)
-    start = 0
-    for rows in blocks:
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != m:
-            raise InvalidInput(f"sample blocks must have {m} columns, got shape {rows.shape}")
-        for n, gram in grams.items():
-            part = rows[:max(0, n - start)]
-            if part.shape[0]:
-                # part.T is Fortran-ordered, so dsyrk adds part^T part into gram in place.
-                blas.dsyrk(1.0, part.T, beta=1.0, c=gram, overwrite_c=1)
-        start += rows.shape[0]
-        if start >= last:
-            break
-    if start < last:
-        raise InvalidInput(f"sample blocks end after {start} rows, before row {last}")
+    for part, takers in _row_parts(samples, m, sizes):
+        for n in takers:
+            # part.T is Fortran-ordered, so dsyrk adds part^T part into the Gram in place.
+            blas.dsyrk(1.0, part.T, beta=1.0, c=grams[n], overwrite_c=1)
     return {n: np.add(gram, np.triu(gram, 1).T) / n for n, gram in grams.items()}
 
 
@@ -297,20 +291,21 @@ def scale_covariances(samples, levels: LevelPartition, sizes) -> dict:
     """:class:`SampleCovariance` of the first ``n`` rows for each ``n`` in ``sizes``.
 
     ``samples`` is an array in maximin order or an iterable of consecutive
-    row blocks of one, such as :func:`~gpprec.truth.sample_blocks` yields;
-    it holds at least ``max(sizes)`` rows.  Each size is planned by
-    :func:`plan_scales` without a cloud, so every scale of it inverts its
-    full sample covariance, and a refused size raises before any row is
-    read.  Then the rows up to the largest size are read once, block by
-    block, and each block is added into the covariance of every size that
-    reaches it, so no ``(N, m)`` array need be held.
+    row blocks of one, such as :func:`~gpprec.truth.sample_blocks` yields.
+    Each size is planned by :func:`plan_scales` without a cloud, so every
+    scale of it inverts its full sample covariance, and a refused size
+    raises before any row is read.  Then the rows up to the largest size
+    are read once, block by block, and no further
+    (:func:`_prefix_covariances`): each size adds its part of each block
+    into its covariance, so no ``(N, m)`` array need be held.  Samples
+    that end before the largest size raise ``InvalidInput`` with the
+    count of rows that arrived.
     """
     if not sizes:
         raise InvalidInput("sizes must be a nonempty list")
     for n in sizes:
         plan_scales(levels, n)
-    blocks = (samples,) if isinstance(samples, np.ndarray) else samples
-    covariances = _prefix_covariances(blocks, levels.m, sizes)
+    covariances = _prefix_covariances(samples, levels.m, sizes)
     return {n: SampleCovariance(n, cov) for n, cov in covariances.items()}
 
 
@@ -356,11 +351,7 @@ def estimate_scales(
                 f"got {covariance.shape}"
             )
     else:
-        z = np.asarray(samples, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != levels.m:
-            raise InvalidInput(
-                f"samples must have {levels.m} columns in maximin order, got shape {z.shape}"
-            )
+        z = _as_rows(samples, levels.m)
         n = z.shape[0]
     full = plan_scales(levels, n, config, cloud)
     if z is None and not all(full):
@@ -371,7 +362,7 @@ def estimate_scales(
     if n_full:
         lead = levels.prefix_size(n_full)
         if z is not None:
-            covariance = _prefix_covariances((z[:, :lead],), lead, [n])[n]
+            covariance = _prefix_covariances(z[:, :lead], lead, [n])[n]
         try:
             w = triangular_inverse(cholesky_lower(covariance[:lead, :lead]), lower=True)
         except NotPositiveDefinite as exc:

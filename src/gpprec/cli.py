@@ -29,10 +29,12 @@ passing N, made by the seed's first passing row.  Lattice precision rows
 read row prefixes of one sample array (``truth.sample``).  Scattered
 precision rows and factor rows hold no ``(N, sites)`` array: the pass
 streams the draw one row block at a time (``truth.sample_blocks``) into
-the source of every passing size.  On scattered runs the source is the
-band tiles of the padded rows (``matching.padded_tiles``); on factor
-runs it is the sample covariance in maximin order
-(``cholesky.scale_covariances``, then ``cholesky.estimate_scales``).
+the source of every passing size, through the one reader of sample rows
+(``linalg._row_parts``), which stops at the largest passing size.  On
+scattered runs the source is the band tiles of the padded rows
+(``matching.padded_tiles``); on factor runs it is the sample covariance
+in maximin order (``cholesky.scale_covariances``, then
+``cholesky.estimate_scales``).
 Lattice and scattered precision rows take one estimate step,
 ``estimator.estimate_precision`` on their source; a scattered row keeps
 the site block of its padded lattice's estimate.  Rows ``[0, N)`` of the
@@ -106,7 +108,7 @@ from .cholesky import (
 from .errors import GpprecError, InvalidInput
 from .estimator import EstimatorConfig, estimate_precision, plan_estimate
 from .hierarchy import assign_levels, maximin_order
-from .lattice import lattice_points
+from .lattice import LatticeShape, lattice_points
 from .linalg import spectral_norm
 from .matching import DEFAULT_C1, build_embedding, measure_cloud, padded_tiles
 from .truth import (
@@ -257,8 +259,7 @@ def _check_output(path, flag, directory=False):
 def _jittered_grid(p: int, d: int, snap_fine_m: int | None):
     """Perturbed regular grid of p**d interior sites, optionally grid-snapped."""
     rng = np.random.Generator(np.random.Philox(key=_SITE_SEED + 17 * p + d))
-    axes = [np.arange(1, p + 1) / (p + 1)] * d
-    base = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    base = lattice_points(LatticeShape(p, d))
     sites = base + rng.uniform(-0.35, 0.35, size=base.shape) / (p + 1)
     if snap_fine_m is not None:
         sites = np.rint(sites * (snap_fine_m + 1)) / (snap_fine_m + 1)
@@ -491,6 +492,23 @@ def cmd_estimate(cfg) -> int:
     return 0 if all(row.error == "" for row in rows) else 1
 
 
+def _slopes(medians, keys, line, axis):
+    """One ``line`` per key with two or more medians: the slope of median error on log x.
+
+    ``medians`` maps ``(p, N)`` to a median error; a key fixes the other
+    coordinate, and x is the coordinate at ``axis``, 1 for N and 0 for p.
+    """
+    lines = []
+    for key in keys:
+        points = sorted(pair for pair in medians if pair[1 - axis] == key)
+        if len(points) >= 2:
+            slope, _, _ = log_linear_fit(
+                np.log([float(pair[axis]) for pair in points]), [medians[pair] for pair in points]
+            )
+            lines.append(line.format(key) % slope)
+    return lines
+
+
 def cmd_scaling_study(cfg) -> int:
     p_values = sorted(cfg["p_list"] or [cfg["p"]])
     all_rows = []
@@ -508,20 +526,8 @@ def cmd_scaling_study(cfg) -> int:
         extra.append("kind,p,N,value")
         for (p, n), med in sorted(medians.items()):
             extra.append(f"median,{p},{n},%.17g" % med)
-        for p in p_values:
-            ns = sorted(n for (pp, n) in medians if pp == p)
-            if len(ns) >= 2:
-                slope, _, _ = log_linear_fit(
-                    np.log([float(n) for n in ns]), [medians[(p, n)] for n in ns]
-                )
-                extra.append(f"slope_vs_N,{p},,%.17g" % slope)
-        for n in sorted(cfg["n"]):
-            ps = sorted(p for (p, nn) in medians if nn == n)
-            if len(ps) >= 2:
-                slope, _, _ = log_linear_fit(
-                    np.log([float(p) for p in ps]), [medians[(p, n)] for p in ps]
-                )
-                extra.append(f"slope_vs_p,,{n},%.17g" % slope)
+        extra += _slopes(medians, p_values, "slope_vs_N,{},,%.17g", axis=1)
+        extra += _slopes(medians, sorted(cfg["n"]), "slope_vs_p,,{},%.17g", axis=0)
     _emit(_rows_csv(all_rows, extra), cfg["out"])
     return 0 if all(row.error == "" for row in all_rows) else 1
 

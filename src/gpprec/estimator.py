@@ -21,11 +21,14 @@ Consecutive slabs of equal width and reach form one run, whose products
 are one stacked :func:`~gpprec.linalg.sample_covariance` call and one
 batched ``matmul``.  The tiles are summed over consecutive row blocks of
 the samples, and one pass over the row blocks serves several row
-prefixes at once: each block's products are formed once and added into
-every prefix that covers the block, so a caller that pads its rows block
-by block, such as the scattered-site padding, pads them once for all of
-a seed's sample sizes.  A sample matrix is one row block of its tiles,
-and the one tile of a one-block scheme is the whole sample covariance.
+prefixes at once.  The package's one reader of sample rows,
+:func:`~gpprec.linalg._row_parts`, says which rows of each block each
+prefix takes and stops reading at the largest prefix; the products of
+each part are formed once and added into every prefix that takes it, so
+a caller that pads its rows block by block, such as the scattered-site
+padding, pads them once for all of a seed's sample sizes.  A sample
+matrix is one row block of its tiles, and the one tile of a one-block
+scheme is the whole sample covariance.
 The exact covariance is sliced into tiles too
 (:meth:`BandTiles.from_covariance`), so it takes the same path; this
 isolates the deterministic bias of the windowed inversion from sampling
@@ -63,8 +66,10 @@ from scipy.linalg import cho_solve, lapack
 from .errors import InvalidInput, LocalSingular, NotPositiveDefinite, _check_integer, _is_real
 from .lattice import BlockScheme, LatticeShape, build_scheme
 from .linalg import (
+    _as_rows,
     _as_square_sym,
     _gated_factor,
+    _row_parts,
     _symmetrize_in_place,
     cholesky_lower,
     sample_covariance,
@@ -245,18 +250,16 @@ def _slab_products(rows, runs) -> list:
     return products
 
 
-def _band_tiles(blocks, shape: LatticeShape, plans) -> dict:
-    """:class:`BandTiles` of every row prefix ``plans`` asks for, from one pass over ``blocks``.
+def _band_tiles(samples, shape: LatticeShape, plans) -> dict:
+    """:class:`BandTiles` of every row prefix ``plans`` asks for, from one pass over ``samples``.
 
     ``plans`` maps each prefix length ``n`` to its planned block width on
-    ``shape`` (:func:`plan_estimate`).
-    ``blocks`` are consecutive row blocks of the samples from row 0, each
-    read once, in turn, before the next is taken.  Per row block and
-    width, the slab products of the whole block are formed once and added
-    into every prefix that covers the block, weighted by that prefix's
-    share: the diagonal tiles, the block's covariances, by ``rows / n``,
-    and the reach tiles, raw products, by ``1 / n``.  A prefix that ends
-    inside a block adds the products of its own part of it.  So each
+    ``shape`` (:func:`plan_estimate`).  ``samples`` are read by
+    :func:`~gpprec.linalg._row_parts`, which stops at the largest ``n``:
+    per part and width, the slab products are formed once and added into
+    each prefix of that width that takes the part, weighted by that
+    prefix's share: the diagonal tiles, the part's covariances, by
+    ``rows / n``, and the reach tiles, raw products, by ``1 / n``.  So each
     prefix sums exactly the terms, in the order, of a pass over its own
     rows in the same blocks.  A single block of all ``n`` rows has weight
     1 and is summed into zeros, both exact, so it gives the plain
@@ -267,26 +270,13 @@ def _band_tiles(blocks, shape: LatticeShape, plans) -> dict:
         n: [(np.zeros((k, w, w)), np.zeros((k, w, c))) for _, k, w, c in runs[b]]
         for n, b in plans.items()
     }
-    m = shape.size
-    start = 0
-    for rows in blocks:
-        if rows.shape[1] != m:
-            raise InvalidInput(f"row blocks must have {m} columns, got {rows.shape[1]}")
-        stop = start + rows.shape[0]
+    for part, takers in _row_parts(samples, shape.size, plans):
         for b, b_runs in runs.items():
-            open_sizes = [n for n, nb in plans.items() if nb == b and n > start]
-            covering = [n for n in open_sizes if n >= stop]
-            if covering:
-                products = _slab_products(rows, b_runs)
-                for n in covering:
-                    _add_products(sums[n], products, rows.shape[0], n)
-            for n in open_sizes:
-                if n < stop:
-                    part = _slab_products(rows[:n - start], b_runs)
-                    _add_products(sums[n], part, n - start, n)
-        start = stop
-    if start < max(plans):
-        raise InvalidInput(f"row blocks end after {start} rows, before row {max(plans)}")
+            sizes = [n for n in takers if plans[n] == b]
+            if sizes:
+                products = _slab_products(part, b_runs)
+                for n in sizes:
+                    _add_products(sums[n], products, part.shape[0], n)
     return {
         n: BandTiles(
             shape=shape,
@@ -416,13 +406,9 @@ def estimate_precision(
             raise InvalidInput(f"band tiles are for {data.shape}, not {shape}")
         tiles = data
     else:
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != m:
-            raise InvalidInput(
-                f"samples must have {m} columns for this lattice, got shape {data.shape}"
-            )
-        n = data.shape[0]
-        tiles = _band_tiles((data,), shape, {n: plan_estimate(shape, n, config)})[n]
+        z = _as_rows(data, m)
+        n = z.shape[0]
+        tiles = _band_tiles(z, shape, {n: plan_estimate(shape, n, config)})[n]
     scheme = tiles.scheme
     if scheme.S == 1:
         return PrecisionEstimate(spd_inverse(tiles.dense()), scheme)

@@ -34,6 +34,13 @@ gate factors it, ``_symmetrize_in_place`` symmetrizes it, and
 Symmetry is checked, and made in place, tile by tile against the mirror
 tiles, which reads every entry but never the whole transpose at once.
 
+Every second-moment sum of the package is taken over the first ``n``
+rows of a sample array or of a stream of its row blocks, for several
+``n`` in one pass, and one private reader, ``_row_parts``, reads them:
+it checks each block's columns, hands each ``n`` the rows of each block
+it takes, stops at the largest ``n`` and refuses rows that run out
+before it.
+
 The package's one thread of its own lives here: ``_normals_ahead``
 queues a Philox fill, ``standard_normal(out=...)``, on a single worker
 that runs nothing else, so a draw's next normals are made while its
@@ -196,6 +203,48 @@ def _mirror_lower_in_place(a: np.ndarray) -> np.ndarray:
         a[c, r] = tile
         a[r, c] = tile.T
     return a
+
+
+def _as_rows(rows, m: int) -> np.ndarray:
+    """``rows`` as a float64 array of observations with ``m`` columns, else ``InvalidInput``."""
+    z = np.asarray(rows, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != m:
+        raise InvalidInput(f"samples must have {m} columns, got shape {z.shape}")
+    return z
+
+
+def _row_parts(samples, m: int, sizes):
+    """The rows of each row block that each of ``sizes`` takes, read once from row 0.
+
+    ``samples`` is an array of ``m`` columns, or an iterable of consecutive
+    row blocks of one, such as :func:`~gpprec.truth.sample_blocks` yields;
+    each block is checked by :func:`_as_rows` and read once, in turn,
+    before the next is taken, and no block is taken once the largest size
+    is reached.  Yields ``(part, takers)`` pairs per nonempty block: a
+    size that ends inside the block takes its own leading ``part`` of it,
+    and the sizes that reach its end take the whole block as one part.
+    So a size is given exactly its first ``n`` rows, one part per block,
+    in block order.  Rows that run out before the largest size raise
+    ``InvalidInput`` with the count that arrived.
+    """
+    blocks = (samples,) if isinstance(samples, np.ndarray) else samples
+    ends = sorted(set(sizes))
+    start = 0
+    for block in blocks:
+        rows = _as_rows(block, m)
+        stop = start + rows.shape[0]
+        for n in ends:
+            if start < n < stop:
+                yield rows[:n - start], [n]
+        covering = [n for n in ends if n >= stop]
+        if covering and stop > start:
+            yield rows, covering
+        start = stop
+        if start >= ends[-1]:
+            return
+    raise InvalidInput(
+        f"samples end after {start} rows, before row {ends[-1]} of the sizes {ends}"
+    )
 
 
 def sample_covariance(samples) -> np.ndarray:

@@ -22,7 +22,10 @@ into the estimator's band tiles; the padded ``(N, lattice)`` array is
 never formed.
 The site rows may themselves arrive as a stream of row blocks, such as a
 draw from :func:`~gpprec.truth.sample_blocks`, so the ``(N, sites)``
-samples need not be formed either.
+samples need not be formed either.  The site rows and the padded rows
+are both read by :func:`~gpprec.linalg._row_parts`, which checks each
+block, stops at the largest sample size and reports a short stream by
+the rows that arrived.
 The padding comes from one Philox stream per seed, in row-major order, so
 every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
@@ -38,7 +41,6 @@ its route from them.
 from __future__ import annotations
 
 import itertools
-import math
 from concurrent.futures import wait
 from dataclasses import dataclass, replace
 
@@ -55,7 +57,7 @@ from .estimator import (
     plan_estimate,
 )
 from .lattice import LatticeShape, lattice_points
-from .linalg import _normals_ahead, _philox
+from .linalg import _as_rows, _normals_ahead, _philox, _row_parts
 
 __all__ = [
     "SiteCloud",
@@ -281,22 +283,12 @@ def build_embedding(cloud: SiteCloud, c1: float = DEFAULT_C1) -> tuple[LatticeEm
             current /= 2.0
 
 
-def _site_samples(samples, embedding: LatticeEmbedding) -> np.ndarray:
-    """``samples`` as a float64 array of one column per matched site, else ``InvalidInput``."""
-    z = np.asarray(samples, dtype=np.float64)
-    sites = embedding.node_of_site.size
-    if z.ndim != 2 or z.shape[1] != sites:
-        raise InvalidInput(
-            f"samples must have {sites} columns, one per matched site, got shape {z.shape}"
-        )
-    return z
-
-
 def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     """The first ``n`` site rows of ``blocks`` padded onto ``embedding``, one row block at a time.
 
-    ``blocks`` are consecutive row blocks of the site samples, of any
-    sizes; each is read once, in turn, before the next is taken.  The
+    ``blocks`` is an array of the site samples or consecutive row blocks
+    of one, of any sizes, read by :func:`~gpprec.linalg._row_parts` up to
+    row ``n``, so no block past it is taken.  The
     unmatched nodes take unit normals in ascending flat order, drawn from
     one Philox stream keyed by ``seed``.  The stream fills row-major, so
     the padding equals a single ``(n, n_pad)`` draw bit for bit, and its
@@ -331,8 +323,7 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     # Rows padded and yielded so far, and site rows staged for the next block.
     done = filled = 0
     try:
-        for rows in blocks:
-            rows = _site_samples(rows, embedding)[:n - done - filled]
+        for rows, _ in _row_parts(blocks, m_sites, [n]):
             while rows.shape[0]:
                 target = min(step, n - done)
                 take = min(target - filled, rows.shape[0])
@@ -350,8 +341,6 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
                 stage.take(src, axis=1, out=block, mode="clip")
                 yield block
                 done, filled = done + filled, 0
-            if done == n:
-                return
     finally:
         # A pass left early, by an error or its reader, leaves no fill queued.
         pending.cancel()
@@ -365,12 +354,13 @@ def padded_tiles(
 
     ``samples`` is an array with one column per site, or an iterable of
     consecutive row blocks of one, such as
-    :func:`~gpprec.truth.sample_blocks` yields; it holds at least
-    ``max(sizes)`` rows.  Each size is planned by
+    :func:`~gpprec.truth.sample_blocks` yields.  Each size is planned by
     :func:`~gpprec.estimator.plan_estimate` on the embedding's lattice
-    under ``config``, so a refused size raises before any row is read.
-    Then the rows up to the largest size are read once, block by block,
-    and padded once, with unit normals on the unmatched nodes drawn from
+    under ``config``, so a refused size, or no size, raises before any
+    row is read.  Then the rows up to the largest size are read once,
+    block by block, and no further; samples that end before it raise
+    ``InvalidInput`` with the count of rows that arrived.  The rows are
+    padded once, with unit normals on the unmatched nodes drawn from
     ``seed``, one row block at a time into one reused buffer of about
     ``_PAD_BLOCK_ELEMENTS`` entries; each padded block is added into the
     tiles of every size before the next is padded.  The result maps each
@@ -380,17 +370,11 @@ def padded_tiles(
     A seed outside ``[0, 2**128)`` raises ``InvalidInput`` before any row
     is read.
     """
-    blocks, available = samples, math.inf
-    if isinstance(samples, np.ndarray):
-        z = _site_samples(samples, embedding)
-        blocks, available = (z,), z.shape[0]
     shape = embedding.shape
     plans = {n: plan_estimate(shape, n, config) for n in sizes}
-    if not plans or max(plans) > available:
-        raise InvalidInput(
-            f"sizes must be a nonempty list of at most {available} rows, got {list(sizes)}"
-        )
-    return _band_tiles(_padded_blocks(blocks, embedding, seed, max(plans)), shape, plans)
+    if not plans:
+        raise InvalidInput("sizes must be a nonempty list")
+    return _band_tiles(_padded_blocks(samples, embedding, seed, max(plans)), shape, plans)
 
 
 def embed_and_estimate(
@@ -407,11 +391,7 @@ def embed_and_estimate(
     block, in the cloud's site order.  The ``scheme``, ``b`` and ``path``
     are those of the padded lattice's estimate.
     """
-    z = np.asarray(samples, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != cloud.m:
-        raise InvalidInput(
-            f"samples must have {cloud.m} columns for this cloud, got shape {z.shape}"
-        )
+    z = _as_rows(samples, cloud.m)
     embedding, _ = build_embedding(cloud)
     n = z.shape[0]
     estimate = estimate_precision(

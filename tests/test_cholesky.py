@@ -363,8 +363,9 @@ class TestEstimateCholesky:
         assert info.value.pivot == cols.stop - 1
 
     def test_rank_bound_fails_before_covariance(self, monkeypatch):
-        # N = 3 covers scales 1 and 2 (1 and 3 columns); scale 3 has 7 columns,
-        # so the rank bound fails it before any scale's covariance is formed.
+        # N = 4 covers scales 1 and 2 (1 and 3 columns, N > m_k); scale 3 has 7
+        # columns, so the rank bound fails it before any scale's covariance is
+        # formed.
         formed = []
         prefix_covariances = cholesky_module._prefix_covariances
 
@@ -375,7 +376,7 @@ class TestEstimateCholesky:
 
         monkeypatch.setattr(cholesky_module, "_prefix_covariances", guarded)
         truth, levels = nested_truth(3)
-        z = sample(truth, 3, seed=0)
+        z = sample(truth, 4, seed=0)
         with pytest.raises(NotPositiveDefinite) as info:
             estimate_scales(z, levels, EstimatorConfig(kappa_hint=truth.kappa), d=1)
         assert info.value.scale == 3
@@ -394,6 +395,16 @@ class TestEstimateCholesky:
             plan_scales(levels, 5, cfg)
         assert info.value.scale == 3
         assert str(info.value) == "scale 3: 5 samples cannot span 7 variables"
+        # As many samples as variables give a full-rank covariance whose
+        # inverse is useless, refused as the one-block precision estimate is.
+        for n, k in ((7, 3), (15, 4)):
+            with pytest.raises(NotPositiveDefinite) as info:
+                plan_scales(levels, n, cfg)
+            assert info.value.scale == k
+            assert str(info.value) == (
+                f"scale {k}: {n} samples leave no usable inverse of {n} variables"
+            )
+        assert plan_scales(levels, 16, cfg) == (True,) * 4
         with pytest.raises(InvalidInput):
             plan_scales(levels, 0, cfg)
 

@@ -136,6 +136,22 @@ class TestEstimate:
             assert row[8] == "multiscale"
             assert float(row[9]) > 0.0
 
+    def test_factor_rows_need_more_samples_than_variables(self, capsys):
+        # Seven variables: N = 6 and N = 7 fail their rows before any draw,
+        # as the one-block precision estimate does, and N = 8 runs.
+        code = run_cli(
+            "estimate", "--model", "laplacian", "--d", "1", "--p", "7", "--s", "1",
+            "--n", "6,7,8,50", "--seeds", "0", "--factor", "cholesky",
+        )
+        assert code == 1
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [(row[5], row[8], row[12]) for row in rows] == [
+            ("6", "", "NotPositiveDefinite"),
+            ("7", "", "NotPositiveDefinite"),
+            ("8", "multiscale", ""),
+            ("50", "multiscale", ""),
+        ]
+
     def test_factor_rows_share_one_sigma_factor(self, monkeypatch, capsys):
         # The maximin-permuted truth is built once per run, so its omega is
         # factored once however many rows sample it.

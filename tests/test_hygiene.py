@@ -281,11 +281,15 @@ def test_readme_names_only_what_the_package_holds():
 PRIVATE_IMPORTS = {
     "cholesky<-errors._check_dimension",
     "cholesky<-errors._check_integer",
+    "cholesky<-linalg._as_rows",
+    "cholesky<-linalg._row_parts",
     "cli<-truth._check_capacity",
     "estimator<-errors._check_integer",
     "estimator<-errors._is_real",
+    "estimator<-linalg._as_rows",
     "estimator<-linalg._as_square_sym",
     "estimator<-linalg._gated_factor",
+    "estimator<-linalg._row_parts",
     "estimator<-linalg._symmetrize_in_place",
     "lattice<-errors._check_dimension",
     "lattice<-errors._check_integer",
@@ -293,8 +297,10 @@ PRIVATE_IMPORTS = {
     "matching<-errors._check_dimension",
     "matching<-errors._is_real",
     "matching<-estimator._band_tiles",
+    "matching<-linalg._as_rows",
     "matching<-linalg._normals_ahead",
     "matching<-linalg._philox",
+    "matching<-linalg._row_parts",
     "truth<-errors._check_integer",
     "truth<-errors._is_real",
     "truth<-linalg._normals_ahead",

@@ -12,6 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 from gpprec import linalg
 from gpprec.errors import InvalidInput, NotPositiveDefinite, NumericalFailure
 from gpprec.linalg import (
+    _row_parts,
     block_inverse_schur,
     cholesky_lower,
     reverse_cholesky,
@@ -74,6 +75,92 @@ class TestSampleCovariance:
         assert got.shape == (6, 10, 10)
         for i in range(6):
             assert np.array_equal(got[i], sample_covariance(z[:, 10 * i:10 * i + 10]))
+
+
+def row_blocks(z, bounds):
+    """Rows ``bounds[i]:bounds[i + 1]`` of ``z``, each copied into one reused buffer."""
+    buffer = np.empty_like(z)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = buffer[:hi - lo]
+        block[...] = z[lo:hi]
+        yield block
+        block[...] = np.nan
+
+
+class TestRowParts:
+    """The one reader of sample rows: the rows each size takes of each block."""
+
+    @pytest.mark.parametrize(
+        "sizes, want",
+        [
+            ([2], [(0, 2, [2])]),  # inside the first block
+            ([4], [(0, 4, [4])]),  # at its end
+            ([4, 10], [(0, 4, [4, 10]), (4, 10, [10])]),
+            ([11], [(0, 4, [11]), (4, 10, [11]), (10, 11, [11])]),  # beyond two blocks
+            (
+                [12, 3, 7, 4, 7],
+                [(0, 3, [3]), (0, 4, [4, 7, 12]), (4, 7, [7]), (4, 10, [12]), (10, 12, [12])],
+            ),
+        ],
+    )
+    def test_parts_of_each_block(self, sizes, want):
+        # Blocks of rows [0, 4), [4, 4), [4, 10) and [10, 12): the empty block
+        # gives no part, and each part is a leading slice of its block.
+        z = np.arange(36.0).reshape(12, 3)
+        got = []
+        for part, takers in _row_parts(row_blocks(z, [0, 4, 4, 10, 12]), 3, sizes):
+            lo = int(part[0, 0]) // 3
+            assert np.array_equal(part, z[lo:lo + part.shape[0]])
+            got.append((lo, lo + part.shape[0], takers))
+        assert got == want
+
+    @pytest.mark.parametrize("sizes", [[12], [1, 5, 12], [3, 7]])
+    def test_array_is_one_block(self, sizes):
+        # An array is read as the one block it is, the same as a list of it,
+        # and each size's parts, in any split, are its first n rows.
+        z = np.random.Generator(np.random.Philox(key=2)).standard_normal((12, 3))
+        whole = [(part.copy(), takers) for part, takers in _row_parts(z, 3, sizes)]
+        listed = list(_row_parts([z], 3, sizes))
+        assert len(whole) == len(listed)
+        for (a, ta), (b, tb) in zip(whole, listed):
+            assert ta == tb and np.array_equal(a, b)
+        split = [(part.copy(), t) for part, t in _row_parts(row_blocks(z, [0, 5, 12]), 3, sizes)]
+        for parts in (whole, split):
+            for n in sizes:
+                rows = np.concatenate([part for part, takers in parts if n in takers])
+                assert np.array_equal(rows, z[:n])
+
+    def test_integer_rows_read_as_float64(self):
+        ((part, takers),) = _row_parts(np.arange(6).reshape(3, 2), 2, [3])
+        assert part.dtype == np.float64 and takers == [3]
+
+    @pytest.mark.parametrize("sizes", [[5], [2, 5], [10]])
+    def test_no_block_read_past_the_largest_size(self, sizes):
+        z = np.ones((10, 2))
+
+        def blocks():
+            yield z[:5]
+            if max(sizes) > 5:
+                yield z[5:]
+            raise AssertionError("a block was read past the largest size")
+
+        parts = list(_row_parts(blocks(), 2, sizes))
+        assert sum(part.shape[0] for part, takers in parts if max(sizes) in takers) == max(sizes)
+
+    @pytest.mark.parametrize(
+        "samples, match",
+        [
+            (np.zeros((5, 2)), "3 columns"),
+            ([np.zeros((2, 3)), np.zeros((2, 4))], "3 columns"),
+            (np.zeros(15), "3 columns"),
+            (iter([np.zeros((4, 3)), np.zeros((3, 3))]), "end after 7 rows, before row 8"),
+            ([], "end after 0 rows"),
+        ],
+        ids=["columns", "block-columns", "one-dimensional", "short-stream", "no-blocks"],
+    )
+    def test_malformed_or_short_samples_refused(self, samples, match):
+        with pytest.raises(InvalidInput, match=match):
+            list(_row_parts(samples, 3, [2, 8]))
 
 
 class TestCholesky:

@@ -607,6 +607,17 @@ class TestEmbedAndEstimate:
         with pytest.raises(InvalidInput, match="columns"):
             padded_tiles(iter([z[:100, :-1]]), embedding, 77, cfg, [100])
 
+    def test_short_stream_reports_the_rows_that_arrived(self, rng):
+        # 150 site rows arrive, fewer than one padded block holds, so none
+        # was padded; the refusal counts the rows that arrived.
+        cloud = measure_cloud(perturbed_grid(16, 2, 0.25, seed=3), 2)
+        embedding, _ = build_embedding(cloud)
+        assert block_rows(embedding) > 150
+        z = rng.standard_normal((150, cloud.m))
+        cfg = EstimatorConfig(b_override=1)
+        with pytest.raises(InvalidInput, match="end after 150 rows, before row 200"):
+            padded_tiles(iter([z[:100], z[100:]]), embedding, 77, cfg, [200])
+
     def test_refused_size_pads_nothing(self, rng, monkeypatch):
         def forbidden(*args):
             raise AssertionError("a refused size padded its rows")
