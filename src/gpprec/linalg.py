@@ -46,7 +46,10 @@ queues a Philox fill, ``standard_normal(out=...)``, on a single worker
 that runs nothing else, so a draw's next normals are made while its
 caller multiplies or pads the last ones.  The one worker fills each
 stream in the order its fills were queued, so every draw is bit for bit
-what fills in the caller would give.
+what fills in the caller would give.  Its callers queue the next fill
+before they wait on the last: scipy's BLAS wrappers hold the GIL for the
+whole product, so a fill queued after the wait finds the worker blocked
+on the GIL behind the caller's next product, not filling.
 """
 
 from __future__ import annotations
@@ -130,7 +133,11 @@ def _normals_ahead(rng: np.random.Generator, out: np.ndarray) -> Future:
     Fills run one at a time in the order queued, so fills of one
     generator queued in order draw its stream in that order, bit for bit
     as calls in the caller would.  A fill that raises re-raises from the
-    future's ``result()``.
+    future's ``result()``.  Queue the next fill before waiting on this
+    one: the worker then finds it as soon as this fill ends and is inside
+    the next GIL-free fill when the caller enters a BLAS product through
+    scipy, which keeps the GIL until the product returns.  A fill queued
+    after the wait starts only when that product is done.
     """
     return _FILLS.submit(rng.standard_normal, out=out)
 

@@ -16,20 +16,25 @@ Three model families are provided at desk scale:
 Sampling uses the Philox counter-based generator keyed by a seed in
 ``[0, 2**128)``, so experiments are bit-reproducible across platforms.  A draw is made
 one row block at a time, by a block size that depends on the truth's
-dimension alone: :func:`sample_blocks` streams the blocks through one
-buffer, and :func:`sample` stacks them.  The normals come
-from numpy's ziggurat, which consumes a variable number of 64-bit words
-per draw, so a stream cannot be split by counter offsets across workers
-without changing the output; separate seeds give independent streams.
-So a stream is filled by one thread, in order: :func:`sample` queues
-every block's normals at once on the package's single fill thread
-(``linalg._normals_ahead``), and multiplies each block while the next
-are filled, with the same result bit for bit as filling them itself.
+dimension alone: :func:`sample_blocks` streams the blocks through two
+slots of one block each, and :func:`sample` stacks them.  The normals
+come from numpy's ziggurat, which consumes a variable number of 64-bit
+words per draw, so a stream cannot be split by counter offsets across
+workers without changing the output; separate seeds give independent
+streams.  So a stream is filled by one thread, in order: every block's
+normals are filled on the package's single fill thread
+(``linalg._normals_ahead``), with the same result bit for bit as
+filling them in the caller.  The rule is to queue the next fill before
+waiting on this block, so the fill thread is already inside its GIL-free
+fill when the caller multiplies: :func:`sample` queues every block's
+fill at once, and :func:`sample_blocks` the next block's, into its free
+slot.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 from concurrent.futures import wait
 from dataclasses import dataclass, field
 
@@ -292,31 +297,38 @@ def matern_covariance(cloud, nu: float, rho: float, sigma2: float) -> GroundTrut
     return _truth_from_covariance(symmetrize(sigma2 * k), cloud, "matern", params)
 
 
-# A draw block holds about this many float64 entries (4 MiB), and at least
-# a quarter of the truth's dimension in rows: each block reads the whole
-# m x m factor once in its triangular product, and a factor run's pass adds
-# each block into an m x m Gram, so at the caps (m = 4096) blocks of fewer
-# rows spend much of their time in those per-block passes.
-_DRAW_BLOCK_ELEMENTS = 1 << 19
+# A draw block holds about this many float64 entries (2 MiB), and at least
+# an eighth of the truth's dimension in rows, so the two slots of a streamed
+# draw hold no more than 1 << 19 entries between them.  Each block reads the
+# whole m x m factor once in its triangular product, and a factor run's pass
+# adds each block into an m x m Gram, so at the caps (m = 4096) blocks of
+# far fewer rows spend much of their time in those per-block passes: there,
+# dtrmm over 4000 rows took 1.09-1.11 s in blocks of 512 rows against
+# 1.07-1.08 s in blocks of 1024.
+_DRAW_BLOCK_ELEMENTS = 1 << 18
 
 
 def _draw_rows(dim: int) -> int:
     """Rows per block of a draw of ``dim`` variables."""
-    return max(1, _DRAW_BLOCK_ELEMENTS // dim, dim // 4)
+    return max(1, _DRAW_BLOCK_ELEMENTS // dim, dim // 8)
 
 
-def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray):
+def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, slots):
     """The ``n`` rows of a draw, one row block at a time: fill a block, yield it.
 
-    ``out`` holds all ``n`` rows, and each block is its own rows of it, or
-    holds one block's rows, which every block overwrites in turn.  A block
-    is the next rows of ``rng``, the seed's Philox stream, written in
-    place (``standard_normal(out=...)``), times ``L^T`` in place by one
-    triangular BLAS product (``dtrmm``), ``L = truth.sigma_factor``.
-    When ``out`` holds the whole draw, every block's fill is queued up
-    front on the fill thread (``linalg._normals_ahead``), in row order,
-    and each block waits for its own, so the next blocks are filled while
-    this one is multiplied; a one-block buffer is filled in place here.
+    Block ``k`` is written into the first rows of ``slots[k % len(slots)]``.
+    The slots are either the row blocks of an array of all ``n`` rows, one
+    per block, or two buffers of one block's rows, which the blocks take in
+    turn.  A block is the next rows of ``rng``, the seed's Philox stream,
+    written in place (``standard_normal(out=...)``) on the fill thread
+    (``linalg._normals_ahead``), times ``L^T`` in place by one triangular
+    BLAS product (``dtrmm``), ``L = truth.sigma_factor``.  Before it waits
+    on block ``k``, the draw queues, in row order, the fill of every later
+    block whose slot is free: with a slot per block, all of them up front;
+    with two slots, block ``k + 1``'s, into the slot that block ``k - 1``
+    left when its reader took block ``k``.  The fill must be queued before
+    the wait: scipy's BLAS wrappers hold the GIL for the whole product, so
+    a fill queued after it waits for the GIL until ``dtrmm`` returns.
     ``dtrmm`` reads its factor in place only in Fortran order: a C-ordered
     ``L``, as a lattice truth's is, is the Fortran-ordered upper ``L^T``,
     which it applies transposed.
@@ -327,15 +339,15 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, out: np.ndarray)
     else:
         operand, lower, trans_a = factor.T, 0, 1
     step = _draw_rows(truth.dim)
-    whole = out.shape[0] == n
     starts = range(0, n, step)
-    fills = [_normals_ahead(rng, out[lo:lo + step]) for lo in starts] if whole else []
+    # The fills queued and not yet waited on, of blocks k, k + 1, ...
+    fills = deque()
     try:
-        for k, lo in enumerate(starts):
-            if whole:
-                block = fills[k].result()
-            else:
-                block = rng.standard_normal(out=out[:min(step, n - lo)])
+        for k in range(len(starts)):
+            for lo in starts[k + len(fills):k + len(slots)]:
+                slot = slots[lo // step % len(slots)]
+                fills.append(_normals_ahead(rng, slot[:min(step, n - lo)]))
+            block = fills.popleft().result()
             # block.T is Fortran-ordered, so dtrmm overwrites block with L block^T.
             blas.dtrmm(
                 1.0, operand, block.T, side=0, lower=lower, trans_a=trans_a, overwrite_b=1
@@ -352,17 +364,21 @@ def sample_blocks(truth: GroundTruth, n: int, seed: int):
     """The rows of ``sample(truth, n, seed)``, as consecutive row blocks.
 
     Returns an iterator over C-contiguous ``(rows, dim)`` blocks that
-    stack to :func:`sample`'s array bit for bit.  Every block is written
-    into one buffer of one block's rows, so a block is overwritten by the
-    next: a reader keeps what it needs of a block before it takes the
-    next, and no ``(n, dim)`` array is held.  The rows per block come from
-    ``truth.dim`` alone (about 4 MiB of entries, and at least ``dim / 4``
-    rows).  An ``n`` that is not an integer of at least 1, or a seed
-    outside ``[0, 2**128)``, raises ``InvalidInput`` here, before any draw.
+    stack to :func:`sample`'s array bit for bit.  The blocks are written
+    into two slots of one block's rows in turn, so a block is overwritten
+    by the next but one: a reader keeps what it needs of a block before it
+    takes the next, and no ``(n, dim)`` array is held.  The next block's
+    normals are filled on the fill thread while this block is multiplied
+    and read.  The rows per block come from ``truth.dim`` alone (about
+    2 MiB of entries, and at least ``dim / 8`` rows), so the two slots
+    hold about 4 MiB.  An ``n`` that is not an integer of at least 1, or
+    a seed outside ``[0, 2**128)``, raises ``InvalidInput`` here, before
+    any draw.
     """
     _check_integer(n, "sample count")
-    buffer = np.empty((min(_draw_rows(truth.dim), n), truth.dim))
-    return _draw(truth, n, _philox(seed), buffer)
+    rows = _draw_rows(truth.dim)
+    slots = np.empty((1 if n <= rows else 2, min(rows, n), truth.dim))
+    return _draw(truth, n, _philox(seed), slots)
 
 
 def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
@@ -376,8 +392,9 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     C-contiguous, and no second ``(n, dim)`` buffer is made.  Every
     block's normals are queued up front on the fill thread, in row order,
     so a block is multiplied while the later ones are filled.  The result
-    is the stack of ``sample_blocks(truth, n, seed)`` bit for bit, whose
-    one-block buffer is filled in the caller's thread.
+    is the stack of ``sample_blocks(truth, n, seed)`` bit for bit: the
+    same blocks, filled from the same stream in the same order, whose
+    normals go into two reused slots instead.
 
     Deterministic given the seed: the Philox stream is keyed by ``seed``
     alone, so identical calls return bit-identical arrays.  The stream
@@ -392,7 +409,8 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     """
     _check_integer(n, "sample count")
     out = np.empty((n, truth.dim))
-    for _ in _draw(truth, n, _philox(seed), out):
+    step = _draw_rows(truth.dim)
+    for _ in _draw(truth, n, _philox(seed), np.split(out, range(step, n, step))):
         pass
     return out
 

@@ -350,7 +350,19 @@ class TestEstimate:
         args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "6", "--s", "2"])
         truth, cloud = cli._build_truth(vars(args))
         _, truth_mm, exact = cli._factor_context(truth, cloud, 2, factor)
-        assert cli._factor_error(exact.copy(), exact, truth_mm) == 0.0
+        assert cli._factor_error(exact.copy(), exact, truth_mm, factor == "cholesky") == 0.0
+
+    def test_triangular_factor_error_matches_dense(self):
+        # Two triangular products give the dense operator's norm to roundoff.
+        args = cli.build_parser().parse_args(["estimate", "--d", "2", "--p", "8", "--s", "2"])
+        truth, cloud = cli._build_truth(vars(args))
+        _, truth_mm, exact = cli._factor_context(truth, cloud, 2, "cholesky")
+        noise = np.random.Generator(np.random.Philox(key=1)).standard_normal(exact.shape)
+        u_hat = exact + 1e-3 * np.triu(noise)
+        dense = cli._factor_error(u_hat, exact, truth_mm, upper=False)
+        triangular = cli._factor_error(u_hat, exact, truth_mm, upper=True)
+        assert dense > 0
+        assert abs(triangular - dense) <= 1e-12 * dense
 
     def test_scattered_green_runs(self, capsys):
         code = run_cli(
@@ -684,8 +696,8 @@ STREAMED_CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(STREAMED_CONFIGS))
 def test_streamed_pass_holds_no_draw(tmp_path, kind):
     # A 30 000-row seed on 200 sites: its draw would be 48 MB, but the pass
-    # holds a few row blocks of about 4 MiB each (the draw's, and on
-    # scattered runs the padding's), so the traced peak of the whole run
+    # holds a few row blocks of a few MiB each (the draw's two 2 MiB slots,
+    # and on scattered runs the padding's), so the traced peak of the whole run
     # stays below half of one (N, sites) array.
     n, sites = 30_000, 200
     argv = STREAMED_CONFIGS[kind] + ["--n", str(n), "--seeds", "0"]

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from gpprec.lattice import LatticeShape, lattice_points
 from gpprec import matching as matching_module
 from gpprec import truth as truth_module
 from gpprec.linalg import (
+    _normals_ahead,
     cholesky_lower,
     reverse_cholesky,
     spd_inverse,
@@ -422,10 +424,11 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("n", [1, 1083, 1084, 4000])
     def test_blocks_stack_to_sample(self, n):
-        # 484 variables give blocks of 1083 rows: one short block, one full
-        # block, a full block and one row, and four blocks.
+        # 484 variables give blocks of 541 rows: one short block, two full
+        # blocks and one row, two full blocks and two rows, and eight
+        # blocks, so the two slots of the stream are each reused.
         truth = build_lattice_precision(22, 2, 2)
-        assert truth_module._draw_rows(truth.dim) == 1083
+        assert truth_module._draw_rows(truth.dim) == 541
         blocks = sample_blocks(truth, n, seed=7)
         shapes = []
         stream = []
@@ -433,15 +436,15 @@ class TestSampleBlocks:
             assert block.flags.c_contiguous
             shapes.append(block.shape)
             stream.append(block.copy())
-        rows = [min(1083, n - lo) for lo in range(0, n, 1083)]
+        rows = [min(541, n - lo) for lo in range(0, n, 541)]
         assert shapes == [(r, truth.dim) for r in rows]
         assert np.array_equal(np.concatenate(stream), sample(truth, n, seed=7))
 
     def test_normals_stable_across_block_edges(self):
-        # 1024 variables give blocks of 512 rows, so 1500 rows cross two
+        # 1024 variables give blocks of 256 rows, so 1500 rows cross five
         # block edges; the identity factor leaves the normals as drawn.
         truth = identity_truth(1024)
-        assert truth_module._draw_rows(truth.dim) == 512
+        assert truth_module._draw_rows(truth.dim) == 256
         want = np.random.Generator(np.random.Philox(key=9)).standard_normal((1500, 1024))
         assert np.array_equal(sample(truth, 1500, seed=9), want)
         assert np.array_equal(stacked(sample_blocks(truth, 1500, seed=9)), want)
@@ -451,14 +454,14 @@ class TestSampleBlocks:
         # prefix ending inside a block matches it to roundoff.
         truth = build_lattice_precision(22, 2, 2)
         big = sample(truth, 3000, seed=5)
-        assert np.array_equal(big[:2166], sample(truth, 2166, seed=5))
+        assert np.array_equal(big[:2164], sample(truth, 2164, seed=5))
         small = sample(truth, 2000, seed=5)
-        assert np.array_equal(big[:1083], small[:1083])
+        assert np.array_equal(big[:1623], small[:1623])
         assert np.max(np.abs(big[:2000] - small)) <= 1e-12 * np.max(np.abs(small))
 
-    @pytest.mark.parametrize("dim, rows", [(1, 1 << 19), (500, 1048), (2048, 512), (4096, 1024)])
+    @pytest.mark.parametrize("dim, rows", [(1, 1 << 18), (500, 524), (2048, 256), (4096, 512)])
     def test_block_rows_rule(self, dim, rows):
-        # About 4 MiB of entries, and at least a quarter of the dimension.
+        # About 2 MiB of entries, and at least an eighth of the dimension.
         assert truth_module._draw_rows(dim) == rows
 
     def test_nonpositive_count_rejected_at_call(self):
@@ -537,10 +540,123 @@ class TestSampleBlocks:
         n = 2 * truth_module._draw_rows(truth.dim) + 1
         z = sample(truth, n, seed=4)
         lower, trans_a = (0, 1) if model == "laplacian" else (1, 0)
+        # Two full blocks and one row: three products, of the same factor.
         assert seen == [(True, lower, trans_a)] * 3
         g = np.random.Generator(np.random.Philox(key=4)).standard_normal((n, truth.dim))
         reference = g @ truth.sigma_factor.T
         assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @staticmethod
+    def recorded_draw(monkeypatch, draw):
+        """``draw()`` with its fills and waits in the order made, and the blocks it yields.
+
+        Each event is ``("fill", k, out)`` when block ``k``'s fill is
+        queued, or ``("wait", k)`` when the draw calls its ``result()``.
+        """
+        events = []
+
+        def recording(rng, out):
+            k = sum(event[0] == "fill" for event in events)
+            future = _normals_ahead(rng, out)
+            result = future.result
+
+            def waited(*args, **kwargs):
+                events.append(("wait", k))
+                return result(*args, **kwargs)
+
+            future.result = waited
+            events.append(("fill", k, out))
+            return future
+
+        monkeypatch.setattr(truth_module, "_normals_ahead", recording)
+        blocks = []
+        for block in draw():
+            events.append(("yield", len(blocks)))
+            blocks.append(block)
+        return events, blocks
+
+    def test_next_fill_queued_before_the_wait(self, monkeypatch):
+        # A stream queues block k + 1's fill, into the slot block k does
+        # not use, before it waits on block k; sample queues every fill
+        # before its first wait.
+        truth = build_lattice_precision(22, 2, 2)
+        n = 3 * 541 + 100
+        want = sample(truth, n, seed=3)
+        events, blocks = self.recorded_draw(monkeypatch, lambda: sample_blocks(truth, n, seed=3))
+        order = [event[:2] for event in events]
+        assert order == [
+            ("fill", 0), ("fill", 1), ("wait", 0), ("yield", 0),
+            ("fill", 2), ("wait", 1), ("yield", 1),
+            ("fill", 3), ("wait", 2), ("yield", 2),
+            ("wait", 3), ("yield", 3),
+        ]
+        outs = [event[2] for event in events if event[0] == "fill"]
+        for k in range(3):
+            assert not np.shares_memory(outs[k + 1], blocks[k])
+            assert np.shares_memory(outs[k], blocks[k])
+        assert len({out.ctypes.data for out in outs}) == 2
+        # The last two blocks are still in their slots.
+        assert np.array_equal(np.concatenate(blocks[-2:]), want[2 * 541:])
+        events, _ = self.recorded_draw(monkeypatch, lambda: [sample(truth, n, seed=3)])
+        assert [event[:2] for event in events[:8]] == (
+            [("fill", k) for k in range(4)] + [("wait", k) for k in range(4)]
+        )
+
+    def test_early_close_leaves_the_fill_thread_idle(self, monkeypatch):
+        # The first block is yielded with the second block's fill queued or
+        # running; closing the stream there cancels that fill or waits for
+        # it, so no fill runs after close returns.
+        truth = build_lattice_precision(22, 2, 2)
+        rows = truth_module._draw_rows(truth.dim)
+        n = 3 * rows
+        fills = []
+
+        class Counting:
+            def __init__(self, generator):
+                self.generator = generator
+                self.started = self.finished = 0
+
+            def standard_normal(self, out):
+                self.started += 1
+                # Slow enough that close finds the next fill queued or running.
+                time.sleep(0.1)
+                self.generator.standard_normal(out=out)
+                self.finished += 1
+                return out
+
+        def counting_philox(seed):
+            fills.append(Counting(np.random.Generator(np.random.Philox(key=seed))))
+            return fills[-1]
+
+        before = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(truth_module, "_philox", counting_philox)
+            blocks = sample_blocks(truth, n, seed=8)
+            first = next(blocks).copy()
+            blocks.close()
+        (counter,) = fills
+        started = counter.started
+        assert started == counter.finished and started in (1, 2)
+        # A fill queued behind any left over runs only after it.
+        _normals_ahead(np.random.Generator(np.random.Philox(key=0)), np.empty(1)).result(60)
+        assert counter.started == counter.finished == started
+        assert threading.active_count() <= before + 1
+        assert np.array_equal(first, sample(truth, n, seed=8)[:rows])
+
+    def test_slots_take_one_block_of_twice_the_size(self):
+        # A pass of twenty blocks at dim 500 holds its two slots of 524
+        # rows, 2**19 entries between them at most, and little else.
+        truth = build_lattice_precision(500, 1, 1)
+        truth.sigma_factor  # formed outside the trace
+        n = 20 * truth_module._draw_rows(truth.dim)
+        tracemalloc.start()
+        try:
+            for _ in sample_blocks(truth, n, seed=1):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * 2 * 524 * 500 <= peak <= 8 * (1 << 19) + (1 << 15)
 
 
 class _FailingGenerator:
@@ -558,29 +674,49 @@ class TestFillThread:
 
     @pytest.fixture(scope="class")
     def draws(self):
-        # Three draw blocks of 1083 rows, and four padded blocks of the
-        # lattice the 300 sites embed in.
+        # Six draw blocks of 541 rows for 3000 rows of the lattice truth,
+        # three of 873 rows for 2500 rows of the Matern truth on the 300
+        # sites, and four padded blocks of the lattice the sites embed in.
         truth = build_lattice_precision(22, 2, 2)
-        embedding, _ = build_embedding(measure_cloud(np.linspace(0.05, 0.95, 300), 1))
+        cloud = measure_cloud(np.linspace(0.05, 0.95, 300), 1)
+        site_truth = matern_covariance(cloud, nu=1.5, rho=0.3, sigma2=1.0)
+        embedding, _ = build_embedding(cloud)
         z = np.random.Generator(np.random.Philox(key=2)).standard_normal((2500, 300))
-        return truth, embedding, z
+        return truth, site_truth, embedding, z
 
     @staticmethod
-    def pad(embedding, z, seed=9):
-        tiles = padded_tiles(z, embedding, seed, EstimatorConfig(b_override=2), [1000, 2500])
+    def pad(embedding, samples, seed=9):
+        tiles = padded_tiles(samples, embedding, seed, EstimatorConfig(b_override=2), [1000, 2500])
         return {n: t.dense() for n, t in tiles.items()}
 
-    def test_threads_match_sequential_results(self, draws):
-        # Two threads sample while two pad, more threads than cores, all
-        # queueing fills on the one worker: each stream is still filled
-        # in order.
-        truth, embedding, z = draws
-        calls = {
+    def calls(self, draws):
+        """Draws of every kind: arrays, streams, and padding of an array and of a stream."""
+        truth, site_truth, embedding, z = draws
+        return {
             "sample-11": lambda: sample(truth, 3000, seed=11),
             "sample-12": lambda: sample(truth, 3000, seed=12),
+            "blocks-13": lambda: stacked(sample_blocks(truth, 3000, seed=13)),
             "tiles-9": lambda: self.pad(embedding, z, 9),
             "tiles-10": lambda: self.pad(embedding, z, 10),
+            "streamed-tiles-9": lambda: self.pad(embedding, sample_blocks(site_truth, 2500, 5), 9),
         }
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, dict):
+                assert got[name].keys() == value.keys()
+                for n, tiles in value.items():
+                    assert np.array_equal(got[name][n], tiles)
+            else:
+                assert np.array_equal(got[name], value)
+
+    def test_threads_match_sequential_results(self, draws):
+        # Three threads draw, one of them a stream, while three pad, one of
+        # them a stream's rows: more threads than cores, all queueing fills
+        # on the one worker.  Each stream is still filled in order.
+        calls = self.calls(draws)
         want = {name: call() for name, call in calls.items()}
         got = {}
         start = threading.Barrier(len(calls))
@@ -602,32 +738,22 @@ class TestFillThread:
         assert not any(thread.is_alive() for thread in threads)
         fill_threads = [t for t in threading.enumerate() if t.name.startswith("gpprec-philox")]
         assert len(fill_threads) == 1
-        assert got.keys() == want.keys()
-        assert np.array_equal(got["sample-11"], want["sample-11"])
-        assert np.array_equal(got["sample-12"], want["sample-12"])
-        for name in ("tiles-9", "tiles-10"):
-            assert got[name].keys() == want[name].keys()
-            for n, tiles in want[name].items():
-                assert np.array_equal(got[name][n], tiles)
+        self.assert_same(got, want)
 
     def test_failing_fill_raises_in_the_caller(self, draws, monkeypatch):
-        truth, embedding, z = draws
-        want_sample = sample(truth, 3000, seed=11)
-        want_tiles = self.pad(embedding, z)
+        # Every kind of draw re-raises the fill's own exception, and
+        # later draws still match.
+        calls = self.calls(draws)
+        want = {name: call() for name, call in calls.items()}
         error = RuntimeError("fill failed")
         with monkeypatch.context() as patch:
             for module in (truth_module, matching_module):
                 patch.setattr(module, "_philox", lambda seed: _FailingGenerator(error))
-            with pytest.raises(RuntimeError) as raised:
-                sample(truth, 3000, seed=11)
-            assert raised.value is error
-            with pytest.raises(RuntimeError) as raised:
-                self.pad(embedding, z)
-            assert raised.value is error
-        assert np.array_equal(sample(truth, 3000, seed=11), want_sample)
-        got_tiles = self.pad(embedding, z)
-        for n, tiles in want_tiles.items():
-            assert np.array_equal(got_tiles[n], tiles)
+            for call in calls.values():
+                with pytest.raises(RuntimeError) as raised:
+                    call()
+                assert raised.value is error
+        self.assert_same({name: call() for name, call in calls.items()}, want)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
     def test_forked_child_draws(self):
