@@ -299,13 +299,14 @@ def scale_covariances(samples, levels: LevelPartition, sizes) -> dict:
     (:func:`_prefix_covariances`): each size adds its part of each block
     into its covariance, so no ``(N, m)`` array need be held.  Samples
     that end before the largest size raise ``InvalidInput`` with the
-    count of rows that arrived.
+    count of rows that arrived.  ``sizes`` is read once, so it may be any
+    iterable of sizes, such as an iterator or an array; an empty one
+    raises ``InvalidInput``.
     """
-    if not sizes:
+    plans = {n: plan_scales(levels, n) for n in sizes}
+    if not plans:
         raise InvalidInput("sizes must be a nonempty list")
-    for n in sizes:
-        plan_scales(levels, n)
-    covariances = _prefix_covariances(samples, levels.m, sizes)
+    covariances = _prefix_covariances(samples, levels.m, plans)
     return {n: SampleCovariance(n, cov) for n, cov in covariances.items()}
 
 

@@ -29,8 +29,9 @@ passing N, made by the seed's first passing row.  Lattice precision rows
 read row prefixes of one sample array (``truth.sample``).  Scattered
 precision rows and factor rows hold no ``(N, sites)`` array: the pass
 streams the draw one row block at a time (``truth.sample_blocks``, two
-slots of one block, the next block filled on the fill thread while this
-one is read) into the source of every passing size, through the one
+slots of one block, the next block filled ahead on the fill thread by
+``linalg._fills_ahead`` while this one is read) into the source of every
+passing size, through the one
 reader of sample rows (``linalg._row_parts``), which stops at the
 largest passing size.  On
 scattered runs the source is the band tiles of the padded rows

@@ -11,10 +11,11 @@ Positive definiteness is decided by the Cholesky pivot rule: a pivot is
 rejected when it is at most ``SPD_PIVOT_RTOL`` times the largest diagonal
 entry of the input.  The rule lives in one private gate, ``_gated_factor``,
 whose precondition is an exactly symmetric input, guaranteed by its
-caller: :func:`cholesky_lower` checks each input, and the blockwise
-estimator checks its covariance source once per estimate and then factors
-each window, a slice of it, through the gate directly.  Inverses and
-square roots are routed through this gate.  A precision is read off a
+caller: :func:`cholesky_lower` and :func:`spd_sqrt` check each input
+once and gate a Fortran-ordered copy, and the blockwise estimator checks
+its covariance source once per estimate and then factors each window, a
+slice of it, through the gate directly.  Inverses and square roots are
+routed through this gate.  A precision is read off a
 factor by :func:`triangular_inverse` (``dtrtri``) and
 :func:`triangular_gram` (``dlauum``, mirrored): with ``a = L L^T`` and
 ``W = inv(L)``, ``W^T W = inv(a)``, and the leading ``n x n`` block of
@@ -41,21 +42,23 @@ it checks each block's columns, hands each ``n`` the rows of each block
 it takes, stops at the largest ``n`` and refuses rows that run out
 before it.
 
-The package's one thread of its own lives here: ``_normals_ahead``
-queues a Philox fill, ``standard_normal(out=...)``, on a single worker
-that runs nothing else, so a draw's next normals are made while its
-caller multiplies or pads the last ones.  The one worker fills each
-stream in the order its fills were queued, so every draw is bit for bit
-what fills in the caller would give.  Its callers queue the next fill
-before they wait on the last: scipy's BLAS wrappers hold the GIL for the
-whole product, so a fill queued after the wait finds the worker blocked
-on the GIL behind the caller's next product, not filling.
+The package's one thread of its own lives here, and one generator owns
+it: ``_fills_ahead`` fills a Philox stream's normals,
+``standard_normal(out=...)``, block by block into its caller's slots on
+a single worker that runs nothing else, so a draw's next normals are
+made while its caller multiplies or pads the last ones.  The one worker
+fills each stream in the order its fills were queued, so every draw is
+bit for bit what fills in the caller would give.  The next fill is
+queued before the caller waits on the last: scipy's BLAS wrappers hold
+the GIL for the whole product, so a fill queued after the wait finds the
+worker blocked on the GIL behind the caller's next product, not filling.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from scipy import sparse
@@ -126,20 +129,37 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_fills)
 
 
-def _normals_ahead(rng: np.random.Generator, out: np.ndarray) -> Future:
-    """Queue ``rng.standard_normal(out=out)`` on the fill thread; its ``Future`` yields ``out``.
+def _fills_ahead(rng: np.random.Generator, slots, n: int):
+    """The ``Future`` of each row block's fill of ``n`` rows of ``rng``, in row order.
 
-    The caller leaves ``rng`` and ``out`` alone until the future is done.
-    Fills run one at a time in the order queued, so fills of one
-    generator queued in order draw its stream in that order, bit for bit
-    as calls in the caller would.  A fill that raises re-raises from the
-    future's ``result()``.  Queue the next fill before waiting on this
-    one: the worker then finds it as soon as this fill ends and is inside
-    the next GIL-free fill when the caller enters a BLAS product through
-    scipy, which keeps the GIL until the product returns.  A fill queued
-    after the wait starts only when that product is done.
+    Block ``k`` has ``len(slots[0])`` rows, the last block fewer, and is
+    filled by ``rng.standard_normal`` into the first rows of
+    ``slots[k % len(slots)]`` on the fill thread; its future yields that
+    view.  A slot is free once the reader resumes the generator after
+    taking the block that used it: before yielding block ``k``, the
+    generator queues, in row order, every later block whose slot is free,
+    so with one slot per block all fills are queued up front.  Fills run
+    one at a time in the order queued, so the blocks are ``rng``'s stream
+    in order, bit for bit as calls in the caller would draw it.  A fill
+    that raises re-raises from its future's ``result()``.  Closed early,
+    the generator cancels its queued fills and waits for the running one,
+    so no fill writes a slot after ``close`` returns.
     """
-    return _FILLS.submit(rng.standard_normal, out=out)
+    step = len(slots[0])
+    starts = range(0, n, step)
+    # Fills queued and not yet taken by the reader, of blocks k, k + 1, ...
+    queued = deque()
+    try:
+        for k in range(len(starts)):
+            for lo in starts[k + len(queued):k + len(slots)]:
+                out = slots[lo // step % len(slots)][:min(step, n - lo)]
+                queued.append(_FILLS.submit(rng.standard_normal, out=out))
+            yield queued[0]
+            queued.popleft()
+    finally:
+        for fill in queued:
+            fill.cancel()
+        wait(queued)
 
 
 def _as_square(a, name="matrix") -> np.ndarray:
@@ -454,12 +474,13 @@ def spectral_norm(a) -> float:
 def spd_sqrt(a) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix.
 
-    The input is gated through :func:`cholesky_lower` so non-SPD matrices
-    raise ``NotPositiveDefinite`` with a pivot index; the root itself is
+    The input is checked once, finite and exactly symmetric, and a copy
+    of it is factored behind the pivot gate, so non-SPD matrices raise
+    ``NotPositiveDefinite`` with a pivot index; the root itself is
     computed by the Schur method, independent of any eigendecomposition.
     """
     a = _as_square_sym(a)
-    cholesky_lower(a)
+    _gated_factor(np.array(a, order="F"))
     root = sqrtm(a)
     root = np.ascontiguousarray(np.real(root), dtype=np.float64)
     return 0.5 * (root + root.T)

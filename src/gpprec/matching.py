@@ -29,9 +29,10 @@ the rows that arrived.
 The padding comes from one Philox stream per seed, in row-major order, so
 every row is padded alike, bit for bit, however the rows are split into
 blocks, and a row prefix of the samples is padded as the prefix of the
-whole.  The stream's next block is filled on the package's one fill
-thread while the current block is read, which leaves its order, and so
-every padded row, unchanged.  So one padded pass to a seed's largest
+whole.  The stream's next block is filled ahead on the package's one
+fill thread by ``linalg._fills_ahead``, in one slot, while the current
+block is read, which leaves its order, and so every padded row,
+unchanged.  So one padded pass to a seed's largest
 sample size gives the band tiles of every smaller size as well, each bit
 for bit as its own pass would.  Each size's tiles carry the block width
 planned for it, and :func:`~gpprec.estimator.estimate_precision` reads
@@ -41,7 +42,7 @@ its route from them.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import wait
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,7 @@ from .estimator import (
     plan_estimate,
 )
 from .lattice import LatticeShape, lattice_points
-from .linalg import _as_rows, _normals_ahead, _philox, _row_parts
+from .linalg import _as_rows, _fills_ahead, _philox, _row_parts
 
 __all__ = [
     "SiteCloud",
@@ -299,11 +300,11 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     its normals are copied in beside them and one column gather fills one
     reused block, which is yielded, and the next block overwrites it.
     The normals are filled into one reused block of normals on the fill
-    thread (``linalg._normals_ahead``): the first block's when the pass
-    starts, and each next block's as soon as the last ones are copied, so
-    they are drawn while this block is gathered and read and the next
-    site rows arrive.  A pass closed early cancels its queued fill, or
-    waits for the running one.
+    thread by :func:`~gpprec.linalg._fills_ahead`, a slot of one block:
+    the first block's when the pass starts, and each next block's as soon
+    as the last ones are copied, so they are drawn while this block is
+    gathered and read and the next site rows arrive.  A pass closed early
+    closes the fills, so none is left queued.
     """
     m_sites = embedding.node_of_site.size
     m_lattice = embedding.shape.size
@@ -318,11 +319,10 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
     staged = np.empty((step, m_lattice))
     padded = np.empty_like(staged)
     normals = np.empty((step, n_pad))
-    # The fill of the next padded block's normals, queued on the fill thread.
-    pending = _normals_ahead(rng, normals)
     # Rows padded and yielded so far, and site rows staged for the next block.
     done = filled = 0
-    try:
+    with closing(_fills_ahead(rng, (normals,), n)) as fills:
+        pending = next(fills)
         for rows, _ in _row_parts(blocks, m_sites, [n]):
             while rows.shape[0]:
                 target = min(step, n - done)
@@ -333,18 +333,12 @@ def _padded_blocks(blocks, embedding: LatticeEmbedding, seed: int, n: int):
                     break
                 stage, block = staged[:filled], padded[:filled]
                 stage[:, m_sites:] = pending.result()
-                ahead = min(step, n - done - filled)
-                if ahead:
-                    pending = _normals_ahead(rng, normals[:ahead])
+                pending = next(fills, None)
                 # Every index of src is in range, and only mode="raise" makes take
                 # gather into a scratch copy of ``block`` first.
                 stage.take(src, axis=1, out=block, mode="clip")
                 yield block
                 done, filled = done + filled, 0
-    finally:
-        # A pass left early, by an error or its reader, leaves no fill queued.
-        pending.cancel()
-        wait((pending,))
 
 
 def padded_tiles(

@@ -22,20 +22,17 @@ come from numpy's ziggurat, which consumes a variable number of 64-bit
 words per draw, so a stream cannot be split by counter offsets across
 workers without changing the output; separate seeds give independent
 streams.  So a stream is filled by one thread, in order: every block's
-normals are filled on the package's single fill thread
-(``linalg._normals_ahead``), with the same result bit for bit as
-filling them in the caller.  The rule is to queue the next fill before
-waiting on this block, so the fill thread is already inside its GIL-free
-fill when the caller multiplies: :func:`sample` queues every block's
-fill at once, and :func:`sample_blocks` the next block's, into its free
-slot.
+normals are filled on the package's single fill thread by
+``linalg._fills_ahead``, by its rule for queueing a fill ahead, with the
+same result bit for bit as filling them in the caller.
+:func:`sample` gives it one slot per block, so every fill is queued at
+once, and :func:`sample_blocks` its two slots.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
-from concurrent.futures import wait
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +44,7 @@ from .errors import CapacityExceeded, InvalidInput, NotPositiveDefinite, _check_
 from .lattice import LatticeShape
 from .linalg import (
     SPD_PIVOT_RTOL,
-    _normals_ahead,
+    _fills_ahead,
     _philox,
     cholesky_lower,
     reverse_cholesky,
@@ -320,15 +317,11 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, slots):
     The slots are either the row blocks of an array of all ``n`` rows, one
     per block, or two buffers of one block's rows, which the blocks take in
     turn.  A block is the next rows of ``rng``, the seed's Philox stream,
-    written in place (``standard_normal(out=...)``) on the fill thread
-    (``linalg._normals_ahead``), times ``L^T`` in place by one triangular
-    BLAS product (``dtrmm``), ``L = truth.sigma_factor``.  Before it waits
-    on block ``k``, the draw queues, in row order, the fill of every later
-    block whose slot is free: with a slot per block, all of them up front;
-    with two slots, block ``k + 1``'s, into the slot that block ``k - 1``
-    left when its reader took block ``k``.  The fill must be queued before
-    the wait: scipy's BLAS wrappers hold the GIL for the whole product, so
-    a fill queued after it waits for the GIL until ``dtrmm`` returns.
+    filled in place on the fill thread by
+    :func:`~gpprec.linalg._fills_ahead`, then multiplied by ``L^T`` in
+    place by one triangular BLAS product (``dtrmm``),
+    ``L = truth.sigma_factor``.  A draw left early, by an error or its
+    reader, closes the fills, so none is left queued.
     ``dtrmm`` reads its factor in place only in Fortran order: a C-ordered
     ``L``, as a lattice truth's is, is the Fortran-ordered upper ``L^T``,
     which it applies transposed.
@@ -338,26 +331,14 @@ def _draw(truth: GroundTruth, n: int, rng: np.random.Generator, slots):
         operand, lower, trans_a = factor, 1, 0
     else:
         operand, lower, trans_a = factor.T, 0, 1
-    step = _draw_rows(truth.dim)
-    starts = range(0, n, step)
-    # The fills queued and not yet waited on, of blocks k, k + 1, ...
-    fills = deque()
-    try:
-        for k in range(len(starts)):
-            for lo in starts[k + len(fills):k + len(slots)]:
-                slot = slots[lo // step % len(slots)]
-                fills.append(_normals_ahead(rng, slot[:min(step, n - lo)]))
-            block = fills.popleft().result()
+    with closing(_fills_ahead(rng, slots, n)) as fills:
+        for fill in fills:
+            block = fill.result()
             # block.T is Fortran-ordered, so dtrmm overwrites block with L block^T.
             blas.dtrmm(
                 1.0, operand, block.T, side=0, lower=lower, trans_a=trans_a, overwrite_b=1
             )
             yield block
-    finally:
-        # A draw left early, by an error or its reader, leaves no fill queued.
-        for fill in fills:
-            fill.cancel()
-        wait(fills)
 
 
 def sample_blocks(truth: GroundTruth, n: int, seed: int):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cholesky import exact_block_factor
+from .errors import InvalidInput
 from .estimator import EstimatorConfig, estimate_precision, ols_plugin_row
 from .hierarchy import LevelPartition
 from .lattice import lattice_points
@@ -227,11 +228,12 @@ SUITES = {
 
 
 def run_suites(names=None):
-    """Run the named suites (all by default) and return their results."""
+    """Run the named suites (all by default) and return their results.
+
+    An unknown name raises ``InvalidInput`` before any suite runs.
+    """
     names = list(SUITES) if not names else list(names)
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-        results.append(SUITES[name]())
-    return results
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise InvalidInput(f"unknown suites {unknown}; available: {sorted(SUITES)}")
+    return [SUITES[name]() for name in names]

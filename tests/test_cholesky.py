@@ -488,6 +488,23 @@ class TestScaleCovariances:
         with pytest.raises(InvalidInput, match="end after"):
             scale_covariances(iter([np.zeros((10, levels.m))]), levels, [20])
 
+    @pytest.mark.parametrize("make", [list, iter, np.array], ids=["list", "iterator", "array"])
+    def test_sizes_read_once(self, make):
+        # Sizes are planned and summed from one reading, so an iterator is
+        # not used up before the pass and an array is not tested for truth.
+        truth, levels = nested_truth(3)
+        z = sample(truth, 3000, seed=1)
+        got = scale_covariances(z, levels, make([1200, 3000]))
+        assert sorted(got) == [1200, 3000]
+        for n, covariance in got.items():
+            assert covariance.n == n
+            assert np.array_equal(covariance.matrix, scale_covariances(z, levels, [n])[n].matrix)
+
+    def test_no_size_refused(self):
+        _, levels = nested_truth(3)
+        with pytest.raises(InvalidInput, match="nonempty"):
+            scale_covariances(np.zeros((10, levels.m)), levels, iter([]))
+
     def test_lattice_scales_need_the_samples(self):
         truth, levels = nested_truth(4, s=1)
         z = sample(truth, 2000, seed=5)

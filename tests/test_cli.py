@@ -18,7 +18,7 @@ from gpprec import truth as truth_module
 from gpprec import verify as verify_module
 from gpprec.cholesky import assemble_U, assemble_U_star, exact_scales
 from gpprec.cli import CSV_COLUMNS, ResultRow, main
-from gpprec.errors import CapacityExceeded, NumericalFailure
+from gpprec.errors import CapacityExceeded, InvalidInput, NumericalFailure
 from gpprec.hierarchy import assign_levels, maximin_order
 from gpprec.lattice import lattice_points
 from gpprec.linalg import (
@@ -957,6 +957,14 @@ class TestVerify:
     def test_results_reusable_in_process(self):
         results = run_suites(["block_inverse", "ols"])
         assert all(r.passed for r in results)
+
+    def test_unknown_suite_refused_before_any_runs(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("a suite ran before an unknown name was refused")
+
+        monkeypatch.setitem(verify_module.SUITES, "perturbation", forbidden)
+        with pytest.raises(InvalidInput, match="unknown suites \\['nope'\\]"):
+            run_suites(["perturbation", "nope"])
 
     def test_csv_report(self, tmp_path, capsys):
         out = tmp_path / "suites.csv"

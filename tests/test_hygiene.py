@@ -298,12 +298,12 @@ PRIVATE_IMPORTS = {
     "matching<-errors._is_real",
     "matching<-estimator._band_tiles",
     "matching<-linalg._as_rows",
-    "matching<-linalg._normals_ahead",
+    "matching<-linalg._fills_ahead",
     "matching<-linalg._philox",
     "matching<-linalg._row_parts",
     "truth<-errors._check_integer",
     "truth<-errors._is_real",
-    "truth<-linalg._normals_ahead",
+    "truth<-linalg._fills_ahead",
     "truth<-linalg._philox",
 }
 
@@ -321,6 +321,30 @@ def test_cross_module_private_imports_are_listed():
     }
     assert sorted(found - PRIVATE_IMPORTS) == []
     assert sorted(PRIVATE_IMPORTS - found) == []
+
+
+def thread_names(tree):
+    """Every module and ``module.name`` the module imports, and every ``name.attribute`` it reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            yield f"{node.value.id}.{node.attr}"
+
+
+def test_only_linalg_owns_the_fill_thread():
+    # The fill thread, its futures and their queue live in linalg alone, so
+    # a new user of the thread goes through linalg._fills_ahead.
+    owners = {
+        path.stem
+        for path in MODULES
+        for name in thread_names(parse(path))
+        if name.split(".")[0] in ("concurrent", "threading") or name == "collections.deque"
+    }
+    assert owners == {"linalg"}
 
 
 # Defaulted parameters that no call in the package or the demos sets, as

@@ -22,8 +22,11 @@ from gpprec.linalg import (
     spectral_norm,
     symmetrize,
 )
-from gpprec.truth import build_lattice_precision
+from gpprec.lattice import LatticeShape
+from gpprec.matching import LatticeEmbedding, _padded_blocks
+from gpprec.truth import build_lattice_precision, sample, sample_blocks
 from gpprec.verify import perturbation_corpus, random_spd
+from oracle import padded_samples
 
 
 def spd_corpus(rng, count=20, max_dim=24):
@@ -161,6 +164,90 @@ class TestRowParts:
     def test_malformed_or_short_samples_refused(self, samples, match):
         with pytest.raises(InvalidInput, match=match):
             list(_row_parts(samples, 3, [2, 8]))
+
+
+class _RecordedFills:
+    """The fill thread's executor, recording each fill queued and each wait on one.
+
+    ``events`` gets ``("fill", k)`` when block ``k``'s fill is queued and
+    ``("wait", k)`` when its future's ``result()`` is called; ``outs``
+    holds each fill's slot.
+    """
+
+    def __init__(self, fills, events):
+        self.fills, self.events, self.outs = fills, events, []
+
+    def submit(self, fill, out):
+        k = len(self.outs)
+        self.outs.append(out)
+        future = self.fills.submit(fill, out=out)
+        result = future.result
+
+        def waited(*args, **kwargs):
+            self.events.append(("wait", k))
+            return result(*args, **kwargs)
+
+        future.result = waited
+        self.events.append(("fill", k))
+        return future
+
+
+def _fill_order(steps):
+    """``"F2"``, ``"W2"`` and ``"Y2"`` as the events ``("fill", 2)``, ``("wait", 2)`` and ``("yield", 2)``."""
+    names = {"F": "fill", "W": "wait", "Y": "yield"}
+    return [(names[step[0]], int(step[1:])) for step in steps.split()]
+
+
+class TestFillsAhead:
+    """Each caller's slots give the order in which its fills are queued and waited on."""
+
+    # Four blocks each: 541 draw rows of the 484-variable truth, and 512
+    # padded rows of the 1024-node lattice with every other node a site.
+    @pytest.fixture(scope="class")
+    def draws(self):
+        truth = build_lattice_precision(22, 2, 2)
+        n = 3 * 541 + 100
+        shape = LatticeShape(p=1024, d=1)
+        embedding = LatticeEmbedding(shape, np.arange(0, shape.size, 2), 0.0)
+        z = np.random.Generator(np.random.Philox(key=5)).standard_normal((3 * 512 + 100, 512))
+        return {
+            "one-slot-per-block": (lambda: [sample(truth, n, seed=3)], sample(truth, n, seed=3)),
+            "two-slots": (lambda: sample_blocks(truth, n, seed=3), sample(truth, n, seed=3)),
+            "one-slot": (
+                lambda: _padded_blocks((z,), embedding, 7, z.shape[0]),
+                padded_samples(z, embedding, 7),
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "case, slots, order",
+        [
+            # sample queues every fill before its first wait.
+            ("one-slot-per-block", 4, _fill_order("F0 F1 F2 F3 W0 W1 W2 W3 Y0")),
+            # sample_blocks queues block k + 1's fill, into the slot block k
+            # does not use, before it waits on block k.
+            ("two-slots", 2, _fill_order("F0 F1 W0 Y0 F2 W1 Y1 F3 W2 Y2 W3 Y3")),
+            # The padding queues fill k + 1 right after it waits on block k,
+            # before block k is gathered.
+            ("one-slot", 1, _fill_order("F0 W0 F1 Y0 W1 F2 Y1 W2 F3 Y2 W3 Y3")),
+        ],
+        ids=["one-slot-per-block", "two-slots", "one-slot"],
+    )
+    def test_fills_queued_before_the_wait(self, monkeypatch, draws, case, slots, order):
+        draw, want = draws[case]
+        events = []
+        recorded = _RecordedFills(linalg._FILLS, events)
+        monkeypatch.setattr(linalg, "_FILLS", recorded)
+        blocks = []
+        for block in draw():
+            events.append(("yield", len(blocks)))
+            blocks.append(block.copy())
+        assert events == order
+        # Block k is filled into slot k % slots, and the draw is unchanged.
+        assert len({out.ctypes.data for out in recorded.outs}) == slots
+        for k, out in enumerate(recorded.outs):
+            assert out.ctypes.data == recorded.outs[k % slots].ctypes.data
+        assert np.array_equal(np.concatenate(blocks), want)
 
 
 class TestCholesky:
@@ -414,6 +501,24 @@ class TestSpdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             spd_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_input_checked_once(self, monkeypatch, rng):
+        # The gate factors a copy, so the input's finiteness and symmetry
+        # are checked once and the input is left as it was.
+        a = random_spd(rng, 12, 300.0)
+        kept = a.copy()
+        want = spd_sqrt(a)
+        checks = []
+        check = linalg._as_square_sym
+
+        def counting(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(linalg, "_as_square_sym", counting)
+        assert np.array_equal(spd_sqrt(a), want)
+        assert len(checks) == 1
+        assert np.array_equal(a, kept)
 
 
 class TestBlockInverseSchur:

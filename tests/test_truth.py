@@ -17,7 +17,6 @@ from gpprec.lattice import LatticeShape, lattice_points
 from gpprec import matching as matching_module
 from gpprec import truth as truth_module
 from gpprec.linalg import (
-    _normals_ahead,
     cholesky_lower,
     reverse_cholesky,
     spd_inverse,
@@ -546,101 +545,19 @@ class TestSampleBlocks:
         reference = g @ truth.sigma_factor.T
         assert np.max(np.abs(z - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    @staticmethod
-    def recorded_draw(monkeypatch, draw):
-        """``draw()`` with its fills and waits in the order made, and the blocks it yields.
-
-        Each event is ``("fill", k, out)`` when block ``k``'s fill is
-        queued, or ``("wait", k)`` when the draw calls its ``result()``.
-        """
-        events = []
-
-        def recording(rng, out):
-            k = sum(event[0] == "fill" for event in events)
-            future = _normals_ahead(rng, out)
-            result = future.result
-
-            def waited(*args, **kwargs):
-                events.append(("wait", k))
-                return result(*args, **kwargs)
-
-            future.result = waited
-            events.append(("fill", k, out))
-            return future
-
-        monkeypatch.setattr(truth_module, "_normals_ahead", recording)
-        blocks = []
-        for block in draw():
-            events.append(("yield", len(blocks)))
-            blocks.append(block)
-        return events, blocks
-
-    def test_next_fill_queued_before_the_wait(self, monkeypatch):
-        # A stream queues block k + 1's fill, into the slot block k does
-        # not use, before it waits on block k; sample queues every fill
-        # before its first wait.
-        truth = build_lattice_precision(22, 2, 2)
-        n = 3 * 541 + 100
-        want = sample(truth, n, seed=3)
-        events, blocks = self.recorded_draw(monkeypatch, lambda: sample_blocks(truth, n, seed=3))
-        order = [event[:2] for event in events]
-        assert order == [
-            ("fill", 0), ("fill", 1), ("wait", 0), ("yield", 0),
-            ("fill", 2), ("wait", 1), ("yield", 1),
-            ("fill", 3), ("wait", 2), ("yield", 2),
-            ("wait", 3), ("yield", 3),
-        ]
-        outs = [event[2] for event in events if event[0] == "fill"]
-        for k in range(3):
-            assert not np.shares_memory(outs[k + 1], blocks[k])
-            assert np.shares_memory(outs[k], blocks[k])
-        assert len({out.ctypes.data for out in outs}) == 2
-        # The last two blocks are still in their slots.
-        assert np.array_equal(np.concatenate(blocks[-2:]), want[2 * 541:])
-        events, _ = self.recorded_draw(monkeypatch, lambda: [sample(truth, n, seed=3)])
-        assert [event[:2] for event in events[:8]] == (
-            [("fill", k) for k in range(4)] + [("wait", k) for k in range(4)]
-        )
-
-    def test_early_close_leaves_the_fill_thread_idle(self, monkeypatch):
+    def test_early_close_leaves_the_fill_thread_idle(self, monkeypatch, slow_philox):
         # The first block is yielded with the second block's fill queued or
         # running; closing the stream there cancels that fill or waits for
         # it, so no fill runs after close returns.
         truth = build_lattice_precision(22, 2, 2)
         rows = truth_module._draw_rows(truth.dim)
         n = 3 * rows
-        fills = []
-
-        class Counting:
-            def __init__(self, generator):
-                self.generator = generator
-                self.started = self.finished = 0
-
-            def standard_normal(self, out):
-                self.started += 1
-                # Slow enough that close finds the next fill queued or running.
-                time.sleep(0.1)
-                self.generator.standard_normal(out=out)
-                self.finished += 1
-                return out
-
-        def counting_philox(seed):
-            fills.append(Counting(np.random.Generator(np.random.Philox(key=seed))))
-            return fills[-1]
-
-        before = threading.active_count()
         with monkeypatch.context() as patch:
-            patch.setattr(truth_module, "_philox", counting_philox)
+            patch.setattr(truth_module, "_philox", slow_philox)
             blocks = sample_blocks(truth, n, seed=8)
             first = next(blocks).copy()
             blocks.close()
-        (counter,) = fills
-        started = counter.started
-        assert started == counter.finished and started in (1, 2)
-        # A fill queued behind any left over runs only after it.
-        _normals_ahead(np.random.Generator(np.random.Philox(key=0)), np.empty(1)).result(60)
-        assert counter.started == counter.finished == started
-        assert threading.active_count() <= before + 1
+        slow_philox.assert_idle_after_close()
         assert np.array_equal(first, sample(truth, n, seed=8)[:rows])
 
     def test_slots_take_one_block_of_twice_the_size(self):
