@@ -30,7 +30,9 @@ leading block of one sample covariance of all the columns, which
 :func:`scale_covariances` can sum from a stream of row blocks, read by
 the package's one reader of sample rows,
 :func:`~gpprec.linalg._row_parts`, up to the largest sample size, so no
-per-scale Gram and no ``(N, m)`` sample array need be formed.
+per-scale Gram and no ``(N, m)`` sample array need be formed.  The pass
+finishes each size's Gram in place, mirrored and divided where ``dsyrk``
+summed it, so it holds one ``m x m`` array per size.
 A square-root variant replaces ``R_k`` with the symmetric root of
 ``B_k``, trading the entrywise triangular structure for a slightly
 better perturbation constant.
@@ -49,6 +51,7 @@ from .estimator import EstimatorConfig
 from .hierarchy import H_SCALE, LevelPartition
 from .linalg import (
     _as_rows,
+    _mirror_lower_in_place,
     _row_parts,
     cholesky_lower,
     reverse_cholesky,
@@ -276,15 +279,21 @@ def _prefix_covariances(samples, m: int, sizes) -> dict:
     :func:`~gpprec.linalg._row_parts`, which stops at the largest size.
     Each size sums the upper triangle of its rows' Gram with one rank-k
     update (``dsyrk``) per part it takes, in block order, so its sum does
-    not depend on the other sizes; the sums are mirrored and divided by
-    ``n`` at the end.
+    not depend on the other sizes.  At the end each sum is finished where
+    ``dsyrk`` left it: its upper triangle is mirrored into its lower and it
+    is divided by ``n`` in place, so the pass holds one ``m x m`` array
+    per size and no other.  The covariances are Fortran-ordered.
     """
     grams = {n: np.zeros((m, m), order="F") for n in sizes}
     for part, takers in _row_parts(samples, m, sizes):
         for n in takers:
             # part.T is Fortran-ordered, so dsyrk adds part^T part into the Gram in place.
             blas.dsyrk(1.0, part.T, beta=1.0, c=grams[n], overwrite_c=1)
-    return {n: np.add(gram, np.triu(gram, 1).T) / n for n, gram in grams.items()}
+    for n, gram in grams.items():
+        # gram.T is C-ordered with the sum in its lower triangle.
+        _mirror_lower_in_place(gram.T)
+        gram /= n
+    return grams
 
 
 def scale_covariances(samples, levels: LevelPartition, sizes) -> dict:

@@ -17,11 +17,13 @@ Every route runs through one row loop.  ``_route`` builds the run's
 estimator once per run (the factor context of factor runs, the site
 embedding of scattered runs) as three steps: ``plan(n)`` makes the
 data-free refusals of size ``n`` (``estimator.plan_estimate`` for
-precision rows, ``cholesky.plan_scales`` for factor rows, and a refused
-matching refuses every size); ``one_pass(seed, sizes)`` draws a seed once
-and maps each passing size to its rows' source; ``estimate`` makes a row's
-estimate and error from its source.  Every size is planned once per run,
-before any draw, and a refused size fails its rows without drawing.
+precision rows, ``cholesky.plan_scales`` for factor rows, the cap on a
+held draw, ``truth.MAX_DRAW_ENTRIES``, for lattice precision rows, and a
+refused matching refuses every size); ``one_pass(seed, sizes)`` draws a
+seed once and maps each passing size to its rows' source; ``estimate``
+makes a row's estimate and error from its source.  Every size is planned
+once per run, before any draw, and a refused size fails its rows without
+drawing.
 
 The rows of one seed share one draw.  They run in descending N, and a
 row's sample is the first N rows of its seed's draw at the largest
@@ -117,6 +119,7 @@ from .linalg import spectral_norm
 from .matching import DEFAULT_C1, build_embedding, measure_cloud, padded_tiles
 from .truth import (
     _check_capacity,
+    _check_draw,
     build_green_restriction,
     build_lattice_precision,
     log_linear_fit,
@@ -404,6 +407,11 @@ def _route(cfg, truth, cloud):
     if not _on_sites(cfg):
         shape, site_block = truth.geometry, np.s_[:]
 
+        def plan(n):
+            plan_estimate(shape, n, est_cfg)
+            # The rows read prefixes of one held draw.
+            _check_draw(n, truth.dim)
+
         def one_pass(seed, sizes):
             z = sample(truth, max(sizes), seed)
             return {n: z[:n] for n in sizes}
@@ -420,12 +428,12 @@ def _route(cfg, truth, cloud):
         nodes = lattice.node_of_site
         shape, site_block = lattice.shape, np.ix_(nodes, nodes)
 
+        def plan(n):
+            plan_estimate(shape, n, est_cfg)
+
         def one_pass(seed, sizes):
             blocks = sample_blocks(truth, max(sizes), seed)
             return padded_tiles(blocks, lattice, _PAD_SEED + seed, est_cfg, sizes)
-
-    def plan(n):
-        plan_estimate(shape, n, est_cfg)
 
     def estimate(source):
         est = estimate_precision(source, shape, est_cfg)

@@ -44,23 +44,27 @@ def maximin_order(cloud) -> MaximinOrdering:
 
     The first site maximizes the distance to the box boundary; each later
     site maximizes the distance to the boundary and all earlier sites.
+    ``cloud`` is a :class:`~gpprec.matching.SiteCloud`, whose sites are
+    distinct and lie strictly inside the open unit box, as
+    :func:`~gpprec.matching.measure_cloud` ensures: so every site not yet
+    chosen is a positive distance from the chosen set and the boundary.
+    The order keeps one array of these distances, lowered in place at
+    each step, where a chosen site's own distance becomes exactly 0 and
+    so is never chosen again.
     """
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
     m = sites.shape[0]
     dist = np.minimum(sites, 1.0 - sites).min(axis=1)
-    chosen = np.zeros(m, dtype=bool)
     perm = np.empty(m, dtype=np.int64)
     ell = np.empty(m)
     for step in range(m):
-        masked = np.where(chosen, -np.inf, dist)
-        best = masked.max()
-        pick = int(np.flatnonzero(masked >= best * (1.0 - _TIE_RTOL))[0])
+        best = dist.max()
+        pick = int(np.flatnonzero(dist >= best * (1.0 - _TIE_RTOL))[0])
         perm[step] = pick
         # Clamp away sub-ulp increases caused by the tie tolerance.
         ell[step] = dist[pick] if step == 0 else min(dist[pick], ell[step - 1])
-        chosen[pick] = True
         gap = np.linalg.norm(sites - sites[pick], axis=1)
-        dist = np.minimum(dist, gap)
+        np.minimum(dist, gap, out=dist)
     return MaximinOrdering(perm=perm, ell=ell)
 
 
@@ -110,9 +114,7 @@ class LevelPartition:
 
     def prefix_size(self, k: int) -> int:
         """Number of sites in the first ``k`` levels."""
-        if not 1 <= k <= self.q:
-            raise InvalidInput(f"level {k} outside 1..{self.q}")
-        return int(self.offsets[k])
+        return self.level_slice(k).stop
 
 
 def assign_levels(ordering: MaximinOrdering) -> LevelPartition:

@@ -31,7 +31,9 @@ Every public function here is a pure function of immutable inputs and
 never mutates its arguments, so concurrent read-only use is safe; only
 the private helpers work in place on an array their caller made: the
 gate factors it, ``_symmetrize_in_place`` symmetrizes it, and
-``_mirror_lower_in_place`` fills its upper triangle from its lower.
+``_mirror_lower_in_place`` fills its upper triangle from its lower, which
+finishes :func:`triangular_gram`'s product and, in place, each Gram of
+the factor pass (``cholesky._prefix_covariances``).
 Symmetry is checked, and made in place, tile by tile against the mirror
 tiles, which reads every entry but never the whole transpose at once.
 

@@ -35,7 +35,12 @@ _FMT = "%.17g"
 
 
 def _rows(a: np.ndarray):
-    return [" ".join(_FMT % v for v in row) for row in np.atleast_2d(a)]
+    """One line per row of ``a``, its values in ``_FMT`` joined by spaces."""
+    a = np.atleast_2d(a)
+    # One % per row on a row-wide format string is the per-value join's
+    # text, with a single formatting call per row.
+    line = " ".join([_FMT] * a.shape[1])
+    return [line % tuple(row) for row in a.tolist()]
 
 
 def _lines(text: str) -> list[str]:

@@ -190,6 +190,21 @@ def _check_capacity(n_vertices: int):
         )
 
 
+# The largest draw that is held whole, in entries (1 GiB of float64).  The
+# largest held draw of a workload or a cap run is 4000 x 4096 entries; one
+# far above the cap would fail untyped in its allocation, or wake the
+# out-of-memory killer once it is filled.
+MAX_DRAW_ENTRIES = 1 << 27
+
+
+def _check_draw(n: int, dim: int):
+    """``CapacityExceeded`` when ``n`` rows of ``dim`` entries are above ``MAX_DRAW_ENTRIES``."""
+    if n * dim > MAX_DRAW_ENTRIES:
+        raise CapacityExceeded(
+            f"a draw of {n} x {dim} entries is above the cap of {MAX_DRAW_ENTRIES} held entries"
+        )
+
+
 def build_lattice_precision(p: int, d: int, s: int) -> GroundTruth:
     """Lattice precision ``omega = h^d A^s`` with ``A`` the Dirichlet Laplacian.
 
@@ -221,7 +236,8 @@ def build_lattice_precision(p: int, d: int, s: int) -> GroundTruth:
     power = a
     for _ in range(s - 1):
         power = power @ a
-    omega = h**d * power.toarray()
+    omega = power.toarray()
+    omega *= h**d
     top = (p + 1) ** 2 * 4 * d * np.sin(p * np.pi / (2 * (p + 1))) ** 2
     return GroundTruth(
         omega=omega,
@@ -386,9 +402,11 @@ def sample(truth: GroundTruth, n: int, seed: int) -> np.ndarray:
     ``dtrmm`` over that block's rows may round a few rows differently
     from ``dtrmm`` over its first ``n - lo`` rows.  An ``n`` that is not an
     integer of at least 1, or a seed outside ``[0, 2**128)``, raises
-    ``InvalidInput``.
+    ``InvalidInput``, and a draw of more than ``MAX_DRAW_ENTRIES`` entries
+    raises ``CapacityExceeded``, both before anything is allocated.
     """
     _check_integer(n, "sample count")
+    _check_draw(n, truth.dim)
     out = np.empty((n, truth.dim))
     step = _draw_rows(truth.dim)
     for _ in _draw(truth, n, _philox(seed), np.split(out, range(step, n, step))):

@@ -1,9 +1,11 @@
 """Block-Cholesky machinery: exact factors, per-scale estimation, assembly."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from gpprec import cholesky as cholesky_module
 from gpprec import linalg as linalg_module
@@ -476,6 +478,48 @@ class TestScaleCovariances:
             want = sample_covariance(z[:n])
             assert np.array_equal(got, got.T)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_grams_finished_in_place(self):
+        # Each covariance is its dsyrk sum S mirrored and divided, bit for bit
+        # (S + triu(S, 1)^T) / n, and stays Fortran-ordered as dsyrk summed it.
+        truth, levels = nested_truth(6)
+        m = levels.m
+        z = sample(truth, 3000, seed=3)
+        stream = (z[lo:lo + 1000] for lo in range(0, 3000, 1000))
+        got = scale_covariances(stream, levels, [1200, 3000])
+        for n, covariance in got.items():
+            gram = np.zeros((m, m), order="F")
+            for lo in range(0, n, 1000):
+                blas.dsyrk(1.0, z[lo:min(lo + 1000, n)].T, beta=1.0, c=gram, overwrite_c=1)
+            want = np.add(gram, np.triu(gram, 1).T) / n
+            assert np.array_equal(covariance.matrix.view(np.uint64), want.view(np.uint64))
+            assert covariance.matrix.flags.f_contiguous
+
+    def test_pass_holds_only_its_grams(self):
+        # Two sizes over a stream of three 500-row blocks at m = 511: the pass
+        # holds the two Grams, the stream's one block and small tiles, as each
+        # Gram is finished where dsyrk summed it.  A finish that forms the
+        # mirrored sum and the quotient as new m x m arrays holds at least
+        # two more at once.
+        truth, levels = nested_truth(9)
+        m = levels.m
+        z = sample(truth, 1500, seed=2)
+
+        def stream():
+            block = np.empty((500, m))
+            for lo in range(0, 1500, 500):
+                block[...] = z[lo:lo + 500]
+                yield block
+
+        gram_bytes = m * m * 8
+        tracemalloc.start()
+        try:
+            covariances = scale_covariances(stream(), levels, [600, 1500])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(covariances) == [600, 1500]
+        assert peak <= 2 * gram_bytes + 500 * m * 8 + gram_bytes // 4
 
     def test_refused_size_reads_nothing(self):
         def forbidden():

@@ -652,6 +652,21 @@ class TestOneDrawPerSeed:
         ]
         assert [args[1:] for args in draws] == [(500, 0), (500, 1)]
 
+    def test_oversized_held_draw_fails_alone(self, monkeypatch, tmp_path):
+        # With the held-draw cap at 1000 rows of the 12-node lattice, the
+        # 2000-sample rows are refused before any draw; the 500-sample rows
+        # draw at 500 and are those of a run without the large size.
+        monkeypatch.setattr(truth_module, "MAX_DRAW_ENTRIES", 12 * 1000)
+        draws = spy(monkeypatch, "sample")
+        argv = ONE_DRAW_CONFIGS["lattice"] + ["--seeds", "0,1"]
+        out, ref = tmp_path / "with.csv", tmp_path / "without.csv"
+        assert run_cli("estimate", *argv, "--n", "500,2000", "--out", str(out)) == 1
+        assert [args[1:] for args in draws] == [(500, 0), (500, 1)]
+        assert run_cli("estimate", *argv, "--n", "500", "--out", str(ref)) == 0
+        rows = csv_rows(out)
+        assert rows[:2] == csv_rows(ref)
+        assert [(row[5], row[12]) for row in rows[2:]] == [("2000", "CapacityExceeded")] * 2
+
     def test_data_free_refusals_draw_nothing(self, monkeypatch, capsys):
         def forbidden(*args):
             raise AssertionError("a refused row drew its sample")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gpprec import hierarchy
 from gpprec.errors import InvalidInput
 from gpprec.hierarchy import LevelPartition, assign_levels, maximin_order
 from gpprec.lattice import LatticeShape, lattice_points
@@ -15,7 +16,54 @@ def dyadic_cloud(q, d=1):
     return measure_cloud(lattice_points(shape), d)
 
 
+def masked_maximin(sites):
+    """The greedy maximin loop with an explicit mask of chosen sites, as a reference.
+
+    Chosen sites are masked to ``-inf`` before each step's maximum, and the
+    distances are a new array at every step.
+    """
+    dist = np.minimum(sites, 1.0 - sites).min(axis=1)
+    chosen = np.zeros(len(sites), dtype=bool)
+    perm, ell = np.empty(len(sites), dtype=np.int64), np.empty(len(sites))
+    for step in range(len(sites)):
+        masked = np.where(chosen, -np.inf, dist)
+        best = masked.max()
+        pick = int(np.flatnonzero(masked >= best * (1.0 - hierarchy._TIE_RTOL))[0])
+        perm[step] = pick
+        ell[step] = dist[pick] if step == 0 else min(dist[pick], ell[step - 1])
+        chosen[pick] = True
+        dist = np.minimum(dist, np.linalg.norm(sites - sites[pick], axis=1))
+    return perm, ell
+
+
+def jittered_cloud(p, d, seed):
+    """``p**d`` lattice sites, each moved by up to 0.35 of the spacing per axis."""
+    base = lattice_points(LatticeShape(p, d))
+    shift = np.random.default_rng(seed).uniform(-0.35, 0.35, size=base.shape) / (p + 1)
+    return measure_cloud(base + shift, d)
+
+
 class TestMaximinOrder:
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            dyadic_cloud(5),
+            measure_cloud(lattice_points(LatticeShape(22, 2)), 2),
+            jittered_cloud(22, 2, seed=0),
+            measure_cloud(lattice_points(LatticeShape(6, 3)), 3),
+            jittered_cloud(6, 3, seed=1),
+        ],
+        ids=["lattice-1d", "lattice-2d", "jittered-2d", "lattice-3d", "jittered-3d"],
+    )
+    def test_matches_masked_reference(self, cloud):
+        # One distance array lowered in place gives the masked loop's order
+        # and distances bit for bit, lattice ties included: a chosen site's
+        # distance is exactly 0, below every unchosen site's.
+        ordering = maximin_order(cloud)
+        perm, ell = masked_maximin(cloud.sites)
+        assert np.array_equal(ordering.perm, perm)
+        assert np.array_equal(ordering.ell.view(np.uint64), ell.view(np.uint64))
+
     def test_three_sites_by_hand(self):
         cloud = measure_cloud(np.array([0.5, 0.2, 0.9]), 1)
         ordering = maximin_order(cloud)

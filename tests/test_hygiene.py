@@ -282,8 +282,10 @@ PRIVATE_IMPORTS = {
     "cholesky<-errors._check_dimension",
     "cholesky<-errors._check_integer",
     "cholesky<-linalg._as_rows",
+    "cholesky<-linalg._mirror_lower_in_place",
     "cholesky<-linalg._row_parts",
     "cli<-truth._check_capacity",
+    "cli<-truth._check_draw",
     "estimator<-errors._check_integer",
     "estimator<-errors._is_real",
     "estimator<-linalg._as_rows",

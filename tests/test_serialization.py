@@ -10,6 +10,20 @@ from gpprec.matching import measure_cloud
 from gpprec.truth import build_lattice_precision
 
 
+def test_rows_match_per_value_join():
+    # One % per row on a row-wide format string writes the text of joining
+    # each value's own %.17g: signed zeros, subnormals, the float64 extremes
+    # and integral values included.
+    a = np.array([
+        [-0.0, 0.0, 5e-324, -2.2250738585072014e-309],
+        [1e308, -1e308, np.finfo(np.float64).max, 3.0],
+        [-7.0, 1.0 / 3.0, 2.0**53, -1e-300],
+    ])
+    want = [" ".join("%.17g" % v for v in row) for row in a]
+    assert ser._rows(a) == want
+    assert ser._rows(a[0]) == want[:1]
+
+
 class TestMatrixFormat:
     def test_round_trip_exact(self, rng):
         a = rng.standard_normal((5, 5)) * np.exp(rng.uniform(-20, 20, (5, 5)))

@@ -405,6 +405,21 @@ class TestSample:
         truth = build_lattice_precision(4, 1, 1)
         assert not np.array_equal(sample(truth, 50, seed=3), sample(truth, 50, seed=4))
 
+    def test_oversized_draw_refused_before_allocation(self):
+        # 10**12 rows of 4 entries would be 32 TB, whose allocation fails
+        # with numpy's untyped memory error: the cap on a held draw refuses
+        # it first, before the sampling factor is formed.
+        truth = build_lattice_precision(4, 1, 1)
+        with pytest.raises(CapacityExceeded, match="held entries"):
+            sample(truth, 10**12, 0)
+        assert "sigma_factor" not in truth.__dict__
+
+    def test_draw_cap_admits_the_largest_cap_run(self):
+        # The d = 1 and d = 2 lattice caps hold a 4000 x 4096 draw.
+        truth_module._check_draw(4000, 4096)
+        with pytest.raises(CapacityExceeded):
+            truth_module._check_draw(truth_module.MAX_DRAW_ENTRIES + 1, 1)
+
 
 def identity_truth(dim):
     return truth_module.GroundTruth(
