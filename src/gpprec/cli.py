@@ -472,10 +472,15 @@ def _point_rows(cfg):
     The truth and its route are built once per run, and every size is
     planned once: a refused size fails its rows before any draw.  Each
     seed's rows run in descending N; the first that passes makes the
-    seed's one pass, and every passing row estimates from its source in it.
+    seed's one pass, and every passing row estimates from its source in it
+    and drops it, so a row's covariance or band tiles are freed before the
+    next row.  Only the route holds the truth once it is built: factor rows
+    read the permuted truth alone, so the unpermuted one is freed then.
     """
     truth, cloud = _build_truth(cfg)
+    model_tag, kappa = truth.model_tag, float(truth.kappa)
     plan, one_pass, estimate = _route(cfg, truth, cloud)
+    del truth
     refused = {}
     for n in cfg["n"]:
         try:
@@ -495,15 +500,15 @@ def _point_rows(cfg):
                 try:
                     if sources is None:
                         sources = one_pass(seed, sizes)
-                    matrix, b, path, err = estimate(sources[n])
+                    matrix, b, path, err = estimate(sources.pop(n))
                 except GpprecError as exc:
                     error = type(exc).__name__
             wall_ms = (time.perf_counter() - started) * 1000.0 if cfg["timing"] else 0.0
             if cfg["save_estimates"] and matrix is not None:
                 _save_estimate(cfg, n, seed, matrix)
             rows.append(ResultRow(
-                _experiment_id(cfg), truth.model_tag, cfg["d"], p_or_m, cfg["s"], n, seed,
-                int(b), path, float(err), float(truth.kappa), wall_ms, error,
+                _experiment_id(cfg), model_tag, cfg["d"], p_or_m, cfg["s"], n, seed,
+                int(b), path, float(err), kappa, wall_ms, error,
             ))
     return sorted(rows, key=lambda row: (row.n, row.seed))
 

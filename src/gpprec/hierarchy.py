@@ -51,19 +51,35 @@ def maximin_order(cloud) -> MaximinOrdering:
     The order keeps one array of these distances, lowered in place at
     each step, where a chosen site's own distance becomes exactly 0 and
     so is never chosen again.
+
+    A step makes no temporary array.  Each axis is its own contiguous
+    column, and the distance to the chosen site is formed in two reused
+    vectors as ``sqrt(sum((x_a - x_pick_a)**2))``, summed over the axes
+    in order: the arithmetic of ``np.linalg.norm(sites - sites[pick],
+    axis=1)``, so the order and its distances are that loop's bit for
+    bit.  The pick is the first index in the reused tie mask.
     """
     sites = np.atleast_2d(np.asarray(cloud.sites, dtype=np.float64))
     m = sites.shape[0]
+    first, *rest = [np.ascontiguousarray(column) for column in sites.T]
     dist = np.minimum(sites, 1.0 - sites).min(axis=1)
+    gap, term = np.empty(m), np.empty(m)
+    tied = np.empty(m, dtype=bool)
     perm = np.empty(m, dtype=np.int64)
     ell = np.empty(m)
     for step in range(m):
         best = dist.max()
-        pick = int(np.flatnonzero(dist >= best * (1.0 - _TIE_RTOL))[0])
+        pick = int(np.greater_equal(dist, best * (1.0 - _TIE_RTOL), out=tied).argmax())
         perm[step] = pick
         # Clamp away sub-ulp increases caused by the tie tolerance.
         ell[step] = dist[pick] if step == 0 else min(dist[pick], ell[step - 1])
-        gap = np.linalg.norm(sites - sites[pick], axis=1)
+        np.subtract(first, first[pick], out=gap)
+        np.multiply(gap, gap, out=gap)
+        for column in rest:
+            np.subtract(column, column[pick], out=term)
+            np.multiply(term, term, out=term)
+            np.add(gap, term, out=gap)
+        np.sqrt(gap, out=gap)
         np.minimum(dist, gap, out=dist)
     return MaximinOrdering(perm=perm, ell=ell)
 

@@ -16,12 +16,17 @@ every row prefix must write it bit for bit.
 
 :func:`padded_samples` is the scattered-site padding as whole-array column
 writes, which the streamed padding must match bit for bit.
+
+:func:`full_grid_cloud` is ``measure_cloud``'s fill distance and homogeneity
+with every point of its evaluation grid queried, which the pruned search
+must match bit for bit.
 """
 
 import itertools
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.spatial import cKDTree
 
 from gpprec.errors import LocalSingular, NotPositiveDefinite
 from gpprec.linalg import cholesky_lower, sample_covariance, spd_inverse, symmetrize
@@ -162,3 +167,16 @@ def padded_samples(z, embedding, seed):
         (z.shape[0], int(mask.sum()))
     )
     return out
+
+
+def full_grid_cloud(sites, d):
+    """``(h, delta)`` of ``measure_cloud``, querying every point of its evaluation grid."""
+    sites = np.asarray(sites, dtype=np.float64).reshape(len(sites), d)
+    tree = cKDTree(sites)
+    per_axis = max(2, int(np.ceil((64.0 * len(sites)) ** (1.0 / d))))
+    axes = [np.linspace(0.0, 1.0, per_axis)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    h = float(tree.query(grid)[0].max())
+    min_pair = float(tree.query(sites, k=2)[0][:, 1].min()) if len(sites) > 1 else np.inf
+    clearance = float(np.minimum(sites, 1.0 - sites).min())
+    return h, min(1.0, min(min_pair, clearance) / h)

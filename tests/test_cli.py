@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +560,52 @@ class TestOneDrawPerSeed:
         assert [(row[5], row[6]) for row in csv_rows(out)] == [
             ("1000", "0"), ("1000", "1"), ("2000", "0"), ("2000", "1"),
         ]
+
+    @pytest.mark.parametrize("kind, name", [("factor", "estimate_scales"), ("scattered", "estimate_precision")])
+    def test_each_row_frees_its_source(self, monkeypatch, capsys, kind, name):
+        # Each row takes its covariance or band tiles out of the seed's pass,
+        # so the source of a larger size is freed when the next row's
+        # estimate starts: a run holds one of them at a time.
+        held, alive = [], []
+        fn = getattr(cli, name)
+
+        def watching(source, *args, **kwargs):
+            alive.append([ref() is not None for ref in held])
+            held.append(weakref.ref(source.matrix if kind == "factor" else source))
+            return fn(source, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, watching)
+        argv = ONE_DRAW_CONFIGS[kind] + ["--n", "1000,1500,2000", "--seeds", "0"]
+        assert run_cli("estimate", *argv) == 0
+        assert alive == [[], [False], [False, False]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "laplacian", "--d", "1", "--p", "7", "--s", "1", "--factor", "cholesky"],
+            ["--model", "matern", "--d", "1", "--p", "20", "--factor", "cholesky-star"],
+        ],
+        ids=["laplacian-cholesky", "matern-cholesky-star"],
+    )
+    def test_factor_rows_hold_no_unpermuted_truth(self, monkeypatch, capsys, argv):
+        # Factor rows read the maximin-permuted truth alone, so the truth
+        # as built is freed once the route holds its permuted copy.
+        built, alive = [], []
+        build, estimate = cli._build_truth, cli.estimate_scales
+
+        def building(cfg):
+            truth, cloud = build(cfg)
+            built.append(weakref.ref(truth))
+            return truth, cloud
+
+        def estimating(*args, **kwargs):
+            alive.append(built[0]() is not None)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_build_truth", building)
+        monkeypatch.setattr(cli, "estimate_scales", estimating)
+        assert run_cli("estimate", *argv, "--n", "1000,2000", "--seeds", "0,1") == 0
+        assert alive == [False] * 4
 
     @pytest.mark.parametrize("kind", sorted(ONE_DRAW_CONFIGS))
     def test_each_size_planned_once_per_run(self, monkeypatch, capsys, kind):

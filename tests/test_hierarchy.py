@@ -52,13 +52,19 @@ class TestMaximinOrder:
             jittered_cloud(22, 2, seed=0),
             measure_cloud(lattice_points(LatticeShape(6, 3)), 3),
             jittered_cloud(6, 3, seed=1),
+            measure_cloud(lattice_points(LatticeShape(64, 2)), 2),
+            jittered_cloud(12, 3, seed=2),
         ],
-        ids=["lattice-1d", "lattice-2d", "jittered-2d", "lattice-3d", "jittered-3d"],
+        ids=[
+            "lattice-1d", "lattice-2d", "jittered-2d", "lattice-3d", "jittered-3d",
+            "lattice-2d-4096", "jittered-3d-1728",
+        ],
     )
     def test_matches_masked_reference(self, cloud):
         # One distance array lowered in place gives the masked loop's order
         # and distances bit for bit, lattice ties included: a chosen site's
-        # distance is exactly 0, below every unchosen site's.
+        # distance is exactly 0, below every unchosen site's.  The distances
+        # summed per axis in reused vectors are np.linalg.norm's.
         ordering = maximin_order(cloud)
         perm, ell = masked_maximin(cloud.sites)
         assert np.array_equal(ordering.perm, perm)

@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from gpprec import cli
 from gpprec import matching as matching_module
 from gpprec.errors import CapacityExceeded, InvalidInput, LocalSingular, NoMatching
 from gpprec.estimator import EstimatorConfig, _band_tiles, estimate_precision
@@ -24,7 +26,7 @@ from gpprec.matching import (
     perfect_matching,
 )
 from gpprec.truth import GroundTruth, build_green_restriction, build_lattice_precision, l1_tail_profile, log_linear_fit, sample
-from oracle import band_gram, padded_samples
+from oracle import band_gram, full_grid_cloud, padded_samples
 
 
 def brute_force_maximum(adjacency):
@@ -75,6 +77,36 @@ def perturbed_grid(m, d, jitter, seed):
     axes = [np.arange(1, per_axis + 1) / (per_axis + 1)] * d
     base = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     return base + rng.uniform(-jitter, jitter, size=base.shape) / (per_axis + 1)
+
+
+def fill_clouds():
+    """``(id, sites, d)`` of the clouds whose pruned fill distance is checked.
+
+    Lattice, jittered, uniform and corner-clustered clouds in d = 1, 2
+    and 3, M = 1 and M = 2 among them; the workloads' clouds (lattice-2d
+    and factor-2d share one); and the 4096-site caps.
+    """
+    rng = np.random.Generator(np.random.Philox(key=11))
+    clouds = []
+    sides = {1: (1, 2, 9, 100), 2: (1, 2, 5, 13), 3: (1, 2, 4, 7)}
+    for d in (1, 2, 3):
+        for p in sides[d]:
+            base = lattice_points(LatticeShape(p, d))
+            shift = rng.uniform(-0.35, 0.35, size=base.shape) / (p + 1)
+            clouds += [(f"lattice-d{d}-p{p}", base, d), (f"jittered-d{d}-p{p}", base + shift, d)]
+        for m in (1, 2, 7, 60, 500):
+            clouds.append((f"uniform-d{d}-m{m}", rng.uniform(0.001, 0.999, size=(m, d)), d))
+            # Sites near the origin put the maximum at the far corner.
+            clouds.append((f"corner-d{d}-m{m}", rng.uniform(0.001, 0.2, size=(m, d)), d))
+    clouds.append(("lattice-2d/factor-2d", lattice_points(LatticeShape(22, 2)), 2))
+    clouds.append(("scattered-1d", cli._jittered_grid(500, 1, None), 1))
+    for d, p in [(1, 4096), (2, 64), (3, 16)]:
+        clouds.append((f"cap-lattice-d{d}", lattice_points(LatticeShape(p, d)), d))
+        clouds.append((f"cap-jittered-d{d}", cli._jittered_grid(p, d, None), d))
+    return clouds
+
+
+FILL_CLOUDS = fill_clouds()
 
 
 class TestMeasureCloud:
@@ -136,6 +168,34 @@ class TestMeasureCloud:
         clearance = np.minimum(sites, 1.0 - sites).min()
         assert cloud.h == h
         assert cloud.delta == min(1.0, min(pair.min(), clearance) / h)
+
+    @pytest.mark.parametrize("sites, d", [c[1:] for c in FILL_CLOUDS], ids=[c[0] for c in FILL_CLOUDS])
+    def test_pruned_search_matches_full_grid(self, sites, d):
+        # The pruned search queries every grid point that can attain the
+        # maximum, so it returns the full grid's h, and delta, bit for bit.
+        cloud = measure_cloud(sites, d)
+        h, delta = full_grid_cloud(sites, d)
+        assert np.float64(cloud.h).view(np.uint64) == np.float64(h).view(np.uint64)
+        assert np.float64(cloud.delta).view(np.uint64) == np.float64(delta).view(np.uint64)
+
+    def test_pruned_search_queries_a_fraction_of_the_grid(self, monkeypatch):
+        # On the lattice-2d cloud, the grid has 176**2 = 30 976 points; the
+        # search queries at most a quarter of them.
+        queried = []
+
+        class Spy(cKDTree):
+            def query(self, x, *args, **kwargs):
+                if kwargs.get("k", 1) == 1:
+                    queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(matching_module, "cKDTree", Spy)
+        sites = lattice_points(LatticeShape(22, 2))
+        cloud = measure_cloud(sites, 2)
+        per_axis = int(np.ceil((64.0 * len(sites)) ** 0.5))
+        assert per_axis**2 == 30_976
+        assert 0 < sum(queried) <= per_axis**2 // 4
+        assert cloud.h == full_grid_cloud(sites, 2)[0]
 
 
 class TestBuildTargetLattice:
